@@ -17,9 +17,15 @@
 //   - DiscreteAffine — independent discrete errors: D by exact
 //     convolution.
 //   - MonteCarlo    — arbitrary f: sampling fallback.
+//
+// DiscreteAffine, and Hybrid and Cached over it, are also
+// ExtensionScorers: one convolution of D_T scores every one-object
+// extension of T, which is how greedy selection avoids convolving each
+// candidate set afresh.
 package maxpr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -209,6 +215,10 @@ func (e *MVNAffine) Prob(T model.Set) float64 {
 
 // DiscreteAffine evaluates the objective exactly for independent discrete
 // errors by convolving the drop D = Σ_{i∈T} a_i(X_i − u_i). The
+// convolution runs over current-shifted supports X_i − u_i, built once at
+// construction, so the outcome in which every cleaned value equals its
+// current value is a drop of exactly 0 — never a round-off residue that
+// the strict test D < −τ would count as a surprise at τ = 0. The
 // convolution grid is scale-aware (see dist.WeightedSum/dist.ConvGrid):
 // large-magnitude workloads — CDC-style counts reaching 1e12 and beyond —
 // convolve on an exact integer grid when the weighted supports are
@@ -216,10 +226,11 @@ func (e *MVNAffine) Prob(T model.Set) float64 {
 // realistic claim scales solve exactly instead of erroring or silently
 // degrading to Monte Carlo.
 type DiscreteAffine struct {
-	dists []*dist.Discrete
-	a     []float64
-	u     []float64
-	tau   float64
+	// shifted[i] is the law of X_i − u_i (nil when a_i = 0: the object
+	// never moves the drop).
+	shifted []*dist.Discrete
+	a       []float64
+	tau     float64
 	// maxStates caps the convolution support; larger requests error out so
 	// callers can fall back to Monte Carlo.
 	maxStates int
@@ -252,13 +263,28 @@ func NewDiscreteAffine(db *model.DB, f *query.Affine, tau float64, maxStates int
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	return &DiscreteAffine{dists: ds, a: f.Dense(db.N()), u: db.Currents(), tau: tau, maxStates: maxStates}, nil
+	a := f.Dense(db.N())
+	shifted := make([]*dist.Discrete, len(ds))
+	for i, d := range ds {
+		if a[i] == 0 {
+			continue
+		}
+		u := db.Objects[i].Current
+		vals := make([]float64, len(d.Values))
+		for j, x := range d.Values {
+			vals[j] = x - u
+		}
+		// The probabilities are the object's own, bit for bit: NewDiscrete
+		// would renormalize them.
+		shifted[i] = &dist.Discrete{Values: vals, Probs: d.Probs}
+	}
+	return &DiscreteAffine{shifted: shifted, a: a, tau: tau, maxStates: maxStates}, nil
 }
 
-// Prob returns Pr[D < −τ] by exact convolution, or an NaN-free 0 with
-// ErrTooLarge via ProbErr when the state space would explode. Prob itself
-// falls back to a conservative exact-enumeration refusal by panicking is
-// avoided: use ProbErr when the subset can be large.
+// Prob returns Pr[D < −τ] by exact convolution. It panics with
+// ErrTooLarge when T's state space exceeds the cap, because Evaluator has
+// no error channel: callers whose sets can grow large use ProbErr, or
+// Hybrid, which falls back to Monte Carlo instead.
 func (e *DiscreteAffine) Prob(T model.Set) float64 {
 	p, err := e.ProbErr(T)
 	if err != nil {
@@ -275,32 +301,104 @@ func (e *DiscreteAffine) ProbErr(T model.Set) (float64, error) {
 	if len(T) == 0 {
 		return 0, nil
 	}
-	states := 1
-	for _, i := range T {
-		if e.a[i] == 0 {
-			continue
-		}
-		states *= e.dists[i].Size()
-		if states > e.maxStates {
-			return 0, ErrTooLarge
-		}
-	}
-	weights := make([]float64, 0, len(T))
-	parts := make([]*dist.Discrete, 0, len(T))
-	offset := 0.0
-	for _, i := range T {
-		if e.a[i] == 0 {
-			continue
-		}
-		weights = append(weights, e.a[i])
-		parts = append(parts, e.dists[i])
-		offset -= e.a[i] * e.u[i]
-	}
-	d, err := dist.WeightedSumRec(e.rec, offset, weights, parts)
+	d, _, err := e.drop(T)
 	if err != nil {
 		return 0, err
 	}
 	return d.PrBelow(-e.tau), nil
+}
+
+// drop convolves the law of D_T = Σ_{i∈T} a_i·(X_i − u_i) over the
+// current-shifted supports, returning it with its state count (the
+// product of the moving objects' support sizes), or ErrTooLarge when that
+// count exceeds the cap. ProbErr and Extensions share it, so P(T) is the
+// same bits on both routes.
+func (e *DiscreteAffine) drop(T model.Set) (*dist.Discrete, int, error) {
+	states := 1
+	weights := make([]float64, 0, len(T))
+	parts := make([]*dist.Discrete, 0, len(T))
+	for _, i := range T {
+		if e.a[i] == 0 {
+			continue
+		}
+		size := e.shifted[i].Size()
+		if states > e.maxStates/size {
+			return nil, 0, ErrTooLarge
+		}
+		states *= size
+		weights = append(weights, e.a[i])
+		parts = append(parts, e.shifted[i])
+	}
+	d, err := dist.WeightedSumRec(e.rec, 0, weights, parts)
+	if err != nil {
+		return nil, 0, err
+	}
+	return d, states, nil
+}
+
+// ExtensionScorer is an Evaluator that can score every one-object
+// extension of a set from a single convolution of the set's drop law,
+// instead of convolving P(T ∪ {o}) afresh for each candidate o.
+type ExtensionScorer interface {
+	Evaluator
+	// Extensions returns the scorer of T's one-object extensions, or nil
+	// when the evaluator has none for T; the caller then evaluates each
+	// candidate with Prob.
+	Extensions(T model.Set) (*Extensions, error)
+}
+
+// Extensions scores the one-object extensions of a set T. It holds the
+// drop law D_T and, for a candidate o ∉ T with current-shifted support
+// values s_oj = x_oj − u_o of probability p_oj, returns the gain
+//
+//	Δ(o) = P(T ∪ {o}) − P(T) = Σ_j p_oj · (F(−τ − a_o·s_oj) − F(−τ)),
+//
+// where F(t) = Pr[D_T < t] is read from D_T's sorted cumulative table.
+// Every term is the difference of two reads from that one table, so a
+// gain is exactly 0 when a_o = 0 or when no atom of D_T lies between the
+// two thresholds: it is never the rounding residue of subtracting two
+// separately convolved probabilities.
+type Extensions struct {
+	e      *DiscreteAffine
+	drop   *dist.Discrete // D_T
+	p      float64        // P(T) = F(−τ)
+	states int            // state count of D_T
+	rec    *obs.Recorder  // counts exact evaluations for Hybrid's route counters
+}
+
+// Extensions implements ExtensionScorer. It returns ErrTooLarge when T
+// itself is past the state cap.
+func (e *DiscreteAffine) Extensions(T model.Set) (*Extensions, error) {
+	d, states, err := e.drop(T)
+	if err != nil {
+		return nil, err
+	}
+	return &Extensions{e: e, drop: d, p: d.PrBelow(-e.tau), states: states}, nil
+}
+
+// Prob returns P(T), bit-identical to the evaluator's Prob(T).
+func (x *Extensions) Prob() float64 { return x.p }
+
+// Gain returns Δ(o) for a candidate o ∉ T, with ok = false when the
+// convolution of T ∪ {o} would exceed the state cap (or x is nil): the
+// caller then evaluates P(T ∪ {o}) itself.
+func (x *Extensions) Gain(o int) (gain float64, ok bool) {
+	if x == nil {
+		return 0, false
+	}
+	e := x.e
+	var acc numeric.KahanAcc
+	if a := e.a[o]; a != 0 { // a zero coefficient never moves the drop
+		s := e.shifted[o]
+		if x.states > e.maxStates/s.Size() {
+			return 0, false
+		}
+		for j, v := range s.Values {
+			acc.Add(s.Probs[j] * (x.drop.PrBelow(-e.tau-a*v) - x.p))
+		}
+	}
+	x.rec.Add("maxpr_exact", 1)
+	return acc.Value(), true
 }
 
 // Hybrid evaluates exactly by convolution while the state space fits and
@@ -347,6 +445,20 @@ func (h *Hybrid) Prob(T model.Set) float64 {
 	return h.mc.Prob(T)
 }
 
+// Extensions implements ExtensionScorer over the exact evaluator. When T
+// itself cannot be convolved it returns nil, so every candidate goes
+// through Prob — the Monte-Carlo fallback Prob would take for the same
+// sets; candidates past the cap are likewise left to Prob. Each gain the
+// scorer answers counts as one exact evaluation.
+func (h *Hybrid) Extensions(T model.Set) (*Extensions, error) {
+	x, err := h.exact.Extensions(T)
+	if err != nil {
+		return nil, nil
+	}
+	x.rec = h.rec
+	return x, nil
+}
+
 // Cached memoizes another evaluator by the canonical key of the subset.
 // Greedy selection across a budget sweep revisits the same subsets many
 // times; with a Monte-Carlo inner evaluator, caching also keeps the
@@ -361,11 +473,12 @@ func NewCached(inner Evaluator) *Cached {
 	return &Cached{inner: inner, cache: make(map[string]float64)}
 }
 
-// Prob implements Evaluator.
+// Prob implements Evaluator. The key is T's ids as full-width varints,
+// a prefix-free encoding, so distinct sets never share a key.
 func (c *Cached) Prob(T model.Set) float64 {
-	key := make([]byte, 0, 4*len(T))
+	key := make([]byte, 0, 2*len(T))
 	for _, v := range T {
-		key = append(key, byte(v), byte(v>>8), byte(v>>16), ',')
+		key = binary.AppendUvarint(key, uint64(v))
 	}
 	k := string(key)
 	if p, ok := c.cache[k]; ok {
@@ -374,6 +487,17 @@ func (c *Cached) Prob(T model.Set) float64 {
 	p := c.inner.Prob(T)
 	c.cache[k] = p
 	return p
+}
+
+// Extensions implements ExtensionScorer by delegating to the inner
+// evaluator (nil when it has no scorer). Gains are not memoized; the
+// candidates the scorer leaves to the caller come back through Prob,
+// which is.
+func (c *Cached) Extensions(T model.Set) (*Extensions, error) {
+	if s, ok := c.inner.(ExtensionScorer); ok {
+		return s.Extensions(T)
+	}
+	return nil, nil
 }
 
 // MonteCarlo estimates the objective for an arbitrary query function:

@@ -68,8 +68,9 @@ func TestSingleProbMatchesDiscreteAffine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The convolution path computes a·x − a·u, SingleProb computes
-		// a·(x − u): equal up to round-off, not bit order.
+		// The convolution path renormalizes the sorted atoms' masses and
+		// sums them in value order, SingleProb sums the law's masses in
+		// support order: equal up to round-off, not bit order.
 		if !numeric.AlmostEqual(got, want, 1e-12) {
 			t.Fatalf("trial %d: SingleProb %v vs DiscreteAffine %v", trial, got, want)
 		}

@@ -19,6 +19,13 @@
 # MIN_DENSE_SPEEDUP (default 5) — the dense convolution engine exists to
 # beat hashing by well over that on wide integer supports, and a drop
 # below the floor means the kernel quietly stopped engaging or paying.
+# BenchmarkGreedyMaxPr (./internal/core) times one MaxPr select at n=200
+# with 6-point discrete supports on its incremental route (one drop-law
+# convolution per round) and on its per-candidate route (one convolution
+# per candidate); their ratio lands as
+# "BenchmarkGreedyMaxPr/vs=per-candidate" and is gated by
+# MIN_MAXPR_SPEEDUP (default 10) — a drop below it means GreedyMaxPr
+# stopped engaging the extension scorer.
 # A single 1x pass is noise; min/median over repetitions is what makes
 # cross-run comparisons meaningful.
 #
@@ -62,6 +69,7 @@ benchtime="${BENCHTIME:-5x}"
 count="${COUNT:-3}"
 min_speedup="${MIN_SPEEDUP:-0.9}"
 min_dense_speedup="${MIN_DENSE_SPEEDUP:-5}"
+min_maxpr_speedup="${MIN_MAXPR_SPEEDUP:-10}"
 out="${BENCH_OUT:-BENCH_parallel.json}"
 raw=$(mktemp)
 servedir=""
@@ -83,10 +91,10 @@ if [ -n "${GOMAXPROCS:-}" ] && [ "${GOMAXPROCS}" != "$ncpu" ] && [ -z "${BENCH_A
 fi
 export GOMAXPROCS="${GOMAXPROCS:-$ncpu}"
 
-go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap' \
-  -benchtime "$benchtime" -count "$count" . ./internal/dist | tee "$raw"
+go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkGreedyMaxPr' \
+  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core | tee "$raw"
 
-awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_dense="$min_dense_speedup" '
+awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_dense="$min_dense_speedup" -v min_maxpr="$min_maxpr_speedup" '
   BEGIN { gomaxprocs = 1 }              # go test omits the -N suffix when GOMAXPROCS=1
   /^Benchmark/ && /ns\/op/ {
     name = $1
@@ -167,12 +175,25 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
           failmsg[++nfail] = sprintf("dense-vs-map: %.3fx on the wide convolution (floor %s)", sp, min_dense)
       }
     }
+    # Incremental-vs-per-candidate GreedyMaxPr: also CPU-count independent.
+    inc = "BenchmarkGreedyMaxPr/path=incremental"
+    per = "BenchmarkGreedyMaxPr/path=per-candidate"
+    if (reps[inc] > 0 && reps[per] > 0) {
+      di = med(inc)
+      if (di > 0) {
+        sp = med(per) / di
+        printf "%s\n    \"BenchmarkGreedyMaxPr/vs=per-candidate\": %.3f", (first ? "" : ","), sp
+        first = 0
+        if (min_maxpr + 0 > 0 && sp < min_maxpr + 0)
+          failmsg[++nfail] = sprintf("incremental-vs-per-candidate GreedyMaxPr: %.3fx (floor %s)", sp, min_maxpr)
+      }
+    }
     printf "\n  }\n}\n"
     for (i = 1; i <= nfail; i++) print "SPEEDUP-FAIL " failmsg[i] > "/dev/stderr"
     if (nfail > 0) exit 1
   }
 ' "$raw" > "$out" || {
-  echo "wrote $out (speedup below a floor: parallel $min_speedup, dense-vs-map $min_dense_speedup):" >&2
+  echo "wrote $out (speedup below a floor: parallel $min_speedup, dense-vs-map $min_dense_speedup, maxpr $min_maxpr_speedup):" >&2
   cat "$out" >&2
   exit 1
 }
