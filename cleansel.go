@@ -341,7 +341,8 @@ type Task struct {
 	Measure Measure
 	// Goal picks MinVar or MaxPr.
 	Goal Goal
-	// Algorithm picks the solver (default AlgoGreedy).
+	// Algorithm picks the solver (default AlgoGreedy). MaximizeSurprise
+	// supports AlgoGreedy only.
 	Algorithm Algorithm
 	// Budget is the absolute cleaning budget.
 	Budget float64
@@ -469,7 +470,9 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 		case AlgoOptimum:
 			return Result{}, errors.New("cleansel: Optimum requires a modular objective; use Fairness or AlgoBest")
 		default:
-			sel, err = core.NewGreedyMinVarGroup(work, g)
+			// The greedy writes its values through to ge's memo, so
+			// the Before/After below read them instead of re-solving.
+			sel, err = core.NewGreedyMinVarGroupEngine(work, ge)
 		}
 	default:
 		return Result{}, fmt.Errorf("cleansel: unknown measure %v", task.Measure)
@@ -495,6 +498,9 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 func selectMaxPr(ctx context.Context, task Task) (Result, error) {
 	if task.Measure != Fairness {
 		return Result{}, errors.New("cleansel: MaximizeSurprise optimizes the fairness (bias) measure")
+	}
+	if task.Algorithm != AlgoGreedy {
+		return Result{}, fmt.Errorf("cleansel: MaximizeSurprise is solved by GreedyMaxPr only; algorithm %v is not supported", task.Algorithm)
 	}
 	db := task.DB
 	bias := task.Claims.Bias()

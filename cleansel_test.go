@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/datasets"
 )
 
 // Example 2's crime database: five years of counts with the claim
@@ -131,6 +132,33 @@ func TestSelectMaxPr(t *testing.T) {
 		Measure: cleansel.Uniqueness, Goal: cleansel.MaximizeSurprise, Budget: 2,
 	}); err == nil {
 		t.Fatal("MaxPr on uniqueness accepted")
+	}
+}
+
+// TestSelectMaxPrRejectsNonGreedyAlgorithms pins that MaxPr honours
+// Task.Algorithm: it has one solver, GreedyMaxPr, so every other
+// algorithm is an error rather than a silent greedy run.
+func TestSelectMaxPrRejectsNonGreedyAlgorithms(t *testing.T) {
+	db := datasets.SyntheticK(datasets.UR, 30, 4, 9)
+	orig := cleansel.WindowSum("claim", 0, 5)
+	set, err := cleansel.NewPerturbationSet(orig, cleansel.HigherIsStronger,
+		orig.Eval(db.Currents()), cleansel.NonOverlappingWindows("w", 30, 5, 0, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := cleansel.Task{
+		DB: db, Claims: set,
+		Measure: cleansel.Fairness, Goal: cleansel.MaximizeSurprise,
+		Budget: 5, Seed: 1,
+	}
+	if _, err := cleansel.Select(task); err != nil {
+		t.Fatalf("greedy MaxPr: %v", err)
+	}
+	for _, algo := range []cleansel.Algorithm{cleansel.AlgoOptimum, cleansel.AlgoBest, cleansel.AlgoNaive, cleansel.AlgoRandom} {
+		task.Algorithm = algo
+		if res, err := cleansel.Select(task); err == nil {
+			t.Errorf("MaxPr with algorithm %v accepted (chose %v)", algo, res.Set)
+		}
 	}
 }
 

@@ -63,6 +63,21 @@ func NewGreedyMinVarGroup(db *model.DB, g *query.GroupSum) (*GreedyMinVarGroup, 
 	if err != nil {
 		return nil, err
 	}
+	return NewGreedyMinVarGroupEngine(db, engine)
+}
+
+// NewGreedyMinVarGroupEngine builds the selector over an existing group
+// engine, which must have been built over db. The selector's State
+// writes every value it computes through to the engine's memo, so
+// evaluating EV on the same engine afterwards (a caller's Before/After)
+// reads those values instead of enumerating them again.
+func NewGreedyMinVarGroupEngine(db *model.DB, engine *ev.GroupEngine) (*GreedyMinVarGroup, error) {
+	if db == nil {
+		return nil, errNilDB
+	}
+	if engine == nil {
+		return nil, errors.New("core: nil engine")
+	}
 	return &GreedyMinVarGroup{db: db, engine: engine}, nil
 }
 
@@ -149,12 +164,22 @@ func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (
 		gainSum += gain
 		// Refresh the benefits of locally affected objects so the queue
 		// max stays exact (EV is submodular: stale entries underestimate).
-		for _, a := range st.Affected(o) {
-			if st.Cleaned(a) {
-				continue
+		// The deltas fan out over the worker pool and come back in
+		// Affected order, so the queue is the same at every worker count.
+		stale := st.Affected(o)
+		live := stale[:0]
+		for _, a := range stale {
+			if !st.Cleaned(a) {
+				live = append(live, a)
 			}
+		}
+		deltas, err := st.DeltasCtx(ctx, live)
+		if err != nil {
+			return nil, err
+		}
+		for i, a := range live {
 			version[a]++
-			b := -st.Delta(a)
+			b := -deltas[i]
 			if b < 0 {
 				b = 0
 			}

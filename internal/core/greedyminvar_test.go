@@ -1,0 +1,123 @@
+package core
+
+import (
+	"context"
+	"math"
+	"reflect"
+	"testing"
+
+	"github.com/factcheck/cleansel/internal/ev"
+	"github.com/factcheck/cleansel/internal/model"
+	"github.com/factcheck/cleansel/internal/parallel"
+	"github.com/factcheck/cleansel/internal/query"
+	"github.com/factcheck/cleansel/internal/rng"
+)
+
+// slidingGroupQuery builds a GroupSum of w-wide terms at every start
+// position, so consecutive terms overlap and the engine has pairs.
+func slidingGroupQuery(r *rng.RNG, n, w int) *query.GroupSum {
+	g := &query.GroupSum{}
+	for s := 0; s+w <= n; s++ {
+		vars := make([]int, w)
+		coef := make([]float64, w)
+		for j := range vars {
+			vars[j] = s + j
+			coef[j] = float64(r.IntRange(-2, 2)) + 0.5
+		}
+		c := float64(r.IntRange(-20, 20))
+		switch r.Intn(3) {
+		case 0:
+			g.Terms = append(g.Terms, query.IndicatorGE(vars, coef, c, 1+r.Float64()))
+		case 1:
+			g.Terms = append(g.Terms, query.NegMinSquared(vars, coef, c, r.Float64()))
+		default:
+			g.Terms = append(g.Terms, query.LinearTerm(vars, coef, c))
+		}
+	}
+	return g
+}
+
+// minVarRun is everything a GreedyMinVarGroup solve observably
+// produces, plus the state it leaves behind.
+type minVarRun struct {
+	set    model.Set
+	ev     float64   // EVCtx(set) on the solve's engine (memo hits)
+	total  float64   // a fresh State's EV after cleaning set
+	deltas []float64 // that State's refreshed deltas for every object
+}
+
+func runGreedyMinVar(t *testing.T, db *model.DB, g *query.GroupSum, budget float64) minVarRun {
+	t.Helper()
+	ctx := context.Background()
+	engine, err := ev.NewGroupEngine(db, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := NewGreedyMinVarGroupEngine(db, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T, err := sel.SelectContext(ctx, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := minVarRun{set: T}
+	if out.ev, err = engine.EVCtx(ctx, T); err != nil {
+		t.Fatal(err)
+	}
+	st, err := engine.NewStateCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range T {
+		st.Clean(o)
+	}
+	out.total = st.EV()
+	all := make([]int, db.N())
+	for o := range all {
+		all[o] = o
+	}
+	if out.deltas, err = st.DeltasCtx(ctx, all); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestGreedyMinVarGroupBitIdenticalAcrossWorkerCounts pins the parallel
+// refresh's determinism rule: the deltas come back in Affected order,
+// so the queue, the chosen set, the memo the State writes through and
+// the State's totals are identical at every worker count, on instances
+// whose overlapping terms give the refresh pair work too.
+func TestGreedyMinVarGroupBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	r := rng.New(4099)
+	for trial := 0; trial < 30; trial++ {
+		n := 8 + r.Intn(7)
+		db := randomCoreDB(r, n)
+		g := slidingGroupQuery(r, n, 2+r.Intn(2))
+		budget := (0.2 + 0.6*r.Float64()) * db.TotalCost()
+		var want minVarRun
+		for _, workers := range []string{"1", "2", "8"} {
+			t.Setenv(parallel.EnvWorkers, workers)
+			got := runGreedyMinVar(t, db, g, budget)
+			if workers == "1" {
+				want = got
+				if len(got.set) < 2 {
+					t.Fatalf("trial %d: greedy chose %v; the instance should take several rounds", trial, got.set)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got.set, want.set) {
+				t.Fatalf("trial %d workers=%s: chose %v, workers=1 chose %v", trial, workers, got.set, want.set)
+			}
+			if math.Float64bits(got.ev) != math.Float64bits(want.ev) || math.Float64bits(got.total) != math.Float64bits(want.total) {
+				t.Fatalf("trial %d workers=%s: EV %v / total %v, workers=1 %v / %v",
+					trial, workers, got.ev, got.total, want.ev, want.total)
+			}
+			for o := range want.deltas {
+				if math.Float64bits(got.deltas[o]) != math.Float64bits(want.deltas[o]) {
+					t.Fatalf("trial %d workers=%s: delta[%d] %v, workers=1 %v", trial, workers, o, got.deltas[o], want.deltas[o])
+				}
+			}
+		}
+	}
+}

@@ -99,8 +99,9 @@ func (e *Entropy) ev(T model.Set, maxStates int) float64 {
 		defer entropyScratchPool.Put(sc)
 	}
 	x := make([]float64, e.db.N())
+	free := newOdometer(e.dists, x, freeVars)
 	var acc numeric.KahanAcc
-	enumerate(e.dists, cleanVars, x, func(pT float64) {
+	newOdometer(e.dists, x, cleanVars).each(func(pT float64) {
 		// Conditional distribution of f over the free variables. The
 		// pooling grid must be sized to the magnitude f actually
 		// reaches (the same scale-aware quantization dist.WeightedSum
@@ -117,10 +118,10 @@ func (e *Entropy) ev(T model.Set, maxStates int) float64 {
 			// below: same outcomes, same accumulation order, same
 			// ascending-key traversal.
 			vals, probs := sc.vals[:0], sc.probs[:0]
-			enumerate(e.dists, freeVars, x, func(p float64) {
+			for p, ok := free.first(); ok; p, ok = free.next() {
 				vals = append(vals, e.f.Eval(x))
 				probs = append(probs, p)
-			})
+			}
 			sc.vals, sc.probs = vals, probs
 			var reach float64
 			for _, v := range vals {
@@ -140,16 +141,16 @@ func (e *Entropy) ev(T model.Set, maxStates int) float64 {
 			// number of *distinct* outcomes, never the raw product
 			// state space.
 			var reach float64
-			enumerate(e.dists, freeVars, x, func(float64) {
+			for _, ok := free.first(); ok; _, ok = free.next() {
 				if a := math.Abs(e.f.Eval(x)); a > reach {
 					reach = a
 				}
-			})
+			}
 			grid := numeric.GridFor(reach)
 			pmf := map[int64]float64{}
-			enumerate(e.dists, freeVars, x, func(p float64) {
+			for p, ok := free.first(); ok; p, ok = free.next() {
 				pmf[grid.Key(e.f.Eval(x))] += p
-			})
+			}
 			for _, k := range numeric.SortedKeys(pmf) {
 				if p := pmf[k]; p > 0 {
 					h -= p * math.Log(p)

@@ -56,24 +56,155 @@ func EVWithContext(ctx context.Context, e Engine, T model.Set) (float64, error) 
 	return e.EV(T), nil
 }
 
-// enumerate iterates the product distribution of the given vars, assigning
-// values into x (indexed by object ID) and invoking visit with the joint
-// probability of the assignment. vars may be empty, in which case visit is
-// called once with probability 1.
-func enumerate(dists []*dist.Discrete, vars []int, x []float64, visit func(p float64)) {
-	var rec func(i int, p float64)
-	rec = func(i int, p float64) {
-		if i == len(vars) {
-			visit(p)
-			return
+// odometer is the package's enumeration kernel: it walks the product
+// distribution of vars (object ids; level i draws from dists[vars[i]])
+// iteratively, the first var outermost and the last var fastest, and
+// writes level i's value into vals[slot[i]]. With slot = vars, vals is
+// an object-indexed assignment; with slot = positions in Term.Vars, vals
+// is the term's own argument vector, ready for Term.Eval without a
+// gather.
+//
+// An outcome's probability is the left-to-right product 1·p_0·p_1·…,
+// kept as one prefix product per level, so advancing the fastest var
+// costs one multiply and every outcome sees the same operands in the
+// same order as a depth-first recursion would. idx exposes each level's
+// current support position. The level arrays are reusable scratch
+// (see evScratch): a walk allocates nothing. No vars means exactly one
+// outcome, of probability 1; an empty support means none.
+type odometer struct {
+	dists  []*dist.Discrete
+	vals   []float64
+	vars   []int
+	slot   []int
+	idx    []int     // idx[i]: level i's current support position
+	prefix []float64 // prefix[i]: product of the probabilities of levels < i
+	// The innermost level, cached by first and carry for next's fast
+	// path: its law, where it writes, and prefix[len(vars)-1].
+	inner      *dist.Discrete
+	innerSlot  int
+	innerAbove float64
+}
+
+// newOdometer returns a walk over vars writing vals[v] for each var v
+// (slot = object id), with freshly allocated level arrays — for the
+// engines whose calls are not hot enough to pool scratch. Its slot list
+// is vars itself, so it must not be refilled.
+func newOdometer(dists []*dist.Discrete, vals []float64, vars []int) *odometer {
+	o := &odometer{vars: vars, slot: vars}
+	o.bind(dists, vals)
+	return o
+}
+
+// bind points the walk at dists and vals and sizes its level arrays to
+// the vars/slot lists already in place.
+func (o *odometer) bind(dists []*dist.Discrete, vals []float64) {
+	o.dists, o.vals = dists, vals
+	n := len(o.vars)
+	if cap(o.idx) < n {
+		o.idx = make([]int, n)
+	}
+	o.idx = o.idx[:n]
+	if cap(o.prefix) < n+1 {
+		o.prefix = make([]float64, n+1)
+	}
+	o.prefix = o.prefix[:n+1]
+}
+
+// setLevel moves level i to support position j, writing its value and
+// extending the prefix product.
+func (o *odometer) setLevel(i, j int) {
+	d := o.dists[o.vars[i]]
+	o.idx[i] = j
+	o.vals[o.slot[i]] = d.Values[j]
+	o.prefix[i+1] = o.prefix[i] * d.Probs[j]
+}
+
+// first moves the walk to its first outcome and returns its
+// probability; ok is false when the walk has no outcome.
+func (o *odometer) first() (p float64, ok bool) {
+	o.prefix[0] = 1
+	for i, v := range o.vars {
+		if o.dists[v].Size() == 0 {
+			return 0, false
 		}
-		d := dists[vars[i]]
-		for j, v := range d.Values {
-			x[vars[i]] = v
-			rec(i+1, p*d.Probs[j])
+		o.setLevel(i, 0)
+	}
+	if last := len(o.vars) - 1; last >= 0 {
+		o.inner = o.dists[o.vars[last]]
+		o.innerSlot = o.slot[last]
+		o.innerAbove = o.prefix[last]
+	}
+	return o.prefix[len(o.vars)], true
+}
+
+// next advances the walk to its next outcome and returns its
+// probability; ok is false once every outcome has been visited. The
+// common step, advancing the innermost level, is small enough to
+// inline; carry handles the rest.
+func (o *odometer) next() (p float64, ok bool) {
+	if last := len(o.idx) - 1; last >= 0 {
+		if j := o.idx[last] + 1; j < len(o.inner.Values) {
+			o.idx[last] = j
+			o.vals[o.innerSlot] = o.inner.Values[j]
+			return o.innerAbove * o.inner.Probs[j], true
 		}
 	}
-	rec(0, 1)
+	return o.carry()
+}
+
+// carry advances the walk once its innermost level is exhausted: the
+// deepest outer level with support left moves on, and every level
+// below it restarts.
+func (o *odometer) carry() (p float64, ok bool) {
+	last := len(o.vars) - 1
+	i := last - 1
+	for i >= 0 && o.idx[i]+1 == o.dists[o.vars[i]].Size() {
+		i--
+	}
+	if i < 0 {
+		return 0, false
+	}
+	o.setLevel(i, o.idx[i]+1)
+	for j := i + 1; j <= last; j++ {
+		o.setLevel(j, 0)
+	}
+	o.innerAbove = o.prefix[last]
+	return o.prefix[last+1], true
+}
+
+// each calls visit with every outcome's probability, in walk order.
+func (o *odometer) each(visit func(p float64)) {
+	for p, ok := o.first(); ok; p, ok = o.next() {
+		visit(p)
+	}
+}
+
+// fill sets the walk's vars to the members of vars whose cleaned flag
+// equals want, in order, with slot = object id.
+func (o *odometer) fill(vars []int, cleaned []bool, want bool) {
+	o.vars, o.slot = o.vars[:0], o.slot[:0]
+	for _, v := range vars {
+		if cleaned[v] == want {
+			o.vars = append(o.vars, v)
+			o.slot = append(o.slot, v)
+		}
+	}
+}
+
+// splitTerm fills in with a term's cleaned vars and out with its
+// uncleaned ones, in declaration order, with slot = position in vars.
+func splitTerm(vars []int, cleaned []bool, in, out *odometer) {
+	in.vars, in.slot = in.vars[:0], in.slot[:0]
+	out.vars, out.slot = out.vars[:0], out.slot[:0]
+	for pos, v := range vars {
+		if cleaned[v] {
+			in.vars = append(in.vars, v)
+			in.slot = append(in.slot, pos)
+		} else {
+			out.vars = append(out.vars, v)
+			out.slot = append(out.slot, pos)
+		}
+	}
 }
 
 // BruteForce is the exponential-time reference engine: it enumerates the
@@ -103,15 +234,15 @@ func NewBruteForce(db *model.DB, f query.Function) (*BruteForce, error) {
 func (b *BruteForce) EV(T model.Set) float64 {
 	n := b.db.N()
 	x := make([]float64, n)
-	rest := T.Complement(n)
+	inner := newOdometer(b.dists, x, T.Complement(n))
 	var acc numeric.KahanAcc
-	enumerate(b.dists, T, x, func(pT float64) {
+	newOdometer(b.dists, x, T).each(func(pT float64) {
 		var m1, m2 numeric.KahanAcc
-		enumerate(b.dists, rest, x, func(p float64) {
+		for p, ok := inner.first(); ok; p, ok = inner.next() {
 			v := b.f.Eval(x)
 			m1.Add(p * v)
 			m2.Add(p * v * v)
-		})
+		}
 		mean := m1.Value()
 		variance := m2.Value() - mean*mean
 		if variance < 0 {

@@ -411,7 +411,7 @@ func TestCondMomentsMatchesBruteForce(t *testing.T) {
 			}
 		}
 		var m1, m2 numeric.KahanAcc
-		enumerate(dists, free, x, func(p float64) {
+		enumerateRec(dists, free, x, func(p float64) {
 			v := g.Eval(x)
 			m1.Add(p * v)
 			m2.Add(p * v * v)

@@ -159,6 +159,23 @@ func localMask(vars []int, cleaned []bool) (uint64, bool) {
 	return m, true
 }
 
+// memoStore records v as entry i's memo value under mask. Callers hold
+// e.mu.
+func memoStore(cache []map[uint64]float64, i int, mask uint64, v float64) {
+	if cache[i] == nil {
+		cache[i] = make(map[uint64]float64)
+	}
+	cache[i][mask] = v
+}
+
+// memoize records v as entry i's memo value under the cleaned mask
+// restricted to vars, when that mask is cacheable. Callers hold e.mu.
+func memoize(cache []map[uint64]float64, i int, vars []int, cleaned []bool, v float64) {
+	if mask, ok := localMask(vars, cleaned); ok {
+		memoStore(cache, i, mask, v)
+	}
+}
+
 func (e *GroupEngine) buildPair(k, l int) pairInfo {
 	inK := map[int]bool{}
 	for _, v := range e.terms[k].vars {
@@ -202,47 +219,44 @@ func (e *GroupEngine) buildPair(k, l int) pairInfo {
 // windows are disjoint).
 func (e *GroupEngine) NumPairs() int { return len(e.pairs) }
 
-// evalTerm gathers the term's variable values from the scratch vector.
-func (e *GroupEngine) evalTerm(k int, x, buf []float64) float64 {
-	t := e.terms[k]
-	buf = buf[:0]
+// evalTerm evaluates term k at the object-indexed assignment x,
+// gathering its arguments into the scratch buffer (the id-mode walks of
+// pairEV and CondMoments; term-mode walks need no gather).
+func (e *GroupEngine) evalTerm(k int, x []float64, sc *evScratch) float64 {
+	t := &e.terms[k]
+	buf := sc.buf[:0]
 	for _, v := range t.vars {
 		buf = append(buf, x[v])
 	}
+	sc.buf = buf
 	return t.eval(buf)
 }
 
-// split partitions vars into (cleaned, uncleaned) under the mask.
-func split(vars []int, cleaned []bool) (in, out []int) {
-	for _, v := range vars {
-		if cleaned[v] {
-			in = append(in, v)
-		} else {
-			out = append(out, v)
-		}
-	}
-	return in, out
-}
-
 // termEV returns Σ_a Pr[a]·Var[g_k | X_{R_k∩T} = a] for term k given the
-// cleaned mask, enumerating with the provided distributions.
-func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, x, buf []float64) float64 {
-	a, b := split(e.terms[k].vars, cleaned)
+// cleaned mask, enumerating with the provided distributions. Both walks
+// write straight into the term's argument vector.
+func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, sc *evScratch) float64 {
+	t := &e.terms[k]
+	args := sc.termArgs(len(t.vars))
+	a, b := &sc.walks[0], &sc.walks[1]
+	splitTerm(t.vars, cleaned, a, b)
+	a.bind(dists, args)
+	b.bind(dists, args)
 	var acc numeric.KahanAcc
-	enumerate(dists, a, x, func(pa float64) {
+	for pa, ok := a.first(); ok; pa, ok = a.next() {
 		var m1, m2 numeric.KahanAcc
-		enumerate(dists, b, x, func(p float64) {
-			v := e.evalTerm(k, x, buf)
+		for p, ok := b.first(); ok; p, ok = b.next() {
+			v := t.eval(args)
 			m1.Add(p * v)
 			m2.Add(p * v * v)
-		})
+		}
 		mean := m1.Value()
 		variance := m2.Value() - mean*mean
 		if variance < 0 {
 			variance = 0
 		}
 		acc.Add(pa * variance)
-	})
+	}
 	return acc.Value()
 }
 
@@ -253,43 +267,58 @@ func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, x, b
 //	E[g_k·g_l | a] = Σ_s Pr[s]·E[g_k | a,s]·E[g_l | a,s]
 //
 // where s ranges over the uncleaned shared variables.
-func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, x, buf []float64) float64 {
-	p := e.pairs[pi]
-	a, _ := split(p.union, cleaned)
-	_, sharedU := split(p.shared, cleaned)
-	_, bk := split(p.onlyK, cleaned)
-	_, bl := split(p.onlyL, cleaned)
+func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, sc *evScratch) float64 {
+	p := &e.pairs[pi]
+	a, s, bk, bl := &sc.walks[0], &sc.walks[1], &sc.walks[2], &sc.walks[3]
+	a.fill(p.union, cleaned, true)
+	s.fill(p.shared, cleaned, false)
+	bk.fill(p.onlyK, cleaned, false)
+	bl.fill(p.onlyL, cleaned, false)
+	for _, w := range [...]*odometer{a, s, bk, bl} {
+		w.bind(dists, sc.x)
+	}
 	var acc numeric.KahanAcc
-	enumerate(dists, a, x, func(pa float64) {
+	for pa, ok := a.first(); ok; pa, ok = a.next() {
 		var ekl, ek, el numeric.KahanAcc
-		enumerate(dists, sharedU, x, func(ps float64) {
+		for ps, ok := s.first(); ok; ps, ok = s.next() {
 			var mk, ml numeric.KahanAcc
-			enumerate(dists, bk, x, func(pb float64) {
-				mk.Add(pb * e.evalTerm(p.k, x, buf))
-			})
-			enumerate(dists, bl, x, func(pb float64) {
-				ml.Add(pb * e.evalTerm(p.l, x, buf))
-			})
+			for pb, ok := bk.first(); ok; pb, ok = bk.next() {
+				mk.Add(pb * e.evalTerm(p.k, sc.x, sc))
+			}
+			for pb, ok := bl.first(); ok; pb, ok = bl.next() {
+				ml.Add(pb * e.evalTerm(p.l, sc.x, sc))
+			}
 			vk, vl := mk.Value(), ml.Value()
 			ekl.Add(ps * vk * vl)
 			ek.Add(ps * vk)
 			el.Add(ps * vl)
-		})
+		}
 		cov := ekl.Value() - ek.Value()*el.Value()
 		acc.Add(pa * cov)
-	})
+	}
 	return acc.Value()
 }
 
-// evScratch is the per-worker workspace of the parallel enumeration
-// paths: an assignment vector, a support-index vector, the term
-// evaluation buffer, and the per-object moment workspace of the
-// singleton-benefit pass. Work items fully overwrite the slots they
-// read, so reusing a workspace across items never changes a result.
+// evScratch is the per-worker workspace of the enumeration paths: an
+// object-indexed assignment vector, a term argument vector, the level
+// arrays and var lists of up to four nested walks, the id-mode gather
+// buffer, a private cleaned mask for the parallel refresh, the new
+// term/pair values of the last recompute, and the per-object moment
+// workspace of the singleton-benefit pass. Work items fully overwrite
+// the slots they read, so reusing a workspace across items never
+// changes a result.
 type evScratch struct {
-	x   []float64
-	idx []int
-	buf []float64
+	x     []float64
+	args  []float64
+	walks [4]odometer
+	buf   []float64
+	// mask is a private copy of a State's cleaned set, valid while
+	// maskGen equals the State's generation (see State.DeltasCtx).
+	mask    []bool
+	maskGen int
+	// termNew and pairNew hold the values State.recompute computed,
+	// aligned with varTerms[o] and varPairs[o].
+	termNew, pairNew []float64
 	// Flattened singleton-benefit workspace, indexed by object id:
 	// conditional first/second moment rows (grown to the object's
 	// support size on first use) and one Kahan accumulator per object.
@@ -301,13 +330,24 @@ type evScratch struct {
 
 func newEvScratch(n int) *evScratch {
 	return &evScratch{
-		x:   make([]float64, n),
-		idx: make([]int, n),
-		buf: make([]float64, 0, 32),
-		m1:  make([][]float64, n),
-		m2:  make([][]float64, n),
-		acc: make([]numeric.KahanAcc, n),
+		x:       make([]float64, n),
+		buf:     make([]float64, 0, 32),
+		mask:    make([]bool, n),
+		maskGen: -1,
+		m1:      make([][]float64, n),
+		m2:      make([][]float64, n),
+		acc:     make([]numeric.KahanAcc, n),
 	}
+}
+
+// termArgs returns the argument vector grown to a width-w term.
+// Contents are stale until a walk writes them.
+func (sc *evScratch) termArgs(w int) []float64 {
+	if cap(sc.args) < w {
+		sc.args = make([]float64, w)
+	}
+	sc.args = sc.args[:w]
+	return sc.args
 }
 
 // momentRow returns row v of m grown to size. Contents are stale until
@@ -400,7 +440,7 @@ func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64
 		if err := parallel.For(ctx, len(compute), func(worker, i int) error {
 			sc := pool.get(worker)
 			m := compute[i]
-			vals[m.i] = e.termEV(e.dists, m.i, cleaned, sc.x, sc.buf)
+			vals[m.i] = e.termEV(e.dists, m.i, cleaned, sc)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -408,13 +448,9 @@ func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64
 	}
 	e.mu.Lock()
 	for _, m := range misses {
-		if !m.cacheable {
-			continue
+		if m.cacheable {
+			memoStore(e.termCache, m.i, m.mask, vals[m.i])
 		}
-		if e.termCache[m.i] == nil {
-			e.termCache[m.i] = make(map[uint64]float64)
-		}
-		e.termCache[m.i][m.mask] = vals[m.i]
 	}
 	e.mu.Unlock()
 	if e.shared != nil && len(compute) > 0 {
@@ -462,7 +498,7 @@ func (e *GroupEngine) pairValues(ctx context.Context, cleaned []bool) ([]float64
 		if err := parallel.For(ctx, len(compute), func(worker, i int) error {
 			sc := pool.get(worker)
 			m := compute[i]
-			vals[m.i] = e.pairEV(e.dists, m.i, cleaned, sc.x, sc.buf)
+			vals[m.i] = e.pairEV(e.dists, m.i, cleaned, sc)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -470,13 +506,9 @@ func (e *GroupEngine) pairValues(ctx context.Context, cleaned []bool) ([]float64
 	}
 	e.mu.Lock()
 	for _, m := range misses {
-		if !m.cacheable {
-			continue
+		if m.cacheable {
+			memoStore(e.pairCache, m.i, m.mask, vals[m.i])
 		}
-		if e.pairCache[m.i] == nil {
-			e.pairCache[m.i] = make(map[uint64]float64)
-		}
-		e.pairCache[m.i][m.mask] = vals[m.i]
 	}
 	e.mu.Unlock()
 	if e.shared != nil && len(compute) > 0 {
@@ -547,21 +579,20 @@ func (e *GroupEngine) CondMoments(values []float64, known []bool) (mean, varianc
 			ds[i] = dist.PointMass(values[i])
 		}
 	}
-	x := make([]float64, e.db.N())
-	buf := make([]float64, 0, 32)
+	sc := newEvScratch(e.db.N())
 	noClean := make([]bool, e.db.N())
 	var mAcc, vAcc numeric.KahanAcc
 	mAcc.Add(e.g.Const)
 	for k := range e.terms {
 		var m1 numeric.KahanAcc
-		enumerate(ds, e.terms[k].vars, x, func(p float64) {
-			m1.Add(p * e.evalTerm(k, x, buf))
+		newOdometer(ds, sc.x, e.terms[k].vars).each(func(p float64) {
+			m1.Add(p * e.evalTerm(k, sc.x, sc))
 		})
 		mAcc.Add(m1.Value())
-		vAcc.Add(e.termEV(ds, k, noClean, x, buf))
+		vAcc.Add(e.termEV(ds, k, noClean, sc))
 	}
 	for pi := range e.pairs {
-		vAcc.Add(2 * e.pairEV(ds, pi, noClean, x, buf))
+		vAcc.Add(2 * e.pairEV(ds, pi, noClean, sc))
 	}
 	variance = vAcc.Value()
 	if variance < 0 {
@@ -574,14 +605,25 @@ func (e *GroupEngine) CondMoments(values []float64, known []bool) (mean, varianc
 // Cleaning an object only dirties the terms and pairs that reference it,
 // so deltas cost work proportional to the object's local claim structure
 // rather than the whole query.
+//
+// A State writes the values it computes through to its engine's memo:
+// the initial per-term and per-pair values, and each value Clean
+// commits. A memo entry is a pure function of its term and that term's
+// cleaned mask, so a later EVCtx(T) on the engine reads the values the
+// greedy already computed, bit for bit. A State itself is not safe for
+// concurrent use; its engine stays safe for concurrent EV calls.
 type State struct {
 	e       *GroupEngine
 	cleaned []bool
 	termEV  []float64
 	pairEV  []float64
 	total   float64
-	x       []float64
-	buf     []float64
+	// pool holds one workspace per parallel worker; sequential
+	// operations use slot 0.
+	pool *scratchPool
+	// gen counts Clean calls: a worker's private mask copy is current
+	// while its maskGen equals gen.
+	gen int
 }
 
 // NewState returns the incremental state at T = ∅.
@@ -595,32 +637,36 @@ func (e *GroupEngine) NewState() *State {
 
 // NewStateCtx builds the incremental state at T = ∅, computing the
 // initial per-term variances and per-pair covariances on the parallel
-// worker pool. The reduction runs in index order, so the state is
-// bit-identical for every worker count.
+// worker pool and storing them in the engine's memo. The reduction runs
+// in index order, so the state is bit-identical for every worker count.
 func (e *GroupEngine) NewStateCtx(ctx context.Context) (*State, error) {
 	defer obs.FromContext(ctx).Span("ev_state_init")()
 	s := &State{
 		e:       e,
 		cleaned: make([]bool, e.db.N()),
-		x:       make([]float64, e.db.N()),
-		buf:     make([]float64, 0, 32),
+		pool:    newScratchPool(e.db.N()),
 	}
-	pool := newScratchPool(e.db.N())
 	termEV, err := parallel.Map(ctx, len(e.terms), func(worker, k int) (float64, error) {
-		sc := pool.get(worker)
-		return e.termEV(e.dists, k, s.cleaned, sc.x, sc.buf), nil
+		return e.termEV(e.dists, k, s.cleaned, s.pool.get(worker)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	pairEV, err := parallel.Map(ctx, len(e.pairs), func(worker, pi int) (float64, error) {
-		sc := pool.get(worker)
-		return e.pairEV(e.dists, pi, s.cleaned, sc.x, sc.buf), nil
+		return e.pairEV(e.dists, pi, s.cleaned, s.pool.get(worker)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.termEV, s.pairEV = termEV, pairEV
+	e.mu.Lock()
+	for k, v := range termEV {
+		memoize(e.termCache, k, e.terms[k].vars, s.cleaned, v)
+	}
+	for pi, v := range pairEV {
+		memoize(e.pairCache, pi, e.pairs[pi].union, s.cleaned, v)
+	}
+	e.mu.Unlock()
 	var acc numeric.KahanAcc
 	for k := range s.termEV {
 		acc.Add(s.termEV[k])
@@ -649,64 +695,75 @@ func (s *State) Delta(o int) float64 {
 	if s.cleaned[o] {
 		return 0
 	}
-	delta, _, _ := s.recompute(o)
-	return delta
+	return s.recompute(o, s.pool.get(0), s.cleaned)
 }
 
-// Clean commits object o into T and returns the achieved delta.
+// DeltasCtx returns Delta(o) for every o in objs, one parallel work
+// item per object. Each worker evaluates against its own copy of the
+// cleaned mask and its own scratch, so the shared state is only read,
+// and the results come back in objs order: bit-identical to calling
+// Delta on each object in turn, at every worker count.
+func (s *State) DeltasCtx(ctx context.Context, objs []int) ([]float64, error) {
+	return parallel.Map(ctx, len(objs), func(worker, i int) (float64, error) {
+		o := objs[i]
+		if s.cleaned[o] {
+			return 0, nil
+		}
+		sc := s.pool.get(worker)
+		if sc.maskGen != s.gen {
+			copy(sc.mask, s.cleaned)
+			sc.maskGen = s.gen
+		}
+		return s.recompute(o, sc, sc.mask), nil
+	})
+}
+
+// Clean commits object o into T, writes the recomputed term and pair
+// values through to the engine's memo, and returns the achieved delta.
 func (s *State) Clean(o int) float64 {
 	if s.cleaned[o] {
 		return 0
 	}
-	delta, termNew, pairNew := s.recompute(o)
+	e := s.e
+	sc := s.pool.get(0)
+	delta := s.recompute(o, sc, s.cleaned)
 	s.cleaned[o] = true
-	for k, v := range termNew {
-		s.termEV[k] = v
+	s.gen++
+	e.mu.Lock()
+	for j, k := range e.varTerms[o] {
+		s.termEV[k] = sc.termNew[j]
+		memoize(e.termCache, k, e.terms[k].vars, s.cleaned, sc.termNew[j])
 	}
-	for pi, v := range pairNew {
-		s.pairEV[pi] = v
+	for j, pi := range e.varPairs[o] {
+		s.pairEV[pi] = sc.pairNew[j]
+		memoize(e.pairCache, pi, e.pairs[pi].union, s.cleaned, sc.pairNew[j])
 	}
+	e.mu.Unlock()
 	s.total += delta
 	return delta
 }
 
-// recompute evaluates the dirty terms/pairs with o tentatively cleaned.
-func (s *State) recompute(o int) (delta float64, termNew map[int]float64, pairNew map[int]float64) {
-	s.cleaned[o] = true
-	termNew = make(map[int]float64, len(s.e.varTerms[o]))
-	pairNew = make(map[int]float64, len(s.e.varPairs[o]))
+// recompute evaluates the terms and pairs of o with o added to mask,
+// leaves the new values in sc.termNew and sc.pairNew (aligned with
+// varTerms[o] and varPairs[o]), and returns their total change. mask is
+// restored before it returns.
+func (s *State) recompute(o int, sc *evScratch, mask []bool) float64 {
+	e := s.e
+	mask[o] = true
+	sc.termNew, sc.pairNew = sc.termNew[:0], sc.pairNew[:0]
 	var acc numeric.KahanAcc
-	for _, k := range s.e.varTerms[o] {
-		nv := s.e.termEV(s.e.dists, k, s.cleaned, s.x, s.buf)
-		termNew[k] = nv
+	for _, k := range e.varTerms[o] {
+		nv := e.termEV(e.dists, k, mask, sc)
+		sc.termNew = append(sc.termNew, nv)
 		acc.Add(nv - s.termEV[k])
 	}
-	for _, pi := range s.e.varPairs[o] {
-		nv := s.e.pairEV(s.e.dists, pi, s.cleaned, s.x, s.buf)
-		pairNew[pi] = nv
+	for _, pi := range e.varPairs[o] {
+		nv := e.pairEV(e.dists, pi, mask, sc)
+		sc.pairNew = append(sc.pairNew, nv)
 		acc.Add(2 * (nv - s.pairEV[pi]))
 	}
-	s.cleaned[o] = false
-	return acc.Value(), termNew, pairNew
-}
-
-// enumerateIdx is enumerate plus support-index tracking: idx[v] holds the
-// current support position of each enumerated var when visit runs.
-func enumerateIdx(dists []*dist.Discrete, vars []int, x []float64, idx []int, visit func(p float64)) {
-	var rec func(i int, p float64)
-	rec = func(i int, p float64) {
-		if i == len(vars) {
-			visit(p)
-			return
-		}
-		d := dists[vars[i]]
-		for j, v := range d.Values {
-			x[vars[i]] = v
-			idx[vars[i]] = j
-			rec(i+1, p*d.Probs[j])
-		}
-	}
-	rec(0, 1)
+	mask[o] = false
+	return acc.Value()
 }
 
 // SingletonBenefits returns, for every object o, the benefit
@@ -723,13 +780,6 @@ func (s *State) SingletonBenefits() []float64 {
 	return b
 }
 
-// termContrib is one term's benefit contribution: deltas[j] is the
-// expected-variance drop cleaning vars[j] would cause in this term.
-type termContrib struct {
-	vars   []int
-	deltas []float64
-}
-
 // SingletonBenefitsCtx is SingletonBenefits with the per-term passes
 // fanned out over the parallel worker pool and cooperative
 // cancellation between work items. Contributions are reduced in term
@@ -741,45 +791,51 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 	e := s.e
 	n := e.db.N()
 	benefits := make([]float64, n)
-	pool := newScratchPool(n)
-	// Term contributions, one pass per term.
-	contribs, err := parallel.Map(ctx, len(e.terms), func(worker, k int) (termContrib, error) {
-		a, b := split(e.terms[k].vars, s.cleaned)
-		if len(b) == 0 {
-			return termContrib{}, nil // fully cleaned term: no one can improve it
+	// Term contributions, one pass per term: deltas[j] is the drop in
+	// the term's expected variance if its j-th uncleaned var (in
+	// declaration order) were cleaned.
+	contribs, err := parallel.Map(ctx, len(e.terms), func(worker, k int) ([]float64, error) {
+		t := &e.terms[k]
+		sc := s.pool.get(worker)
+		a, b := &sc.walks[0], &sc.walks[1]
+		splitTerm(t.vars, s.cleaned, a, b)
+		if len(b.vars) == 0 {
+			return nil, nil // fully cleaned term: no one can improve it
 		}
-		sc := pool.get(worker)
+		args := sc.termArgs(len(t.vars))
+		a.bind(e.dists, args)
+		b.bind(e.dists, args)
 		// evAfter[v] accumulates Σ_a p_a Σ_val p_val·Var[g | a, X_v=val].
 		// The accumulators and moment rows live flat on the worker
 		// scratch, indexed by object id: the loops below run in the
 		// same order with the same fp operands as the map-keyed
 		// original, they just skip the hashing.
 		evAfter := sc.acc
-		for _, v := range b {
+		for _, v := range b.vars {
 			evAfter[v] = numeric.KahanAcc{}
 		}
 		m1, m2 := sc.m1, sc.m2
-		for _, v := range b {
+		for _, v := range b.vars {
 			momentRow(m1, v, e.dists[v].Size())
 			momentRow(m2, v, e.dists[v].Size())
 		}
-		enumerate(e.dists, a, sc.x, func(pa float64) {
-			for _, v := range b {
+		for pa, ok := a.first(); ok; pa, ok = a.next() {
+			for _, v := range b.vars {
 				r1, r2 := m1[v], m2[v]
 				for j := range r1 {
 					r1[j] = 0
 					r2[j] = 0
 				}
 			}
-			enumerateIdx(e.dists, b, sc.x, sc.idx, func(pb float64) {
-				g := e.evalTerm(k, sc.x, sc.buf)
-				for _, v := range b {
-					j := sc.idx[v]
+			for pb, ok := b.first(); ok; pb, ok = b.next() {
+				g := t.eval(args)
+				for lv, v := range b.vars {
+					j := b.idx[lv]
 					m1[v][j] += pb * g
 					m2[v][j] += pb * g * g
 				}
-			})
-			for _, v := range b {
+			}
+			for _, v := range b.vars {
 				d := e.dists[v]
 				r1, r2 := m1[v], m2[v]
 				for j, pv := range d.Probs {
@@ -794,25 +850,30 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 					evAfter[v].Add(pa * pv * variance)
 				}
 			}
-		})
-		deltas := make([]float64, len(b))
-		for j, v := range b {
+		}
+		deltas := make([]float64, len(b.vars))
+		for j, v := range b.vars {
 			deltas[j] = s.termEV[k] - evAfter[v].Value()
 		}
-		return termContrib{vars: b, deltas: deltas}, nil
+		return deltas, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range contribs {
-		for j, v := range c.vars {
-			benefits[v] += c.deltas[j]
+	for k, deltas := range contribs {
+		j := 0
+		for _, v := range e.terms[k].vars {
+			if !s.cleaned[v] {
+				benefits[v] += deltas[j]
+				j++
+			}
 		}
 	}
 	// Pair contributions: recompute per object, but only objects in
 	// pairs. This pass flips s.cleaned in place, so it stays sequential
 	// (pair structure is sparse; the term passes above dominate).
 	if len(e.pairs) > 0 {
+		sc := s.pool.get(0)
 		seen := map[int]bool{}
 		for _, p := range e.pairs {
 			for _, v := range p.union {
@@ -825,7 +886,7 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 				seen[v] = true
 				s.cleaned[v] = true
 				for _, pi := range e.varPairs[v] {
-					nv := e.pairEV(e.dists, pi, s.cleaned, s.x, s.buf)
+					nv := e.pairEV(e.dists, pi, s.cleaned, sc)
 					benefits[v] += 2 * (s.pairEV[pi] - nv)
 				}
 				s.cleaned[v] = false

@@ -240,6 +240,8 @@ func TestErrorPaths(t *testing.T) {
 	h := newTestServer(Config{})
 	badProbs := strings.Replace(selectBody(inlineObjects), `"probs": [1, 1, 1]`, `"probs": [1, -1, 1]`, 1)
 	unknownMeasure := strings.Replace(selectBody(inlineObjects), `"measure": "uniqueness"`, `"measure": "vibes"`, 1)
+	maxPrOptimum := strings.NewReplacer(`"measure": "uniqueness"`, `"measure": "fairness"`,
+		`"goal": "minvar"`, `"goal": "maxpr"`, `"algorithm": "greedy"`, `"algorithm": "optimum"`).Replace(selectBody(inlineObjects))
 
 	cases := []struct {
 		name   string
@@ -251,6 +253,7 @@ func TestErrorPaths(t *testing.T) {
 	}{
 		{"bad probabilities", "POST", "/v1/select", badProbs, http.StatusBadRequest, "bad_request"},
 		{"unknown measure", "POST", "/v1/select", unknownMeasure, http.StatusBadRequest, "bad_request"},
+		{"maxpr non-greedy algorithm", "POST", "/v1/select", maxPrOptimum, http.StatusBadRequest, "bad_request"},
 		{"malformed json", "POST", "/v1/select", `{"objects": [`, http.StatusBadRequest, "bad_request"},
 		{"unknown field", "POST", "/v1/select", `{"wat": 1}`, http.StatusBadRequest, "bad_request"},
 		{"unknown dataset", "POST", "/v1/select", selectBody(`"dataset_id": "ds_missing",`), http.StatusNotFound, "not_found"},

@@ -1,0 +1,121 @@
+package cleansel_test
+
+import (
+	"context"
+	"testing"
+
+	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/datasets"
+	"github.com/factcheck/cleansel/internal/ev"
+	"github.com/factcheck/cleansel/internal/obs"
+	"github.com/factcheck/cleansel/internal/rng"
+)
+
+// servedMinVarTask builds one MinVar/uniqueness task of the shape the
+// daemon serves most: 120 unit-cost objects with 4-point supports, a
+// window-6 sum claim asserted "as low as" the mean window sum, every
+// other disjoint window as a perturbation, and a budget of eight
+// cleanings. Each duplicity term enumerates 4^6 joint outcomes, and the
+// windows are disjoint, so the engine has no overlapping pairs.
+func servedMinVarTask(tb testing.TB, seed uint64) cleansel.Task {
+	tb.Helper()
+	const n, k, w, budget = 120, 4, 6, 8
+	r := rng.New(seed)
+	db := datasets.SyntheticK(datasets.UR, n, k, r.Uint64())
+	for i := range db.Objects {
+		db.Objects[i].Cost = 1
+	}
+	start := w * r.Intn(n/w)
+	orig := cleansel.WindowSum("claim", start, w)
+	var ps []cleansel.Perturbed
+	for _, p := range cleansel.NonOverlappingWindows("w", n, w, start, 0.5) {
+		if p.Distance > 0 {
+			ps = append(ps, p)
+		}
+	}
+	var tot float64
+	windows := 0
+	for s := 0; s+w <= n; s += w {
+		for i := s; i < s+w; i++ {
+			tot += db.Objects[i].Current
+		}
+		windows++
+	}
+	set, err := cleansel.NewPerturbationSet(orig, cleansel.LowerIsStronger, tot/float64(windows), ps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cleansel.Task{
+		DB: db, Claims: set,
+		Measure: cleansel.Uniqueness, Goal: cleansel.MinimizeUncertainty,
+		Algorithm: cleansel.AlgoGreedy, Budget: budget,
+	}
+}
+
+// TestSelectMinVarWorkCounts pins the work a served MinVar solve does,
+// with no wall clock: the greedy's State writes its values through to
+// the facade's engine, so Before and After are memo hits (zero
+// ev_cache_misses), and the benefit refresh after each clean is one
+// parallel fan-out. Two more fan-outs build the State and its
+// singleton benefits; the engine has no pairs, so no pair fan-out
+// runs.
+func TestSelectMinVarWorkCounts(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		task := servedMinVarTask(t, seed)
+		rec := obs.NewRecorder(nil)
+		res, err := cleansel.SelectContext(obs.WithRecorder(context.Background(), rec), task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, c := range rec.Snapshot().Counters {
+			got[c.Name] = c.Value
+		}
+		if got["ev_calls"] != 2 || got["ev_cache_hits"] == 0 {
+			t.Fatalf("seed %d: want Before/After as 2 EV calls served by the memo, got %v", seed, got)
+		}
+		if got["ev_cache_misses"] != 0 {
+			t.Errorf("seed %d: Before/After missed the memo %d times (counters %v)", seed, got["ev_cache_misses"], got)
+		}
+		// A round refreshes when the cleaned object shares a term with
+		// an object still uncleaned. When every chosen object shares
+		// one with an object outside the final set, every round does,
+		// whatever the cleaning order.
+		engine, err := ev.NewGroupEngine(task.DB, task.Claims.Dup())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engine.NumPairs() != 0 {
+			t.Fatalf("seed %d: served shape has %d overlapping pairs, want none", seed, engine.NumPairs())
+		}
+		st := engine.NewState()
+		for _, o := range res.Set {
+			outside := false
+			for _, a := range st.Affected(o) {
+				outside = outside || !res.Set.Has(a)
+			}
+			if !outside {
+				t.Fatalf("seed %d: object %d shares terms only with chosen objects; pick a seed where every round refreshes", seed, o)
+			}
+		}
+		if want := int64(2 + len(res.Set)); got["parallel_fanouts"] != want {
+			t.Errorf("seed %d: %d parallel fan-outs for %d refreshing rounds, want %d", seed, got["parallel_fanouts"], len(res.Set), want)
+		}
+	}
+}
+
+// BenchmarkSelectMinVarServed times one facade solve of the served
+// MinVar/uniqueness shape (see servedMinVarTask).
+func BenchmarkSelectMinVarServed(b *testing.B) {
+	tasks := make([]cleansel.Task, 16)
+	for i := range tasks {
+		tasks[i] = servedMinVarTask(b, uint64(1000+i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cleansel.Select(tasks[i%len(tasks)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
