@@ -274,6 +274,25 @@ func TestOversizedPayloadIs413(t *testing.T) {
 		http.StatusRequestEntityTooLarge, "payload_too_large")
 }
 
+// TestStrictDecodingErrorClasses pins what the request decoder rejects
+// beyond encoding/json — trailing delimiters, repeated keys, and a
+// complete value followed by bytes past the body limit — and the error
+// message docs/API.md quotes.
+func TestStrictDecodingErrorClasses(t *testing.T) {
+	h := newTestServer(Config{MaxBodyBytes: 64})
+	for _, body := range []string{`{"budget":1}}`, `{"budget":1} ]`, `{"budget":1,"BUDGET":2}`} {
+		wantError(t, do(t, h, "POST", "/v1/select", body), http.StatusBadRequest, "bad_request")
+	}
+	wantError(t, do(t, h, "POST", "/v1/select", `{"budget":1}`+strings.Repeat(" ", 64)),
+		http.StatusRequestEntityTooLarge, "payload_too_large")
+
+	rec := do(t, h, "POST", "/v1/triage", `{"claims2": []}`)
+	wantError(t, rec, http.StatusBadRequest, "bad_request")
+	if msg := decodeBody(t, rec)["error"].(map[string]any)["message"]; msg != `parsing request: unknown field "claims2"` {
+		t.Fatalf("message %q", msg)
+	}
+}
+
 func TestComputeTimeoutIs504(t *testing.T) {
 	h := newTestServer(Config{Timeout: time.Nanosecond})
 	wantError(t, do(t, h, "POST", "/v1/select", selectBody(inlineObjects)),

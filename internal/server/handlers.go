@@ -41,12 +41,8 @@ func (s *Server) resolveDB(p wire.Problem) (*cleansel.DB, error) {
 // already in flight (a thundering herd of the same viral-claim request
 // computes once), and cache the encoded success. X-Cache reports hit,
 // miss, or coalesced.
-func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, endpoint string, req any, f func(context.Context) (any, error)) {
-	key, err := cacheKey(endpoint, req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, endpoint string, req canonicalRequest, f func(context.Context) (any, error)) {
+	key := cacheKey(endpoint, req)
 	if body, ok := s.results.Get(key); ok {
 		w.Header().Set("X-Cache", "hit")
 		s.writeResult(w, r, body, "hit")
@@ -108,7 +104,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.serveComputed(w, r, "select", req, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, "select", &req, func(ctx context.Context) (any, error) {
 		rec := obs.FromContext(ctx)
 		db, err := s.resolveDB(req.Problem)
 		if err != nil {
@@ -137,7 +133,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.serveComputed(w, r, "rank", req, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, "rank", &req, func(ctx context.Context) (any, error) {
 		rec := obs.FromContext(ctx)
 		db, err := s.resolveDB(req.Problem)
 		if err != nil {
@@ -166,7 +162,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.serveComputed(w, r, "assess", req, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, "assess", &req, func(ctx context.Context) (any, error) {
 		rec := obs.FromContext(ctx)
 		db, err := s.resolveDB(req.Problem)
 		if err != nil {
@@ -205,7 +201,7 @@ func (s *Server) handleTriage(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest(errors.New("triage needs at least one claim")))
 		return
 	}
-	s.serveComputed(w, r, "triage", req, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, "triage", &req, func(ctx context.Context) (any, error) {
 		rec := obs.FromContext(ctx)
 		db, err := s.resolveDB(wire.Problem{Objects: req.Objects, DatasetID: req.DatasetID})
 		if err != nil {

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -267,7 +268,8 @@ func decodeDatasetFile(raw []byte) (datasetFile, error) {
 	if err := dec.Decode(&f); err != nil {
 		return f, fmt.Errorf("parsing dataset file: %w", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow: More alone would pass a stray '}' or ']'.
+	if _, err := dec.Token(); err != io.EOF {
 		return f, errors.New("trailing data after dataset file")
 	}
 	if f.Format != DatasetFormat {

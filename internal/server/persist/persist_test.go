@@ -70,8 +70,9 @@ func TestGetMissingIsNotExist(t *testing.T) {
 }
 
 func TestCorruptDatasetFileQuarantined(t *testing.T) {
-	// Three corruption shapes: truncation (unparseable JSON), a valid
-	// file whose content no longer matches its name, and raw garbage.
+	// Corruption shapes: truncation (unparseable JSON), a valid file
+	// whose content no longer matches its name, raw garbage, and bytes
+	// after an otherwise intact file.
 	cases := []struct {
 		name    string
 		corrupt func(path string) error
@@ -90,6 +91,11 @@ func TestCorruptDatasetFileQuarantined(t *testing.T) {
 		{"garbage", func(path string) error {
 			return os.WriteFile(path, []byte("\x00\x01not json"), 0o644)
 		}},
+		// A stray closing delimiter after an intact file: More() reports
+		// no further value there, so only an EOF check catches it.
+		{"trailing brace", appendBytes("}")},
+		{"trailing bracket", appendBytes("\n]")},
+		{"trailing value", appendBytes(" {}")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +132,17 @@ func TestCorruptDatasetFileQuarantined(t *testing.T) {
 				t.Fatalf("reopen after quarantine: Len=%d LoadErrors=%d", d3.Len(), d3.LoadErrors())
 			}
 		})
+	}
+}
+
+// appendBytes returns a corruption that appends tail to the file.
+func appendBytes(tail string) func(path string) error {
+	return func(path string) error {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, append(raw, tail...), 0o644)
 	}
 }
 

@@ -95,10 +95,7 @@ func TestDatasetAndCacheSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := datasetID(ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := datasetID(ds.Objects)
 	if string(canonical) != string(want) {
 		t.Fatalf("on-disk canonical bytes differ from the upload:\n%s\nvs\n%s", canonical, want)
 	}
@@ -313,10 +310,7 @@ func TestBoundarySizedUploadIs413NotAcknowledged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, canonical, err := datasetID(ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id, canonical := datasetID(ds.Objects)
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
 	cfg.MaxDatasetBytes = int64(len(canonical)) // envelope won't fit

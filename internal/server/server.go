@@ -54,6 +54,7 @@ import (
 
 	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/server/persist"
+	"github.com/factcheck/cleansel/internal/server/wire"
 	"github.com/factcheck/cleansel/internal/session"
 )
 
@@ -454,21 +455,32 @@ func (s *Server) compute(ctx context.Context, f func(context.Context) (any, erro
 	}
 }
 
+// canonicalRequest is a decoded request that appends its canonical
+// encoding: exactly the bytes json.Marshal produces for it (see
+// wire.Task.AppendCanonical), so the keys in a CLEANSNP snapshot
+// written by any earlier build still match.
+type canonicalRequest interface {
+	AppendCanonical(dst []byte) []byte
+}
+
+// keyBufs recycles the buffers cache keys are hashed from.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // cacheKey derives the canonical hash of one decoded request. Struct
-// fields marshal in declaration order and map keys sort, so any two
+// fields encode in declaration order and map keys sort, so any two
 // requests with equal content share a key; the endpoint name salts the
 // hash across handlers, and dataset IDs are content-addressed, so a key
 // never aliases different problems.
-func cacheKey(endpoint string, req any) (string, error) {
-	canonical, err := json.Marshal(req)
-	if err != nil {
-		return "", err
+func cacheKey(endpoint string, req canonicalRequest) string {
+	bp := keyBufs.Get().(*[]byte)
+	b := append(append((*bp)[:0], endpoint...), 0)
+	b = req.AppendCanonical(b)
+	sum := sha256.Sum256(b)
+	if cap(b) <= wire.MaxPooledBuffer {
+		*bp = b
+		keyBufs.Put(bp)
 	}
-	h := sha256.New()
-	h.Write([]byte(endpoint))
-	h.Write([]byte{0})
-	h.Write(canonical)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // statusRecorder captures the response status and size for access logs.

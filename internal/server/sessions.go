@@ -42,8 +42,9 @@ func (s *Server) buildSessionStepper(req wire.SessionRequest) (*session.Stepper,
 	return session.NewStepper(db, set.Bias(), goal, req.Tau, req.Budget)
 }
 
-// rebuildSession is the manager's restore callback: spec holds the
-// canonical create-request bytes.
+// rebuildSession builds a stepper from spec, the canonical
+// create-request bytes: at create, and as the manager's restore
+// callback.
 func (s *Server) rebuildSession(spec []byte) (*session.Stepper, error) {
 	req, err := wire.DecodeSession(bytes.NewReader(spec))
 	if err != nil {
@@ -88,20 +89,19 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// Canonical spec: the decoded request re-marshaled, so equal
+	// Canonical spec: the decoded request's canonical encoding, so equal
 	// requests persist equal bytes regardless of client formatting.
-	spec, err := json.Marshal(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+	spec := req.AppendCanonical(nil)
 	// The create-time compile (dataset build, claim compilation, first
 	// recommendation) is the one potentially expensive session step;
 	// run it under the compute pool and timeout like any other solve.
+	// It builds from the spec, as a restore does: the names a stepper
+	// keeps then share a spec-sized copy, where req's share the whole
+	// body, padding and all, for the life of the session.
 	v, err := s.compute(r.Context(), func(ctx context.Context) (any, error) {
 		rec := obs.FromContext(ctx)
 		endCompile := rec.Span("compile")
-		st, err := s.buildSessionStepper(req)
+		st, err := s.rebuildSession(spec)
 		endCompile()
 		if err != nil {
 			return nil, err

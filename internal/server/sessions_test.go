@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +39,48 @@ func sessionState(t *testing.T, body []byte) map[string]any {
 
 func cleanBody(step int, object int, value float64) string {
 	return fmt.Sprintf(`{"step": %d, "object": %d, "value": %v}`, step, object, value)
+}
+
+// TestLiveStateDoesNotPinRequestBodies checks that sessions and stored
+// datasets keep only memory of their own size. Decoded strings share one
+// copy of the request body, so a stepper or dataset keeping a decoded
+// name as it is would pin the whole body, padding included, for as long
+// as it lives.
+func TestLiveStateDoesNotPinRequestBodies(t *testing.T) {
+	const n, padding = 8, 1 << 20
+	padded := func(body string) string { return body + strings.Repeat(" ", padding) }
+	for _, tc := range []struct {
+		name, path string
+		body       func(i int) string
+	}{
+		{"session", "/v1/sessions", func(int) string { return padded(sessionBody("maxpr", 1, 3)) }},
+		{"dataset", "/v1/datasets", func(i int) string {
+			return padded(fmt.Sprintf(`{"name":"d%d","objects":[{"name":"o%d","current":1,"cost":1,"values":[1],"probs":[1]}]}`, i, i))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTestServer(Config{})
+			bodies := make([]string, n)
+			for i := range bodies {
+				bodies[i] = tc.body(i)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for _, body := range bodies {
+				if rec := do(t, h, "POST", tc.path, body); rec.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > n*padding/4 {
+				t.Fatalf("%d live records grew the heap by %d bytes; their bodies carried %d bytes of padding each", n, grown, padding)
+			}
+			runtime.KeepAlive(h)
+			runtime.KeepAlive(bodies)
+		})
+	}
 }
 
 // TestSessionEpisodeHTTP drives one full adaptive episode over HTTP:

@@ -1,11 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	cleansel "github.com/factcheck/cleansel"
 	"github.com/factcheck/cleansel/internal/obs"
@@ -66,18 +67,25 @@ func newDatasetStore(maxEntries int, maxBytes int64, disk *persist.DatasetDir) *
 }
 
 // datasetID derives the content-addressed ID of an object list and the
-// canonical encoding it hashes. The canonical form is encoding/json's
-// deterministic marshaling (struct fields in declaration order, map
-// keys sorted). The full 32-byte digest is kept: IDs double as
-// result-cache key material, so they must not be forgeable by birthday
-// collisions on a truncated hash.
-func datasetID(objects []wire.Object) (string, []byte, error) {
-	canonical, err := json.Marshal(objects)
-	if err != nil {
-		return "", nil, fmt.Errorf("canonicalizing dataset: %w", err)
-	}
+// canonical encoding it hashes. The canonical form is exactly
+// encoding/json's marshaling (struct fields in declaration order, map
+// keys sorted; see wire.AppendObjects), so IDs and dataset file names
+// written by earlier builds stay valid. The full 32-byte digest is
+// kept: IDs double as result-cache key material, so they must not be
+// forgeable by birthday collisions on a truncated hash.
+func datasetID(objects []wire.Object) (string, []byte) {
+	canonical := wire.AppendObjects(nil, objects)
 	sum := sha256.Sum256(canonical)
-	return "ds_" + hex.EncodeToString(sum[:]), canonical, nil
+	return "ds_" + hex.EncodeToString(sum[:]), canonical
+}
+
+// ownNames gives the object names a stored dataset keeps their own
+// memory: decoded strings share one copy of the whole request body,
+// which a long-lived record must not pin beyond its byte budget.
+func ownNames(objects []wire.Object) {
+	for i := range objects {
+		objects[i].Name = strings.Clone(objects[i].Name)
+	}
 }
 
 // Add compiles and stores a dataset, returning its content-addressed
@@ -88,10 +96,7 @@ func datasetID(objects []wire.Object) (string, []byte, error) {
 // mode the upload is acknowledged only after the dataset file is
 // atomically on disk.
 func (s *datasetStore) Add(ds wire.Dataset) (*storedDataset, error) {
-	id, canonical, err := datasetID(ds.Objects)
-	if err != nil {
-		return nil, err
-	}
+	id, canonical := datasetID(ds.Objects)
 	size := int64(len(canonical))
 	if max := s.cache.maxBytes; max > 0 && size > max {
 		return nil, fmt.Errorf("%w (%d > %d bytes)", errDatasetTooLarge, size, max)
@@ -104,14 +109,15 @@ func (s *datasetStore) Add(ds wire.Dataset) (*storedDataset, error) {
 	case ok:
 		// Same content under a new label: honour the latest name (the
 		// compiled database is shared; only the metadata changes).
-		rec = &storedDataset{ID: id, Name: ds.Name, DB: rec.DB, Objects: rec.Objects, Bytes: rec.Bytes}
+		rec = &storedDataset{ID: id, Name: strings.Clone(ds.Name), DB: rec.DB, Objects: rec.Objects, Bytes: rec.Bytes}
 		fresh = true
 	default:
+		ownNames(ds.Objects)
 		db, err := wire.BuildDB(ds.Objects)
 		if err != nil {
 			return nil, err
 		}
-		rec = &storedDataset{ID: id, Name: ds.Name, DB: db, Objects: db.N(), Bytes: size}
+		rec = &storedDataset{ID: id, Name: strings.Clone(ds.Name), DB: db, Objects: db.N(), Bytes: size}
 		fresh = true
 	}
 	if s.disk != nil {
@@ -155,13 +161,14 @@ func (s *datasetStore) Get(id string) (*storedDataset, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var objects []wire.Object
-	if err := json.Unmarshal(canonical, &objects); err != nil {
+	objects, err := wire.DecodeObjects(bytes.NewReader(canonical))
+	if err != nil {
 		// Unreachable after the hash check unless the writer was buggy;
 		// treat it like any other unusable file.
 		s.disk.Quarantine(id, err)
 		return nil, false
 	}
+	ownNames(objects)
 	db, err := wire.BuildDB(objects)
 	if err != nil {
 		s.disk.Quarantine(id, err)

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"io"
-
 	"github.com/factcheck/cleansel/internal/session"
 )
 
@@ -28,12 +26,6 @@ type CleanRequest struct {
 	Object int     `json:"object"`
 	Value  float64 `json:"value"`
 }
-
-// DecodeSession parses a session create request.
-func DecodeSession(r io.Reader) (SessionRequest, error) { return decodeStrict[SessionRequest](r) }
-
-// DecodeClean parses a clean report.
-func DecodeClean(r io.Reader) (CleanRequest, error) { return decodeStrict[CleanRequest](r) }
 
 // SessionRec is the current recommendation on the wire.
 type SessionRec struct {

@@ -2,15 +2,17 @@
 // and the cleanseld HTTP service, and maps it onto the cleansel public
 // API: objects with discrete or normal value models, linear claims with
 // perturbation sets, and the task parameters of Select/RankObjects/
-// AssessClaim. Decoding is strict (unknown fields are rejected) so that
-// malformed requests fail loudly instead of producing partial answers.
+// AssessClaim. Decoding is strict — unknown fields, repeated keys and
+// trailing bytes are rejected (decode.go) — so that malformed requests
+// fail loudly instead of producing partial answers. Every request type
+// appends its canonical encoding, the bytes json.Marshal produces for
+// it (canonical.go), which cache keys, dataset IDs and session specs
+// are made of.
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -175,36 +177,6 @@ type Report struct {
 	FragVariance  float64 `json:"fragility_variance"`
 	Perturbations int     `json:"perturbations"`
 }
-
-// decodeStrict decodes exactly one JSON value, rejecting unknown fields
-// and trailing garbage.
-func decodeStrict[T any](r io.Reader) (T, error) {
-	var v T
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		return v, fmt.Errorf("parsing request: %w", err)
-	}
-	if dec.More() {
-		return v, errors.New("parsing request: trailing data after JSON value")
-	}
-	return v, nil
-}
-
-// DecodeTask parses a select task specification.
-func DecodeTask(r io.Reader) (Task, error) { return decodeStrict[Task](r) }
-
-// DecodeRank parses a rank request.
-func DecodeRank(r io.Reader) (RankRequest, error) { return decodeStrict[RankRequest](r) }
-
-// DecodeAssess parses an assess request.
-func DecodeAssess(r io.Reader) (AssessRequest, error) { return decodeStrict[AssessRequest](r) }
-
-// DecodeDataset parses a dataset upload.
-func DecodeDataset(r io.Reader) (Dataset, error) { return decodeStrict[Dataset](r) }
-
-// DecodeTriage parses a triage request.
-func DecodeTriage(r io.Reader) (TriageRequest, error) { return decodeStrict[TriageRequest](r) }
 
 // BuildObjects maps object specifications onto cleansel objects,
 // validating each value model.

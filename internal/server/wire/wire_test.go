@@ -94,25 +94,6 @@ func TestEncodeResultEmptySelection(t *testing.T) {
 	}
 }
 
-func TestDecodeStrictness(t *testing.T) {
-	cases := []struct {
-		name string
-		raw  string
-	}{
-		{"unknown field", `{"objects": [], "frobnicate": 1}`},
-		{"trailing garbage", `{"objects": []} {"more": true}`},
-		{"malformed", `{"objects": [`},
-		{"wrong type", `{"budget": "lots"}`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeTask(strings.NewReader(tc.raw)); err == nil {
-				t.Fatal("bad payload accepted")
-			}
-		})
-	}
-}
-
 func TestBuildObjectsErrors(t *testing.T) {
 	cases := []struct {
 		name string

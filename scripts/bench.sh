@@ -45,14 +45,7 @@
 #   BENCHTIME=20x COUNT=5 ./scripts/bench.sh
 #   MIN_SPEEDUP=0 ./scripts/bench.sh     # record numbers, never fail
 #
-# A second phase benchmarks the serving path end to end: it starts
-# cleanseld, fires SERVE_N select requests (default 200, mixing cache
-# misses and hits), and derives p50/p99 latency from the
-# cleanseld_request_seconds histogram scraped off /metrics — the same
-# numbers an operator's dashboards would show — into BENCH_serve.json.
-# SERVE_N=0 skips the phase.
-#
-# A third phase benchmarks bulk triage amortization: it runs
+# A second phase benchmarks bulk triage amortization: it runs
 # BenchmarkTriageThroughput (one claim stream posted as per-claim
 # /v1/assess requests vs one /v1/triage batch) at batch sizes 1, 10 and
 # 100, and writes BENCH_triage.json with claims/sec for both paths and
@@ -72,14 +65,7 @@ min_dense_speedup="${MIN_DENSE_SPEEDUP:-5}"
 min_maxpr_speedup="${MIN_MAXPR_SPEEDUP:-10}"
 out="${BENCH_OUT:-BENCH_parallel.json}"
 raw=$(mktemp)
-servedir=""
-spid=""
-cleanup() {
-  rm -f "$raw"
-  [ -n "$spid" ] && kill "$spid" 2>/dev/null || true
-  [ -n "$servedir" ] && rm -rf "$servedir"
-}
-trap cleanup EXIT
+trap 'rm -f "$raw"' EXIT
 
 # Benchmark at the machine's full width: a GOMAXPROCS cap inherited from
 # the environment would silently shrink the curve and the gate point.
@@ -200,79 +186,6 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
 
 echo "wrote $out:"
 cat "$out"
-
-########################################################################
-# Serve-path latency, measured where operators measure it: fire
-# requests at a live daemon and read the p50/p99 off the Prometheus
-# latency histogram it exports. Four distinct budgets rotate through
-# the request stream, so the mix covers uncached solves and cache hits
-# in roughly the proportion a warm production cache would see.
-serve_n="${SERVE_N:-200}"
-serve_out="${BENCH_SERVE_OUT:-BENCH_serve.json}"
-if [ "$serve_n" -gt 0 ]; then
-  servedir=$(mktemp -d)
-  go build -o "$servedir/cleanseld" ./cmd/cleanseld
-  "$servedir/cleanseld" -addr 127.0.0.1:0 -addr-file "$servedir/addr" >"$servedir/log" 2>&1 &
-  spid=$!
-  for _ in $(seq 1 50); do
-    [ -s "$servedir/addr" ] && break
-    sleep 0.1
-  done
-  [ -s "$servedir/addr" ] || { echo "bench.sh: cleanseld never wrote its address" >&2; exit 1; }
-  base="http://$(cat "$servedir/addr")"
-
-  for b in 1 2 3 4; do
-    jq --argjson b "$b" '.budget = $b' examples/quickstart/select.json > "$servedir/req$b.json"
-  done
-  for i in $(seq 1 "$serve_n"); do
-    curl -sf -o /dev/null -X POST --data @"$servedir/req$(( i % 4 + 1 )).json" "$base/v1/select" \
-      || { echo "bench.sh: select request $i failed" >&2; exit 1; }
-  done
-  curl -sf "$base/metrics" > "$servedir/metrics"
-  kill "$spid"
-  wait "$spid" 2>/dev/null || true
-  spid=""
-
-  awk -v n="$serve_n" '
-    /^cleanseld_request_seconds_bucket\{endpoint="select",le="/ {
-      le = $1
-      sub(/.*le="/, "", le); sub(/".*/, "", le)
-      nb++
-      inf[nb] = (le == "+Inf")
-      bound[nb] = inf[nb] ? 0 : le + 0
-      cum[nb] = $2 + 0
-    }
-    $1 == "cleanseld_request_seconds_count{endpoint=\"select\"}" { total = $2 + 0 }
-    $1 == "cleanseld_request_seconds_sum{endpoint=\"select\"}"   { sum = $2 + 0 }
-    $1 == "cleanseld_cache_requests_total{status=\"hit\"}"       { hits = $2 + 0 }
-    $1 == "cleanseld_cache_requests_total{status=\"miss\"}"      { misses = $2 + 0 }
-    # quantile interpolates linearly inside the first bucket whose
-    # cumulative count reaches q*total (the standard histogram_quantile
-    # estimate); the open +Inf bucket reports its lower bound.
-    function quantile(q,   target, i, lo, clo) {
-      target = q * total
-      clo = 0; lo = 0
-      for (i = 1; i <= nb; i++) {
-        if (cum[i] >= target) {
-          if (inf[i] || cum[i] == clo) return lo
-          return lo + (bound[i] - lo) * (target - clo) / (cum[i] - clo)
-        }
-        clo = cum[i]; lo = bound[i]
-      }
-      return lo
-    }
-    END {
-      if (total != n) {
-        printf "bench.sh: histogram counted %d selects, fired %d\n", total, n > "/dev/stderr"
-        exit 1
-      }
-      printf "{\n  \"requests\": %d,\n  \"mean_seconds\": %.6f,\n  \"p50_seconds\": %.6f,\n  \"p99_seconds\": %.6f,\n  \"quantile_basis\": \"histogram-interpolated\",\n  \"cache\": {\"hit\": %d, \"miss\": %d}\n}\n", \
-        total, sum / total, quantile(0.5), quantile(0.99), hits, misses
-    }
-  ' "$servedir/metrics" > "$serve_out"
-  echo "wrote $serve_out:"
-  cat "$serve_out"
-fi
 
 ########################################################################
 # Bulk-triage amortization: the naive path replays the claim stream as
