@@ -14,7 +14,6 @@ import (
 	"github.com/factcheck/cleansel/internal/datasets"
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/expt"
-	"github.com/factcheck/cleansel/internal/knapsack"
 	"github.com/factcheck/cleansel/internal/maxpr"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/parallel"
@@ -167,26 +166,6 @@ func BenchmarkAblationConvVsMC(b *testing.B) {
 			mc.Prob(T)
 		}
 	})
-}
-
-// BenchmarkAblationFinalCheck measures Algorithm 1's final best-single-
-// item check on the §3.1 adversarial instance family, reporting the
-// quality ratio it rescues.
-func BenchmarkAblationFinalCheck(b *testing.B) {
-	values := []float64{0.1, 10}
-	costs := []float64{0.0001, 2}
-	var withCheck, densityOnly float64
-	for i := 0; i < b.N; i++ {
-		res, err := knapsack.Greedy(values, costs, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		withCheck = res.Value
-		densityOnly = 0.1 // what pure density greedy would keep
-	}
-	if b.N > 0 {
-		b.ReportMetric(withCheck/densityOnly, "quality-ratio")
-	}
 }
 
 // BenchmarkAblationEVCache measures the per-term mask memoization that

@@ -13,7 +13,6 @@ import (
 	"github.com/factcheck/cleansel/internal/datasets"
 	"github.com/factcheck/cleansel/internal/dist"
 	"github.com/factcheck/cleansel/internal/ev"
-	"github.com/factcheck/cleansel/internal/linalg"
 	"github.com/factcheck/cleansel/internal/maxpr"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/obs"
@@ -173,32 +172,13 @@ var (
 // WithDecayCovariance equips the database with the correlated error model
 // of §4.5: Cov(i, j) = gamma^|j−i|·σ_i·σ_j. Neighbouring objects' errors
 // co-move; the dependency fades with distance. gamma must lie in [0, 1).
+// An object with zero variance makes the covariance singular, and a
+// MaximizeSurprise selection over it then fails with an error.
 func WithDecayCovariance(db *DB, gamma float64) error {
 	if gamma < 0 || gamma >= 1 {
 		return fmt.Errorf("cleansel: gamma %v outside [0, 1)", gamma)
 	}
-	n := db.N()
-	sig := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if v := db.Objects[i].Value.Variance(); v > 0 {
-			sig[i] = math.Sqrt(v)
-		}
-	}
-	cov := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			d := j - i
-			if d < 0 {
-				d = -d
-			}
-			v := sig[i] * sig[j]
-			for k := 0; k < d; k++ {
-				v *= gamma
-			}
-			cov.Set(i, j, v)
-		}
-	}
-	db.Cov = cov
+	db.SetDecayCovariance(gamma)
 	return nil
 }
 

@@ -308,6 +308,48 @@ func TestWithDecayCovariance(t *testing.T) {
 	}
 }
 
+// A singular error covariance must fail a MaxPr solve rather than read
+// as "0 probability of surprise": an error-free object b gives the decay
+// covariance a zero row, and the law of the cleaned values given the
+// uncleaned ones does not exist. The same call with σ_b = 0.5 solves.
+func TestSelectMaxPrSingularCovariance(t *testing.T) {
+	for _, sigmaB := range []float64{0.5, 0} {
+		a, err := cleansel.NewNormal(10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cleansel.NewNormal(10, sigmaB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := cleansel.NewDB([]cleansel.Object{
+			{Name: "a", Current: 10, Cost: 1, Value: a},
+			{Name: "b", Current: 10, Cost: 1, Value: b},
+		})
+		if err := cleansel.WithDecayCovariance(db, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		orig := cleansel.WindowSum("claim", 0, 2)
+		set, err := cleansel.NewPerturbationSet(orig, cleansel.HigherIsStronger,
+			orig.Eval(db.Currents()), cleansel.NonOverlappingWindows("w", 2, 1, 0, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cleansel.Select(cleansel.Task{
+			DB: db, Claims: set,
+			Measure: cleansel.Fairness, Goal: cleansel.MaximizeSurprise,
+			Budget: 1, Tau: 0.1,
+		})
+		if sigmaB > 0 {
+			if err != nil || len(res.Set) != 1 || res.After <= 0 {
+				t.Fatalf("σ_b = %v: chose %v at P = %v, err %v", sigmaB, res.Set, res.After, err)
+			}
+		} else if err == nil {
+			t.Fatalf("singular covariance accepted: chose %v at P = %v", res.Set, res.After)
+		}
+	}
+}
+
 func TestRelationalFacade(t *testing.T) {
 	db := cleansel.NewDB([]cleansel.Object{
 		{Name: "a/1", Current: 10, Cost: 1, Value: cleansel.UniformOver([]float64{9, 10, 11})},

@@ -1,75 +1,13 @@
 package core
 
-import (
-	"errors"
-
-	"github.com/factcheck/cleansel/internal/dist"
-	"github.com/factcheck/cleansel/internal/maxpr"
-	"github.com/factcheck/cleansel/internal/model"
-	"github.com/factcheck/cleansel/internal/query"
-)
-
-// AdaptiveMaxPr implements the paper's second future-work direction: an
-// algorithm that adapts its cleaning actions to the outcomes of earlier
-// actions. Instead of committing a whole subset upfront, it repeatedly
-//
-//  1. evaluates, on the database as currently known, the one-step MaxPr
-//     benefit of each affordable object,
-//  2. cleans the best one and *observes* the revealed true value,
-//  3. updates the database (the revealed value becomes the current value
-//     with zero remaining uncertainty) and repeats,
-//
-// stopping when the budget is exhausted, no step improves the objective,
-// or a counterargument has already materialized (the weakened measure
-// crosses the original threshold without any remaining uncertainty).
-//
-// It is a simulator as much as a selector: Run needs the hidden ground
-// truth to reveal, so it belongs to the §4.3-style in-action experiments.
-type AdaptiveMaxPr struct {
-	db   *model.DB
-	f    *query.Affine
-	tau  float64
-	eval func(db *model.DB) (maxpr.Evaluator, error)
-}
-
-// NewAdaptiveMaxPr builds the policy for an affine query function with
-// evaluators rebuilt by the given factory after every observation (the
-// factory sees the updated database).
-func NewAdaptiveMaxPr(db *model.DB, f *query.Affine, tau float64,
-	eval func(db *model.DB) (maxpr.Evaluator, error)) (*AdaptiveMaxPr, error) {
-	if db == nil {
-		return nil, errNilDB
-	}
-	if eval == nil {
-		return nil, errors.New("core: nil evaluator factory")
-	}
-	return &AdaptiveMaxPr{db: db, f: f, tau: tau, eval: eval}, nil
-}
-
-// Name identifies the policy.
-func (a *AdaptiveMaxPr) Name() string { return "AdaptiveMaxPr" }
-
-// Trace records one adaptive run.
-type Trace struct {
-	// Cleaned lists the objects in the order they were cleaned.
-	Cleaned []int
-	// CostSpent is the total cost consumed.
-	CostSpent float64
-	// Achieved is the realized drop f(u₀) − f(u_final) in the query value
-	// after all observations (positive = the measure fell).
-	Achieved float64
-	// Countered reports whether the realized drop exceeded tau.
-	Countered bool
-}
-
-// NextAdaptiveStep is the decide-step every adaptive policy shares (the
-// same rule the served session stepper applies): among uncleaned objects
-// whose cost fits the remaining budget and whose one-step benefit is
-// positive, pick the one maximizing benefit-per-cost — strictly greater
-// wins, so the lowest object ID breaks ties. It returns the chosen
-// object with its benefit and ratio, or best = -1 when no affordable
-// step improves. The benefit function is consulted exactly once per
-// candidate, in ascending ID order.
+// NextAdaptiveStep is the decide-step of the adaptive cleaning loop
+// (session.Stepper): among uncleaned objects whose cost fits the
+// remaining budget and whose one-step benefit is positive, pick the one
+// maximizing benefit-per-cost — strictly greater wins, so the lowest
+// object ID breaks ties. It returns the chosen object with its benefit
+// and ratio, or best = -1 when no affordable step improves. The benefit
+// function is consulted exactly once per candidate, in ascending ID
+// order.
 func NextAdaptiveStep(costs []float64, cleaned []bool, remaining float64,
 	benefit func(o int) float64) (best int, bestB, bestR float64) {
 	best, bestB, bestR = -1, 0, 0
@@ -90,151 +28,10 @@ func NextAdaptiveStep(costs []float64, cleaned []bool, remaining float64,
 
 // FitsBudget reports whether adding cost c to spent stays within budget
 // under the round-off tolerance all selectors share. Exported for the
-// session layer, which must accept exactly the cleaning actions the
-// simulators would take.
+// session layer, which accepts a reveal exactly when NextAdaptiveStep
+// would deem the object affordable.
 func FitsBudget(spent, c, budget float64) bool { return fitsBudget(spent, c, budget) }
 
 // ValidateBudget rejects NaN or negative budgets with the same rule the
 // selectors apply.
 func ValidateBudget(budget float64) error { return validateBudget(budget) }
-
-// Run executes the policy against the hidden truth vector (indexed by
-// object ID) under the given budget. The caller's database is not
-// mutated.
-func (a *AdaptiveMaxPr) Run(truth []float64, budget float64) (Trace, error) {
-	if err := validateBudget(budget); err != nil {
-		return Trace{}, err
-	}
-	if len(truth) != a.db.N() {
-		return Trace{}, errors.New("core: truth length mismatch")
-	}
-	// Working copy: values collapse to point masses as they are revealed.
-	objs := append([]model.Object(nil), a.db.Objects...)
-	work := &model.DB{Objects: objs}
-	baseline := a.f.Eval(a.db.Currents())
-	costs := work.Costs()
-
-	var tr Trace
-	remaining := budget
-	cleaned := make([]bool, work.N())
-	for {
-		eval, err := a.eval(work)
-		if err != nil {
-			return Trace{}, err
-		}
-		best, _, _ := NextAdaptiveStep(costs, cleaned, remaining, func(o int) float64 {
-			return eval.Prob(model.NewSet(o))
-		})
-		if best < 0 {
-			break
-		}
-		// Clean and observe.
-		cleaned[best] = true
-		remaining -= work.Objects[best].Cost
-		tr.CostSpent += work.Objects[best].Cost
-		tr.Cleaned = append(tr.Cleaned, best)
-		objs[best].Current = truth[best]
-		objs[best].Value = pointValue(truth[best])
-		// Early exit: the counter already materialized with certainty.
-		if baseline-a.f.Eval(work.Currents()) > a.tau {
-			break
-		}
-	}
-	tr.Achieved = baseline - a.f.Eval(work.Currents())
-	tr.Countered = tr.Achieved > a.tau
-	return tr, nil
-}
-
-// AdaptiveMinVar is the uncertainty-goal counterpart of AdaptiveMaxPr:
-// it repeatedly cleans the affordable object with the best one-step
-// variance drop per cost (for an affine f over independent values the
-// drop of cleaning o is a_o²·Var[X_o], the modular benefit of §3.2),
-// observes the revealed value, and re-decides. Revealing a value zeroes
-// its variance but — under independence — leaves every other candidate's
-// benefit unchanged, so adaptivity shows up in the budget bookkeeping
-// rather than in reordering; the type exists so the served sessions and
-// the simulators run one decide-step for both goals.
-type AdaptiveMinVar struct {
-	db *model.DB
-	f  *query.Affine
-}
-
-// NewAdaptiveMinVar builds the policy for an affine query function over
-// an independent database.
-func NewAdaptiveMinVar(db *model.DB, f *query.Affine) (*AdaptiveMinVar, error) {
-	if db == nil {
-		return nil, errNilDB
-	}
-	if db.Cov != nil {
-		return nil, errors.New("core: AdaptiveMinVar requires independent values")
-	}
-	return &AdaptiveMinVar{db: db, f: f}, nil
-}
-
-// Name identifies the policy.
-func (a *AdaptiveMinVar) Name() string { return "AdaptiveMinVar" }
-
-// MinVarTrace records one adaptive minvar run.
-type MinVarTrace struct {
-	// Cleaned lists the objects in the order they were cleaned.
-	Cleaned []int
-	// CostSpent is the total cost consumed.
-	CostSpent float64
-	// VarBefore and VarAfter are the variance of f(X) before any
-	// observation and after conditioning on all of them.
-	VarBefore, VarAfter float64
-	// Estimate is the posterior mean of f(X) given the observations.
-	Estimate float64
-}
-
-// Run executes the policy against the hidden truth vector under the
-// given budget, stopping when no affordable object still carries
-// positive benefit. The caller's database is not mutated.
-func (a *AdaptiveMinVar) Run(truth []float64, budget float64) (MinVarTrace, error) {
-	if err := validateBudget(budget); err != nil {
-		return MinVarTrace{}, err
-	}
-	if len(truth) != a.db.N() {
-		return MinVarTrace{}, errors.New("core: truth length mismatch")
-	}
-	n := a.db.N()
-	coef := a.f.Dense(n)
-	costs := a.db.Costs()
-	benefits := make([]float64, n)
-	for o := 0; o < n; o++ {
-		benefits[o] = coef[o] * coef[o] * a.db.Objects[o].Value.Variance()
-	}
-	var tr MinVarTrace
-	for o := 0; o < n; o++ {
-		tr.VarBefore += benefits[o]
-	}
-	means := a.db.Means()
-	remaining := budget
-	cleaned := make([]bool, n)
-	for {
-		best, _, _ := NextAdaptiveStep(costs, cleaned, remaining, func(o int) float64 {
-			return benefits[o]
-		})
-		if best < 0 {
-			break
-		}
-		cleaned[best] = true
-		remaining -= costs[best]
-		tr.CostSpent += costs[best]
-		tr.Cleaned = append(tr.Cleaned, best)
-		// Condition on the observation: the revealed value is a point
-		// mass, so its mean is the truth and its variance is gone.
-		means[best] = truth[best]
-		benefits[best] = 0
-	}
-	for o := 0; o < n; o++ {
-		if !cleaned[o] {
-			tr.VarAfter += benefits[o]
-		}
-	}
-	tr.Estimate = a.f.Eval(means)
-	return tr, nil
-}
-
-// pointValue builds a zero-variance value model at v.
-func pointValue(v float64) model.Value { return dist.PointMass(v) }

@@ -1,13 +1,8 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/factcheck/cleansel/internal/numeric"
-	"github.com/factcheck/cleansel/internal/query"
-)
-
-// --- NextAdaptiveStep: the decide-step shared by simulators and sessions ---
+// --- NextAdaptiveStep: the decide-step of the adaptive session loop ---
 
 func TestNextAdaptiveStepPicksBestRatio(t *testing.T) {
 	costs := []float64{2, 1, 4}
@@ -70,79 +65,5 @@ func TestValidateBudgetExported(t *testing.T) {
 	}
 	if err := ValidateBudget(-1); err == nil {
 		t.Fatal("negative budget accepted")
-	}
-}
-
-// --- AdaptiveMinVar ---------------------------------------------------------
-
-func TestAdaptiveMinVarCleansByVariancePerCost(t *testing.T) {
-	db := adaptiveTestDB(t) // unit costs, sigmas 3, 2, 1
-	f := query.NewAffine(0, map[int]float64{0: 1, 1: 1, 2: 1})
-	ad, err := NewAdaptiveMinVar(db, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := []float64{12, 9, 10}
-	tr, err := ad.Run(truth, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Highest variance first: objects 0 then 1, budget 2 stops there.
-	if len(tr.Cleaned) != 2 || tr.Cleaned[0] != 0 || tr.Cleaned[1] != 1 {
-		t.Fatalf("cleaned %v, want [0 1]", tr.Cleaned)
-	}
-	if !numeric.AlmostEqual(tr.CostSpent, 2, 1e-12) {
-		t.Fatalf("cost %v, want 2", tr.CostSpent)
-	}
-	if !numeric.AlmostEqual(tr.VarBefore, 9+4+1, 1e-12) {
-		t.Fatalf("VarBefore %v, want 14", tr.VarBefore)
-	}
-	if !numeric.AlmostEqual(tr.VarAfter, 1, 1e-12) {
-		t.Fatalf("VarAfter %v, want 1 (only sigma=1 object left)", tr.VarAfter)
-	}
-	// Posterior mean: revealed truths for 0 and 1, prior mean for 2.
-	if !numeric.AlmostEqual(tr.Estimate, 12+9+10, 1e-12) {
-		t.Fatalf("estimate %v, want 31", tr.Estimate)
-	}
-}
-
-func TestAdaptiveMinVarExhaustsUsefulObjects(t *testing.T) {
-	db := adaptiveTestDB(t)
-	// Only object 1 carries claim weight; the others have zero benefit.
-	f := query.NewAffine(0, map[int]float64{1: 2})
-	ad, err := NewAdaptiveMinVar(db, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ad.Run([]float64{10, 10, 10}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Cleaned) != 1 || tr.Cleaned[0] != 1 {
-		t.Fatalf("cleaned %v, want just object 1", tr.Cleaned)
-	}
-	if tr.VarAfter != 0 {
-		t.Fatalf("residual claim variance %v, want 0", tr.VarAfter)
-	}
-}
-
-func TestAdaptiveMinVarValidation(t *testing.T) {
-	db := adaptiveTestDB(t)
-	f := query.NewAffine(0, map[int]float64{0: 1})
-	if _, err := NewAdaptiveMinVar(nil, f); err == nil {
-		t.Fatal("nil DB accepted")
-	}
-	ad, err := NewAdaptiveMinVar(db, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ad.Run([]float64{1}, 1); err == nil {
-		t.Fatal("truth length mismatch accepted")
-	}
-	if _, err := ad.Run([]float64{10, 10, 10}, -1); err == nil {
-		t.Fatal("negative budget accepted")
-	}
-	if ad.Name() != "AdaptiveMinVar" {
-		t.Fatalf("name %q", ad.Name())
 	}
 }

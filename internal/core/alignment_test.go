@@ -84,33 +84,17 @@ func TestTheorem39CorrelatedMarginalSemantics(t *testing.T) {
 	agree, disagree := 0, 0
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + r.Intn(3)
-		sigmas := make([]float64, n)
 		objs := make([]model.Object, n)
 		coef := map[int]float64{}
 		for i := 0; i < n; i++ {
-			sigmas[i] = 0.5 + 2*r.Float64()
+			sigma := 0.5 + 2*r.Float64()
 			u := r.Uniform(-3, 3)
-			nd, _ := dist.NewNormal(u, sigmas[i])
+			nd, _ := dist.NewNormal(u, sigma)
 			objs[i] = model.Object{Name: "o", Cost: float64(r.IntRange(1, 4)), Current: u, Value: nd}
 			coef[i] = r.Uniform(-2, 2)
 		}
-		gamma := 0.3 + 0.6*r.Float64()
-		cov := linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				d := j - i
-				if d < 0 {
-					d = -d
-				}
-				v := sigmas[i] * sigmas[j]
-				for k := 0; k < d; k++ {
-					v *= gamma
-				}
-				cov.Set(i, j, v)
-			}
-		}
 		db := model.New(objs)
-		db.Cov = cov
+		db.SetDecayCovariance(0.3 + 0.6*r.Float64())
 		f := query.NewAffine(0, coef)
 		mvn, err := ev.NewMVN(db, f)
 		if err != nil {
@@ -121,7 +105,15 @@ func TestTheorem39CorrelatedMarginalSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		optMaxPr, err := NewOPT("OPTMaxPrMarginal", db, mvn.MarginalCleanedVariance, true)
+		// Marginal semantics: cleaning T injects Σ_{i,j∈T} a_i·a_j·Σ_ij.
+		cleanedVariance := func(T model.Set) float64 {
+			aT := make([]float64, n)
+			for _, i := range T {
+				aT[i] = coef[i]
+			}
+			return linalg.QuadForm(db.Cov, aT)
+		}
+		optMaxPr, err := NewOPT("OPTMaxPrMarginal", db, cleanedVariance, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/dist"
@@ -272,6 +273,76 @@ func TestModularGreedyTwoApprox(t *testing.T) {
 		gainO := total - engine.EV(To)
 		if gainG < gainO/2-1e-9 {
 			t.Fatalf("trial %d: greedy gain %v < OPT/2 = %v", trial, gainG, gainO/2)
+		}
+	}
+}
+
+// Algorithm 1's final single-item check on the §3.1 adversarial
+// instance: a cheap object (benefit 0.1, cost 0.0001) with by far the
+// best ratio and a dear one (benefit 10, cost 2), budget 2. Density
+// greedy buys the cheap object and can then no longer afford the dear
+// one; only the final check returns the dear one. The MaxPr row is the
+// nearest analogue: P({cheap}) = Φ(−3) ≈ 0.0013, P({dear}) = Φ(−0.3) ≈ 0.38.
+func TestGreedyFinalSingleItemCheck(t *testing.T) {
+	twoPoint := func(variance float64) model.Value {
+		s := math.Sqrt(variance)
+		d, err := dist.NewDiscrete([]float64{-s, s}, []float64{0.5, 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	centered := func(sigma float64) model.Value {
+		n, err := dist.NewNormal(0, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	db := model.New([]model.Object{
+		{Name: "cheap", Cost: 0.0001, Value: twoPoint(0.1)},
+		{Name: "dear", Cost: 2, Value: twoPoint(10)},
+	})
+	normals := model.New([]model.Object{
+		{Name: "cheap", Cost: 0.0001, Value: centered(1)},
+		{Name: "dear", Cost: 2, Value: centered(10)},
+	})
+	f := query.NewAffine(0, map[int]float64{0: 1, 1: 1})
+	modular, err := NewGreedyMinVarModular(db, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := NewGreedyMinVarGroup(db, f.AsGroupSum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := ev.NewGroupEngine(db, f.AsGroupSum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	generic, err := NewGreedyEngine("GreedyMinVar", db, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := maxpr.NewNormalAffine(normals, f, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxPr, err := NewGreedyMaxPr(normals, eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sel  Selector
+	}{
+		{"staticGreedy", modular},
+		{"GreedyMinVarGroup", group},
+		{"GreedyEngine", generic},
+		{"GreedyMaxPr", maxPr},
+	} {
+		if T := selectT(t, c.sel, 2); len(T) != 1 || !T.Has(1) {
+			t.Errorf("%s chose %v, want [1]", c.name, T)
 		}
 	}
 }

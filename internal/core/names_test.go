@@ -6,9 +6,7 @@ import (
 
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/maxpr"
-	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/query"
-	"github.com/factcheck/cleansel/internal/rng"
 )
 
 // Selector names are part of the experiment output contract.
@@ -33,7 +31,7 @@ func TestSelectorNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := NewBestEngine(db, engine, 0)
+	best, err := NewBest(db, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +48,6 @@ func TestSelectorNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	exh, err := NewOPTMinVar(db, engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad, err := NewAdaptiveMaxPr(db, f, 0.5, func(d *model.DB) (maxpr.Evaluator, error) {
-		return maxpr.NewMonteCarlo(d, f, 0.5, 100, rng.New(1))
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +70,6 @@ func TestSelectorNames(t *testing.T) {
 		if got := sel.Name(); got != want {
 			t.Fatalf("Name() = %q, want %q", got, want)
 		}
-	}
-	if ad.Name() != "AdaptiveMaxPr" {
-		t.Fatalf("adaptive name %q", ad.Name())
 	}
 }
 
@@ -116,18 +105,6 @@ func TestConstructorNilGuards(t *testing.T) {
 		t.Fatal("weight length mismatch accepted")
 	}
 	if _, err := NewBest(nil, f.AsGroupSum(), 0); err == nil {
-		t.Fatal("nil db accepted")
-	}
-	if _, err := NewBestEngine(db, nil, 0); err == nil {
-		t.Fatal("nil engine accepted")
-	}
-	if _, err := NewAdaptiveMaxPr(nil, f, 0, nil); err == nil {
-		t.Fatal("nil db accepted")
-	}
-	if _, err := NewAdaptiveMaxPr(db, f, 0, nil); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-	if _, err := NewMaxPrKnapsack(nil, f, 0, 0); err == nil {
 		t.Fatal("nil db accepted")
 	}
 }

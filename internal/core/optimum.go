@@ -90,17 +90,6 @@ func NewBest(db *model.DB, g *query.GroupSum, precision float64) (*Best, error) 
 	return &Best{db: db, engine: engine, precision: orDefault(precision, 1), maxIters: 12}, nil
 }
 
-// NewBestEngine builds the selector over an arbitrary EV engine.
-func NewBestEngine(db *model.DB, engine ev.Engine, precision float64) (*Best, error) {
-	if db == nil {
-		return nil, errNilDB
-	}
-	if engine == nil {
-		return nil, errors.New("core: nil engine")
-	}
-	return &Best{db: db, engine: engine, precision: orDefault(precision, 1), maxIters: 12}, nil
-}
-
 func orDefault(v, d float64) float64 {
 	if v <= 0 {
 		return d

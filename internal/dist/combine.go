@@ -39,19 +39,6 @@ func Mixture(dists []*Discrete, weights []float64) (*Discrete, error) {
 	return mixture(nil, dists, weights)
 }
 
-// MixtureRec is Mixture with write-only trace counters: the pooled
-// atom count and grid-collision merges tick into rec (nil rec is the
-// plain Mixture). The returned law is bit-identical either way.
-func MixtureRec(rec *obs.Recorder, dists []*Discrete, weights []float64) (*Discrete, error) {
-	if rec == nil {
-		return mixture(nil, dists, weights)
-	}
-	var st convStats
-	d, err := mixture(&st, dists, weights)
-	st.report(rec)
-	return d, err
-}
-
 func mixture(st *convStats, dists []*Discrete, weights []float64) (*Discrete, error) {
 	if len(dists) == 0 {
 		return nil, errors.New("dist: Mixture needs at least one component")

@@ -298,24 +298,12 @@ type poolGroup struct {
 // first exact value seen, and the pooled support comes back in ascending
 // key order. The dense lattice path runs when the certificate holds and
 // is bit-identical to the map fallback (same adds, same order); Mixture
-// and ev.Entropy both pool through here.
+// pools through here.
 func poolOnGrid(st *convStats, grid numeric.Grid, groups []poolGroup) ([]float64, []float64) {
 	if values, masses, ok := poolDense(st, grid, groups); ok {
 		return values, masses
 	}
 	return poolMap(st, grid, groups)
-}
-
-// PoolPMF pools an already-enumerated outcome stream (values[i] with
-// mass probs[i], in stream order) onto the grid: masses accumulate per
-// key in stream order, and both returned slices come back in ascending
-// key order, values holding the first exact outcome seen per key. It is
-// exactly the map accumulation `pmf[grid.Key(v)] += p` followed by a
-// SortedKeys walk — bit for bit, via the same dense-or-map kernel
-// Mixture pools through. ev.Entropy uses it to collapse its two-pass
-// reach-then-pool enumeration into one buffered pass.
-func PoolPMF(grid numeric.Grid, values, probs []float64) ([]float64, []float64) {
-	return poolOnGrid(nil, grid, []poolGroup{{values: values, probs: probs, w: 1}})
 }
 
 func poolMap(st *convStats, grid numeric.Grid, groups []poolGroup) ([]float64, []float64) {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/factcheck/cleansel/internal/numeric"
 	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/rng"
 )
@@ -276,37 +275,6 @@ func TestMixtureDenseMatchesMap(t *testing.T) {
 				t.Errorf("dense engagement = %v, want %v", dense, c.dense)
 			}
 		})
-	}
-}
-
-// TestPoolPMFMatchesMapAccumulation pins the exported pooling bridge
-// ev.Entropy collapses its two-pass enumeration through: identical to
-// the pmf[grid.Key(v)] += p map accumulation, in ascending key order.
-func TestPoolPMFMatchesMapAccumulation(t *testing.T) {
-	grid := numeric.GridFor(5e8)
-	vals := []float64{3e8, -1e8, 3e8, 0, 5e8, -1e8 + 0.25}
-	probs := []float64{0.125, 0.25, 0.125, 0.25, 0.125, 0.125}
-	gotVals, gotMasses := PoolPMF(grid, vals, probs)
-	pmf := map[int64]float64{}
-	first := map[int64]float64{}
-	for i, v := range vals {
-		k := grid.Key(v)
-		if _, ok := first[k]; !ok {
-			first[k] = v
-		}
-		pmf[k] += probs[i]
-	}
-	keys := numeric.SortedKeys(pmf)
-	if len(gotVals) != len(keys) {
-		t.Fatalf("%d pooled atoms, want %d", len(gotVals), len(keys))
-	}
-	for i, k := range keys {
-		if math.Float64bits(gotVals[i]) != math.Float64bits(first[k]) {
-			t.Errorf("value %d: %v vs %v", i, gotVals[i], first[k])
-		}
-		if math.Float64bits(gotMasses[i]) != math.Float64bits(pmf[k]) {
-			t.Errorf("mass %d: %v vs %v", i, gotMasses[i], pmf[k])
-		}
 	}
 }
 

@@ -36,7 +36,7 @@ type Engine interface {
 }
 
 // CtxEngine is an Engine whose evaluation cooperates with context
-// cancellation (GroupEngine, MonteCarlo, ShardedMonteCarlo).
+// cancellation (GroupEngine).
 type CtxEngine interface {
 	Engine
 	// EVCtx is EV returning the context's error once ctx is done.

@@ -1,7 +1,6 @@
 package ev
 
 import (
-	"math"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/dist"
@@ -427,35 +426,6 @@ func TestCondMomentsMatchesBruteForce(t *testing.T) {
 		if !numeric.AlmostEqual(gotVar, wantVar, 1e-8) {
 			t.Fatalf("trial %d: cond var %v vs %v", trial, gotVar, wantVar)
 		}
-	}
-}
-
-// --- Monte Carlo ---------------------------------------------------------------
-
-func TestMonteCarloApproximatesExact(t *testing.T) {
-	db := example6DB()
-	g := example6Query()
-	bf := mustBF(t, db, g)
-	mc, err := NewMonteCarlo(db, g, 2000, 60, rng.New(2024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, T := range []model.Set{nil, model.NewSet(0), model.NewSet(1)} {
-		exact := bf.EV(T)
-		est := mc.EV(T)
-		if math.Abs(est-exact) > 0.01 {
-			t.Fatalf("MC estimate %v too far from exact %v for T=%v", est, exact, T)
-		}
-	}
-}
-
-func TestMonteCarloValidation(t *testing.T) {
-	db := example6DB()
-	if _, err := NewMonteCarlo(db, example6Query(), 0, 10, rng.New(1)); err == nil {
-		t.Fatal("outer=0 accepted")
-	}
-	if _, err := NewMonteCarlo(db, example6Query(), 10, 1, rng.New(1)); err == nil {
-		t.Fatal("inner=1 accepted")
 	}
 }
 

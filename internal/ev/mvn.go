@@ -105,42 +105,3 @@ func (e *MVNEngine) MarginalEV(T model.Set) float64 {
 func (e *MVNEngine) Variance() float64 {
 	return linalg.QuadForm(e.sigma, e.a)
 }
-
-// CleanedVariance returns Var[Σ_{i∈T} a_i·X_i | X_Ū = u_Ū] =
-// a_T ᵀ·Σ_{T|Ū}·a_T, the variance that cleaning T injects while everything
-// else stays at its current value — the quantity MaxPr maximizes for
-// centered normal errors (Lemma 3.1 / Theorem 3.9).
-func (e *MVNEngine) CleanedVariance(T model.Set) float64 {
-	if len(T) == 0 {
-		return 0
-	}
-	cond := T.Complement(e.db.N())
-	cc, err := linalg.ConditionalCovariance(e.sigma, T, cond)
-	if err != nil {
-		return 0
-	}
-	at := make([]float64, len(T))
-	for i, v := range T {
-		at[i] = e.a[v]
-	}
-	out := linalg.QuadForm(cc, at)
-	if out < 0 {
-		return 0
-	}
-	return out
-}
-
-// MarginalCleanedVariance is the marginal-semantics analogue of
-// CleanedVariance: Σ_{i,j∈T} a_i·a_j·Σ_ij.
-func (e *MVNEngine) MarginalCleanedVariance(T model.Set) float64 {
-	var out float64
-	for _, i := range T {
-		for _, j := range T {
-			out += e.a[i] * e.a[j] * e.sigma.At(i, j)
-		}
-	}
-	if out < 0 {
-		return 0
-	}
-	return out
-}

@@ -11,7 +11,9 @@ import (
 	"github.com/factcheck/cleansel/internal/rng"
 )
 
-func normalDB(t *testing.T, sigmas []float64, cov *linalg.Matrix) *model.DB {
+// normalDB builds independent normals centered at their current values
+// 0, 10, 20, …; callers add a covariance with SetDecayCovariance.
+func normalDB(t *testing.T, sigmas []float64) *model.DB {
 	t.Helper()
 	objs := make([]model.Object, len(sigmas))
 	for i, s := range sigmas {
@@ -21,29 +23,7 @@ func normalDB(t *testing.T, sigmas []float64, cov *linalg.Matrix) *model.DB {
 		}
 		objs[i] = model.Object{Name: "o", Cost: 1, Current: float64(10 * i), Value: n}
 	}
-	db := model.New(objs)
-	db.Cov = cov
-	return db
-}
-
-// gammaCov builds the §4.5 covariance Cov(i,j) = γ^{|j−i|}·σ_i·σ_j.
-func gammaCov(sigmas []float64, gamma float64) *linalg.Matrix {
-	n := len(sigmas)
-	m := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			d := j - i
-			if d < 0 {
-				d = -d
-			}
-			v := sigmas[i] * sigmas[j]
-			for k := 0; k < d; k++ {
-				v *= gamma
-			}
-			m.Set(i, j, v)
-		}
-	}
-	return m
+	return model.New(objs)
 }
 
 func fullCoef(n int) *query.Affine {
@@ -56,7 +36,7 @@ func fullCoef(n int) *query.Affine {
 
 func TestMVNIndependentMatchesModular(t *testing.T) {
 	sigmas := []float64{1, 2, 3, 0.5}
-	db := normalDB(t, sigmas, nil)
+	db := normalDB(t, sigmas)
 	f := query.NewAffine(0, map[int]float64{0: 2, 1: -1, 2: 1, 3: 3})
 	mvn, err := NewMVN(db, f)
 	if err != nil {
@@ -78,7 +58,8 @@ func TestMVNIndependentMatchesModular(t *testing.T) {
 
 func TestMVNCorrelatedBasics(t *testing.T) {
 	sigmas := []float64{1, 1.5, 2, 2.5, 3}
-	db := normalDB(t, sigmas, gammaCov(sigmas, 0.7))
+	db := normalDB(t, sigmas)
+	db.SetDecayCovariance(0.7)
 	f := fullCoef(5)
 	mvn, err := NewMVN(db, f)
 	if err != nil {
@@ -110,42 +91,6 @@ func TestMVNCorrelatedBasics(t *testing.T) {
 	}
 }
 
-func TestMVNCleanedVarianceIdentity(t *testing.T) {
-	// CleanedVariance(complement(T)) must equal EV(T): both are
-	// a_S ᵀ·Σ_{S|S̄}·a_S with S = O \ T.
-	sigmas := []float64{1, 2, 1.5, 0.8}
-	db := normalDB(t, sigmas, gammaCov(sigmas, 0.5))
-	f := query.NewAffine(0, map[int]float64{0: 1, 1: -2, 2: 1, 3: 0.5})
-	mvn, err := NewMVN(db, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, T := range []model.Set{nil, model.NewSet(1), model.NewSet(0, 2), model.NewSet(0, 1, 2, 3)} {
-		got := mvn.CleanedVariance(T.Complement(4))
-		want := mvn.EV(T)
-		if !numeric.AlmostEqual(got, want, 1e-9) {
-			t.Fatalf("CleanedVariance(comp %v) = %v, want EV = %v", T, got, want)
-		}
-	}
-	if mvn.CleanedVariance(nil) != 0 {
-		t.Fatal("CleanedVariance(∅) should be 0")
-	}
-}
-
-func TestMVNMarginalCleanedVariance(t *testing.T) {
-	sigmas := []float64{1, 2}
-	db := normalDB(t, sigmas, gammaCov(sigmas, 0.5))
-	f := fullCoef(2)
-	mvn, _ := NewMVN(db, f)
-	// Σ = [[1, 1],[1, 4]]: marginal cleaned variance of {0,1} is 1+4+2·1 = 7.
-	if got := mvn.MarginalCleanedVariance(model.NewSet(0, 1)); !numeric.AlmostEqual(got, 7, 1e-9) {
-		t.Fatalf("MarginalCleanedVariance = %v, want 7", got)
-	}
-	if got := mvn.Variance(); !numeric.AlmostEqual(got, 7, 1e-9) {
-		t.Fatalf("Variance = %v, want 7", got)
-	}
-}
-
 // Sanity-check the Schur EV against Monte Carlo on a correlated 3-variable
 // instance: draw the cleaned variables, compute the true conditional
 // variance of the rest analytically per draw... which is constant; so
@@ -161,7 +106,8 @@ func TestMVNTotalVarianceDecomposition(t *testing.T) {
 			sigmas[i] = 0.5 + 2*r.Float64()
 		}
 		gamma := 0.8 * r.Float64()
-		db := normalDB(t, sigmas, gammaCov(sigmas, gamma))
+		db := normalDB(t, sigmas)
+		db.SetDecayCovariance(gamma)
 		coef := map[int]float64{}
 		for i := 0; i < n; i++ {
 			coef[i] = float64(r.IntRange(-2, 2))
@@ -198,7 +144,7 @@ func TestMVNTotalVarianceDecomposition(t *testing.T) {
 }
 
 func TestMVNDimensionMismatch(t *testing.T) {
-	db := normalDB(t, []float64{1, 2}, nil)
+	db := normalDB(t, []float64{1, 2})
 	db.Cov = linalg.NewMatrix(3, 3)
 	if _, err := NewMVN(db, fullCoef(2)); err == nil {
 		t.Fatal("dimension mismatch accepted")

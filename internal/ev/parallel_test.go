@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/model"
-	"github.com/factcheck/cleansel/internal/numeric"
 	"github.com/factcheck/cleansel/internal/parallel"
 	"github.com/factcheck/cleansel/internal/query"
 	"github.com/factcheck/cleansel/internal/rng"
@@ -124,73 +123,6 @@ func TestGroupEngineEVCtxCancelled(t *testing.T) {
 	st := eng.NewState()
 	if _, err := st.SingletonBenefitsCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SingletonBenefitsCtx on cancelled ctx: err = %v", err)
-	}
-}
-
-func TestShardedMonteCarloBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	r := rng.New(5)
-	db := randomDB(r, 6)
-	g := randomGroupSum(r, 6)
-	T := model.NewSet(0, 3)
-	run := func(workers string) float64 {
-		t.Setenv(parallel.EnvWorkers, workers)
-		mc, err := NewShardedMonteCarlo(db, g, 400, 30, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mc.EV(T)
-	}
-	want := run("1")
-	for _, workers := range []string{"2", "8"} {
-		if got := run(workers); got != want {
-			t.Fatalf("workers=%s: EV = %v, want %v (bit-identity broken)", workers, got, want)
-		}
-	}
-}
-
-func TestShardedMonteCarloApproximatesExact(t *testing.T) {
-	r := rng.New(13)
-	db := randomDB(r, 5)
-	g := randomGroupSum(r, 5)
-	exact := mustGroup(t, db, g)
-	mc, err := NewShardedMonteCarlo(db, g, 2000, 60, 2024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, T := range []model.Set{nil, model.NewSet(0), model.NewSet(1, 3)} {
-		want := exact.EV(T)
-		got := mc.EV(T)
-		tol := 0.15 * (1 + want)
-		if !numeric.AlmostEqual(got, want, tol) {
-			t.Fatalf("EV(%v) = %v, exact %v", T, got, want)
-		}
-	}
-}
-
-func TestShardedMonteCarloValidation(t *testing.T) {
-	r := rng.New(1)
-	db := randomDB(r, 4)
-	g := randomGroupSum(r, 4)
-	if _, err := NewShardedMonteCarlo(db, g, 0, 10, 1); err == nil {
-		t.Fatal("outer=0 accepted")
-	}
-	if _, err := NewShardedMonteCarlo(db, g, 10, 1, 1); err == nil {
-		t.Fatal("inner=1 accepted")
-	}
-}
-
-func TestMonteCarloEVCtxCancelled(t *testing.T) {
-	r := rng.New(3)
-	db := randomDB(r, 4)
-	g := randomGroupSum(r, 4)
-	mc, err := NewMonteCarlo(db, g, 100, 10, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := mc.EVCtx(ctx, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EVCtx on cancelled ctx: err = %v", err)
 	}
 }
 

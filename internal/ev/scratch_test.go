@@ -1,7 +1,6 @@
 package ev
 
 import (
-	"math"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/model"
@@ -84,35 +83,6 @@ func TestGroupEngineBuiltUnderOtherWorkerCount(t *testing.T) {
 			if got.benefits[j] != want.benefits[j] {
 				t.Fatalf("build=%s run=%s: benefit[%d] %v != %v",
 					c.buildW, c.runW, j, got.benefits[j], want.benefits[j])
-			}
-		}
-	}
-}
-
-// TestEntropyBufferedMatchesTwoPass pins the one-pass buffered pmf
-// route against the legacy two-pass route (forced via a zero buffer
-// cap): bit-identical entropy for every conditioning set, across
-// magnitudes that exercise both the legacy and the scale-aware pooling
-// grids.
-func TestEntropyBufferedMatchesTwoPass(t *testing.T) {
-	r := rng.New(613)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + r.Intn(3)
-		db := randomDB(r, n)
-		g := randomGroupSum(r, n)
-		e, err := NewEntropy(db, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets := []model.Set{nil, model.NewSet(0), model.NewSet(n - 1), randomSubset(r, n)}
-		for _, T := range sets {
-			buffered := e.ev(T, maxEntropyStates)
-			legacy := e.ev(T, 0)
-			if math.Float64bits(buffered) != math.Float64bits(legacy) {
-				t.Fatalf("trial %d, T=%v: buffered %v != two-pass %v", trial, T, buffered, legacy)
-			}
-			if public := e.EV(T); math.Float64bits(public) != math.Float64bits(buffered) {
-				t.Fatalf("trial %d, T=%v: EV %v != buffered %v", trial, T, public, buffered)
 			}
 		}
 	}

@@ -8,8 +8,8 @@ import (
 	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/maxpr"
-	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/rng"
+	"github.com/factcheck/cleansel/internal/session"
 )
 
 func init() {
@@ -19,8 +19,10 @@ func init() {
 // runAdaptive evaluates the paper's future-work direction of *adaptive*
 // cleaning (§6): instead of committing an upfront subset, the adaptive
 // MaxPr policy cleans one value, observes the revealed truth, and
-// re-decides. Over many simulated ground truths on the CDC-firearms
-// counter workload, it compares
+// re-decides. Each episode is one session.Stepper — the loop cleanseld
+// serves — told the simulated truth of every object it recommends. Over
+// many simulated ground truths on the CDC-firearms counter workload, it
+// compares
 //
 //   - the budget the adaptive policy actually spends before finding a
 //     counterargument (it stops paying as soon as one materializes), and
@@ -38,17 +40,6 @@ func runAdaptive(ctx context.Context, scale Scale, seed uint64) ([]*Figure, erro
 	}
 	tau := 0.25 * math.Sqrt(mod.Variance())
 
-	factory := func(db *model.DB) (maxpr.Evaluator, error) {
-		if _, ok := db.Normals(); ok {
-			return maxpr.NewNormalAffine(db, bias, tau)
-		}
-		// After observations the DB mixes point masses and normals.
-		return maxpr.NewMonteCarlo(db, bias, tau, 3000, rng.New(seed^0xad))
-	}
-	adaptive, err := core.NewAdaptiveMaxPr(w.DB, bias, tau, factory)
-	if err != nil {
-		return nil, err
-	}
 	upEval, err := maxpr.NewNormalAffine(w.DB, bias, tau)
 	if err != nil {
 		return nil, err
@@ -73,15 +64,24 @@ func runAdaptive(ctx context.Context, scale Scale, seed uint64) ([]*Figure, erro
 		baseline := bias.Eval(w.DB.Currents())
 		for fi, frac := range fracs {
 			budget := w.DB.Budget(frac)
-			tr, err := adaptive.Run(truth, budget)
+			st, err := session.NewStepper(w.DB, bias, session.MaxPr, tau, budget)
 			if err != nil {
 				return nil, err
 			}
-			if tr.Countered {
+			for {
+				rec, ok := st.Recommend(nil)
+				if !ok {
+					break
+				}
+				if err := st.Reveal(rec.Object, truth[rec.Object], nil); err != nil {
+					return nil, err
+				}
+			}
+			if st.Countered() {
 				adaptiveHits[fi]++
 				//lint:allow floateq — budget fractions come from budgetGrid, whose round2 emits exact two-decimal values; 1.0 is exactly representable and exactly produced
 				if frac == 1.0 {
-					spentWhenFound = append(spentWhenFound, tr.CostSpent/w.DB.TotalCost())
+					spentWhenFound = append(spentWhenFound, st.Spent()/w.DB.TotalCost())
 				}
 			}
 			T, err := upfront.SelectContext(ctx, budget)

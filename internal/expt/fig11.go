@@ -3,46 +3,15 @@ package expt
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/ev"
-	"github.com/factcheck/cleansel/internal/linalg"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/query"
 )
 
 func init() {
 	register("fig11", runFig11)
-}
-
-// injectGammaCovariance equips the database with the §4.5 dependency
-// model Cov(i, j) = γ^{|j−i|}·σ_i·σ_j (the farther apart two years, the
-// weaker their dependency).
-func injectGammaCovariance(db *model.DB, gamma float64) {
-	n := db.N()
-	sig := make([]float64, n)
-	for i := 0; i < n; i++ {
-		variance := db.Objects[i].Value.Variance()
-		if variance > 0 {
-			sig[i] = math.Sqrt(variance)
-		}
-	}
-	cov := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			d := j - i
-			if d < 0 {
-				d = -d
-			}
-			v := sig[i] * sig[j]
-			for k := 0; k < d; k++ {
-				v *= gamma
-			}
-			cov.Set(i, j, v)
-		}
-	}
-	db.Cov = cov
 }
 
 // runFig11 reproduces Figure 11: effectiveness under injected data
@@ -54,7 +23,7 @@ func runFig11(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) 
 	// (a) γ = 0.7, budget sweep.
 	w := FirearmsFairness(seed)
 	bias := w.Set.Bias()
-	injectGammaCovariance(w.DB, 0.7)
+	w.DB.SetDecayCovariance(0.7)
 	trueEng, err := ev.NewMVN(w.DB, bias)
 	if err != nil {
 		return nil, err
@@ -98,7 +67,7 @@ func runFig11(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) 
 	for _, gamma := range gammas {
 		wg := FirearmsFairness(seed)
 		biasG := wg.Set.Bias()
-		injectGammaCovariance(wg.DB, gamma)
+		wg.DB.SetDecayCovariance(gamma)
 		eng, err := ev.NewMVN(wg.DB, biasG)
 		if err != nil {
 			return nil, err

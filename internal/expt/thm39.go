@@ -7,7 +7,6 @@ import (
 	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/dist"
 	"github.com/factcheck/cleansel/internal/ev"
-	"github.com/factcheck/cleansel/internal/linalg"
 	"github.com/factcheck/cleansel/internal/maxpr"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/numeric"
@@ -73,12 +72,11 @@ func runThm39(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) 
 // values with a γ-decay covariance and a random linear claim.
 func randomCenteredInstance(r *rng.RNG, n int, gamma float64) (*model.DB, *query.Affine) {
 	objs := make([]model.Object, n)
-	sig := make([]float64, n)
 	coef := map[int]float64{}
 	for i := 0; i < n; i++ {
-		sig[i] = 0.5 + 2.5*r.Float64()
+		sigma := 0.5 + 2.5*r.Float64()
 		u := r.Uniform(-5, 5)
-		nd, err := dist.NewNormal(u, sig[i])
+		nd, err := dist.NewNormal(u, sigma)
 		if err != nil {
 			panic(err)
 		}
@@ -87,21 +85,7 @@ func randomCenteredInstance(r *rng.RNG, n int, gamma float64) (*model.DB, *query
 	}
 	db := model.New(objs)
 	if gamma > 0 {
-		cov := linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				d := j - i
-				if d < 0 {
-					d = -d
-				}
-				v := sig[i] * sig[j]
-				for k := 0; k < d; k++ {
-					v *= gamma
-				}
-				cov.Set(i, j, v)
-			}
-		}
-		db.Cov = cov
+		db.SetDecayCovariance(gamma)
 	}
 	return db, query.NewAffine(r.Uniform(-2, 2), coef)
 }

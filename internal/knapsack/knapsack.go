@@ -1,16 +1,13 @@
 // Package knapsack implements the 0/1 knapsack solvers that the modular
-// MinVar/MaxPr reductions of §3.2 need:
+// MinVar reduction of §3.2 and the submodular algorithm of §3.3 need:
 //
-//   - MaxDP — exact pseudo-polynomial maximization (Lemmas 3.2/3.3's
+//   - MaxDP — exact pseudo-polynomial maximization (Lemma 3.2's
 //     "Optimum" baseline): max Σ v_i s.t. Σ c_i ≤ C.
 //   - MinDP — exact pseudo-polynomial minimum-knapsack (covering) solver:
 //     min Σ v_i s.t. Σ c_i ≥ C̄; the inner step of the submodular MinVar
 //     algorithm (§3.3).
-//   - FPTAS — value-scaled (1−ε)-approximate maximization (Lemma 3.2).
-//   - Greedy — density greedy with the best-single-item check, the
-//     2-approximation used inside Algorithm 1.
 //
-// Costs are arbitrary non-negative floats; DP solvers discretize them at a
+// Costs are arbitrary non-negative floats; both solvers discretize them at a
 // configurable precision (costs in all paper workloads are integers, so
 // precision 1 is exact there).
 package knapsack
@@ -170,129 +167,6 @@ func MinDP(values, costs []float64, lower, precision float64) (Result, error) {
 		}
 	}
 	sort.Ints(res.Indices)
-	res.Cost = sum(costs, res.Indices)
-	return res, nil
-}
-
-// Greedy is the density-greedy 2-approximation for max-knapsack used by
-// Algorithm 1: take items in decreasing v/c order while they fit, then
-// compare against the best single affordable item ([19], §3.1).
-func Greedy(values, costs []float64, budget float64) (Result, error) {
-	if err := validate(values, costs); err != nil {
-		return Result{}, err
-	}
-	n := len(values)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		da := density(values[ia], costs[ia])
-		db := density(values[ib], costs[ib])
-		if da != db {
-			return da > db
-		}
-		return ia < ib
-	})
-	var picked []int
-	var cost, value float64
-	for _, i := range order {
-		if cost+costs[i] <= budget {
-			picked = append(picked, i)
-			cost += costs[i]
-			value += values[i]
-		}
-	}
-	// Best single item that fits.
-	best := -1
-	for i := 0; i < n; i++ {
-		if costs[i] <= budget && (best < 0 || values[i] > values[best]) {
-			best = i
-		}
-	}
-	if best >= 0 && values[best] > value {
-		picked = []int{best}
-		value = values[best]
-		cost = costs[best]
-	}
-	sort.Ints(picked)
-	return Result{Indices: picked, Value: value, Cost: cost}, nil
-}
-
-func density(v, c float64) float64 {
-	if c == 0 {
-		if v == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return v / c
-}
-
-// FPTAS returns a (1−eps)-approximate max-knapsack solution in
-// O(n³/eps) time by value scaling (Lemma 3.2).
-func FPTAS(values, costs []float64, budget, eps float64) (Result, error) {
-	if err := validate(values, costs); err != nil {
-		return Result{}, err
-	}
-	if eps <= 0 || eps >= 1 {
-		return Result{}, fmt.Errorf("knapsack: eps must be in (0,1), got %v", eps)
-	}
-	n := len(values)
-	maxV := 0.0
-	for i, v := range values {
-		if costs[i] <= budget && v > maxV {
-			maxV = v
-		}
-	}
-	if maxV == 0 {
-		return Result{}, nil
-	}
-	K := eps * maxV / float64(n)
-	scaled := make([]int, n)
-	totalScaled := 0
-	for i, v := range values {
-		scaled[i] = int(math.Floor(v / K))
-		totalScaled += scaled[i]
-	}
-	const inf = math.MaxFloat64 / 4
-	// dp[s] = min cost achieving scaled value exactly s.
-	dp := make([]float64, totalScaled+1)
-	for s := 1; s <= totalScaled; s++ {
-		dp[s] = inf
-	}
-	keep := make([][]bool, n)
-	for i := 0; i < n; i++ {
-		keep[i] = make([]bool, totalScaled+1)
-		si, ci := scaled[i], costs[i]
-		for s := totalScaled; s >= si; s-- {
-			if dp[s-si] >= inf {
-				continue
-			}
-			if cand := dp[s-si] + ci; cand < dp[s] {
-				dp[s] = cand
-				keep[i][s] = true
-			}
-		}
-	}
-	bestS := 0
-	for s := totalScaled; s >= 0; s-- {
-		if dp[s] <= budget+1e-9 {
-			bestS = s
-			break
-		}
-	}
-	var res Result
-	s := bestS
-	for i := n - 1; i >= 0; i-- {
-		if s >= scaled[i] && keep[i][s] {
-			res.Indices = append(res.Indices, i)
-			s -= scaled[i]
-		}
-	}
-	sort.Ints(res.Indices)
-	res.Value = sum(values, res.Indices)
 	res.Cost = sum(costs, res.Indices)
 	return res, nil
 }

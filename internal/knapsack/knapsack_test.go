@@ -131,75 +131,6 @@ func TestMinDPTrivial(t *testing.T) {
 	}
 }
 
-func TestGreedyHalfApproximation(t *testing.T) {
-	r := rng.New(3)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(10)
-		values, costs := randInstance(r, n)
-		budget := float64(r.IntRange(1, 40))
-		res, err := Greedy(values, costs, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := bruteMax(values, costs, budget)
-		if res.Value < opt/2-1e-9 {
-			t.Fatalf("trial %d: greedy %v < OPT/2 = %v", trial, res.Value, opt/2)
-		}
-		if res.Cost > budget+1e-9 {
-			t.Fatalf("trial %d: greedy over budget", trial)
-		}
-	}
-}
-
-// The §3.1 adversarial example: density greedy picks the tiny item; the
-// final single-item check must rescue the big one.
-func TestGreedyFinalCheckPaperExample(t *testing.T) {
-	values := []float64{0.1, 10}
-	costs := []float64{0.0001, 2}
-	res, err := Greedy(values, costs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value < 10 {
-		t.Fatalf("final check failed to rescue the large item: %+v", res)
-	}
-}
-
-func TestFPTASBound(t *testing.T) {
-	r := rng.New(4)
-	for _, eps := range []float64{0.5, 0.2, 0.05} {
-		for trial := 0; trial < 40; trial++ {
-			n := 1 + r.Intn(9)
-			values, costs := randInstance(r, n)
-			budget := float64(r.IntRange(1, 40))
-			res, err := FPTAS(values, costs, budget, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := bruteMax(values, costs, budget)
-			if res.Value < (1-eps)*opt-1e-9 {
-				t.Fatalf("eps=%v trial %d: FPTAS %v < (1-eps)·OPT = %v", eps, trial, res.Value, (1-eps)*opt)
-			}
-			if res.Cost > budget+1e-9 {
-				t.Fatalf("eps=%v trial %d: FPTAS over budget", eps, trial)
-			}
-		}
-	}
-}
-
-func TestFPTASDegenerate(t *testing.T) {
-	res, err := FPTAS([]float64{5}, []float64{10}, 1, 0.1) // nothing fits
-	if err != nil || len(res.Indices) != 0 {
-		t.Fatalf("nothing fits: %+v, %v", res, err)
-	}
-	if _, err := FPTAS([]float64{1}, []float64{1}, 1, 0); err == nil {
-		t.Fatal("eps=0 accepted")
-	}
-	if _, err := FPTAS([]float64{1}, []float64{1}, 1, 1); err == nil {
-		t.Fatal("eps=1 accepted")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	if _, err := MaxDP([]float64{1}, []float64{1, 2}, 3, 1); err == nil {
 		t.Fatal("length mismatch accepted")
@@ -247,12 +178,5 @@ func TestZeroCostItems(t *testing.T) {
 	}
 	if res.Value != 2 {
 		t.Fatalf("free item should always be taken: %+v", res)
-	}
-	g, err := Greedy([]float64{2, 5}, []float64{0, 3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Value != 2 {
-		t.Fatalf("greedy should take the free item: %+v", g)
 	}
 }

@@ -27,31 +27,6 @@ func sanitizeInstance(vraw, craw []byte) (values, costs []float64) {
 	return values, costs
 }
 
-func TestQuickGreedyNeverBeatsDP(t *testing.T) {
-	f := func(vraw, craw []byte, braw uint8) bool {
-		values, costs := sanitizeInstance(vraw, craw)
-		if values == nil {
-			return true
-		}
-		budget := float64(braw % 64)
-		g, err := Greedy(values, costs, budget)
-		if err != nil {
-			return false
-		}
-		d, err := MaxDP(values, costs, budget, 1)
-		if err != nil {
-			return false
-		}
-		// Greedy is feasible, within [OPT/2, OPT].
-		return g.Cost <= budget+1e-9 &&
-			g.Value <= d.Value+1e-9 &&
-			g.Value >= d.Value/2-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickDPBudgetMonotone(t *testing.T) {
 	f := func(vraw, craw []byte, braw uint8) bool {
 		values, costs := sanitizeInstance(vraw, craw)
@@ -105,29 +80,6 @@ func TestQuickMinDPFeasibleAndTight(t *testing.T) {
 		return v == res.Value
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickFPTASWithinEpsOfDP(t *testing.T) {
-	f := func(vraw, craw []byte, braw uint8) bool {
-		values, costs := sanitizeInstance(vraw, craw)
-		if values == nil {
-			return true
-		}
-		budget := float64(braw % 64)
-		const eps = 0.25
-		fp, err := FPTAS(values, costs, budget, eps)
-		if err != nil {
-			return false
-		}
-		d, err := MaxDP(values, costs, budget, 1)
-		if err != nil {
-			return false
-		}
-		return fp.Cost <= budget+1e-9 && fp.Value >= (1-eps)*d.Value-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -307,38 +307,3 @@ func ConditionalMeanShift(sigma *Matrix, keep, cond []int) (*Matrix, error) {
 	}
 	return skc.Mul(inv), nil
 }
-
-// NearestPSDJitter adds a small multiple of the identity until the matrix
-// becomes positive definite, returning the jittered copy. It is used to
-// repair covariance matrices assembled from data that are PSD only up to
-// round-off. The total jitter is capped at ~1e-5 of the mean diagonal, so
-// genuinely indefinite matrices still fail with ErrNotPD rather than being
-// silently distorted into a different model.
-func NearestPSDJitter(m *Matrix) (*Matrix, error) {
-	if !m.IsSymmetric(1e-8) {
-		return nil, errors.New("linalg: jitter requires a symmetric matrix")
-	}
-	// Start from a jitter proportional to the mean diagonal magnitude.
-	var diag float64
-	for i := 0; i < m.Rows; i++ {
-		diag += math.Abs(m.At(i, i))
-	}
-	if m.Rows > 0 {
-		diag /= float64(m.Rows)
-	}
-	jitter := diag * 1e-12
-	if jitter == 0 {
-		jitter = 1e-12
-	}
-	cur := m.Clone()
-	for attempt := 0; attempt < 23; attempt++ {
-		if _, err := Cholesky(cur); err == nil {
-			return cur, nil
-		}
-		for i := 0; i < cur.Rows; i++ {
-			cur.Set(i, i, cur.At(i, i)+jitter)
-		}
-		jitter *= 2
-	}
-	return nil, ErrNotPD
-}

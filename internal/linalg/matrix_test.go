@@ -274,22 +274,6 @@ func TestConditionalMeanShiftBivariate(t *testing.T) {
 	}
 }
 
-func TestNearestPSDJitter(t *testing.T) {
-	// Rank-deficient PSD matrix (perfectly correlated pair).
-	m := FromRows([][]float64{{1, 1}, {1, 1}})
-	fixed, err := NearestPSDJitter(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Cholesky(fixed); err != nil {
-		t.Fatal("jittered matrix still not PD")
-	}
-	// Asymmetric input is rejected.
-	if _, err := NearestPSDJitter(FromRows([][]float64{{1, 2}, {0, 1}})); err == nil {
-		t.Fatal("asymmetric matrix should be rejected")
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	if !FromRows([][]float64{{1, 2}, {2, 1}}).IsSymmetric(0) {
 		t.Fatal("symmetric matrix misreported")

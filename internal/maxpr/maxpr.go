@@ -153,6 +153,9 @@ type MVNAffine struct {
 
 // NewMVNAffine builds the evaluator; the database must carry a covariance
 // (or one is assembled from marginal variances, reducing to independence).
+// The conditional semantics condition on the uncleaned values, which
+// needs a positive-definite covariance: a singular one is an error here,
+// not a probability of 0 for every set.
 func NewMVNAffine(db *model.DB, f *query.Affine, tau float64, marginal bool) (*MVNAffine, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
@@ -163,6 +166,11 @@ func NewMVNAffine(db *model.DB, f *query.Affine, tau float64, marginal bool) (*M
 		cov = linalg.NewMatrix(n, n)
 		for i := 0; i < n; i++ {
 			cov.Set(i, i, db.Objects[i].Value.Variance())
+		}
+	}
+	if !marginal {
+		if _, err := linalg.Cholesky(cov); err != nil {
+			return nil, fmt.Errorf("maxpr: conditional MVN semantics: %w", err)
 		}
 	}
 	return &MVNAffine{

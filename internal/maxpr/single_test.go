@@ -12,7 +12,8 @@ import (
 
 // SingleProb is the session layer's one-step benefit; it must agree
 // bit-for-bit with what NormalAffine computes for the same singleton,
-// or the served adaptive loop and the figure simulators would diverge.
+// or the adaptive loop and the upfront GreedyMaxPr would rank the first
+// cleaning differently.
 func TestSingleProbMatchesNormalAffine(t *testing.T) {
 	r := rng.New(7)
 	for trial := 0; trial < 50; trial++ {

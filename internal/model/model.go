@@ -8,6 +8,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/factcheck/cleansel/internal/dist"
@@ -102,6 +103,36 @@ func absRel(a, b float64) float64 {
 		return 0
 	}
 	return d / m
+}
+
+// SetDecayCovariance equips the database with the correlated error model
+// of §4.5: Cov(i, j) = γ^|j−i|·σ_i·σ_j with σ_i = √Var[X_i] (0 when the
+// variance is not positive). Neighbouring objects' errors co-move and the
+// dependency fades with distance. γ^|j−i| is applied as a left-to-right
+// product, σ_i·σ_j·γ·…·γ, not through math.Pow.
+func (db *DB) SetDecayCovariance(gamma float64) {
+	n := db.N()
+	sig := make([]float64, n)
+	for i, o := range db.Objects {
+		if v := o.Value.Variance(); v > 0 {
+			sig[i] = math.Sqrt(v)
+		}
+	}
+	cov := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			d := j - i
+			if d < 0 {
+				d = -d
+			}
+			v := sig[i] * sig[j]
+			for k := 0; k < d; k++ {
+				v *= gamma
+			}
+			cov.Set(i, j, v)
+		}
+	}
+	db.Cov = cov
 }
 
 // Currents returns the vector u of current values.

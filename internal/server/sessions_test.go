@@ -85,7 +85,7 @@ func TestLiveStateDoesNotPinRequestBodies(t *testing.T) {
 
 // TestSessionEpisodeHTTP drives one full adaptive episode over HTTP:
 // create, follow each recommendation, report the revealed value, repeat
-// to a terminal state — the served counterpart of AdaptiveMaxPr.Run.
+// to a terminal state, as the adaptive figure does in process.
 func TestSessionEpisodeHTTP(t *testing.T) {
 	h := newTestServer(Config{})
 	rec := do(t, h, "POST", "/v1/sessions", sessionBody("maxpr", 1, 3))

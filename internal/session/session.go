@@ -1,19 +1,20 @@
-// Package session turns the paper's adaptive cleaning loop into a
-// served, stateful protocol. The simulators (core.AdaptiveMaxPr,
-// core.AdaptiveMinVar) need the hidden ground truth in hand; a real
-// fact-checking desk does not have it — it learns one revealed value per
-// cleaning action, one phone call at a time. A Stepper holds the state
-// of one such episode: the engine recommends the next object to clean,
-// the client cleans it out of band and reports the revealed value, and
-// the stepper conditions its state on the observation and re-decides.
+// Package session is the paper's adaptive cleaning loop, served as a
+// stateful protocol. A real fact-checking desk does not hold the ground
+// truth: it learns one revealed value per cleaning action, one phone
+// call at a time. A Stepper holds the state of one such episode: the
+// engine recommends the next object to clean, the client cleans it out
+// of band and reports the revealed value, and the stepper conditions its
+// state on the observation and re-decides. It is the only adaptive loop;
+// the adaptive figure (internal/expt) drives the same Stepper with
+// simulated truths.
 //
 // Two design rules carry over from the rest of the system:
 //
 //   - One policy implementation. The decide-step is
-//     core.NextAdaptiveStep — the exact argmax-benefit-per-cost rule of
-//     the simulators, tie-breaks and budget tolerance included — and the
+//     core.NextAdaptiveStep — the argmax-benefit-per-cost rule, with the
+//     selectors' budget tolerance and lowest-ID tie-break — and the
 //     one-step MaxPr benefit is maxpr.SingleProb, bit-identical to the
-//     NormalAffine closed form the figure harness uses.
+//     NormalAffine closed form the upfront GreedyMaxPr uses.
 //   - Incremental conditioning. Reporting a revealed value substitutes a
 //     point mass for the object's law (à la ev.GroupEngine.CondMoments)
 //     and updates the current-value vector in place; nothing recompiles
@@ -216,8 +217,8 @@ func (s *Stepper) Current() float64 { return s.f.Eval(s.u) }
 func (s *Stepper) Achieved() float64 { return s.baseline - s.Current() }
 
 // Countered reports whether the realized drop exceeds τ — for MaxPr
-// sessions, the terminal success state (the early exit of
-// core.AdaptiveMaxPr.Run).
+// sessions, the terminal success state: the episode stops paying once
+// the counter is in hand.
 func (s *Stepper) Countered() bool { return s.goal == MaxPr && s.Achieved() > s.tau }
 
 // Estimate returns the posterior mean of f(X) given the reveals:

@@ -3,10 +3,11 @@ package session_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
-	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/dist"
+	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/maxpr"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/numeric"
@@ -59,110 +60,137 @@ func driveEpisode(t *testing.T, st *session.Stepper, truth []float64) []int {
 	return cleaned
 }
 
-// singleEval evaluates one-step MaxPr benefits exactly on a database
-// that mixes normals and revealed point masses (AdaptiveMaxPr only ever
-// asks it about singletons, which is all SingleProb covers). The
-// figure harness's NormalAffine evaluator fails once a reveal lands, so
-// the simulator side of the equivalence tests uses this factory.
-type singleEval struct {
-	db   *model.DB
-	coef []float64
-	tau  float64
-}
-
-func (e singleEval) Prob(T model.Set) float64 {
-	if len(T) != 1 {
-		panic("singleEval: adaptive policies evaluate singletons only")
-	}
-	o := T[0]
-	p, err := maxpr.SingleProb(e.db.Objects[o].Value, e.coef[o], e.db.Objects[o].Current, e.tau)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// The served stepper and the figure simulator are one policy: an episode
-// that follows the recommendations must clean the same objects in the
-// same order, spend the same cost, and reach the same verdict as
-// core.AdaptiveMaxPr.Run on the same truth. (That SingleProb itself
-// matches the NormalAffine/DiscreteAffine evaluators is pinned in the
-// maxpr package's tests.)
-func TestStepperMatchesAdaptiveMaxPr(t *testing.T) {
-	f := query.NewAffine(0, map[int]float64{0: 1, 1: 1, 2: 1})
-	tau := 2.0
-	truths := [][]float64{
-		{4, 10, 10},   // counter on the first cleaning
-		{10, 10, 10},  // no counter anywhere
-		{10, 7.5, 10}, // counter hides in the second-ranked object
-		{11, 12, 9},   // truths above current: measure rises
-	}
-	for _, truth := range truths {
-		sim, err := core.NewAdaptiveMaxPr(normalDB(t), f, tau, func(db *model.DB) (maxpr.Evaluator, error) {
-			return singleEval{db: db, coef: f.Dense(db.N()), tau: tau}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := sim.Run(truth, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := mustStepper(t, normalDB(t), f, session.MaxPr, tau, 3)
-		cleaned := driveEpisode(t, st, truth)
-		if len(cleaned) != len(tr.Cleaned) {
-			t.Fatalf("truth %v: session cleaned %v, simulator %v", truth, cleaned, tr.Cleaned)
-		}
-		for i := range cleaned {
-			if cleaned[i] != tr.Cleaned[i] {
-				t.Fatalf("truth %v: session cleaned %v, simulator %v", truth, cleaned, tr.Cleaned)
+// rebuildEpisode is the reference the Stepper is held to. After every
+// reveal it rebuilds the database, the revealed object becoming a point
+// mass at its truth, and scores every uncleaned affordable object on the
+// rebuilt database: a_o²·Var[X_o] for MinVar, maxpr.SingleProb for MaxPr
+// (pinned to the NormalAffine and DiscreteAffine evaluators in the maxpr
+// package's tests). It cleans the best benefit per cost, strictly
+// greater winning so the lowest ID breaks ties, and stops once a MaxPr
+// episode's realized drop exceeds τ or no affordable object has positive
+// benefit. It shares no decide-step code with the Stepper.
+func rebuildEpisode(t *testing.T, db *model.DB, f *query.Affine, goal session.Goal, tau, budget float64, truth []float64) (cleaned []int, spent float64, final *model.DB) {
+	t.Helper()
+	coef := f.Dense(db.N())
+	baseline := f.Eval(db.Currents())
+	done := make([]bool, db.N())
+	for goal != session.MaxPr || baseline-f.Eval(db.Currents()) <= tau {
+		best, bestR := -1, 0.0
+		for o, obj := range db.Objects {
+			if done[o] || spent+obj.Cost > budget {
+				continue
+			}
+			b := coef[o] * coef[o] * obj.Value.Variance()
+			if goal == session.MaxPr {
+				var err error
+				if b, err = maxpr.SingleProb(obj.Value, coef[o], obj.Current, tau); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r := b / obj.Cost; b > 0 && r > bestR {
+				best, bestR = o, r
 			}
 		}
-		if st.Spent() != tr.CostSpent {
-			t.Fatalf("truth %v: spent %v vs %v", truth, st.Spent(), tr.CostSpent)
+		if best < 0 {
+			break
 		}
-		if st.Achieved() != tr.Achieved {
-			t.Fatalf("truth %v: achieved %v vs %v", truth, st.Achieved(), tr.Achieved)
-		}
-		wantStatus := session.Exhausted
-		if tr.Countered {
-			wantStatus = session.Countered
-		}
-		if got := st.Status(nil); got != wantStatus {
-			t.Fatalf("truth %v: status %v, want %v", truth, got, wantStatus)
-		}
+		objs := append([]model.Object(nil), db.Objects...)
+		objs[best].Current = truth[best]
+		objs[best].Value = dist.PointMass(truth[best])
+		db = model.New(objs)
+		done[best] = true
+		spent += objs[best].Cost
+		cleaned = append(cleaned, best)
+	}
+	return cleaned, spent, db
+}
+
+// An episode that follows the recommendations must clean the objects
+// the rebuild-every-step reference cleans, in the same order, spend the
+// same cost, and reach the same verdict. Each row also pins the
+// expected episode itself.
+func TestStepperMatchesAdaptiveMaxPr(t *testing.T) {
+	f := query.NewAffine(0, map[int]float64{0: 1, 1: 1, 2: 1})
+	const tau = 2.0
+	for _, c := range []struct {
+		name      string
+		truth     []float64
+		budget    float64
+		cleaned   []int
+		countered bool
+		achieved  float64
+	}{
+		{"counter on the first cleaning", []float64{4, 10, 10}, 3, []int{0}, true, 6},
+		{"no counter anywhere", []float64{10, 10, 10}, 3, []int{0, 1, 2}, false, 0},
+		{"counter in the second-ranked object", []float64{10, 7.5, 10}, 3, []int{0, 1}, true, 2.5},
+		{"measure rises", []float64{11, 12, 9}, 3, []int{0, 1, 2}, false, -2},
+		{"budget 1.5 allows one unit-cost cleaning", []float64{10, 10, 10}, 1.5, []int{0}, false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			wantCleaned, wantSpent, final := rebuildEpisode(t, normalDB(t), f, session.MaxPr, tau, c.budget, c.truth)
+			st := mustStepper(t, normalDB(t), f, session.MaxPr, tau, c.budget)
+			cleaned := driveEpisode(t, st, c.truth)
+			if !slices.Equal(cleaned, wantCleaned) || !slices.Equal(cleaned, c.cleaned) {
+				t.Fatalf("session cleaned %v, reference %v, want %v", cleaned, wantCleaned, c.cleaned)
+			}
+			if st.Spent() != wantSpent || st.Spent() > c.budget {
+				t.Fatalf("spent %v, reference %v, budget %v", st.Spent(), wantSpent, c.budget)
+			}
+			wantAchieved := st.Baseline() - f.Eval(final.Currents())
+			if st.Achieved() != wantAchieved || st.Achieved() != c.achieved {
+				t.Fatalf("achieved %v, reference %v, want %v", st.Achieved(), wantAchieved, c.achieved)
+			}
+			wantStatus := session.Exhausted
+			if c.countered {
+				wantStatus = session.Countered
+			}
+			if got := st.Status(nil); got != wantStatus || st.Countered() != (wantAchieved > tau) {
+				t.Fatalf("status %v, want %v", got, wantStatus)
+			}
+		})
 	}
 }
 
 func TestStepperMatchesAdaptiveMinVar(t *testing.T) {
-	f := query.NewAffine(0, map[int]float64{0: 1, 1: 2, 2: 1})
-	truth := []float64{12, 9, 10}
-	sim, err := core.NewAdaptiveMinVar(normalDB(t), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Run(truth, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := mustStepper(t, normalDB(t), f, session.MinVar, 0, 2)
-	if !numeric.AlmostEqual(st.Uncertainty(), tr.VarBefore, 1e-12) {
-		t.Fatalf("initial uncertainty %v, want %v", st.Uncertainty(), tr.VarBefore)
-	}
-	cleaned := driveEpisode(t, st, truth)
-	if len(cleaned) != len(tr.Cleaned) {
-		t.Fatalf("session cleaned %v, simulator %v", cleaned, tr.Cleaned)
-	}
-	for i := range cleaned {
-		if cleaned[i] != tr.Cleaned[i] {
-			t.Fatalf("session cleaned %v, simulator %v", cleaned, tr.Cleaned)
-		}
-	}
-	if !numeric.AlmostEqual(st.Uncertainty(), tr.VarAfter, 1e-12) {
-		t.Fatalf("posterior uncertainty %v, want %v", st.Uncertainty(), tr.VarAfter)
-	}
-	if st.Estimate() != tr.Estimate {
-		t.Fatalf("estimate %v, want %v", st.Estimate(), tr.Estimate)
+	for _, c := range []struct {
+		name          string
+		coef          map[int]float64
+		truth         []float64
+		budget        float64
+		cleaned       []int
+		before, after float64
+		estimate      float64
+	}{
+		{"variance order", map[int]float64{0: 1, 1: 1, 2: 1}, []float64{12, 9, 10}, 2, []int{0, 1}, 14, 1, 31},
+		{"weighted variance order", map[int]float64{0: 1, 1: 2, 2: 1}, []float64{12, 9, 10}, 2, []int{1, 0}, 26, 1, 40},
+		{"exhausts the useful objects", map[int]float64{1: 2}, []float64{10, 10, 10}, 100, []int{1}, 16, 0, 20},
+		{"lowest ID wins ties", map[int]float64{0: 1, 1: 1.5, 2: 3}, []float64{12, 9, 10}, 2, []int{0, 1}, 27, 9, 55.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := query.NewAffine(0, c.coef)
+			wantCleaned, wantSpent, final := rebuildEpisode(t, normalDB(t), f, session.MinVar, 0, c.budget, c.truth)
+			st := mustStepper(t, normalDB(t), f, session.MinVar, 0, c.budget)
+			if !numeric.AlmostEqual(st.Uncertainty(), c.before, 1e-12) {
+				t.Fatalf("initial uncertainty %v, want %v", st.Uncertainty(), c.before)
+			}
+			cleaned := driveEpisode(t, st, c.truth)
+			if !slices.Equal(cleaned, wantCleaned) || !slices.Equal(cleaned, c.cleaned) {
+				t.Fatalf("session cleaned %v, reference %v, want %v", cleaned, wantCleaned, c.cleaned)
+			}
+			if st.Spent() != wantSpent {
+				t.Fatalf("spent %v, reference %v", st.Spent(), wantSpent)
+			}
+			mod, err := ev.NewModular(final, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !numeric.AlmostEqual(st.Uncertainty(), mod.Variance(), 1e-12) || !numeric.AlmostEqual(st.Uncertainty(), c.after, 1e-12) {
+				t.Fatalf("posterior uncertainty %v, reference %v, want %v", st.Uncertainty(), mod.Variance(), c.after)
+			}
+			if want := f.Eval(final.Means()); st.Estimate() != want || st.Estimate() != c.estimate {
+				t.Fatalf("estimate %v, reference %v, want %v", st.Estimate(), want, c.estimate)
+			}
+		})
 	}
 }
 

@@ -174,9 +174,9 @@ func modularUpperBound(f Func, X model.Set, bound int) []float64 {
 
 // GreedyCover grows a covering set by repeatedly adding the element with
 // the smallest marginal increase of f per unit of still-needed cost, until
-// the constraint Σ c_i ≥ lower holds. It is the simple baseline against
-// which MinimizeCover is compared, and the building block of the
-// unit-cost bi-criteria scheme of §3.3.
+// the constraint Σ c_i ≥ lower holds. MinimizeCover seeds its
+// majorize–minimize iterations with it and keeps whichever cover is
+// better.
 func GreedyCover(f Func, costs []float64, lower float64) (model.Set, float64) {
 	var S model.Set
 	var covered float64
@@ -208,31 +208,6 @@ func GreedyCover(f Func, costs []float64, lower float64) (model.Set, float64) {
 		fS = bestVal
 	}
 	return S, fS
-}
-
-// BiCriteriaUnitCost implements the unit-cost bi-criteria relaxation noted
-// after Theorem 3.7: allow the *keep* budget to shrink by the factor
-// (1−alpha) — i.e. clean up to C/(1−alpha) instead of C — in exchange for
-// a 1/alpha-factor objective bound. It greedily keeps the elements whose
-// removal from the clean set costs the least objective.
-func BiCriteriaUnitCost(f Func, keepAtLeast int, alpha float64) (model.Set, float64, error) {
-	if alpha <= 0 || alpha >= 1 {
-		return nil, 0, errors.New("submod: alpha must be in (0,1)")
-	}
-	relaxed := int(math.Floor(float64(keepAtLeast) * (1 - alpha)))
-	if relaxed < 0 {
-		relaxed = 0
-	}
-	unit := make([]float64, f.N)
-	for i := range unit {
-		unit[i] = 1
-	}
-	return minimizeCoverUnit(f, unit, float64(relaxed))
-}
-
-func minimizeCoverUnit(f Func, costs []float64, lower float64) (model.Set, float64, error) {
-	S, v := GreedyCover(f, costs, lower)
-	return S, v, nil
 }
 
 func setCost(S model.Set, costs []float64) float64 {

@@ -218,25 +218,3 @@ func TestGreedyCover(t *testing.T) {
 		}
 	}
 }
-
-func TestBiCriteriaUnitCost(t *testing.T) {
-	r := rng.New(19)
-	f := coverageFunc(r, 8, 5)
-	S, v, err := BiCriteriaUnitCost(f, 6, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Relaxed requirement: keep at least floor(6·0.5) = 3 elements.
-	if len(S) < 3 {
-		t.Fatalf("bi-criteria kept %d < 3 elements", len(S))
-	}
-	if v != f.Eval(S) {
-		t.Fatal("value stale")
-	}
-	if _, _, err := BiCriteriaUnitCost(f, 3, 0); err == nil {
-		t.Fatal("alpha=0 accepted")
-	}
-	if _, _, err := BiCriteriaUnitCost(f, 3, 1); err == nil {
-		t.Fatal("alpha=1 accepted")
-	}
-}
