@@ -164,8 +164,10 @@ func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (
 		gainSum += gain
 		// Refresh the benefits of locally affected objects so the queue
 		// max stays exact (EV is submodular: stale entries underestimate).
-		// The deltas fan out over the worker pool and come back in
-		// Affected order, so the queue is the same at every worker count.
+		// DeltasCtx walks each affected term once for all of its live
+		// objects, then reads every delta's term values from the engine
+		// memo; the deltas come back in Affected order, so the queue is
+		// the same at every worker count.
 		stale := st.Affected(o)
 		live := stale[:0]
 		for _, a := range stale {

@@ -1,9 +1,11 @@
 package ev
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -234,10 +236,14 @@ func (e *GroupEngine) evalTerm(k int, x []float64, sc *evScratch) float64 {
 
 // termEV returns Σ_a Pr[a]·Var[g_k | X_{R_k∩T} = a] for term k given the
 // cleaned mask, enumerating with the provided distributions. Both walks
-// write straight into the term's argument vector.
+// write straight into the term's argument vector. An outcome where the
+// term is ±0 adds nothing: its addends are ±0, which leave an
+// accumulator that starts at +0 unchanged bit for bit (see
+// docs/NUMERICS.md). Every walk here and in the kernels below applies
+// the same rule.
 func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, sc *evScratch) float64 {
 	t := &e.terms[k]
-	args := sc.termArgs(len(t.vars))
+	args := growSlice(&sc.args, len(t.vars))
 	a, b := &sc.walks[0], &sc.walks[1]
 	splitTerm(t.vars, cleaned, a, b)
 	a.bind(dists, args)
@@ -247,6 +253,9 @@ func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, sc *
 		var m1, m2 numeric.KahanAcc
 		for p, ok := b.first(); ok; p, ok = b.next() {
 			v := t.eval(args)
+			if v == 0 {
+				continue
+			}
 			m1.Add(p * v)
 			m2.Add(p * v * v)
 		}
@@ -283,10 +292,14 @@ func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, sc 
 		for ps, ok := s.first(); ok; ps, ok = s.next() {
 			var mk, ml numeric.KahanAcc
 			for pb, ok := bk.first(); ok; pb, ok = bk.next() {
-				mk.Add(pb * e.evalTerm(p.k, sc.x, sc))
+				if g := e.evalTerm(p.k, sc.x, sc); g != 0 {
+					mk.Add(pb * g)
+				}
 			}
 			for pb, ok := bl.first(); ok; pb, ok = bl.next() {
-				ml.Add(pb * e.evalTerm(p.l, sc.x, sc))
+				if g := e.evalTerm(p.l, sc.x, sc); g != 0 {
+					ml.Add(pb * g)
+				}
 			}
 			vk, vl := mk.Value(), ml.Value()
 			ekl.Add(ps * vk * vl)
@@ -299,14 +312,241 @@ func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, sc 
 	return acc.Value()
 }
 
+// singletonTerm is the start walk of a term: one walk of term k's
+// support at cleaned, with termEV's split and order, that returns
+// termEV's value for the term bit for bit together with drops[j], the
+// singleton benefit of cleaning the term's j-th uncleaned var
+// (declaration order) next. The drops group the joint sweep by each
+// var's value and divide its moments by the value's probability; they
+// are SingletonBenefits' values, not extendTerm's exact ones. drops is
+// nil for a fully cleaned term.
+func (e *GroupEngine) singletonTerm(k int, cleaned []bool, sc *evScratch) (ev float64, drops []float64) {
+	t := &e.terms[k]
+	a, b := &sc.walks[0], &sc.walks[1]
+	splitTerm(t.vars, cleaned, a, b)
+	args := growSlice(&sc.args, len(t.vars))
+	a.bind(e.dists, args)
+	b.bind(e.dists, args)
+	// evAfter[lv] accumulates Σ_a p_a Σ_val p_val·Var[g | a, X_v=val]
+	// for the var v at inner level lv. The accumulators and moment rows
+	// live on the worker scratch, indexed by level.
+	for len(sc.m1) < len(b.vars) {
+		sc.m1, sc.m2 = append(sc.m1, nil), append(sc.m2, nil)
+	}
+	m1, m2 := sc.m1, sc.m2
+	evAfter := growSlice(&sc.acc, len(b.vars))
+	clear(evAfter)
+	for lv, v := range b.vars {
+		growSlice(&m1[lv], e.dists[v].Size())
+		growSlice(&m2[lv], e.dists[v].Size())
+	}
+	var acc numeric.KahanAcc
+	for pa, ok := a.first(); ok; pa, ok = a.next() {
+		for lv := range b.vars {
+			clear(m1[lv])
+			clear(m2[lv])
+		}
+		var t1, t2 numeric.KahanAcc
+		for pb, ok := b.first(); ok; pb, ok = b.next() {
+			g := t.eval(args)
+			if g == 0 {
+				continue
+			}
+			pg := pb * g
+			t1.Add(pg)
+			t2.Add(pg * g)
+			for lv, j := range b.idx {
+				m1[lv][j] += pg
+				m2[lv][j] += pg * g
+			}
+		}
+		mean := t1.Value()
+		variance := t2.Value() - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		acc.Add(pa * variance)
+		for lv, v := range b.vars {
+			r1, r2 := m1[lv], m2[lv]
+			for j, pv := range e.dists[v].Probs {
+				if pv == 0 {
+					continue
+				}
+				mean := r1[j] / pv
+				variance := r2[j]/pv - mean*mean
+				if variance < 0 {
+					variance = 0
+				}
+				evAfter[lv].Add(pa * pv * variance)
+			}
+		}
+	}
+	ev = acc.Value()
+	if len(b.vars) == 0 {
+		return ev, nil
+	}
+	drops = make([]float64, len(b.vars))
+	for lv := range drops {
+		drops[lv] = ev - evAfter[lv].Value()
+	}
+	return ev, drops
+}
+
+// extReq is one var an extension walk adds to its term's cleaned set.
+type extReq struct {
+	level int // the var's level in the walk's uncleaned split
+	off   int // its first moment cell: one cell per support value
+	// Per outcome of the split's upper levels (all but the last): the
+	// left-to-right product of their probabilities with this var's
+	// factor left out, and, for a var above the last level, its cell.
+	above float64
+	cell  int
+}
+
+// extendTerm returns termEV(k, cleaned ∪ {v}) for every var v of vs,
+// uncleaned vars of term k, bit for bit, from one walk of the term's
+// support at cleaned. The walk is termEV's at cleaned: cleaned vars
+// outer, uncleaned vars inner, each in declaration order. Restricted to
+// one outer outcome and one value of v, it visits the other uncleaned
+// outcomes in the lexicographic order of termEV's inner walk at
+// cleaned ∪ {v}, and each addend's probability is that walk's
+// left-to-right product: the same factors, v's left out (an exact
+// ×1.0). So each (outer outcome, v value) group's Kahan moments and
+// conditional variance are termEV's for the matching outer outcome at
+// cleaned ∪ {v}. A last walk over cleaned ∪ {v} in declaration order,
+// with termEV's own prefix products, sums Pr·Var over the groups in
+// termEV's outer order. The result aliases the scratch.
+func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch) []float64 {
+	t := &e.terms[k]
+	args := growSlice(&sc.args, len(t.vars))
+	a, b, up, ap := &sc.walks[0], &sc.walks[1], &sc.walks[2], &sc.walks[3]
+	splitTerm(t.vars, cleaned, a, b)
+	// The inner split walks as its upper levels (an odometer) times its
+	// last level (an explicit loop), so each outcome knows which of its
+	// factors changed.
+	last := len(b.vars) - 1
+	up.vars = append(up.vars[:0], b.vars[:last]...)
+	up.slot = append(up.slot[:0], b.slot[:last]...)
+	a.bind(e.dists, args)
+	up.bind(e.dists, args)
+	inner, innerSlot := e.dists[b.vars[last]], b.slot[last]
+
+	reqs, cells := sc.ext[:0], 0
+	for _, v := range vs {
+		level := 0
+		for b.vars[level] != v {
+			level++
+		}
+		reqs = append(reqs, extReq{level: level, off: cells})
+		cells += e.dists[v].Size()
+	}
+	sc.ext = reqs
+	outer := 1
+	for _, v := range a.vars {
+		outer *= e.dists[v].Size()
+	}
+	moments := growSlice(&sc.moments, 2*cells)
+	m1, m2 := moments[:cells], moments[cells:]
+	// groupVar[i·cells + off + j]: the conditional variance of group
+	// (i-th outer outcome in walk order, j-th value of the var at off).
+	groupVar := growSlice(&sc.groupVar, outer*cells)
+
+	row := groupVar
+	for _, ok := a.first(); ok; _, ok = a.next() {
+		clear(moments)
+		for pu, ok := up.first(); ok; pu, ok = up.next() {
+			for r := range reqs {
+				rq := &reqs[r]
+				if rq.level == last {
+					rq.above = pu
+					continue
+				}
+				p := up.prefix[rq.level]
+				for l := rq.level + 1; l < last; l++ {
+					p *= e.dists[up.vars[l]].Probs[up.idx[l]]
+				}
+				rq.above, rq.cell = p, rq.off+up.idx[rq.level]
+			}
+			for j, x := range inner.Values {
+				args[innerSlot] = x
+				g := t.eval(args)
+				if g == 0 {
+					continue
+				}
+				for r := range reqs {
+					rq := &reqs[r]
+					var pg float64
+					c := rq.cell
+					if rq.level == last {
+						pg, c = rq.above*g, rq.off+j
+					} else {
+						pg = rq.above * inner.Probs[j] * g
+					}
+					m1[c].Add(pg)
+					m2[c].Add(pg * g)
+				}
+			}
+		}
+		for c := range row[:cells] {
+			mean := m1[c].Value()
+			variance := m2[c].Value() - mean*mean
+			if variance < 0 {
+				variance = 0
+			}
+			row[c] = variance
+		}
+		row = row[cells:]
+	}
+
+	out := growSlice(&sc.extOut, len(vs))
+	for r, v := range vs {
+		ap.vars, ap.slot = ap.vars[:0], ap.slot[:0]
+		q := 0
+		for pos, w := range t.vars {
+			if w == v {
+				q = len(ap.vars)
+			}
+			if cleaned[w] || w == v {
+				ap.vars = append(ap.vars, w)
+				ap.slot = append(ap.slot, pos)
+			}
+		}
+		ap.bind(e.dists, args)
+		base := reqs[r].off
+		var acc numeric.KahanAcc
+		for pa, ok := ap.first(); ok; pa, ok = ap.next() {
+			i := 0
+			for l, w := range ap.vars {
+				if l != q {
+					i = i*e.dists[w].Size() + ap.idx[l]
+				}
+			}
+			acc.Add(pa * groupVar[i*cells+base+ap.idx[q]])
+		}
+		out[r] = acc.Value()
+	}
+	return out
+}
+
+// growSlice returns *buf resized to n, reallocating only when it is too
+// small. Contents are stale until overwritten — every caller zeroes or
+// assigns before reading.
+func growSlice[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // evScratch is the per-worker workspace of the enumeration paths: an
 // object-indexed assignment vector, a term argument vector, the level
 // arrays and var lists of up to four nested walks, the id-mode gather
 // buffer, a private cleaned mask for the parallel refresh, the new
-// term/pair values of the last recompute, and the per-object moment
-// workspace of the singleton-benefit pass. Work items fully overwrite
-// the slots they read, so reusing a workspace across items never
-// changes a result.
+// term/pair values of the last recompute, the per-level moment
+// workspace of the start walk, and the extension walk's accumulators.
+// Work items fully overwrite the slots they read, so reusing a
+// workspace across items never changes a result.
 type evScratch struct {
 	x     []float64
 	args  []float64
@@ -319,13 +559,18 @@ type evScratch struct {
 	// termNew and pairNew hold the values State.recompute computed,
 	// aligned with varTerms[o] and varPairs[o].
 	termNew, pairNew []float64
-	// Flattened singleton-benefit workspace, indexed by object id:
-	// conditional first/second moment rows (grown to the object's
-	// support size on first use) and one Kahan accumulator per object.
-	// These replace per-term map[int] allocations whose lookups sat in
-	// the innermost per-state loop.
+	// Start-walk workspace (see singletonTerm), indexed by the walk's
+	// inner level: conditional first/second moment rows, grown to the
+	// level's support size, and one Kahan accumulator per level.
 	m1, m2 [][]float64
 	acc    []numeric.KahanAcc
+	// Extension-walk workspace (see extendTerm): its requests, the Kahan
+	// moment pairs of the current outer outcome, every group's
+	// conditional variance, and the results.
+	ext      []extReq
+	moments  []numeric.KahanAcc
+	groupVar []float64
+	extOut   []float64
 }
 
 func newEvScratch(n int) *evScratch {
@@ -334,30 +579,7 @@ func newEvScratch(n int) *evScratch {
 		buf:     make([]float64, 0, 32),
 		mask:    make([]bool, n),
 		maskGen: -1,
-		m1:      make([][]float64, n),
-		m2:      make([][]float64, n),
-		acc:     make([]numeric.KahanAcc, n),
 	}
-}
-
-// termArgs returns the argument vector grown to a width-w term.
-// Contents are stale until a walk writes them.
-func (sc *evScratch) termArgs(w int) []float64 {
-	if cap(sc.args) < w {
-		sc.args = make([]float64, w)
-	}
-	sc.args = sc.args[:w]
-	return sc.args
-}
-
-// momentRow returns row v of m grown to size. Contents are stale until
-// overwritten — every caller zeroes or assigns before reading.
-func momentRow(m [][]float64, v, size int) []float64 {
-	if cap(m[v]) < size {
-		m[v] = make([]float64, size)
-	}
-	m[v] = m[v][:size]
-	return m[v]
 }
 
 // scratchPool lazily allocates one workspace per parallel worker. The
@@ -437,10 +659,12 @@ func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64
 	}
 	if len(compute) > 0 {
 		pool := newScratchPool(e.db.N())
+		rec := obs.FromContext(ctx)
 		if err := parallel.For(ctx, len(compute), func(worker, i int) error {
 			sc := pool.get(worker)
 			m := compute[i]
 			vals[m.i] = e.termEV(e.dists, m.i, cleaned, sc)
+			rec.Add("ev_term_walks", 1)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -607,23 +831,32 @@ func (e *GroupEngine) CondMoments(values []float64, known []bool) (mean, varianc
 // rather than the whole query.
 //
 // A State writes the values it computes through to its engine's memo:
-// the initial per-term and per-pair values, and each value Clean
-// commits. A memo entry is a pure function of its term and that term's
-// cleaned mask, so a later EVCtx(T) on the engine reads the values the
-// greedy already computed, bit for bit. A State itself is not safe for
-// concurrent use; its engine stays safe for concurrent EV calls.
+// the initial per-term and per-pair values, each extended term value
+// DeltasCtx computes, and each value Clean commits. A memo entry is a
+// pure function of its term and that term's cleaned mask, so a later
+// EVCtx(T) on the engine, or a later delta of the State itself, reads
+// the values the greedy already computed, bit for bit. A State itself
+// is not safe for concurrent use; its engine stays safe for concurrent
+// EV calls.
 type State struct {
 	e       *GroupEngine
 	cleaned []bool
 	termEV  []float64
 	pairEV  []float64
 	total   float64
+	// startDrops holds the start walk's singleton drops per term (see
+	// singletonTerm); SingletonBenefitsCtx serves them until the first
+	// Clean.
+	startDrops [][]float64
 	// pool holds one workspace per parallel worker; sequential
 	// operations use slot 0.
 	pool *scratchPool
 	// gen counts Clean calls: a worker's private mask copy is current
 	// while its maskGen equals gen.
 	gen int
+	// rec is the recorder NewStateCtx was given; Delta and Clean, which
+	// take no context, count their walks on it.
+	rec *obs.Recorder
 }
 
 // NewState returns the incremental state at T = ∅.
@@ -635,21 +868,28 @@ func (e *GroupEngine) NewState() *State {
 	return s
 }
 
-// NewStateCtx builds the incremental state at T = ∅, computing the
-// initial per-term variances and per-pair covariances on the parallel
-// worker pool and storing them in the engine's memo. The reduction runs
-// in index order, so the state is bit-identical for every worker count.
+// NewStateCtx builds the incremental state at T = ∅ on the parallel
+// worker pool: one start walk per term (singletonTerm) yields the
+// term's variance and its singleton drops, and the pair covariances
+// follow; every value is stored in the engine's memo. The reduction
+// runs in index order, so the state is bit-identical for every worker
+// count.
 func (e *GroupEngine) NewStateCtx(ctx context.Context) (*State, error) {
-	defer obs.FromContext(ctx).Span("ev_state_init")()
+	rec := obs.FromContext(ctx)
+	defer rec.Span("ev_state_init")()
 	s := &State{
-		e:       e,
-		cleaned: make([]bool, e.db.N()),
-		pool:    newScratchPool(e.db.N()),
+		e:          e,
+		cleaned:    make([]bool, e.db.N()),
+		termEV:     make([]float64, len(e.terms)),
+		startDrops: make([][]float64, len(e.terms)),
+		pool:       newScratchPool(e.db.N()),
+		rec:        rec,
 	}
-	termEV, err := parallel.Map(ctx, len(e.terms), func(worker, k int) (float64, error) {
-		return e.termEV(e.dists, k, s.cleaned, s.pool.get(worker)), nil
-	})
-	if err != nil {
+	if err := parallel.For(ctx, len(e.terms), func(worker, k int) error {
+		s.termEV[k], s.startDrops[k] = e.singletonTerm(k, s.cleaned, s.pool.get(worker))
+		rec.Add("ev_term_walks", 1)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	pairEV, err := parallel.Map(ctx, len(e.pairs), func(worker, pi int) (float64, error) {
@@ -658,9 +898,9 @@ func (e *GroupEngine) NewStateCtx(ctx context.Context) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.termEV, s.pairEV = termEV, pairEV
+	s.pairEV = pairEV
 	e.mu.Lock()
-	for k, v := range termEV {
+	for k, v := range s.termEV {
 		memoize(e.termCache, k, e.terms[k].vars, s.cleaned, v)
 	}
 	for pi, v := range pairEV {
@@ -695,15 +935,23 @@ func (s *State) Delta(o int) float64 {
 	if s.cleaned[o] {
 		return 0
 	}
-	return s.recompute(o, s.pool.get(0), s.cleaned)
+	return s.recompute(o, s.pool.get(0), s.cleaned, s.rec)
 }
 
-// DeltasCtx returns Delta(o) for every o in objs, one parallel work
-// item per object. Each worker evaluates against its own copy of the
-// cleaned mask and its own scratch, so the shared state is only read,
-// and the results come back in objs order: bit-identical to calling
-// Delta on each object in turn, at every worker count.
+// DeltasCtx returns Delta(o) for every o in objs, bit-identical to
+// calling Delta on each object in turn, at every worker count. It
+// first computes the extended term values the memo lacks, one
+// extension walk per term (extendTerm) fanned out over the terms, and
+// writes them through to the memo. It then fans the objects out, one
+// work item each: a delta reads its term values from the memo and
+// computes its pair covariances. Each worker evaluates against its own
+// copy of the cleaned mask and its own scratch, so the shared state is
+// only read, and the results come back in objs order.
 func (s *State) DeltasCtx(ctx context.Context, objs []int) ([]float64, error) {
+	if err := s.extend(ctx, objs); err != nil {
+		return nil, err
+	}
+	rec := obs.FromContext(ctx)
 	return parallel.Map(ctx, len(objs), func(worker, i int) (float64, error) {
 		o := objs[i]
 		if s.cleaned[o] {
@@ -714,8 +962,79 @@ func (s *State) DeltasCtx(ctx context.Context, objs []int) ([]float64, error) {
 			copy(sc.mask, s.cleaned)
 			sc.maskGen = s.gen
 		}
-		return s.recompute(o, sc, sc.mask), nil
+		return s.recompute(o, sc, sc.mask, rec), nil
 	})
+}
+
+// extend puts EV_k(T ∪ {o}) in the memo for every term k of every
+// uncleaned o in objs: it groups the values the memo lacks by term and
+// computes each term's with one extension walk, the terms fanned out
+// over the worker pool, each writing its values through under the
+// engine's lock. Terms too wide to cache are left to recompute.
+func (s *State) extend(ctx context.Context, objs []int) error {
+	e := s.e
+	// termReq asks for term k's value with object o cleaned as well.
+	type termReq struct{ k, o int }
+	var reqs []termReq
+	e.mu.Lock()
+	for _, o := range objs {
+		if s.cleaned[o] {
+			continue
+		}
+		for _, k := range e.varTerms[o] {
+			mask, ok := localMask(e.terms[k].vars, s.cleaned)
+			if !ok {
+				continue
+			}
+			if _, hit := e.termCache[k][mask|varBit(e.terms[k].vars, o)]; !hit {
+				reqs = append(reqs, termReq{k: k, o: o})
+			}
+		}
+	}
+	e.mu.Unlock()
+	slices.SortFunc(reqs, func(x, y termReq) int {
+		if c := cmp.Compare(x.k, y.k); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.o, y.o)
+	})
+	// One work item per term: the term and the objects to extend it by.
+	type termWork struct {
+		k  int
+		vs []int
+	}
+	var work []termWork
+	for _, r := range slices.Compact(reqs) {
+		if n := len(work); n == 0 || work[n-1].k != r.k {
+			work = append(work, termWork{k: r.k})
+		}
+		w := &work[len(work)-1]
+		w.vs = append(w.vs, r.o)
+	}
+	rec := obs.FromContext(ctx)
+	return parallel.For(ctx, len(work), func(worker, i int) error {
+		k, vs := work[i].k, work[i].vs
+		vals := e.extendTerm(k, s.cleaned, vs, s.pool.get(worker))
+		rec.Add("ev_term_walks", 1)
+		vars := e.terms[k].vars
+		mask, _ := localMask(vars, s.cleaned)
+		e.mu.Lock()
+		for j, v := range vs {
+			memoStore(e.termCache, k, mask|varBit(vars, v), vals[j])
+		}
+		e.mu.Unlock()
+		return nil
+	})
+}
+
+// varBit returns the local-mask bit of object v in vars.
+func varBit(vars []int, v int) uint64 {
+	for i, w := range vars {
+		if w == v {
+			return 1 << uint(i)
+		}
+	}
+	return 0
 }
 
 // Clean commits object o into T, writes the recomputed term and pair
@@ -726,7 +1045,7 @@ func (s *State) Clean(o int) float64 {
 	}
 	e := s.e
 	sc := s.pool.get(0)
-	delta := s.recompute(o, sc, s.cleaned)
+	delta := s.recompute(o, sc, s.cleaned, s.rec)
 	s.cleaned[o] = true
 	s.gen++
 	e.mu.Lock()
@@ -745,15 +1064,20 @@ func (s *State) Clean(o int) float64 {
 
 // recompute evaluates the terms and pairs of o with o added to mask,
 // leaves the new values in sc.termNew and sc.pairNew (aligned with
-// varTerms[o] and varPairs[o]), and returns their total change. mask is
-// restored before it returns.
-func (s *State) recompute(o int, sc *evScratch, mask []bool) float64 {
+// varTerms[o] and varPairs[o]), and returns their total change. A term
+// value the memo holds is read, not walked; each walk ticks rec. mask
+// is restored before it returns.
+func (s *State) recompute(o int, sc *evScratch, mask []bool, rec *obs.Recorder) float64 {
 	e := s.e
 	mask[o] = true
 	sc.termNew, sc.pairNew = sc.termNew[:0], sc.pairNew[:0]
 	var acc numeric.KahanAcc
 	for _, k := range e.varTerms[o] {
-		nv := e.termEV(e.dists, k, mask, sc)
+		nv, hit := e.memoTerm(k, mask)
+		if !hit {
+			nv = e.termEV(e.dists, k, mask, sc)
+			rec.Add("ev_term_walks", 1)
+		}
 		sc.termNew = append(sc.termNew, nv)
 		acc.Add(nv - s.termEV[k])
 	}
@@ -766,12 +1090,23 @@ func (s *State) recompute(o int, sc *evScratch, mask []bool) float64 {
 	return acc.Value()
 }
 
+// memoTerm returns term k's memo value at the cleaned mask, if any.
+func (e *GroupEngine) memoTerm(k int, cleaned []bool) (float64, bool) {
+	mask, ok := localMask(e.terms[k].vars, cleaned)
+	if !ok {
+		return 0, false
+	}
+	e.mu.Lock()
+	v, hit := e.termCache[k][mask]
+	e.mu.Unlock()
+	return v, hit
+}
+
 // SingletonBenefits returns, for every object o, the benefit
 // EV(T) − EV(T ∪ {o}) of cleaning it next (0 for objects already in T).
-// It computes all term contributions in a single enumeration pass per term
-// — grouping the joint sweep by each candidate variable's value — which is
-// a factor-W speedup over calling Delta per object and the reason large
-// Figure-10 instances initialize in seconds.
+// Each term's contributions come from one walk of its support, grouped
+// by each candidate var's value (singletonTerm); until the first Clean
+// they are the State's start walks, so no term is walked again.
 func (s *State) SingletonBenefits() []float64 {
 	b, err := s.SingletonBenefitsCtx(context.Background())
 	if err != nil {
@@ -780,91 +1115,43 @@ func (s *State) SingletonBenefits() []float64 {
 	return b
 }
 
-// SingletonBenefitsCtx is SingletonBenefits with the per-term passes
-// fanned out over the parallel worker pool and cooperative
-// cancellation between work items. Contributions are reduced in term
-// order (and within a term in declaration order), exactly as the
-// sequential loop accumulates them, so the result is bit-identical
-// for every worker count.
+// SingletonBenefitsCtx is SingletonBenefits with cooperative
+// cancellation; after a Clean its per-term walks fan out over the
+// parallel worker pool. Contributions are reduced in term order (and
+// within a term in declaration order), exactly as the sequential loop
+// accumulates them, so the result is bit-identical for every worker
+// count.
 func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
-	defer obs.FromContext(ctx).Span("singleton_benefits")()
+	rec := obs.FromContext(ctx)
+	defer rec.Span("singleton_benefits")()
+	if err := ctx.Err(); err != nil {
+		return nil, context.Cause(ctx)
+	}
 	e := s.e
 	n := e.db.N()
 	benefits := make([]float64, n)
-	// Term contributions, one pass per term: deltas[j] is the drop in
-	// the term's expected variance if its j-th uncleaned var (in
-	// declaration order) were cleaned.
-	contribs, err := parallel.Map(ctx, len(e.terms), func(worker, k int) ([]float64, error) {
-		t := &e.terms[k]
-		sc := s.pool.get(worker)
-		a, b := &sc.walks[0], &sc.walks[1]
-		splitTerm(t.vars, s.cleaned, a, b)
-		if len(b.vars) == 0 {
-			return nil, nil // fully cleaned term: no one can improve it
-		}
-		args := sc.termArgs(len(t.vars))
-		a.bind(e.dists, args)
-		b.bind(e.dists, args)
-		// evAfter[v] accumulates Σ_a p_a Σ_val p_val·Var[g | a, X_v=val].
-		// The accumulators and moment rows live flat on the worker
-		// scratch, indexed by object id: the loops below run in the
-		// same order with the same fp operands as the map-keyed
-		// original, they just skip the hashing.
-		evAfter := sc.acc
-		for _, v := range b.vars {
-			evAfter[v] = numeric.KahanAcc{}
-		}
-		m1, m2 := sc.m1, sc.m2
-		for _, v := range b.vars {
-			momentRow(m1, v, e.dists[v].Size())
-			momentRow(m2, v, e.dists[v].Size())
-		}
-		for pa, ok := a.first(); ok; pa, ok = a.next() {
-			for _, v := range b.vars {
-				r1, r2 := m1[v], m2[v]
-				for j := range r1 {
-					r1[j] = 0
-					r2[j] = 0
-				}
+	// drops[k][j] is the drop in term k's expected variance if its j-th
+	// uncleaned var (in declaration order) were cleaned.
+	drops := s.startDrops
+	if s.gen > 0 {
+		var err error
+		drops, err = parallel.Map(ctx, len(e.terms), func(worker, k int) ([]float64, error) {
+			if s.fullyCleaned(k) {
+				return nil, nil // no one can improve it
 			}
-			for pb, ok := b.first(); ok; pb, ok = b.next() {
-				g := t.eval(args)
-				for lv, v := range b.vars {
-					j := b.idx[lv]
-					m1[v][j] += pb * g
-					m2[v][j] += pb * g * g
-				}
-			}
-			for _, v := range b.vars {
-				d := e.dists[v]
-				r1, r2 := m1[v], m2[v]
-				for j, pv := range d.Probs {
-					if pv == 0 {
-						continue
-					}
-					mean := r1[j] / pv
-					variance := r2[j]/pv - mean*mean
-					if variance < 0 {
-						variance = 0
-					}
-					evAfter[v].Add(pa * pv * variance)
-				}
-			}
+			_, d := e.singletonTerm(k, s.cleaned, s.pool.get(worker))
+			rec.Add("ev_term_walks", 1)
+			return d, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		deltas := make([]float64, len(b.vars))
-		for j, v := range b.vars {
-			deltas[j] = s.termEV[k] - evAfter[v].Value()
-		}
-		return deltas, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	for k, deltas := range contribs {
+	for k, d := range drops {
 		j := 0
 		for _, v := range e.terms[k].vars {
 			if !s.cleaned[v] {
-				benefits[v] += deltas[j]
+				benefits[v] += d[j]
 				j++
 			}
 		}
@@ -899,6 +1186,16 @@ func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
 		}
 	}
 	return benefits, nil
+}
+
+// fullyCleaned reports whether every var of term k is in T.
+func (s *State) fullyCleaned(k int) bool {
+	for _, v := range s.e.terms[k].vars {
+		if !s.cleaned[v] {
+			return false
+		}
+	}
+	return true
 }
 
 // Affected returns the object IDs (other than o itself) whose Delta may

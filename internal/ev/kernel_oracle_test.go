@@ -274,10 +274,11 @@ func oracleEV(e *GroupEngine, T model.Set) float64 {
 
 // oracleInstance draws a random engine input: the shared random
 // database and overlapping GroupSum, sometimes a second overlapping
-// term over the same objects, and sometimes an arbitrary-predicate
+// term over the same objects, sometimes an arbitrary-predicate
 // Indicator whose declared var order is shuffled and whose predicate
 // weighs each argument by its position (so a misplaced argument changes
-// the value).
+// the value), sometimes an object with a zero-probability atom, and
+// sometimes a term that is exactly +0 or −0 on some outcomes.
 func oracleInstance(r *rng.RNG) (*model.DB, *query.GroupSum) {
 	n := 2 + r.Intn(5)
 	db := randomDB(r, n)
@@ -308,7 +309,47 @@ func oracleInstance(r *rng.RNG) (*model.DB, *query.GroupSum) {
 		})
 		g.Terms = append(g.Terms, ind.Terms[0])
 	}
+	if r.Intn(2) == 0 {
+		withZeroAtom(r, db, r.Intn(n))
+	}
+	if r.Intn(2) == 0 {
+		k := 1 + r.Intn(n)
+		if k > 3 {
+			k = 3
+		}
+		g.Terms = append(g.Terms, signedZeroTerm(r.SampleWithoutReplacement(0, n-1, k), float64(r.IntRange(-2, 2))))
+	}
 	return db, g
+}
+
+// withZeroAtom gives object i one more support value, of probability
+// 0, at a random position of its support.
+func withZeroAtom(r *rng.RNG, db *model.DB, i int) {
+	d := db.Objects[i].Value.(*dist.Discrete)
+	at := r.Intn(d.Size() + 1)
+	vals := append(append(append([]float64(nil), d.Values[:at]...), float64(r.IntRange(-3, 3))+0.5), d.Values[at:]...)
+	probs := append(append(append([]float64(nil), d.Probs[:at]...), 0), d.Probs[at:]...)
+	db.Objects[i].Value = dist.MustDiscrete(vals, probs)
+}
+
+// signedZeroTerm is a position-weighted sum s of its arguments where it
+// exceeds thr, −0 where it falls below −thr and +0 in between: a term
+// that is exactly zero, of either sign, on some outcomes.
+func signedZeroTerm(vars []int, thr float64) query.Term {
+	negZero := math.Copysign(0, -1)
+	return query.Term{Vars: vars, Eval: func(vals []float64) float64 {
+		s := 0.0
+		for j, v := range vals {
+			s += float64(j+1) * v
+		}
+		switch {
+		case s > thr:
+			return s
+		case s < -thr:
+			return negZero
+		}
+		return 0
+	}}
 }
 
 func dedupInts(vs []int) []int {
@@ -328,8 +369,11 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // checkKernelOracle compares every engine quantity on one random
 // instance against the oracle, bit for bit: termEV and pairEV at a
 // random cleaned mask, EVCtx on a cold and on a State-warmed engine,
-// the State's total and each committed delta along a random clean
-// order, and then SingletonBenefits, Delta and DeltasCtx at the
+// a fresh State's total and singleton benefits (its start walks), each
+// committed delta along a random clean order and, after each clean,
+// DeltasCtx over the cleaned object's Affected set (the greedy's
+// refresh: extension walks, then memo reads, which the next Clean
+// reads too), and then SingletonBenefits, Delta and DeltasCtx at the
 // resulting mask.
 func checkKernelOracle(t *testing.T, r *rng.RNG) {
 	t.Helper()
@@ -365,6 +409,12 @@ func checkKernelOracle(t *testing.T, r *rng.RNG) {
 	if !sameBits(st.EV(), math.Max(ref.total, 0)) {
 		t.Fatalf("NewState total %v, oracle %v", st.EV(), ref.total)
 	}
+	gotB, wantB := st.SingletonBenefits(), ref.singletons()
+	for o := range wantB {
+		if !sameBits(gotB[o], wantB[o]) {
+			t.Fatalf("fresh SingletonBenefits[%d]: %v, oracle %v", o, gotB[o], wantB[o])
+		}
+	}
 	for _, i := range r.Perm(len(T)) {
 		o := T[i]
 		if got, want := st.Clean(o), ref.delta(o, true); !sameBits(got, want) {
@@ -373,11 +423,21 @@ func checkKernelOracle(t *testing.T, r *rng.RNG) {
 		if !sameBits(st.EV(), math.Max(ref.total, 0)) {
 			t.Fatalf("total after Clean(%d): %v, oracle %v", o, st.EV(), ref.total)
 		}
+		aff := st.Affected(o)
+		deltas, err := st.DeltasCtx(context.Background(), aff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, a := range aff {
+			if want := ref.delta(a, false); !sameBits(deltas[j], want) {
+				t.Fatalf("DeltasCtx(Affected(%d))[%d] after Clean(%d): %v, oracle %v", o, a, o, deltas[j], want)
+			}
+		}
 	}
 	if got, err := e.EVCtx(context.Background(), T); err != nil || !sameBits(got, wantEV) {
 		t.Fatalf("warm EVCtx(%v) = %v (%v), oracle %v", T, got, err, wantEV)
 	}
-	gotB, wantB := st.SingletonBenefits(), ref.singletons()
+	gotB, wantB = st.SingletonBenefits(), ref.singletons()
 	for o := range wantB {
 		if !sameBits(gotB[o], wantB[o]) {
 			t.Fatalf("SingletonBenefits[%d] at %v: %v, oracle %v", o, T, gotB[o], wantB[o])

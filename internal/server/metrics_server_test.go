@@ -72,9 +72,13 @@ func TestMetricsScrapeCountsRequests(t *testing.T) {
 	if v := metricValue(t, exp, `cleanseld_pool_capacity`); v < 1 {
 		t.Fatalf("pool capacity = %v, want >= 1", v)
 	}
-	// The solve ticked the trace; its stage totals must reach /metrics.
+	// The solve ticked the trace; its stage totals and engine counts,
+	// the group engine's term walks among them, must reach /metrics.
 	if v := metricValue(t, exp, `cleanseld_solve_stage_seconds_total{stage="solve"}`); v < 0 {
 		t.Fatalf("solve stage seconds = %v", v)
+	}
+	if v := metricValue(t, exp, `cleanseld_engine_ops_total{op="ev_term_walks"}`); v < 1 {
+		t.Fatalf("term walks = %v, want >= 1", v)
 	}
 
 	// A second scrape must report the first one as a completed request.

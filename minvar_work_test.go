@@ -53,13 +53,19 @@ func servedMinVarTask(tb testing.TB, seed uint64) cleansel.Task {
 }
 
 // TestSelectMinVarWorkCounts pins the work a served MinVar solve does,
-// with no wall clock: the greedy's State writes its values through to
+// with no wall clock. The greedy's State writes its values through to
 // the facade's engine, so Before and After are memo hits (zero
-// ev_cache_misses), and the benefit refresh after each clean is one
-// parallel fan-out. Two more fan-outs build the State and its
-// singleton benefits; the engine has no pairs, so no pair fan-out
-// runs.
+// ev_cache_misses). Each term's support is walked (ev_term_walks) once
+// to start the State, which also yields the singleton benefits; once
+// per refreshing round, when one extension walk of the cleaned
+// object's term computes every live neighbour's extended value; and
+// once more when the greedy first cleans an object of a term, whose
+// extended value no refresh has computed yet. Before the extension
+// walk, these seeds took 85/85/84/85 walks: one per term to start,
+// another per term for the singleton benefits, and one per live
+// neighbour per round.
 func TestSelectMinVarWorkCounts(t *testing.T) {
+	walks := map[uint64]int64{1: 34, 2: 34, 3: 33, 4: 34}
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		task := servedMinVarTask(t, seed)
 		rec := obs.NewRecorder(nil)
@@ -98,7 +104,23 @@ func TestSelectMinVarWorkCounts(t *testing.T) {
 				t.Fatalf("seed %d: object %d shares terms only with chosen objects; pick a seed where every round refreshes", seed, o)
 			}
 		}
-		if want := int64(2 + len(res.Set)); got["parallel_fanouts"] != want {
+		dup := task.Claims.Dup()
+		touched := 0
+		for _, term := range dup.Terms {
+			for _, v := range term.Vars {
+				if res.Set.Has(v) {
+					touched++
+					break
+				}
+			}
+		}
+		if want := int64(len(dup.Terms) + len(res.Set) + touched); got["ev_term_walks"] != want || want != walks[seed] {
+			t.Errorf("seed %d: %d term walks for %d terms, %d rounds and %d cleaned terms, want %d (pinned %d)",
+				seed, got["ev_term_walks"], len(dup.Terms), len(res.Set), touched, want, walks[seed])
+		}
+		// One fan-out starts the State; each refreshing round fans out
+		// its extension walks, then its deltas.
+		if want := int64(1 + 2*len(res.Set)); got["parallel_fanouts"] != want {
 			t.Errorf("seed %d: %d parallel fan-outs for %d refreshing rounds, want %d", seed, got["parallel_fanouts"], len(res.Set), want)
 		}
 	}
