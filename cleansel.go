@@ -412,7 +412,7 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 			}
 			switch task.Algorithm {
 			case AlgoOptimum:
-				sel, err = core.NewOptimumModular(db, bias, 0)
+				sel, err = core.NewOptimumModular(db, bias)
 			case AlgoNaive:
 				sel = &core.GreedyNaive{DB: db, Vars: bias.Vars()}
 			case AlgoRandom:
@@ -421,7 +421,7 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 				// The submodular machinery enumerates supports; run it on
 				// the discretized view (the objective stays modular, so
 				// the achieved EV is still reported exactly).
-				sel, err = core.NewBest(discreteView(db), bias.AsGroupSum(), 0)
+				sel, err = core.NewBest(discreteView(db), bias.AsGroupSum())
 			default:
 				sel, err = core.NewGreedyMinVarModular(db, bias)
 			}
@@ -442,7 +442,7 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 		engine = ge
 		switch task.Algorithm {
 		case AlgoBest:
-			sel, err = core.NewBest(work, g, 0)
+			sel, err = core.NewBest(work, g)
 		case AlgoNaive:
 			sel = &core.GreedyNaive{DB: work, Vars: g.Vars()}
 		case AlgoRandom:
@@ -573,12 +573,7 @@ func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measu
 		if err != nil {
 			return nil, err
 		}
-		st, err := eng.NewStateCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		benefits, err = st.SingletonBenefitsCtx(ctx)
-		if err != nil {
+		if _, benefits, err = eng.NewStateCtx(ctx); err != nil {
 			return nil, err
 		}
 	default:

@@ -70,7 +70,6 @@ var deterministicPkgs = map[string]bool{
 	ModulePath + "/internal/query":       true,
 	ModulePath + "/internal/rel":         true,
 	ModulePath + "/internal/rng":         true,
-	ModulePath + "/internal/stats":       true,
 	ModulePath + "/internal/submod":      true,
 }
 

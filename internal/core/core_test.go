@@ -61,7 +61,7 @@ func TestExample5ObjectivesDisagree(t *testing.T) {
 	db := exampleDB()
 	bias := query.NewAffine(-2, map[int]float64{0: 1, 1: 1})
 
-	opt, err := NewOptimumModular(db, bias, 1)
+	opt, err := NewOptimumModular(db, bias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestOptimumMatchesOPT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := NewOptimumModular(db, f, 1)
+		opt, err := NewOptimumModular(db, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestModularGreedyTwoApprox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, _ := NewOptimumModular(db, f, 1)
+		opt, _ := NewOptimumModular(db, f)
 		budget := r.Float64() * db.TotalCost()
 		Tg := selectT(t, greedy, budget)
 		To := selectT(t, opt, budget)
@@ -359,7 +359,7 @@ func TestBestNearOPT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, err := NewBest(db, g, 1)
+		best, err := NewBest(db, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,21 +381,6 @@ func TestBestNearOPT(t *testing.T) {
 		if evB > evO+slack {
 			t.Fatalf("trial %d: Best EV %v far above OPT %v (Var %v)", trial, evB, evO, engine.Variance())
 		}
-	}
-}
-
-func TestBestCurvatureRange(t *testing.T) {
-	db := exampleDB()
-	g := query.Indicator([]int{0, 1}, func(v []float64) bool {
-		return v[0]+v[1] < 11.0/12.0
-	})
-	best, err := NewBest(db, g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := best.Curvature()
-	if k < 0 || k > 1 {
-		t.Fatalf("curvature %v out of [0,1]", k)
 	}
 }
 

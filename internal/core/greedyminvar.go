@@ -124,16 +124,12 @@ func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (
 	if err := validateBudget(budget); err != nil {
 		return nil, err
 	}
-	st, err := g.engine.NewStateCtx(ctx)
+	st, singles, err := g.engine.NewStateCtx(ctx) // singles also serve the final check
 	if err != nil {
 		return nil, err
 	}
 	n := g.db.N()
 	version := make([]int, n)
-	singles, err := st.SingletonBenefitsCtx(ctx) // also serves the final check
-	if err != nil {
-		return nil, err
-	}
 	q := make(pq, 0, n)
 	for o := 0; o < n; o++ {
 		if singles[o] <= 0 {
@@ -249,18 +245,10 @@ func (g *GreedyEngine) SelectContext(ctx context.Context, budget float64) (model
 		return nil, err
 	}
 	gainSum := 0.0
+	// singles[o] = EV(∅) − EV({o}), filled in the first round (T = ∅),
+	// whose candidates are exactly the affordable objects the final
+	// single-item check may return.
 	singles := make([]float64, n)
-	for o := 0; o < n; o++ {
-		after, err := ev.EVWithContext(ctx, g.engine, model.NewSet(o))
-		if err != nil {
-			return nil, err
-		}
-		b := cur - after
-		if b < 0 {
-			b = 0
-		}
-		singles[o] = b
-	}
 	for {
 		best, bestR, bestEV := -1, -1.0, 0.0
 		for o := 0; o < n; o++ {
@@ -274,6 +262,9 @@ func (g *GreedyEngine) SelectContext(ctx context.Context, budget float64) (model
 			b := cur - after
 			if b < 0 {
 				b = 0
+			}
+			if len(T) == 0 {
+				singles[o] = b
 			}
 			if r := ratio(b, g.db.Objects[o].Cost); r > bestR {
 				best, bestR, bestEV = o, r, after

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"github.com/factcheck/cleansel/internal/dist"
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/parallel"
@@ -65,7 +67,7 @@ func runGreedyMinVar(t *testing.T, db *model.DB, g *query.GroupSum, budget float
 	if out.ev, err = engine.EVCtx(ctx, T); err != nil {
 		t.Fatal(err)
 	}
-	st, err := engine.NewStateCtx(ctx)
+	st, _, err := engine.NewStateCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +121,49 @@ func TestGreedyMinVarGroupBitIdenticalAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countingEngine is a modular ev.Engine, EV(T) = Σ_{o∉T} w[o], that
+// counts its EV calls.
+type countingEngine struct {
+	w     []float64
+	calls int
+}
+
+func (e *countingEngine) EV(T model.Set) float64 {
+	e.calls++
+	var v float64
+	for o, w := range e.w {
+		if !T.Has(o) {
+			v += w
+		}
+	}
+	return v
+}
+
+// TestGreedyEngineSinglesFromFirstRound pins GreedyEngine's EV calls:
+// the first round (T = ∅, the whole budget) evaluates exactly the
+// affordable objects the final single-item check may return, so it
+// yields the singleton benefits too. Six unit-cost objects at budget 3
+// take EV(∅) and rounds of 6, 5 and 4 candidates: 16 calls, where a
+// separate singleton pass made 22.
+func TestGreedyEngineSinglesFromFirstRound(t *testing.T) {
+	objs := make([]model.Object, 6)
+	for i := range objs {
+		objs[i] = model.Object{Name: fmt.Sprint("o", i), Cost: 1, Value: dist.UniformOver([]float64{0, 1})}
+	}
+	db := model.New(objs)
+	engine := &countingEngine{w: []float64{1, 6, 3, 5, 2, 4}}
+	sel, err := NewGreedyEngine("GreedyMinVar", db, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := selectT(t, sel, 3)
+	if !reflect.DeepEqual(T, model.NewSet(1, 3, 5)) {
+		t.Fatalf("chose %v, want [1 3 5]", T)
+	}
+	if engine.calls != 16 {
+		t.Fatalf("%d EV calls, want 16", engine.calls)
 	}
 }

@@ -31,11 +31,11 @@ func TestSelectorNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := NewBest(db, g, 0)
+	best, err := NewBest(db, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := NewOptimumModular(db, f, 0)
+	opt, err := NewOptimumModular(db, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,10 @@ func TestConstructorNilGuards(t *testing.T) {
 	if _, err := NewGreedyMaxPr(db, nil); err == nil {
 		t.Fatal("nil evaluator accepted")
 	}
-	if _, err := NewOptimumModular(nil, f, 0); err == nil {
+	if _, err := NewOptimumModular(nil, f); err == nil {
 		t.Fatal("nil db accepted")
 	}
-	if _, err := NewOptimumWeights(db, []float64{1}, 0); err == nil {
-		t.Fatal("weight length mismatch accepted")
-	}
-	if _, err := NewBest(nil, f.AsGroupSum(), 0); err == nil {
+	if _, err := NewBest(nil, f.AsGroupSum()); err == nil {
 		t.Fatal("nil db accepted")
 	}
 }

@@ -17,13 +17,18 @@ import (
 // with the pseudo-polynomial DP (Lemmas 3.2/3.3): weights w_o = a_o²·Var[X_o]
 // (MinVar for affine claims) or a_o²·σ_o² (MaxPr for centered normals).
 type Optimum struct {
-	db        *model.DB
-	weights   []float64
-	precision float64
+	db      *model.DB
+	weights []float64
 }
 
+// optimumPrecision is the DP's cost grid. Real-valued costs (the
+// datasets draw them from continuous ranges) need a fine grid or the
+// DP's ceil/floor rounding can lose the true optimum to the exact-cost
+// greedy.
+const optimumPrecision = 0.01
+
 // NewOptimumModular builds the DP selector from an affine query function.
-func NewOptimumModular(db *model.DB, f *query.Affine, precision float64) (*Optimum, error) {
+func NewOptimumModular(db *model.DB, f *query.Affine) (*Optimum, error) {
 	if db == nil {
 		return nil, errNilDB
 	}
@@ -31,24 +36,7 @@ func NewOptimumModular(db *model.DB, f *query.Affine, precision float64) (*Optim
 	if err != nil {
 		return nil, err
 	}
-	return NewOptimumWeights(db, eng.Weights(), precision)
-}
-
-// NewOptimumWeights builds the DP selector from explicit modular weights.
-func NewOptimumWeights(db *model.DB, weights []float64, precision float64) (*Optimum, error) {
-	if db == nil {
-		return nil, errNilDB
-	}
-	if len(weights) != db.N() {
-		return nil, fmt.Errorf("core: %d weights for %d objects", len(weights), db.N())
-	}
-	if precision <= 0 {
-		// Real-valued costs (the datasets draw them from continuous
-		// ranges) need a fine grid or the DP's ceil/floor rounding can
-		// lose the true optimum to the exact-cost greedy.
-		precision = 0.01
-	}
-	return &Optimum{db: db, weights: append([]float64(nil), weights...), precision: precision}, nil
+	return &Optimum{db: db, weights: eng.Weights()}, nil
 }
 
 // Name implements Selector.
@@ -59,7 +47,7 @@ func (o *Optimum) Select(budget float64) (model.Set, error) {
 	if err := validateBudget(budget); err != nil {
 		return nil, err
 	}
-	res, err := knapsack.MaxDP(o.weights, o.db.Costs(), budget, o.precision)
+	res, err := knapsack.MaxDP(o.weights, o.db.Costs(), budget, optimumPrecision)
 	if err != nil {
 		return nil, err
 	}
@@ -72,14 +60,19 @@ func (o *Optimum) Select(budget float64) (model.Set, error) {
 // exact min-knapsacks. EV evaluations are memoized — the inner loops
 // revisit the same sets many times.
 type Best struct {
-	db        *model.DB
-	engine    ev.Engine
-	precision float64
-	maxIters  int
+	db     *model.DB
+	engine ev.Engine
 }
 
+// bestPrecision and bestMaxIters are Best's min-knapsack cost grid and
+// its cap on majorize–minimize iterations.
+const (
+	bestPrecision = 1
+	bestMaxIters  = 12
+)
+
 // NewBest builds the selector for a decomposed query function.
-func NewBest(db *model.DB, g *query.GroupSum, precision float64) (*Best, error) {
+func NewBest(db *model.DB, g *query.GroupSum) (*Best, error) {
 	if db == nil {
 		return nil, errNilDB
 	}
@@ -87,14 +80,7 @@ func NewBest(db *model.DB, g *query.GroupSum, precision float64) (*Best, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Best{db: db, engine: engine, precision: orDefault(precision, 1), maxIters: 12}, nil
-}
-
-func orDefault(v, d float64) float64 {
-	if v <= 0 {
-		return d
-	}
-	return v
+	return &Best{db: db, engine: engine}, nil
 }
 
 // Name implements Selector.
@@ -146,7 +132,7 @@ func (b *Best) SelectContext(ctx context.Context, budget float64) (T model.Set, 
 	if lower < 0 {
 		lower = 0
 	}
-	K, _, err := submod.MinimizeCover(fbar, costs, lower, b.maxIters, b.precision)
+	K, _, err := submod.MinimizeCover(fbar, costs, lower, bestMaxIters, bestPrecision)
 	if err != nil {
 		return nil, err
 	}
@@ -172,18 +158,6 @@ func (b *Best) SelectContext(ctx context.Context, budget float64) (T model.Set, 
 		T = T.Minus(model.NewSet(worst))
 	}
 	return T, nil
-}
-
-// Curvature reports the curvature κ of the complement objective, which
-// controls Best's O(1/(1−κ)) guarantee (Theorem 3.7).
-func (b *Best) Curvature() float64 {
-	n := b.db.N()
-	evMemo := memoizeSetFunc(func(S model.Set) float64 { return b.engine.EV(S) })
-	fbar := submod.Func{
-		N:    n,
-		Eval: func(K model.Set) float64 { return evMemo(K.Complement(n)) },
-	}
-	return submod.Curvature(fbar)
 }
 
 // memoizeSetFunc caches a set function by the canonical key of its input.

@@ -352,19 +352,6 @@ func intsToFloats(xs []int) []float64 {
 	return out
 }
 
-// ExtremeCosts replaces every cost with 1 or 10 uniformly at random — the
-// alternative cost distribution §4 mentions trying.
-func ExtremeCosts(db *model.DB, seed uint64) {
-	r := rng.New(seed)
-	for i := range db.Objects {
-		if r.Intn(2) == 0 {
-			db.Objects[i].Cost = 1
-		} else {
-			db.Objects[i].Cost = 10
-		}
-	}
-}
-
 func yearRange(from, to int) []int {
 	out := make([]int, 0, to-from+1)
 	for y := from; y <= to; y++ {

@@ -224,25 +224,6 @@ func TestSMxSpikyProbabilities(t *testing.T) {
 	}
 }
 
-func TestExtremeCosts(t *testing.T) {
-	db := URx(50, 3)
-	ExtremeCosts(db, 9)
-	ones, tens := 0, 0
-	for _, o := range db.Objects {
-		switch o.Cost {
-		case 1:
-			ones++
-		case 10:
-			tens++
-		default:
-			t.Fatalf("extreme cost %v", o.Cost)
-		}
-	}
-	if ones == 0 || tens == 0 {
-		t.Fatal("extreme costs should mix 1s and 10s")
-	}
-}
-
 func TestNames(t *testing.T) {
 	db := CDCCauses(1)
 	for _, o := range db.Objects {

@@ -9,7 +9,7 @@ import (
 	"github.com/factcheck/cleansel/internal/obs"
 )
 
-// convStats counts the elementary work of one pooling or convolution:
+// convStats counts the elementary work of one convolution:
 // ops is the number of atom products visited, merged the number that
 // collided with an existing grid key. The counts are write-only
 // observability — nothing reads them back into the computation.
@@ -36,10 +36,6 @@ func (st *convStats) report(rec *obs.Recorder) {
 // first exact value seen; the pooled support comes out sorted
 // ascending.
 func Mixture(dists []*Discrete, weights []float64) (*Discrete, error) {
-	return mixture(nil, dists, weights)
-}
-
-func mixture(st *convStats, dists []*Discrete, weights []float64) (*Discrete, error) {
 	if len(dists) == 0 {
 		return nil, errors.New("dist: Mixture needs at least one component")
 	}
@@ -59,15 +55,30 @@ func mixture(st *convStats, dists []*Discrete, weights []float64) (*Discrete, er
 	if wsum.Value() <= 0 {
 		return nil, errors.New("dist: Mixture weights sum to zero")
 	}
+	// Mass w_k·p_k(v) accumulates per grid key in component order, then
+	// support order, which fixes the fp addition order.
 	grid := poolGrid(dists, weights)
-	groups := make([]poolGroup, 0, len(dists))
+	pooled := map[int64]float64{}
+	vals := map[int64]float64{}
 	for k, d := range dists {
 		if weights[k] == 0 {
 			continue
 		}
-		groups = append(groups, poolGroup{values: d.Values, probs: d.Probs, w: weights[k]})
+		for j, v := range d.Values {
+			key := grid.Key(v)
+			if _, seen := vals[key]; !seen {
+				vals[key] = v
+			}
+			pooled[key] += weights[k] * d.Probs[j]
+		}
 	}
-	values, masses := poolOnGrid(st, grid, groups)
+	keys := numeric.SortedKeys(pooled)
+	values := make([]float64, len(keys))
+	masses := make([]float64, len(keys))
+	for i, key := range keys {
+		values[i] = vals[key]
+		masses[i] = pooled[key]
+	}
 	return NewDiscrete(values, masses)
 }
 

@@ -160,11 +160,12 @@ func TestWeightedSumRandomAgainstEnumeration(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Enumerate the joint support and accumulate the same law.
+		grid := numeric.DefaultGrid()
 		want := map[int64]float64{}
 		var rec func(i int, sum, p float64)
 		rec = func(i int, sum, p float64) {
 			if i == n {
-				want[numeric.QuantizeKey(sum)] += p
+				want[grid.Key(sum)] += p
 				return
 			}
 			for j, v := range parts[i].Values {
@@ -176,7 +177,7 @@ func TestWeightedSumRandomAgainstEnumeration(t *testing.T) {
 			t.Fatalf("trial %d: support size %d, want %d", trial, d.Size(), len(want))
 		}
 		for j, v := range d.Values {
-			wp, ok := want[numeric.QuantizeKey(v)]
+			wp, ok := want[grid.Key(v)]
 			if !ok {
 				t.Fatalf("trial %d: unexpected atom %v", trial, v)
 			}
@@ -188,7 +189,7 @@ func TestWeightedSumRandomAgainstEnumeration(t *testing.T) {
 		thr := r.Uniform(-10, 10)
 		var wantBelow float64
 		for k, p := range want {
-			if numeric.UnquantizeKey(k) < thr {
+			if grid.Value(k) < thr {
 				wantBelow += p
 			}
 		}

@@ -7,15 +7,15 @@ import (
 	"github.com/factcheck/cleansel/internal/numeric"
 )
 
-// Dense-span convolution and pooling.
+// Dense-span convolution.
 //
-// After PR 5 every convolution lives on a known uniform numeric.Grid, so
-// whenever the working support is an integer lattice the per-layer
+// Every convolution lives on a known uniform numeric.Grid, so whenever
+// the working support is an integer lattice the per-layer
 // map[int64]float64 (hash, bucket chase, SortedKeys re-sort) is a dense
 // []float64 in disguise: cell index = (key − lo)/stride. The kernel here
 // runs exactly that layout, and is used only when a pre-flight
-// certificate (convLattice / poolDense's checks) proves the result is
-// bit-identical to the map path:
+// certificate (convLattice) proves the result is bit-identical to the
+// map path:
 //
 //   - every atom the convolution adds — the offset and each fp product
 //     weights[i]·v — is a multiple of a common dyadic stride d = 2^-shift
@@ -39,7 +39,8 @@ import (
 // Anything that fails the certificate — non-dyadic values, a relative
 // (scale < 1) grid, spans past the width caps, a −0.0 that the map path
 // would preserve but value reconstruction cannot — falls back to the map
-// path unchanged. FuzzDenseVsMap pins the equivalence.
+// path unchanged. FuzzDenseVsMap pins the equivalence. Pooling
+// (Mixture) runs on a map only: it sits on no hot path.
 
 // maxDenseWidth caps a dense span at 2^20 cells (8 MiB per float buffer):
 // wider lattices fall back to the map path rather than committing
@@ -47,9 +48,9 @@ import (
 const maxDenseWidth = 1 << 20
 
 // maxDenseFanout bounds span width relative to the work the map path
-// would do (the product state space for a convolution, the atom count
-// for a pool): a span more than 64× wider than the atom traffic is
-// sparse territory where scanning cells loses to hashing atoms.
+// would do (the product state space of the convolution): a span more
+// than 64× wider than the atom traffic is sparse territory where
+// scanning cells loses to hashing atoms.
 const maxDenseFanout = 64
 
 // denseScratch holds the reusable buffers of one dense convolution: the
@@ -283,165 +284,8 @@ func weightedSumDense(st *convStats, offset float64, weights []float64, parts []
 	return NewDiscrete(values, probs)
 }
 
-// poolGroup is one component of a pooling pass: atoms, their masses, and
-// a mass multiplier (a mixture weight, or 1 for a plain pmf
-// accumulation). Atom order inside a group and group order across the
-// slice fix the fp accumulation order.
-type poolGroup struct {
-	values []float64
-	probs  []float64
-	w      float64
-}
-
-// poolOnGrid pools a fixed-order atom stream onto grid keys: mass
-// w·probs[j] accumulates per key in stream order, each key keeps the
-// first exact value seen, and the pooled support comes back in ascending
-// key order. The dense lattice path runs when the certificate holds and
-// is bit-identical to the map fallback (same adds, same order); Mixture
-// pools through here.
-func poolOnGrid(st *convStats, grid numeric.Grid, groups []poolGroup) ([]float64, []float64) {
-	if values, masses, ok := poolDense(st, grid, groups); ok {
-		return values, masses
-	}
-	return poolMap(st, grid, groups)
-}
-
-func poolMap(st *convStats, grid numeric.Grid, groups []poolGroup) ([]float64, []float64) {
-	pooled := map[int64]float64{}
-	vals := map[int64]float64{}
-	for _, gr := range groups {
-		for j, v := range gr.values {
-			key := grid.Key(v)
-			if _, seen := vals[key]; !seen {
-				vals[key] = v
-			} else if st != nil {
-				st.merged++
-			}
-			if st != nil {
-				st.ops++
-			}
-			pooled[key] += gr.w * gr.probs[j]
-		}
-	}
-	keys := numeric.SortedKeys(pooled)
-	values := make([]float64, len(keys))
-	masses := make([]float64, len(keys))
-	for i, k := range keys {
-		values[i] = vals[k]
-		masses[i] = pooled[k]
-	}
-	return values, masses
-}
-
-func poolDense(st *convStats, grid numeric.Grid, groups []poolGroup) ([]float64, []float64, bool) {
-	shift, atoms := 0, 0
-	var maxAbs float64
-	for _, gr := range groups {
-		for _, v := range gr.values {
-			// −0.0 is a first-seen value the map path preserves but
-			// lattice reconstruction turns into +0.0.
-			if v == 0 && math.Signbit(v) {
-				return nil, nil, false
-			}
-			s, ok := dyadicShift(v)
-			if !ok {
-				return nil, nil, false
-			}
-			if s > shift {
-				shift = s
-			}
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		atoms += len(gr.values)
-	}
-	if atoms == 0 {
-		return nil, nil, false
-	}
-	if !grid.KeysExactWithin(maxAbs) {
-		return nil, nil, false
-	}
-	t, ok := grid.CellsPerStride(math.Ldexp(1, -shift))
-	if !ok {
-		return nil, nil, false
-	}
-	pow2 := math.Ldexp(1, shift)
-	var lo, hi, g int64
-	started := false
-	var first int64
-	for _, gr := range groups {
-		for _, v := range gr.values {
-			a := int64(v * pow2)
-			if !started {
-				started = true
-				first, lo, hi = a, a, a
-				continue
-			}
-			if a < lo {
-				lo = a
-			}
-			if a > hi {
-				hi = a
-			}
-			g = gcd64(g, a-first)
-		}
-	}
-	// Authoritative exactness bound on the actual integer atoms: the
-	// value and its key must both stay inside float64's exact-integer
-	// range (see numeric.Grid.KeysExactWithin).
-	if lo < -maxExactInt/t || hi > maxExactInt/t {
-		return nil, nil, false
-	}
-	if g == 0 {
-		g = 1
-	}
-	width := (hi-lo)/g + 1
-	if width > maxDenseWidth || width > int64(maxDenseFanout)*int64(atoms) {
-		return nil, nil, false
-	}
-	sc := denseScratchPool.Get().(*denseScratch)
-	probs := growFloats(sc.probsA, int(width))
-	seen := growBools(sc.seenA, int(width))
-	clear(probs)
-	clear(seen)
-	for _, gr := range groups {
-		for j, v := range gr.values {
-			idx := (int64(v*pow2) - lo) / g
-			if !seen[idx] {
-				seen[idx] = true
-			} else if st != nil {
-				st.merged++
-			}
-			if st != nil {
-				st.ops++
-			}
-			probs[idx] += gr.w * gr.probs[j]
-		}
-	}
-	n := 0
-	for idx := range seen {
-		if seen[idx] {
-			n++
-		}
-	}
-	values := make([]float64, 0, n)
-	masses := make([]float64, 0, n)
-	d := math.Ldexp(1, -shift)
-	for idx := range seen {
-		if !seen[idx] {
-			continue
-		}
-		values = append(values, float64(lo+int64(idx)*g)*d)
-		masses = append(masses, probs[idx])
-	}
-	sc.probsA, sc.seenA = probs, seen
-	denseScratchPool.Put(sc)
-	return values, masses, true
-}
-
 // maxConvMapHint caps the bucket pre-allocation of one map-path
-// convolution or pooling layer. The raw product len(probs)·Size() is an
+// convolution layer. The raw product len(probs)·Size() is an
 // upper bound that wide-support workloads overshoot by orders of
 // magnitude once grid merges collapse the layer — and that can overflow
 // int outright on adversarial sizes. Past the cap the map grows on

@@ -195,89 +195,6 @@ func TestWeightedSumWideBenchShapeIsDense(t *testing.T) {
 	}
 }
 
-func TestMixtureDenseMatchesMap(t *testing.T) {
-	cases := []struct {
-		name    string
-		weights []float64
-		comps   []*Discrete
-		dense   bool
-	}{
-		{
-			name:    "integer pool with shared atoms",
-			weights: []float64{1, 2, 0.5},
-			comps: []*Discrete{
-				UniformOver([]float64{1, 2, 3}),
-				UniformOver([]float64{2, 3, 4}),
-				UniformOver([]float64{0, 4}),
-			},
-			dense: true,
-		},
-		{
-			name:    "zero-weight component skipped",
-			weights: []float64{1, 0},
-			comps: []*Discrete{
-				UniformOver([]float64{0.5, 1.25}),
-				UniformOver([]float64{1e300, -1e300}),
-			},
-			dense: true,
-		},
-		{
-			name:    "wide integer pool",
-			weights: []float64{1, 1},
-			comps: []*Discrete{
-				UniformOver([]float64{1e12, 3e12}),
-				UniformOver([]float64{2e12, 3e12}),
-			},
-			dense: true,
-		},
-		{
-			name:    "non-dyadic pool falls back",
-			weights: []float64{1, 1},
-			comps: []*Discrete{
-				UniformOver([]float64{0.1, 0.7}),
-				UniformOver([]float64{0.3}),
-			},
-			dense: false,
-		},
-		{
-			name:    "negative-zero atom falls back",
-			weights: []float64{1},
-			comps:   []*Discrete{UniformOver([]float64{math.Copysign(0, -1), 1})},
-			dense:   false,
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var stAuto, stMap convStats
-			auto, err := mixture(&stAuto, c.comps, c.weights)
-			if err != nil {
-				t.Fatal(err)
-			}
-			grid := poolGrid(c.comps, c.weights)
-			groups := make([]poolGroup, 0, len(c.comps))
-			for k, d := range c.comps {
-				if c.weights[k] == 0 {
-					continue
-				}
-				groups = append(groups, poolGroup{values: d.Values, probs: d.Probs, w: c.weights[k]})
-			}
-			values, masses := poolMap(&stMap, grid, groups)
-			ref, err := NewDiscrete(values, masses)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameLaw(t, auto, ref)
-			if stAuto != stMap {
-				t.Fatalf("trace counters diverge: auto %+v vs map %+v", stAuto, stMap)
-			}
-			_, _, dense := poolDense(nil, grid, groups)
-			if dense != c.dense {
-				t.Errorf("dense engagement = %v, want %v", dense, c.dense)
-			}
-		})
-	}
-}
-
 // TestDenseCountersReachRecorder is the TestRecorderIsOffPath companion
 // for the dense path: the conv_ops/conv_atoms_merged counters a recorded
 // convolution reports must equal the map path's counts even when the
@@ -395,8 +312,7 @@ func TestDenseScratchConcurrent(t *testing.T) {
 // FuzzDenseVsMap is the differential pin of the dense kernel: whatever
 // the regime (legacy grid, exact dyadic grid, relative grid — seeds
 // cover all three), the public convolution and the forced map path must
-// produce bit-identical laws and identical trace counters, and the
-// opinion pool likewise.
+// produce bit-identical laws and identical trace counters.
 func FuzzDenseVsMap(f *testing.F) {
 	f.Add(uint64(1), 0.0, 1.0, 1.0, 100.0, uint8(0))    // legacy grid, integers
 	f.Add(uint64(2), 12345.0, 2.0, 1.0, 1e11, uint8(0)) // exact grid, wide integers
@@ -449,28 +365,6 @@ func FuzzDenseVsMap(f *testing.F) {
 		assertSameLaw(t, auto, ref)
 		if stAuto != stMap {
 			t.Fatalf("trace counters diverge: auto %+v vs map %+v", stAuto, stMap)
-		}
-
-		// The opinion pool, over the same components.
-		mw := []float64{math.Abs(w0) + 0.5, math.Abs(w1) + 0.5}
-		var pAuto, pMap convStats
-		pooled, err := mixture(&pAuto, parts, mw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg := poolGrid(parts, mw)
-		groups := []poolGroup{
-			{values: parts[0].Values, probs: parts[0].Probs, w: mw[0]},
-			{values: parts[1].Values, probs: parts[1].Probs, w: mw[1]},
-		}
-		values, masses := poolMap(&pMap, pg, groups)
-		pRef, err := NewDiscrete(values, masses)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameLaw(t, pooled, pRef)
-		if pAuto != pMap {
-			t.Fatalf("pool counters diverge: auto %+v vs map %+v", pAuto, pMap)
 		}
 	})
 }

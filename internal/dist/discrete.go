@@ -22,7 +22,7 @@ type Discrete struct {
 	Probs  []float64
 
 	// idx caches the sorted-support/cumulative tables that turn
-	// Prob/PrBelow/Sample from linear scans into binary searches on wide
+	// PrBelow/Sample from linear scans into binary searches on wide
 	// supports. It is built lazily on first query and shared safely across
 	// goroutines (engines query one law concurrently); Clone drops it.
 	idx atomic.Pointer[discreteIndex]
@@ -41,9 +41,8 @@ type discreteIndex struct {
 	// lastPositive is the largest j with Probs[j] > 0 (round-off
 	// fall-through target of Sample), or len-1 when all mass is zero.
 	lastPositive int
-	// order is the support permutation sorting values ascending;
-	// sortedVals[i] = Values[order[i]].
-	order      []int
+	// sortedVals is the support sorted ascending (stably, so
+	// duplicates keep their support order).
 	sortedVals []float64
 	// below[i] = Pr[X < sortedVals[i]] (Kahan-accumulated over the
 	// sorted order), with below[len] = 1-ish total for queries above the
@@ -61,7 +60,6 @@ func (d *Discrete) index() *discreteIndex {
 	ix := &discreteIndex{
 		cum:          make([]float64, n),
 		lastPositive: n - 1,
-		order:        make([]int, n),
 		sortedVals:   make([]float64, n),
 		below:        make([]float64, n+1),
 	}
@@ -76,14 +74,15 @@ func (d *Discrete) index() *discreteIndex {
 			break
 		}
 	}
-	for j := range ix.order {
-		ix.order[j] = j
+	order := make([]int, n)
+	for j := range order {
+		order[j] = j
 	}
-	sort.SliceStable(ix.order, func(a, b int) bool {
-		return d.Values[ix.order[a]] < d.Values[ix.order[b]]
+	sort.SliceStable(order, func(a, b int) bool {
+		return d.Values[order[a]] < d.Values[order[b]]
 	})
 	var acc numeric.KahanAcc
-	for i, j := range ix.order {
+	for i, j := range order {
 		ix.sortedVals[i] = d.Values[j]
 		ix.below[i] = acc.Value()
 		acc.Add(d.Probs[j])
@@ -222,21 +221,11 @@ func (d *Discrete) Variance() float64 {
 //
 //lint:allow floateq — Prob/CDF document exact support-membership semantics: callers query with values taken from the support, so the compare is identity, not round-off pooling
 func (d *Discrete) Prob(v float64) float64 {
-	if len(d.Values) <= smallSupport {
-		var acc numeric.KahanAcc
-		for j, sv := range d.Values {
-			if sv == v {
-				acc.Add(d.Probs[j])
-			}
-		}
-		return acc.Value()
-	}
-	ix := d.index()
-	// The stable sort keeps duplicates in support order, so this Kahan
-	// sum visits the same masses in the same order as the linear scan.
 	var acc numeric.KahanAcc
-	for i := sort.SearchFloat64s(ix.sortedVals, v); i < len(ix.sortedVals) && ix.sortedVals[i] == v; i++ {
-		acc.Add(d.Probs[ix.order[i]])
+	for j, sv := range d.Values {
+		if sv == v {
+			acc.Add(d.Probs[j])
+		}
 	}
 	return acc.Value()
 }

@@ -318,8 +318,8 @@ func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, sc 
 // singleton benefit of cleaning the term's j-th uncleaned var
 // (declaration order) next. The drops group the joint sweep by each
 // var's value and divide its moments by the value's probability; they
-// are SingletonBenefits' values, not extendTerm's exact ones. drops is
-// nil for a fully cleaned term.
+// are the singleton benefits NewStateCtx returns, not extendTerm's
+// exact ones. drops is nil for a fully cleaned term.
 func (e *GroupEngine) singletonTerm(k int, cleaned []bool, sc *evScratch) (ev float64, drops []float64) {
 	t := &e.terms[k]
 	a, b := &sc.walks[0], &sc.walks[1]
@@ -618,53 +618,50 @@ type evMiss struct {
 	cacheable bool
 }
 
-// termValues returns every term's contribution for the cleaned mask,
-// serving hits from the cache and computing misses on the worker pool.
-func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64, error) {
-	vals := make([]float64, len(e.terms))
+// memoValues returns one family of EV contributions for the cleaned
+// mask: the terms' variances or the pairs' covariances. Entry i depends
+// on the variables vars(i) and is shared under signature sig(i); its
+// value comes from memo, then from the shared cache's map shared, and
+// otherwise from walk, which computes the misses on the worker pool.
+func (e *GroupEngine) memoValues(ctx context.Context, cleaned []bool, memo []map[uint64]float64, shared map[string]float64,
+	vars func(i int) []int, sig func(i int) string, walk func(i int, sc *evScratch) float64) ([]float64, error) {
+	vals := make([]float64, len(memo))
 	var misses []evMiss
 	e.mu.Lock()
-	for k := range e.terms {
-		mask, ok := localMask(e.terms[k].vars, cleaned)
-		if ok {
-			if v, hit := e.termCache[k][mask]; hit {
-				vals[k] = v
-				continue
-			}
-			misses = append(misses, evMiss{i: k, mask: mask, cacheable: true})
+	for i := range memo {
+		mask, ok := localMask(vars(i), cleaned)
+		if !ok {
+			misses = append(misses, evMiss{i: i})
 			continue
 		}
-		misses = append(misses, evMiss{i: k})
+		if v, hit := memo[i][mask]; hit {
+			vals[i] = v
+			continue
+		}
+		misses = append(misses, evMiss{i: i, mask: mask, cacheable: true})
 	}
 	e.mu.Unlock()
 	// Write-only trace ticks: the recorder never feeds back into the
 	// computation, so recorded and unrecorded runs are bit-identical.
-	if rec := obs.FromContext(ctx); rec != nil {
-		rec.Add("ev_cache_hits", int64(len(e.terms)-len(misses)))
-		rec.Add("ev_cache_misses", int64(len(misses)))
-	}
+	rec := obs.FromContext(ctx)
+	rec.Add("ev_cache_hits", int64(len(memo)-len(misses)))
+	rec.Add("ev_cache_misses", int64(len(misses)))
 	if len(misses) == 0 {
 		return vals, nil
 	}
 	// Second tier: values another engine over the same database already
-	// enumerated for a signature-identical term.
+	// enumerated for a signature-identical entry.
 	compute := misses
 	if e.shared != nil {
-		sig := func(i int) string { return e.terms[i].sig }
-		compute = e.shared.splitShared(e.shared.terms, misses, vals, sig)
-		if rec := obs.FromContext(ctx); rec != nil {
-			rec.Add("ev_shared_hits", int64(len(misses)-len(compute)))
-			rec.Add("ev_shared_misses", int64(len(compute)))
-		}
+		compute = e.shared.splitShared(shared, misses, vals, sig)
+		rec.Add("ev_shared_hits", int64(len(misses)-len(compute)))
+		rec.Add("ev_shared_misses", int64(len(compute)))
 	}
 	if len(compute) > 0 {
 		pool := newScratchPool(e.db.N())
-		rec := obs.FromContext(ctx)
-		if err := parallel.For(ctx, len(compute), func(worker, i int) error {
-			sc := pool.get(worker)
-			m := compute[i]
-			vals[m.i] = e.termEV(e.dists, m.i, cleaned, sc)
-			rec.Add("ev_term_walks", 1)
+		if err := parallel.For(ctx, len(compute), func(worker, j int) error {
+			i := compute[j].i
+			vals[i] = walk(i, pool.get(worker))
 			return nil
 		}); err != nil {
 			return nil, err
@@ -673,70 +670,12 @@ func (e *GroupEngine) termValues(ctx context.Context, cleaned []bool) ([]float64
 	e.mu.Lock()
 	for _, m := range misses {
 		if m.cacheable {
-			memoStore(e.termCache, m.i, m.mask, vals[m.i])
+			memoStore(memo, m.i, m.mask, vals[m.i])
 		}
 	}
 	e.mu.Unlock()
 	if e.shared != nil && len(compute) > 0 {
-		e.shared.publish(e.shared.terms, compute, vals, func(i int) string { return e.terms[i].sig })
-	}
-	return vals, nil
-}
-
-// pairValues is termValues for the overlapping-pair covariances.
-func (e *GroupEngine) pairValues(ctx context.Context, cleaned []bool) ([]float64, error) {
-	vals := make([]float64, len(e.pairs))
-	var misses []evMiss
-	e.mu.Lock()
-	for pi := range e.pairs {
-		mask, ok := localMask(e.pairs[pi].union, cleaned)
-		if ok {
-			if v, hit := e.pairCache[pi][mask]; hit {
-				vals[pi] = v
-				continue
-			}
-			misses = append(misses, evMiss{i: pi, mask: mask, cacheable: true})
-			continue
-		}
-		misses = append(misses, evMiss{i: pi})
-	}
-	e.mu.Unlock()
-	if rec := obs.FromContext(ctx); rec != nil && len(e.pairs) > 0 {
-		rec.Add("ev_cache_hits", int64(len(e.pairs)-len(misses)))
-		rec.Add("ev_cache_misses", int64(len(misses)))
-	}
-	if len(misses) == 0 {
-		return vals, nil
-	}
-	compute := misses
-	if e.shared != nil {
-		sig := func(i int) string { return e.pairs[i].sig }
-		compute = e.shared.splitShared(e.shared.pairs, misses, vals, sig)
-		if rec := obs.FromContext(ctx); rec != nil {
-			rec.Add("ev_shared_hits", int64(len(misses)-len(compute)))
-			rec.Add("ev_shared_misses", int64(len(compute)))
-		}
-	}
-	if len(compute) > 0 {
-		pool := newScratchPool(e.db.N())
-		if err := parallel.For(ctx, len(compute), func(worker, i int) error {
-			sc := pool.get(worker)
-			m := compute[i]
-			vals[m.i] = e.pairEV(e.dists, m.i, cleaned, sc)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	for _, m := range misses {
-		if m.cacheable {
-			memoStore(e.pairCache, m.i, m.mask, vals[m.i])
-		}
-	}
-	e.mu.Unlock()
-	if e.shared != nil && len(compute) > 0 {
-		e.shared.publish(e.shared.pairs, compute, vals, func(i int) string { return e.pairs[i].sig })
+		e.shared.publish(shared, compute, vals, sig)
 	}
 	return vals, nil
 }
@@ -760,16 +699,30 @@ func (e *GroupEngine) EV(T model.Set) float64 {
 // summation order is fixed (terms ascending, then pairs ascending), so
 // the value is bit-identical for every worker count.
 func (e *GroupEngine) EVCtx(ctx context.Context, T model.Set) (float64, error) {
-	obs.FromContext(ctx).Add("ev_calls", 1)
+	rec := obs.FromContext(ctx)
+	rec.Add("ev_calls", 1)
 	cleaned := make([]bool, e.db.N())
 	for _, i := range T {
 		cleaned[i] = true
 	}
-	termVals, err := e.termValues(ctx, cleaned)
+	var sharedTerms, sharedPairs map[string]float64
+	if e.shared != nil {
+		sharedTerms, sharedPairs = e.shared.terms, e.shared.pairs
+	}
+	termVals, err := e.memoValues(ctx, cleaned, e.termCache, sharedTerms,
+		func(k int) []int { return e.terms[k].vars },
+		func(k int) string { return e.terms[k].sig },
+		func(k int, sc *evScratch) float64 {
+			rec.Add("ev_term_walks", 1)
+			return e.termEV(e.dists, k, cleaned, sc)
+		})
 	if err != nil {
 		return 0, err
 	}
-	pairVals, err := e.pairValues(ctx, cleaned)
+	pairVals, err := e.memoValues(ctx, cleaned, e.pairCache, sharedPairs,
+		func(pi int) []int { return e.pairs[pi].union },
+		func(pi int) string { return e.pairs[pi].sig },
+		func(pi int, sc *evScratch) float64 { return e.pairEV(e.dists, pi, cleaned, sc) })
 	if err != nil {
 		return 0, err
 	}
@@ -844,10 +797,6 @@ type State struct {
 	termEV  []float64
 	pairEV  []float64
 	total   float64
-	// startDrops holds the start walk's singleton drops per term (see
-	// singletonTerm); SingletonBenefitsCtx serves them until the first
-	// Clean.
-	startDrops [][]float64
 	// pool holds one workspace per parallel worker; sequential
 	// operations use slot 0.
 	pool *scratchPool
@@ -859,9 +808,9 @@ type State struct {
 	rec *obs.Recorder
 }
 
-// NewState returns the incremental state at T = ∅.
+// NewState is NewStateCtx without a context, returning only the State.
 func (e *GroupEngine) NewState() *State {
-	s, err := e.NewStateCtx(context.Background())
+	s, _, err := e.NewStateCtx(context.Background())
 	if err != nil {
 		panic(err) // Background is never cancelled; no other error exists
 	}
@@ -869,34 +818,51 @@ func (e *GroupEngine) NewState() *State {
 }
 
 // NewStateCtx builds the incremental state at T = ∅ on the parallel
-// worker pool: one start walk per term (singletonTerm) yields the
+// worker pool and returns it with every object's singleton benefit
+// EV(∅) − EV({o}). One start walk per term (singletonTerm) yields the
 // term's variance and its singleton drops, and the pair covariances
-// follow; every value is stored in the engine's memo. The reduction
-// runs in index order, so the state is bit-identical for every worker
-// count.
-func (e *GroupEngine) NewStateCtx(ctx context.Context) (*State, error) {
+// follow; every value is stored in the engine's memo. The benefits sum
+// each term's drops, plus, for an object in overlapping pairs, the
+// change of its pairs' covariances. Reductions run in index order, so
+// the state and the benefits are bit-identical for every worker count.
+func (e *GroupEngine) NewStateCtx(ctx context.Context) (*State, []float64, error) {
+	s, drops, err := e.newState(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	singles, err := s.singletons(ctx, drops)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, singles, nil
+}
+
+// newState builds the State at T = ∅ and returns it with the start
+// walks' drops: drops[k][j] is the drop in term k's variance when its
+// j-th var (declaration order) is cleaned.
+func (e *GroupEngine) newState(ctx context.Context) (*State, [][]float64, error) {
 	rec := obs.FromContext(ctx)
 	defer rec.Span("ev_state_init")()
 	s := &State{
-		e:          e,
-		cleaned:    make([]bool, e.db.N()),
-		termEV:     make([]float64, len(e.terms)),
-		startDrops: make([][]float64, len(e.terms)),
-		pool:       newScratchPool(e.db.N()),
-		rec:        rec,
+		e:       e,
+		cleaned: make([]bool, e.db.N()),
+		termEV:  make([]float64, len(e.terms)),
+		pool:    newScratchPool(e.db.N()),
+		rec:     rec,
 	}
+	drops := make([][]float64, len(e.terms))
 	if err := parallel.For(ctx, len(e.terms), func(worker, k int) error {
-		s.termEV[k], s.startDrops[k] = e.singletonTerm(k, s.cleaned, s.pool.get(worker))
+		s.termEV[k], drops[k] = e.singletonTerm(k, s.cleaned, s.pool.get(worker))
 		rec.Add("ev_term_walks", 1)
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pairEV, err := parallel.Map(ctx, len(e.pairs), func(worker, pi int) (float64, error) {
 		return e.pairEV(e.dists, pi, s.cleaned, s.pool.get(worker)), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.pairEV = pairEV
 	e.mu.Lock()
@@ -915,7 +881,54 @@ func (e *GroupEngine) NewStateCtx(ctx context.Context) (*State, error) {
 		acc.Add(2 * s.pairEV[pi])
 	}
 	s.total = acc.Value()
-	return s, nil
+	return s, drops, nil
+}
+
+// singletons returns the singleton benefits of the fresh State s: the
+// start walks' drops, added in term order and within a term in
+// declaration order, then each object's change in its pairs'
+// covariances, objects visited in pair order. The pair pass flips
+// s.cleaned in place, so it stays sequential (pair structure is sparse;
+// the start walks dominate).
+func (s *State) singletons(ctx context.Context, drops [][]float64) ([]float64, error) {
+	defer obs.FromContext(ctx).Span("singleton_benefits")()
+	if err := ctx.Err(); err != nil {
+		return nil, context.Cause(ctx)
+	}
+	e := s.e
+	benefits := make([]float64, e.db.N())
+	for k, d := range drops {
+		for j, v := range e.terms[k].vars {
+			benefits[v] += d[j]
+		}
+	}
+	if len(e.pairs) > 0 {
+		sc := s.pool.get(0)
+		seen := map[int]bool{}
+		for _, p := range e.pairs {
+			for _, v := range p.union {
+				if seen[v] {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
+					return nil, context.Cause(ctx)
+				}
+				seen[v] = true
+				s.cleaned[v] = true
+				for _, pi := range e.varPairs[v] {
+					nv := e.pairEV(e.dists, pi, s.cleaned, sc)
+					benefits[v] += 2 * (s.pairEV[pi] - nv)
+				}
+				s.cleaned[v] = false
+			}
+		}
+	}
+	for i := range benefits {
+		if benefits[i] < 0 {
+			benefits[i] = 0
+		}
+	}
+	return benefits, nil
 }
 
 // EV returns the current objective value EV(T).
@@ -1100,102 +1113,6 @@ func (e *GroupEngine) memoTerm(k int, cleaned []bool) (float64, bool) {
 	v, hit := e.termCache[k][mask]
 	e.mu.Unlock()
 	return v, hit
-}
-
-// SingletonBenefits returns, for every object o, the benefit
-// EV(T) − EV(T ∪ {o}) of cleaning it next (0 for objects already in T).
-// Each term's contributions come from one walk of its support, grouped
-// by each candidate var's value (singletonTerm); until the first Clean
-// they are the State's start walks, so no term is walked again.
-func (s *State) SingletonBenefits() []float64 {
-	b, err := s.SingletonBenefitsCtx(context.Background())
-	if err != nil {
-		panic(err) // Background is never cancelled; no other error exists
-	}
-	return b
-}
-
-// SingletonBenefitsCtx is SingletonBenefits with cooperative
-// cancellation; after a Clean its per-term walks fan out over the
-// parallel worker pool. Contributions are reduced in term order (and
-// within a term in declaration order), exactly as the sequential loop
-// accumulates them, so the result is bit-identical for every worker
-// count.
-func (s *State) SingletonBenefitsCtx(ctx context.Context) ([]float64, error) {
-	rec := obs.FromContext(ctx)
-	defer rec.Span("singleton_benefits")()
-	if err := ctx.Err(); err != nil {
-		return nil, context.Cause(ctx)
-	}
-	e := s.e
-	n := e.db.N()
-	benefits := make([]float64, n)
-	// drops[k][j] is the drop in term k's expected variance if its j-th
-	// uncleaned var (in declaration order) were cleaned.
-	drops := s.startDrops
-	if s.gen > 0 {
-		var err error
-		drops, err = parallel.Map(ctx, len(e.terms), func(worker, k int) ([]float64, error) {
-			if s.fullyCleaned(k) {
-				return nil, nil // no one can improve it
-			}
-			_, d := e.singletonTerm(k, s.cleaned, s.pool.get(worker))
-			rec.Add("ev_term_walks", 1)
-			return d, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for k, d := range drops {
-		j := 0
-		for _, v := range e.terms[k].vars {
-			if !s.cleaned[v] {
-				benefits[v] += d[j]
-				j++
-			}
-		}
-	}
-	// Pair contributions: recompute per object, but only objects in
-	// pairs. This pass flips s.cleaned in place, so it stays sequential
-	// (pair structure is sparse; the term passes above dominate).
-	if len(e.pairs) > 0 {
-		sc := s.pool.get(0)
-		seen := map[int]bool{}
-		for _, p := range e.pairs {
-			for _, v := range p.union {
-				if seen[v] || s.cleaned[v] {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, context.Cause(ctx)
-				}
-				seen[v] = true
-				s.cleaned[v] = true
-				for _, pi := range e.varPairs[v] {
-					nv := e.pairEV(e.dists, pi, s.cleaned, sc)
-					benefits[v] += 2 * (s.pairEV[pi] - nv)
-				}
-				s.cleaned[v] = false
-			}
-		}
-	}
-	for i := range benefits {
-		if s.cleaned[i] || benefits[i] < 0 {
-			benefits[i] = 0
-		}
-	}
-	return benefits, nil
-}
-
-// fullyCleaned reports whether every var of term k is in T.
-func (s *State) fullyCleaned(k int) bool {
-	for _, v := range s.e.terms[k].vars {
-		if !s.cleaned[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // Affected returns the object IDs (other than o itself) whose Delta may

@@ -373,8 +373,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // committed delta along a random clean order and, after each clean,
 // DeltasCtx over the cleaned object's Affected set (the greedy's
 // refresh: extension walks, then memo reads, which the next Clean
-// reads too), and then SingletonBenefits, Delta and DeltasCtx at the
-// resulting mask.
+// reads too), and then Delta and DeltasCtx at the resulting mask.
 func checkKernelOracle(t *testing.T, r *rng.RNG) {
 	t.Helper()
 	db, g := oracleInstance(r)
@@ -404,15 +403,18 @@ func checkKernelOracle(t *testing.T, r *rng.RNG) {
 	// Clean T in a random order on a fresh engine, so its memo holds
 	// only what the State wrote through.
 	e = mustGroup(t, db, g)
-	st := e.NewState()
+	st, gotB, err := e.NewStateCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref := newOracleState(e)
 	if !sameBits(st.EV(), math.Max(ref.total, 0)) {
 		t.Fatalf("NewState total %v, oracle %v", st.EV(), ref.total)
 	}
-	gotB, wantB := st.SingletonBenefits(), ref.singletons()
+	wantB := ref.singletons()
 	for o := range wantB {
 		if !sameBits(gotB[o], wantB[o]) {
-			t.Fatalf("fresh SingletonBenefits[%d]: %v, oracle %v", o, gotB[o], wantB[o])
+			t.Fatalf("fresh singleton benefit[%d]: %v, oracle %v", o, gotB[o], wantB[o])
 		}
 	}
 	for _, i := range r.Perm(len(T)) {
@@ -436,12 +438,6 @@ func checkKernelOracle(t *testing.T, r *rng.RNG) {
 	}
 	if got, err := e.EVCtx(context.Background(), T); err != nil || !sameBits(got, wantEV) {
 		t.Fatalf("warm EVCtx(%v) = %v (%v), oracle %v", T, got, err, wantEV)
-	}
-	gotB, wantB = st.SingletonBenefits(), ref.singletons()
-	for o := range wantB {
-		if !sameBits(gotB[o], wantB[o]) {
-			t.Fatalf("SingletonBenefits[%d] at %v: %v, oracle %v", o, T, gotB[o], wantB[o])
-		}
 	}
 	all := make([]int, n)
 	for o := range all {

@@ -32,10 +32,11 @@ func TestGroupEngineBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			db := randomDB(rr, n)
 			g := randomGroupSum(rr, n)
 			ge := mustGroup(t, db, g)
-			st := ge.NewState()
-			var snap snapshot
-			snap.total = st.EV()
-			snap.benefits = st.SingletonBenefits()
+			st, benefits, err := ge.NewStateCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := snapshot{total: st.EV(), benefits: benefits}
 			for o := 0; o < n; o++ {
 				snap.evs = append(snap.evs, ge.EV(model.NewSet(o)))
 			}
@@ -117,12 +118,8 @@ func TestGroupEngineEVCtxCancelled(t *testing.T) {
 	if _, err := eng.EVCtx(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EVCtx on cancelled ctx: err = %v", err)
 	}
-	if _, err := eng.NewStateCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, _, err := eng.NewStateCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("NewStateCtx on cancelled ctx: err = %v", err)
-	}
-	st := eng.NewState()
-	if _, err := st.SingletonBenefitsCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SingletonBenefitsCtx on cancelled ctx: err = %v", err)
 	}
 }
 

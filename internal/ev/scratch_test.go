@@ -1,6 +1,7 @@
 package ev
 
 import (
+	"context"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/model"
@@ -47,11 +48,12 @@ func TestScratchPoolSpillWorker(t *testing.T) {
 // directions): results must stay bit-identical to an engine whose whole
 // life ran under one worker, and nothing may panic even though every
 // pool-width assumption from construction time is stale at run time.
+// DeltasCtx fans out on the State's scratch pool, sized at build time.
 func TestGroupEngineBuiltUnderOtherWorkerCount(t *testing.T) {
 	type snapshot struct {
-		total    float64
-		benefits []float64
-		ev       float64
+		total  float64
+		deltas []float64
+		ev     float64
 	}
 	build := func(workers string, n int, seed uint64) (*GroupEngine, *State) {
 		t.Setenv(parallel.EnvWorkers, workers)
@@ -63,10 +65,18 @@ func TestGroupEngineBuiltUnderOtherWorkerCount(t *testing.T) {
 	}
 	run := func(workers string, ge *GroupEngine, st *State, n int) snapshot {
 		t.Setenv(parallel.EnvWorkers, workers)
+		all := make([]int, n)
+		for o := range all {
+			all[o] = o
+		}
+		deltas, err := st.DeltasCtx(context.Background(), all)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return snapshot{
-			total:    st.EV(),
-			benefits: st.SingletonBenefits(),
-			ev:       ge.EV(model.NewSet(0, n-1)),
+			total:  st.EV(),
+			deltas: deltas,
+			ev:     ge.EV(model.NewSet(0, n-1)),
 		}
 	}
 	const n, seed = 7, 41
@@ -79,10 +89,10 @@ func TestGroupEngineBuiltUnderOtherWorkerCount(t *testing.T) {
 			t.Fatalf("build=%s run=%s: EV %v/%v, want %v/%v",
 				c.buildW, c.runW, got.total, got.ev, want.total, want.ev)
 		}
-		for j := range want.benefits {
-			if got.benefits[j] != want.benefits[j] {
-				t.Fatalf("build=%s run=%s: benefit[%d] %v != %v",
-					c.buildW, c.runW, j, got.benefits[j], want.benefits[j])
+		for j := range want.deltas {
+			if got.deltas[j] != want.deltas[j] {
+				t.Fatalf("build=%s run=%s: delta[%d] %v != %v",
+					c.buildW, c.runW, j, got.deltas[j], want.deltas[j])
 			}
 		}
 	}

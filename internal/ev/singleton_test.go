@@ -1,14 +1,15 @@
 package ev
 
 import (
+	"context"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/numeric"
 	"github.com/factcheck/cleansel/internal/rng"
 )
 
-// SingletonBenefits must agree with per-object Delta on random instances,
-// including instances with overlapping pairs and partially cleaned states.
+// The singleton benefits NewStateCtx returns must agree with per-object
+// Delta on random instances, including instances with overlapping pairs.
 func TestSingletonBenefitsMatchDelta(t *testing.T) {
 	r := rng.New(31337)
 	for trial := 0; trial < 40; trial++ {
@@ -16,23 +17,17 @@ func TestSingletonBenefitsMatchDelta(t *testing.T) {
 		db := randomDB(r, n)
 		g := randomGroupSum(r, n)
 		ge := mustGroup(t, db, g)
-		st := ge.NewState()
-		// Clean a random prefix to exercise non-empty states.
-		for _, o := range r.Perm(n)[:r.Intn(n)] {
-			st.Clean(o)
+		st, got, err := ge.NewStateCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := st.SingletonBenefits()
 		for o := 0; o < n; o++ {
 			want := -st.Delta(o)
 			if want < 0 {
 				want = 0
 			}
-			if st.Cleaned(o) {
-				want = 0
-			}
 			if !numeric.AlmostEqual(got[o], want, 1e-8) {
-				t.Fatalf("trial %d: benefit[%d] = %v, want %v (cleaned=%v)",
-					trial, o, got[o], want, st.Cleaned(o))
+				t.Fatalf("trial %d: benefit[%d] = %v, want %v", trial, o, got[o], want)
 			}
 		}
 	}
@@ -43,25 +38,13 @@ func TestSingletonBenefitsNonNegative(t *testing.T) {
 	db := randomDB(r, 5)
 	g := randomGroupSum(r, 5)
 	ge := mustGroup(t, db, g)
-	st := ge.NewState()
-	for _, b := range st.SingletonBenefits() {
+	_, benefits, err := ge.NewStateCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range benefits {
 		if b < 0 {
 			t.Fatalf("negative singleton benefit %v", b)
 		}
-	}
-}
-
-func TestSingletonBenefitsIgnoresCleaned(t *testing.T) {
-	db := example6DB()
-	g := example6Query()
-	ge := mustGroup(t, db, g)
-	st := ge.NewState()
-	st.Clean(0)
-	b := st.SingletonBenefits()
-	if b[0] != 0 {
-		t.Fatalf("cleaned object benefit = %v, want 0", b[0])
-	}
-	if b[1] <= 0 {
-		t.Fatalf("uncleaned object benefit = %v, want > 0", b[1])
 	}
 }

@@ -77,7 +77,7 @@ func fairnessFigure(ctx context.Context, id, title string, w Workload, fracs []f
 	if err != nil {
 		return nil, err
 	}
-	opt, err := core.NewOptimumModular(w.DB, bias, 0)
+	opt, err := core.NewOptimumModular(w.DB, bias)
 	if err != nil {
 		return nil, err
 	}

@@ -111,7 +111,7 @@ func fig11Selectors(w Workload, bias *query.Affine) ([]core.Selector, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := core.NewOptimumModular(blind, bias, 0)
+	opt, err := core.NewOptimumModular(blind, bias)
 	if err != nil {
 		return nil, err
 	}

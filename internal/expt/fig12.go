@@ -70,7 +70,7 @@ func runFig12(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) 
 
 	// The MinVar side: Optimum's choices are independent of the current
 	// values, so compute them once per budget.
-	opt, err := core.NewOptimumModular(w.DB, bias, 0)
+	opt, err := core.NewOptimumModular(w.DB, bias)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,7 @@ func nonModularFigure(ctx context.Context, id, title string, w Workload, g *quer
 	if err != nil {
 		return nil, err
 	}
-	best, err := core.NewBest(w.DB, g, 1)
+	best, err := core.NewBest(w.DB, g)
 	if err != nil {
 		return nil, err
 	}

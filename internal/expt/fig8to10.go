@@ -61,7 +61,7 @@ func inActionFigures(ctx context.Context, idMean, idStd, title string, w Workloa
 	if err != nil {
 		return nil, err
 	}
-	best, err := core.NewBest(w.DB, g, 1)
+	best, err := core.NewBest(w.DB, g)
 	if err != nil {
 		return nil, err
 	}

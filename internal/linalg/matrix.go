@@ -42,15 +42,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

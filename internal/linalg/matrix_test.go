@@ -67,7 +67,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestIdentityAndSub(t *testing.T) {
-	i3 := Identity(3)
+	i3 := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
 	z := i3.Sub(i3)
 	for _, v := range z.Data {
 		if v != 0 {

@@ -88,7 +88,7 @@ const MaxExactKeyAbs = 1 << 53
 // MinInt64/MaxInt64 instead of hitting Go's implementation-defined
 // float→int conversion, and a NaN input keys to 0. In-contract callers
 // (|x·scale| ≤ GridKeyMax) get bit-identical keys either way; the
-// saturation only closes the footgun for direct QuantizeKey/Key callers
+// saturation only closes the footgun for direct Key callers
 // feeding unvalidated magnitudes.
 func (g Grid) Key(x float64) int64 {
 	r := math.Round(x * g.scale)

@@ -8,11 +8,13 @@ import (
 func TestDefaultGridMatchesLegacyKeys(t *testing.T) {
 	g := DefaultGrid()
 	for _, x := range []float64{0, 1, -1, 3.25, 17.0 / 12.0, 99.999999, -123456.789, 9.9e7} {
-		if g.Key(x) != QuantizeKey(x) {
-			t.Fatalf("Key(%v) = %d, QuantizeKey = %d", x, g.Key(x), QuantizeKey(x))
+		// The legacy key is round(x·1e9); its value is key/1e9.
+		legacy := math.Round(x * 1e9)
+		if g.Key(x) != int64(legacy) {
+			t.Fatalf("Key(%v) = %d, legacy key %v", x, g.Key(x), legacy)
 		}
-		if g.Value(g.Key(x)) != UnquantizeKey(QuantizeKey(x)) {
-			t.Fatalf("Value mismatch at %v", x)
+		if g.Value(g.Key(x)) != legacy/1e9 {
+			t.Fatalf("Value(Key(%v)) = %v, legacy %v", x, g.Value(g.Key(x)), legacy/1e9)
 		}
 	}
 	if !g.IsDefault() {
@@ -94,7 +96,7 @@ func TestExactGridIntegers(t *testing.T) {
 // out-of-range float→int conversion. In-contract magnitudes
 // (|x·scale| ≤ GridKeyMax) are untouched — the constructors never build
 // grids whose keys approach the boundary; this pins the behavior for
-// direct Key/QuantizeKey callers feeding unvalidated values.
+// direct Key callers feeding unvalidated values.
 func TestGridKeySaturates(t *testing.T) {
 	g := DefaultGrid() // scale 1e9: the boundary sits at |x| = 2^63/1e9
 	cases := []struct {

@@ -1,19 +1,13 @@
 // Package numeric provides the scalar numerical routines shared by the
-// probability and optimization substrates: compensated summation, stable
-// moment accumulation, the standard normal CDF and quantile, and tolerant
-// float comparison.
+// probability and optimization substrates: compensated summation, the
+// standard normal CDF and quantile, tolerant float comparison, and the
+// quantization grids that merge round-off twins.
 package numeric
 
 import (
 	"math"
 	"sort"
 )
-
-// Eps is the default relative tolerance for float comparisons in this
-// library. Expected-variance computations chain many small products, so a
-// tolerance well above machine epsilon keeps property tests meaningful
-// without masking real bugs.
-const Eps = 1e-9
 
 // AlmostEqual reports whether a and b are equal within tol absolutely or
 // relatively (whichever is larger in magnitude terms).
@@ -29,24 +23,9 @@ func AlmostEqual(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// Sum returns the Neumaier-compensated sum of xs. It is accurate even when
-// the terms vary wildly in magnitude (e.g. probabilities times squared
-// claim values in the CDC datasets, which span 1e-6 .. 1e13).
-func Sum(xs []float64) float64 {
-	var sum, comp float64
-	for _, x := range xs {
-		t := sum + x
-		if math.Abs(sum) >= math.Abs(x) {
-			comp += (sum - t) + x
-		} else {
-			comp += (x - t) + sum
-		}
-		sum = t
-	}
-	return sum + comp
-}
-
-// KahanAcc is a running compensated accumulator.
+// KahanAcc is a running Neumaier-compensated accumulator. It is accurate
+// even when the terms vary wildly in magnitude (e.g. probabilities times
+// squared claim values in the CDC datasets, which span 1e-6 .. 1e13).
 type KahanAcc struct {
 	sum, comp float64
 }
@@ -64,44 +43,6 @@ func (k *KahanAcc) Add(x float64) {
 
 // Value returns the compensated total.
 func (k *KahanAcc) Value() float64 { return k.sum + k.comp }
-
-// Welford accumulates a sample mean and variance in a numerically stable
-// single pass.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds an observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the sample mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// PopVar returns the population variance (divides by n).
-func (w *Welford) PopVar() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// SampleVar returns the unbiased sample variance (divides by n-1).
-func (w *Welford) SampleVar() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
 
 // NormalCDF returns P(Z <= z) for a standard normal Z.
 func NormalCDF(z float64) float64 {
@@ -158,40 +99,14 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// NormalPDF returns the standard normal density at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
-}
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // QuantizeMaxAbs is the magnitude ceiling within which the legacy 1e-9
-// quantization grid of QuantizeKey is trustworthy. Beyond ~1e8 the
+// quantization grid (DefaultGrid) is trustworthy. Beyond ~1e8 the
 // float64 spacing approaches the grid resolution (ulp(1e8) ≈ 1.5e-8),
 // so distinct sums can alias a key — and past ±9.2e9 the scaled value
 // overflows int64 outright. Callers that build keys from data-derived
 // magnitudes (support convolution) switch to a scale-aware Grid beyond
 // this bound instead of silently degrading; see GridFor.
 const QuantizeMaxAbs = 1e8
-
-// QuantizeKey collapses a float to a map key with 1e-9 absolute resolution,
-// so that convolution of discrete supports merges values that are equal up
-// to round-off. Values must stay inside ±QuantizeMaxAbs for the grid to
-// be exact; callers whose reachable magnitude can exceed the bound build
-// a scale-aware Grid with GridFor instead.
-func QuantizeKey(x float64) int64 { return DefaultGrid().Key(x) }
-
-// UnquantizeKey inverts QuantizeKey up to the 1e-9 resolution.
-func UnquantizeKey(k int64) float64 { return DefaultGrid().Value(k) }
 
 // SortedKeys returns the keys of m sorted ascending; used to iterate
 // convolution maps deterministically.

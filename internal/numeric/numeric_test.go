@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -27,60 +28,35 @@ func TestAlmostEqual(t *testing.T) {
 
 func TestSumCompensation(t *testing.T) {
 	// Classic cancellation case: naive summation loses the small terms.
-	xs := []float64{1e16, 1, -1e16, 1}
-	if got := Sum(xs); got != 2 {
-		t.Fatalf("Sum = %v, want 2", got)
+	var acc KahanAcc
+	for _, x := range []float64{1e16, 1, -1e16, 1} {
+		acc.Add(x)
+	}
+	if got := acc.Value(); got != 2 {
+		t.Fatalf("compensated sum = %v, want 2", got)
 	}
 }
 
+// TestKahanAccMatchesSum holds the compensated running sum to the exact
+// sum of its terms, computed in big.Float arithmetic.
 func TestKahanAccMatchesSum(t *testing.T) {
 	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				// Scale down to avoid overflow in the property.
-				xs = append(xs, math.Mod(v, 1e6))
-			}
-		}
 		var acc KahanAcc
-		for _, x := range xs {
+		exact := new(big.Float).SetPrec(2048)
+		for _, v := range raw {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			// Scale down to avoid overflow in the property.
+			x := math.Mod(v, 1e6)
 			acc.Add(x)
+			exact.Add(exact, big.NewFloat(x))
 		}
-		return AlmostEqual(acc.Value(), Sum(xs), 1e-9)
+		want, _ := exact.Float64()
+		return AlmostEqual(acc.Value(), want, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range data {
-		w.Add(x)
-	}
-	if w.N() != len(data) {
-		t.Fatalf("N = %d", w.N())
-	}
-	if !AlmostEqual(w.Mean(), 5, 1e-12) {
-		t.Fatalf("mean = %v, want 5", w.Mean())
-	}
-	if !AlmostEqual(w.PopVar(), 4, 1e-12) {
-		t.Fatalf("popvar = %v, want 4", w.PopVar())
-	}
-	if !AlmostEqual(w.SampleVar(), 32.0/7.0, 1e-12) {
-		t.Fatalf("samplevar = %v, want %v", w.SampleVar(), 32.0/7.0)
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.PopVar() != 0 || w.SampleVar() != 0 {
-		t.Fatal("empty Welford should report zeros")
-	}
-	w.Add(3)
-	if w.SampleVar() != 0 {
-		t.Fatal("single-sample variance should be 0")
 	}
 }
 
@@ -120,33 +96,18 @@ func TestNormalQuantileEdge(t *testing.T) {
 	}
 }
 
-func TestNormalPDF(t *testing.T) {
-	if !AlmostEqual(NormalPDF(0), 1/math.Sqrt(2*math.Pi), 1e-14) {
-		t.Fatal("pdf(0) wrong")
-	}
-	if !AlmostEqual(NormalPDF(2), NormalPDF(-2), 1e-14) {
-		t.Fatal("pdf should be symmetric")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("clamp broken")
-	}
-}
-
 func TestQuantizeKeyRoundTrip(t *testing.T) {
+	g := DefaultGrid()
 	for _, x := range []float64{0, 1, -1, 3.25, 17.0 / 12.0, 99.999999, -123456.789} {
-		k := QuantizeKey(x)
-		if got := UnquantizeKey(k); math.Abs(got-x) > 5e-10 {
+		if got := g.Value(g.Key(x)); math.Abs(got-x) > 5e-10 {
 			t.Errorf("quantize roundtrip %v -> %v", x, got)
 		}
 	}
 	// Distinct nearby values must collapse only within resolution.
-	if QuantizeKey(1.0) == QuantizeKey(1.0+1e-6) {
+	if g.Key(1.0) == g.Key(1.0+1e-6) {
 		t.Fatal("1e-6 apart values should not collapse")
 	}
-	if QuantizeKey(1.0) != QuantizeKey(1.0+1e-13) {
+	if g.Key(1.0) != g.Key(1.0+1e-13) {
 		t.Fatal("1e-13 apart values should collapse")
 	}
 }

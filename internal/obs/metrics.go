@@ -212,7 +212,6 @@ const (
 	counterKind familyKind = iota
 	counterVecKind
 	gaugeKind
-	histogramKind
 	histogramVecKind
 )
 
@@ -223,7 +222,6 @@ type family struct {
 	counter *Counter
 	vec     *CounterVec
 	gauge   func() float64
-	hist    *Histogram
 	histVec *HistogramVec
 }
 
@@ -283,13 +281,6 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 	r.register(&family{name: name, help: help, kind: gaugeKind, gauge: f})
 }
 
-// Histogram registers and returns a label-less fixed-bucket histogram.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(buckets)
-	r.register(&family{name: name, help: help, kind: histogramKind, hist: h})
-	return h
-}
-
 // HistogramVec registers and returns a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
 	for _, l := range labelNames {
@@ -341,7 +332,7 @@ func writeFamily(b *strings.Builder, f *family) {
 	switch f.kind {
 	case gaugeKind:
 		typ = "gauge"
-	case histogramKind, histogramVecKind:
+	case histogramVecKind:
 		typ = "histogram"
 	}
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
@@ -357,8 +348,6 @@ func writeFamily(b *strings.Builder, f *family) {
 				labelString(f.vec.labelNames, child.labelValues, "", ""),
 				formatValue(child.metric.Value()))
 		}
-	case histogramKind:
-		writeHistogram(b, f.name, nil, nil, f.hist.Snapshot())
 	case histogramVecKind:
 		for _, child := range f.histVec.sortedChildren() {
 			writeHistogram(b, f.name, f.histVec.labelNames, child.labelValues, child.metric.Snapshot())

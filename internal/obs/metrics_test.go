@@ -297,7 +297,7 @@ func TestRegistryServeHTTP(t *testing.T) {
 func TestConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	vec := reg.CounterVec("cc_total", "h", "w")
-	hist := reg.Histogram("cc_seconds", "h", []float64{0.5})
+	hist := reg.HistogramVec("cc_seconds", "h", []float64{0.5}, "w").With("0")
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -321,8 +321,8 @@ func TestConcurrentScrape(t *testing.T) {
 				return
 			}
 			samples, _ := parseProm(t, b.String())
-			if v, ok := findSample(samples, "cc_seconds_count", nil); ok {
-				if inf, ok2 := findSample(samples, "cc_seconds_bucket", map[string]string{"le": "+Inf"}); !ok2 || inf != v {
+			if v, ok := findSample(samples, "cc_seconds_count", map[string]string{"w": "0"}); ok {
+				if inf, ok2 := findSample(samples, "cc_seconds_bucket", map[string]string{"w": "0", "le": "+Inf"}); !ok2 || inf != v {
 					t.Errorf("inconsistent histogram snapshot: count %v, +Inf %v", v, inf)
 					return
 				}

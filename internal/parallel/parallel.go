@@ -13,10 +13,10 @@
 //     a per-worker scratch area that it fully overwrites before
 //     reading). Which worker runs which item is scheduling-dependent
 //     and must not matter.
-//  2. Randomized items never share a generator. Streams derives one
-//     independent rng.RNG per item up front (via rng.Split, which is
-//     deterministic in the parent seed), so sampling is reproducible
-//     no matter which worker draws first.
+//  2. Randomized items never share a generator: derive one
+//     independent rng.RNG per item up front with rng.Split, which is
+//     deterministic in the parent seed, so sampling is reproducible no
+//     matter which worker draws first.
 //
 // Results are written into index-addressed slots and reduced in index
 // order by the caller, so floating-point accumulation order is fixed.
@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"github.com/factcheck/cleansel/internal/obs"
-	"github.com/factcheck/cleansel/internal/rng"
 )
 
 // EnvWorkers is the environment variable that overrides the worker
@@ -199,17 +198,4 @@ func Map[T any](ctx context.Context, n int, fn func(worker, i int) (T, error)) (
 		return nil, err
 	}
 	return out, nil
-}
-
-// Streams derives n independent generators from base via rng.Split.
-// Stream i depends only on base's starting state and i — never on the
-// worker count or scheduling — so per-item sampling through Streams is
-// the mechanism that keeps randomized parallel loops bit-identical
-// across worker counts. base is advanced by exactly n draws.
-func Streams(base *rng.RNG, n int) []*rng.RNG {
-	out := make([]*rng.RNG, n)
-	for i := range out {
-		out[i] = base.Split()
-	}
-	return out
 }

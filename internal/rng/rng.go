@@ -140,11 +140,3 @@ func (r *RNG) SampleWithoutReplacement(lo, hi, k int) []int {
 	}
 	return out
 }
-
-// Shuffle pseudo-randomly permutes the first n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -175,21 +175,6 @@ func TestSampleWithoutReplacementPanics(t *testing.T) {
 	New(1).SampleWithoutReplacement(1, 3, 4)
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(23)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 8)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("shuffle lost element %d", i)
-		}
-	}
-}
-
 func TestUniform(t *testing.T) {
 	r := New(29)
 	for i := 0; i < 1000; i++ {

@@ -337,15 +337,6 @@ func (d *DatasetDir) enforceBudgetsLocked() {
 	}
 }
 
-// Has reports whether id is present in the on-disk index (without
-// touching recency or reading the file).
-func (d *DatasetDir) Has(id string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.index[id]
-	return ok
-}
-
 // Len returns the number of indexed on-disk datasets.
 func (d *DatasetDir) Len() int {
 	d.mu.Lock()

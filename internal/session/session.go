@@ -199,9 +199,6 @@ func (s *Stepper) Spent() float64 { return s.spent }
 // counter a client echoes to order its clean reports.
 func (s *Stepper) Steps() int { return s.steps }
 
-// N returns the number of objects.
-func (s *Stepper) N() int { return len(s.costs) }
-
 // Name returns the object's label.
 func (s *Stepper) Name(o int) string { return s.names[o] }
 
@@ -338,6 +335,3 @@ func (s *Stepper) Reveal(o int, value float64, rec *obs.Recorder) error {
 	rec.Add("session_conditioned", 1)
 	return nil
 }
-
-// Cleaned reports whether object o has been revealed.
-func (s *Stepper) Cleaned(o int) bool { return s.mask[o] }

@@ -23,52 +23,9 @@ type Func struct {
 	Eval func(S model.Set) float64
 }
 
-// Complement returns f̄(S) = f(O \ S), the Lemma 3.6 mapping: if f is the
-// non-increasing submodular EV over sets to clean, f̄ is the non-decreasing
-// submodular EV over sets to keep dirty.
-func Complement(f Func) Func {
-	return Func{
-		N:    f.N,
-		Eval: func(S model.Set) float64 { return f.Eval(S.Complement(f.N)) },
-	}
-}
-
 // Marginal returns f(j | S) = f(S ∪ {j}) − f(S).
 func Marginal(f Func, S model.Set, j int) float64 {
 	return f.Eval(S.Add(j)) - f.Eval(S)
-}
-
-// Curvature returns the total curvature of a non-decreasing function,
-//
-//	κ = 1 − min_j f(j | V∖{j}) / f(j | ∅),
-//
-// which governs the approximation guarantee of Theorem 3.7. Elements with
-// zero singleton gain are skipped; a fully modular function has κ = 0.
-func Curvature(f Func) float64 {
-	full := model.Set(nil).Complement(f.N)
-	minRatio := math.Inf(1)
-	for j := 0; j < f.N; j++ {
-		g0 := Marginal(f, nil, j)
-		if g0 <= 0 {
-			continue
-		}
-		gFull := f.Eval(full) - f.Eval(full.Minus(model.NewSet(j)))
-		r := gFull / g0
-		if r < minRatio {
-			minRatio = r
-		}
-	}
-	if math.IsInf(minRatio, 1) {
-		return 0
-	}
-	k := 1 - minRatio
-	if k < 0 {
-		k = 0
-	}
-	if k > 1 {
-		k = 1
-	}
-	return k
 }
 
 // MinimizeCover minimizes a non-decreasing submodular f subject to the

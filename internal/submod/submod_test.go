@@ -75,47 +75,10 @@ func bruteMinCover(f Func, costs []float64, lower float64) (model.Set, float64) 
 	return best, bestVal
 }
 
-func TestComplement(t *testing.T) {
-	w := []float64{1, 2, 4}
-	f := modularFunc(w)
-	fb := Complement(f)
-	// f̄({0}) = f({1,2}) = 6.
-	if got := fb.Eval(model.NewSet(0)); got != 6 {
-		t.Fatalf("complement eval = %v, want 6", got)
-	}
-	if got := fb.Eval(nil); got != 7 {
-		t.Fatalf("complement of empty = %v, want 7", got)
-	}
-}
-
 func TestMarginal(t *testing.T) {
 	f := modularFunc([]float64{1, 2, 4})
 	if got := Marginal(f, model.NewSet(0), 2); got != 4 {
 		t.Fatalf("marginal = %v, want 4", got)
-	}
-}
-
-func TestCurvatureModularIsZero(t *testing.T) {
-	f := modularFunc([]float64{1, 2, 3})
-	if got := Curvature(f); !numeric.AlmostEqual(got, 0, 1e-12) {
-		t.Fatalf("modular curvature = %v, want 0", got)
-	}
-}
-
-func TestCurvatureCoverage(t *testing.T) {
-	// Two identical elements covering the same unit: second adds nothing
-	// given the first → curvature 1.
-	f := Func{
-		N: 2,
-		Eval: func(S model.Set) float64 {
-			if len(S) > 0 {
-				return 1
-			}
-			return 0
-		},
-	}
-	if got := Curvature(f); !numeric.AlmostEqual(got, 1, 1e-12) {
-		t.Fatalf("duplicate-coverage curvature = %v, want 1", got)
 	}
 }
 

@@ -126,6 +126,40 @@ func TestSelectMinVarWorkCounts(t *testing.T) {
 	}
 }
 
+// TestRankObjectsWorkCounts pins the work of ranking the served MinVar
+// shape, with no wall clock: one fan-out walks each term's support
+// once, and that start walk alone yields every singleton benefit, so no
+// EV call runs and no term is walked twice. The trace keeps two stages,
+// the State's start and the benefit pass.
+func TestRankObjectsWorkCounts(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		task := servedMinVarTask(t, seed)
+		rec := obs.NewRecorder(nil)
+		if _, err := cleansel.RankObjectsContext(obs.WithRecorder(context.Background(), rec), task.DB, task.Claims, task.Measure); err != nil {
+			t.Fatal(err)
+		}
+		trace := rec.Snapshot()
+		got := map[string]int64{}
+		for _, c := range trace.Counters {
+			got[c.Name] = c.Value
+		}
+		terms := int64(len(task.Claims.Dup().Terms))
+		if got["ev_term_walks"] != terms || terms != 19 {
+			t.Errorf("seed %d: %d term walks for %d terms, want one per term (19)", seed, got["ev_term_walks"], terms)
+		}
+		if got["parallel_fanouts"] != 1 || got["ev_calls"] != 0 {
+			t.Errorf("seed %d: %d fan-outs and %d EV calls, want 1 and 0 (counters %v)", seed, got["parallel_fanouts"], got["ev_calls"], got)
+		}
+		stages := map[string]bool{}
+		for _, s := range trace.Stages {
+			stages[s.Name] = true
+		}
+		if !stages["ev_state_init"] || !stages["singleton_benefits"] {
+			t.Errorf("seed %d: stages %v, want ev_state_init and singleton_benefits", seed, trace.Stages)
+		}
+	}
+}
+
 // BenchmarkSelectMinVarServed times one facade solve of the served
 // MinVar/uniqueness shape (see servedMinVarTask).
 func BenchmarkSelectMinVarServed(b *testing.B) {
