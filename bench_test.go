@@ -223,6 +223,25 @@ func BenchmarkSelectFacade(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectMaxPrCorrelated measures the facade's MaxPr solve over
+// correlated normal errors (the §4.5 decay covariance at γ = 0.6, the
+// tasks TestMaxPrCorrelatedPinned pins): the greedy evaluates every
+// candidate's probability through the conditional MVNAffine.
+func BenchmarkSelectMaxPrCorrelated(b *testing.B) {
+	for _, n := range []int{25, 50, 100} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			task := correlatedMaxPrTask(b, n, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cleansel.Select(task); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Parallel subsystem -------------------------------------------------------
 
 // benchWorkerCounts runs the benchmark body across a worker-count

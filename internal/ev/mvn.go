@@ -1,8 +1,6 @@
 package ev
 
 import (
-	"errors"
-
 	"github.com/factcheck/cleansel/internal/linalg"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/query"
@@ -28,22 +26,14 @@ type MVNEngine struct {
 	total  float64   // aᵀΣa = Var[f]
 }
 
-// NewMVN builds the engine. If the database has no explicit covariance, a
-// diagonal one is assembled from the marginal variances (the independent
-// special case).
+// NewMVN builds the engine over db.Covariance(): the database's covariance,
+// or the diagonal of its marginal variances (the independent special case).
 func NewMVN(db *model.DB, f *query.Affine) (*MVNEngine, error) {
-	n := db.N()
-	sigma := db.Cov
-	if sigma == nil {
-		sigma = linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			sigma.Set(i, i, db.Objects[i].Value.Variance())
-		}
+	sigma, err := db.Covariance()
+	if err != nil {
+		return nil, err
 	}
-	if sigma.Rows != n || sigma.Cols != n {
-		return nil, errors.New("ev: covariance dimension mismatch")
-	}
-	e := &MVNEngine{db: db, sigma: sigma, a: f.Dense(n)}
+	e := &MVNEngine{db: db, sigma: sigma, a: f.Dense(db.N())}
 	e.sigmaA = sigma.MulVec(e.a)
 	for i, v := range e.a {
 		e.total += v * e.sigmaA[i]
@@ -58,15 +48,24 @@ func NewMVN(db *model.DB, f *query.Affine) (*MVNEngine, error) {
 //
 // which only factorizes the |T|×|T| conditioning block — the form that
 // makes the exhaustive OPT baseline of §4.5 affordable.
+//
+// An object with zero variance is a constant: conditioning on it changes
+// nothing, so it is left out of T (its zero row would make Σ_TT
+// singular). Any other singular block — linearly dependent non-constant
+// values — falls back to MarginalEV.
 func (e *MVNEngine) EV(T model.Set) float64 {
-	if len(T) == 0 {
+	live := make(model.Set, 0, len(T))
+	cT := make([]float64, 0, len(T))
+	for _, v := range T {
+		if e.sigma.At(v, v) != 0 {
+			live = append(live, v)
+			cT = append(cT, e.sigmaA[v])
+		}
+	}
+	if len(live) == 0 {
 		return e.total
 	}
-	cT := make([]float64, len(T))
-	for i, v := range T {
-		cT[i] = e.sigmaA[v]
-	}
-	sTT := e.sigma.Submatrix(T, T)
+	sTT := e.sigma.Submatrix(live, live)
 	sol, err := linalg.SolveSPD(sTT, cT)
 	if err != nil {
 		// Degenerate conditioning block: fall back to the marginal

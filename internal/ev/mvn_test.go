@@ -119,27 +119,53 @@ func TestMVNTotalVarianceDecomposition(t *testing.T) {
 		}
 		T := model.NewSet(0, 1)
 		// Var[E[f|X_T]] = Var over X_T of a_Ū·B·(X_T−μ_T) + a_T·X_T where
-		// B is the conditional mean shift: an affine function of X_T with
-		// combined coefficient c = a_T + Bᵀa_Ū; its variance is cᵀΣ_TT c.
+		// B = Σ_ŪT·Σ_TT⁻¹ is the conditional mean shift: an affine function
+		// of X_T with combined coefficient c = a_T + Bᵀa_Ū, where
+		// Bᵀa_Ū = Σ_TT⁻¹·Σ_TŪ·a_Ū; its variance is cᵀΣ_TT c.
 		keep := T.Complement(n)
-		shift, err := linalg.ConditionalMeanShift(db.Cov, keep, T)
+		dense := f.Dense(n)
+		aKeep := make([]float64, len(keep))
+		for j, u := range keep {
+			aKeep[j] = dense[u]
+		}
+		stt := db.Cov.Submatrix(T, T)
+		bta, err := linalg.SolveSPD(stt, db.Cov.Submatrix(T, keep).MulVec(aKeep))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := make([]float64, len(T))
-		dense := f.Dense(n)
 		for i, v := range T {
-			c[i] = dense[v]
-			for j, u := range keep {
-				c[i] += shift.At(j, i) * dense[u]
-			}
+			c[i] = dense[v] + bta[i]
 		}
-		stt := db.Cov.Submatrix(T, T)
 		varOfMean := linalg.QuadForm(stt, c)
 		total := mvn.Variance()
 		if !numeric.AlmostEqual(mvn.EV(T)+varOfMean, total, 1e-7) {
 			t.Fatalf("trial %d: EV %v + Var[E] %v != Var %v", trial, mvn.EV(T), varOfMean, total)
 		}
+	}
+}
+
+// Cleaning a constant tells nothing, so it must not change EV (Lemma 3.4:
+// EV never rises as T grows). An error-free object b gives Σ_TT a zero
+// row; EV conditions it out instead of falling back to the marginal
+// semantics, which read EV({a, b}) = 1 against EV({a}) = 1 − 0.9⁴.
+func TestMVNConstantObjectsConditionOut(t *testing.T) {
+	db := normalDB(t, []float64{1, 0, 1})
+	db.SetDecayCovariance(0.9)
+	f := query.NewAffine(0, map[int]float64{0: 1, 2: 1})
+	mvn, err := NewMVN(db, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ab := mvn.EV(model.NewSet(0)), mvn.EV(model.NewSet(0, 1))
+	if ab != a {
+		t.Fatalf("EV({a,b}) = %v, want EV({a}) = %v", ab, a)
+	}
+	if want := 1 - 0.9*0.9*0.9*0.9; !numeric.AlmostEqual(a, want, 1e-12) {
+		t.Fatalf("EV({a}) = %v, want %v", a, want)
+	}
+	if got := mvn.EV(model.NewSet(1)); got != mvn.EV(nil) {
+		t.Fatalf("EV({b}) = %v, want EV(∅) = %v", got, mvn.EV(nil))
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package linalg implements the small amount of dense linear algebra the
 // library needs to model correlated data errors: symmetric matrices,
-// Cholesky factorization, SPD solves, and the Schur-complement conditional
-// covariance of a multivariate normal. It is written for clarity at the
-// problem sizes of the paper (tens of variables), not BLAS-level speed.
+// Cholesky factorization, SPD solves and inverses. A multivariate normal's
+// conditional law is built from these by its callers: ev conditions on
+// the cleaned block through Σ_TT, maxpr on the uncleaned values through
+// the precision matrix Σ⁻¹. It is written for clarity at the problem
+// sizes of the paper (tens to hundreds of variables), not BLAS-level
+// speed.
 package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -66,26 +68,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns m·x for a column vector x.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if m.Cols != len(x) {
@@ -99,18 +81,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 			s += v * x[j]
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// Sub returns m − b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: Sub dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
 	}
 	return out
 }
@@ -242,59 +212,4 @@ func QuadForm(m *Matrix, x []float64) float64 {
 		total += x[i] * row
 	}
 	return total
-}
-
-// ConditionalCovariance returns the covariance of X_keep given X_cond = v
-// under a joint zero-mean normal with covariance sigma:
-//
-//	Σ_{keep|cond} = Σ_kk − Σ_kc · Σ_cc⁻¹ · Σ_ck   (Schur complement)
-//
-// cond may be empty, in which case the marginal covariance of keep is
-// returned. The result does not depend on the conditioning value v, which
-// is why none is passed.
-func ConditionalCovariance(sigma *Matrix, keep, cond []int) (*Matrix, error) {
-	skk := sigma.Submatrix(keep, keep)
-	if len(cond) == 0 {
-		return skk, nil
-	}
-	skc := sigma.Submatrix(keep, cond)
-	scc := sigma.Submatrix(cond, cond)
-	l, err := Cholesky(scc)
-	if err != nil {
-		return nil, err
-	}
-	// Compute Σ_kc · Σ_cc⁻¹ · Σ_ck column by column: solve Σ_cc z = Σ_ck[:,j].
-	n := len(keep)
-	c := len(cond)
-	adj := NewMatrix(n, n)
-	col := make([]float64, c)
-	for j := 0; j < n; j++ {
-		for i := 0; i < c; i++ {
-			col[i] = skc.At(j, i) // Σ_ck[:, j] = Σ_kc[j, :]ᵀ
-		}
-		z := solveChol(l, col)
-		for i := 0; i < n; i++ {
-			var s float64
-			for k := 0; k < c; k++ {
-				s += skc.At(i, k) * z[k]
-			}
-			adj.Set(i, j, s)
-		}
-	}
-	return skk.Sub(adj), nil
-}
-
-// ConditionalMeanShift returns the matrix B = Σ_kc · Σ_cc⁻¹ such that
-// E[X_keep | X_cond = v] = μ_keep + B · (v − μ_cond).
-func ConditionalMeanShift(sigma *Matrix, keep, cond []int) (*Matrix, error) {
-	if len(cond) == 0 {
-		return NewMatrix(len(keep), 0), nil
-	}
-	skc := sigma.Submatrix(keep, cond)
-	scc := sigma.Submatrix(cond, cond)
-	inv, err := InverseSPD(scc)
-	if err != nil {
-		return nil, err
-	}
-	return skc.Mul(inv), nil
 }

@@ -11,13 +11,28 @@ func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// mul returns the product a·b, for building and checking fixtures.
+func mul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
 // randSPD builds a random symmetric positive definite n×n matrix A·Aᵀ + I.
 func randSPD(r *rng.RNG, n int) *Matrix {
 	a := NewMatrix(n, n)
 	for i := range a.Data {
 		a.Data[i] = r.Uniform(-1, 1)
 	}
-	spd := a.Mul(a.T())
+	spd := mul(a, a.T())
 	for i := 0; i < n; i++ {
 		spd.Set(i, i, spd.At(i, i)+1)
 	}
@@ -44,35 +59,11 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestMulAgainstHand(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	got := a.Mul(b)
-	want := FromRows([][]float64{{58, 64}, {139, 154}})
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if got.At(i, j) != want.At(i, j) {
-				t.Fatalf("Mul = %+v", got)
-			}
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	got := a.MulVec([]float64{5, 6})
 	if got[0] != 17 || got[1] != 39 {
 		t.Fatalf("MulVec = %v", got)
-	}
-}
-
-func TestIdentityAndSub(t *testing.T) {
-	i3 := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
-	z := i3.Sub(i3)
-	for _, v := range z.Data {
-		if v != 0 {
-			t.Fatal("I - I != 0")
-		}
 	}
 }
 
@@ -93,7 +84,7 @@ func TestCholeskyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Cholesky failed on SPD matrix: %v", err)
 		}
-		back := l.Mul(l.T())
+		back := mul(l, l.T())
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if !almostEq(back.At(i, j), m.At(i, j), 1e-9) {
@@ -141,7 +132,7 @@ func TestInverseSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := m.Mul(inv)
+	prod := mul(m, inv)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
 			want := 0.0
@@ -164,62 +155,85 @@ func TestQuadForm(t *testing.T) {
 	}
 }
 
-// Conditional covariance of a 2-var normal must match the textbook formula
-// σ2²(1-ρ²).
+// The conditional covariance of a normal vector given the rest is the
+// inverse of its block of the precision matrix Q = Σ⁻¹; its mean shifts
+// by −Q_kk⁻¹·Q_kc per unit of the conditioning values. The tests below
+// check these identities, which maxpr's conditional MVNAffine is built
+// on, through InverseSPD.
+
+// A 2-var normal's conditional variance 1/Q_11 matches the textbook
+// formula σ2²(1−ρ²).
 func TestConditionalCovarianceBivariate(t *testing.T) {
 	s1, s2, rho := 2.0, 3.0, 0.6
 	sigma := FromRows([][]float64{
 		{s1 * s1, rho * s1 * s2},
 		{rho * s1 * s2, s2 * s2},
 	})
-	cc, err := ConditionalCovariance(sigma, []int{1}, []int{0})
+	q, err := InverseSPD(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := s2 * s2 * (1 - rho*rho)
-	if !almostEq(cc.At(0, 0), want, 1e-12) {
-		t.Fatalf("conditional var = %v, want %v", cc.At(0, 0), want)
+	if got := 1 / q.At(1, 1); !almostEq(got, want, 1e-12) {
+		t.Fatalf("conditional var = %v, want %v", got, want)
 	}
 }
 
+// With nothing conditioned on, inverting the precision matrix gives the
+// marginal covariance back.
 func TestConditionalCovarianceEmptyCond(t *testing.T) {
 	sigma := FromRows([][]float64{{4, 1}, {1, 9}})
-	cc, err := ConditionalCovariance(sigma, []int{0, 1}, nil)
+	q, err := InverseSPD(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.At(0, 0) != 4 || cc.At(1, 1) != 9 {
-		t.Fatal("empty conditioning should return marginal covariance")
+	back, err := InverseSPD(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range sigma.Data {
+		if !almostEq(back.Data[i], v, 1e-12) {
+			t.Fatalf("(Σ⁻¹)⁻¹ = %v, want %v", back.Data, sigma.Data)
+		}
 	}
 }
 
+// condVar0 returns Var[X_0 | X_1, …, X_{k−1}] for a normal vector with
+// covariance sigma: 1/(Σ_SS⁻¹)_00 over the leading block S = {0, …, k−1}.
+func condVar0(t *testing.T, sigma *Matrix, k int) float64 {
+	t.Helper()
+	s := make([]int, k)
+	for i := range s {
+		s[i] = i
+	}
+	q, err := InverseSPD(sigma.Submatrix(s, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 1 / q.At(0, 0)
+}
+
 // Property: conditioning on more variables never increases the conditional
-// variance of the remaining ones (diagonal entries shrink).
+// variance of the remaining ones.
 func TestConditioningShrinksVariance(t *testing.T) {
 	r := rng.New(31)
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + r.Intn(4)
 		sigma := randSPD(r, n)
-		keep := []int{0}
-		c1, err := ConditionalCovariance(sigma, keep, []int{1})
-		if err != nil {
-			t.Fatal(err)
+		c1, c2 := condVar0(t, sigma, 2), condVar0(t, sigma, 3)
+		if c2 > c1+1e-9 {
+			t.Fatalf("conditioning on more increased variance: %v > %v", c2, c1)
 		}
-		c2, err := ConditionalCovariance(sigma, keep, []int{1, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c2.At(0, 0) > c1.At(0, 0)+1e-9 {
-			t.Fatalf("conditioning on more increased variance: %v > %v",
-				c2.At(0, 0), c1.At(0, 0))
-		}
-		if c1.At(0, 0) > sigma.At(0, 0)+1e-9 {
+		if c1 > sigma.At(0, 0)+1e-9 {
 			t.Fatalf("conditioning increased variance over marginal")
 		}
 	}
 }
 
-// Verify the Schur complement via Monte Carlo on a 3-variable normal.
+// Verify the precision identity via Monte Carlo on a 3-variable normal:
+// the residual of X0 after its best linear predictor from X2,
+// b = −Q_02/Q_00 with Q the precision of the (X0, X2) block, has
+// variance 1/Q_00.
 func TestConditionalCovarianceMonteCarlo(t *testing.T) {
 	r := rng.New(77)
 	sigma := randSPD(r, 3)
@@ -227,14 +241,11 @@ func TestConditionalCovarianceMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sample jointly; regress X0 on X2 bucketed near a value. Instead of
-	// bucketing (noisy), use the identity: residual variance of X0 after
-	// subtracting the best linear predictor from X2 equals Σ_{0|2}.
-	shift, err := ConditionalMeanShift(sigma, []int{0}, []int{2})
+	q, err := InverseSPD(sigma.Submatrix([]int{0, 2}, []int{0, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := shift.At(0, 0)
+	b := -q.At(0, 1) / q.At(0, 0)
 	const nSamp = 200000
 	var acc, acc2 float64
 	z := make([]float64, 3)
@@ -249,28 +260,26 @@ func TestConditionalCovarianceMonteCarlo(t *testing.T) {
 	}
 	mean := acc / nSamp
 	gotVar := acc2/nSamp - mean*mean
-	cc, err := ConditionalCovariance(sigma, []int{0}, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gotVar-cc.At(0, 0)) > 0.02*cc.At(0, 0) {
-		t.Fatalf("MC residual var %v vs Schur %v", gotVar, cc.At(0, 0))
+	if want := 1 / q.At(0, 0); math.Abs(gotVar-want) > 0.02*want {
+		t.Fatalf("MC residual var %v vs precision %v", gotVar, want)
 	}
 }
 
+// A 2-var normal's conditional mean shift −Q_10/Q_11 matches the
+// textbook regression slope ρ·σ2/σ1.
 func TestConditionalMeanShiftBivariate(t *testing.T) {
 	s1, s2, rho := 2.0, 3.0, 0.5
 	sigma := FromRows([][]float64{
 		{s1 * s1, rho * s1 * s2},
 		{rho * s1 * s2, s2 * s2},
 	})
-	b, err := ConditionalMeanShift(sigma, []int{1}, []int{0})
+	q, err := InverseSPD(sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := rho * s2 / s1
-	if !almostEq(b.At(0, 0), want, 1e-12) {
-		t.Fatalf("mean shift = %v, want %v", b.At(0, 0), want)
+	if got := -q.At(1, 0) / q.At(1, 1); !almostEq(got, want, 1e-12) {
+		t.Fatalf("mean shift = %v, want %v", got, want)
 	}
 }
 

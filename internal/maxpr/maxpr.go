@@ -13,7 +13,8 @@
 //     D = Σ_{i∈T} a_i·(X_i − u_i) is normal, so P(T) = Φ((−τ−μ_D)/σ_D)
 //     (Lemma 3.1/3.3).
 //   - MVNAffine     — correlated normal errors: conditional law of X_T
-//     given X_{O\T} = u via the Schur complement.
+//     given X_{O\T} = u through the precision matrix Q = Σ⁻¹, which
+//     factors only the |T|×|T| block Q_TT (docs/NUMERICS.md).
 //   - DiscreteAffine — independent discrete errors: D by exact
 //     convolution.
 //   - MonteCarlo    — arbitrary f: sampling fallback.
@@ -139,7 +140,6 @@ func tailProb(mean, varD, tau float64) float64 {
 // that everything else sits at its current value, follow the conditional
 // normal law of the joint model.
 type MVNAffine struct {
-	db  *model.DB
 	a   []float64
 	mu  []float64
 	u   []float64
@@ -149,75 +149,76 @@ type MVNAffine struct {
 	// draws X_T from its marginal (ignoring what conditioning on the
 	// uncleaned current values implies).
 	marginal bool
+	// q = Σ⁻¹ and qd = Q·(u − μ), computed once for the conditional
+	// semantics (nil under the marginal one).
+	q  *linalg.Matrix
+	qd []float64
 }
 
-// NewMVNAffine builds the evaluator; the database must carry a covariance
-// (or one is assembled from marginal variances, reducing to independence).
-// The conditional semantics condition on the uncleaned values, which
-// needs a positive-definite covariance: a singular one is an error here,
-// not a probability of 0 for every set.
+// NewMVNAffine builds the evaluator over db.Covariance(): the database's
+// covariance, or the diagonal of its marginal variances (independence).
+// The conditional semantics condition on the uncleaned values through the
+// precision matrix Σ⁻¹, which needs a positive-definite covariance: a
+// singular one is an error here, not a probability of 0 for every set.
 func NewMVNAffine(db *model.DB, f *query.Affine, tau float64, marginal bool) (*MVNAffine, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
 	}
+	cov, err := db.Covariance()
+	if err != nil {
+		return nil, err
+	}
 	n := db.N()
-	cov := db.Cov
-	if cov == nil {
-		cov = linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			cov.Set(i, i, db.Objects[i].Value.Variance())
-		}
+	e := &MVNAffine{
+		a: f.Dense(n), mu: db.Means(), u: db.Currents(),
+		cov: cov, tau: tau, marginal: marginal,
 	}
 	if !marginal {
-		if _, err := linalg.Cholesky(cov); err != nil {
+		q, err := linalg.InverseSPD(cov)
+		if err != nil {
 			return nil, fmt.Errorf("maxpr: conditional MVN semantics: %w", err)
 		}
+		delta := make([]float64, n)
+		for i := range delta {
+			delta[i] = e.u[i] - e.mu[i]
+		}
+		e.q, e.qd = q, q.MulVec(delta)
 	}
-	return &MVNAffine{
-		db: db, a: f.Dense(n), mu: db.Means(), u: db.Currents(),
-		cov: cov, tau: tau, marginal: marginal,
-	}, nil
+	return e, nil
 }
 
-// Prob evaluates the objective under the selected semantics.
+// Prob evaluates the objective under the selected semantics. Given
+// X_Ū = u_Ū, the drop D = Σ_{i∈T} a_i(X_i − u_i) is normal with mean
+// −a_Tᵀ·Q_TT⁻¹·(Qδ)_T and variance a_Tᵀ·Q_TT⁻¹·a_T, δ = u − μ (Rue &
+// Held 2005, Thm 2.5), so one solve z = Q_TT⁻¹·a_T gives both.
 func (e *MVNAffine) Prob(T model.Set) float64 {
 	if len(T) == 0 {
 		return 0
+	}
+	at := make([]float64, len(T))
+	for j, i := range T {
+		at[j] = e.a[i]
 	}
 	if e.marginal {
 		var mean float64
 		for _, i := range T {
 			mean += e.a[i] * (e.mu[i] - e.u[i])
 		}
-		at := make([]float64, len(T))
-		for j, i := range T {
-			at[j] = e.a[i]
-		}
 		varD := linalg.QuadForm(e.cov.Submatrix(T, T), at)
 		return tailProb(mean, varD, e.tau)
 	}
-	cond := T.Complement(e.db.N())
-	cc, err := linalg.ConditionalCovariance(e.cov, T, cond)
+	z, err := linalg.SolveSPD(e.q.Submatrix(T, T), at)
 	if err != nil {
+		// Q_TT is positive definite whenever Σ is: only round-off in a
+		// badly conditioned Σ gets here, and Evaluator has no error
+		// channel.
 		return 0
 	}
-	shift, err := linalg.ConditionalMeanShift(e.cov, T, cond)
-	if err != nil {
-		return 0
-	}
-	dev := make([]float64, len(cond))
-	for j, i := range cond {
-		dev[j] = e.u[i] - e.mu[i]
-	}
-	adj := shift.MulVec(dev)
-	var mean float64
-	at := make([]float64, len(T))
+	var mean, varD float64
 	for j, i := range T {
-		condMean := e.mu[i] + adj[j]
-		mean += e.a[i] * (condMean - e.u[i])
-		at[j] = e.a[i]
+		mean -= z[j] * e.qd[i]
+		varD += at[j] * z[j]
 	}
-	varD := linalg.QuadForm(cc, at)
 	return tailProb(mean, varD, e.tau)
 }
 

@@ -135,6 +135,25 @@ func (db *DB) SetDecayCovariance(gamma float64) {
 	db.Cov = cov
 }
 
+// Covariance returns the covariance matrix of the true values: Cov when
+// set, otherwise the diagonal of the marginal variances (the independent
+// case). It fails when Cov is not n×n. The result aliases Cov; callers
+// must not modify it.
+func (db *DB) Covariance() (*linalg.Matrix, error) {
+	n := db.N()
+	if db.Cov != nil {
+		if db.Cov.Rows != n || db.Cov.Cols != n {
+			return nil, fmt.Errorf("model: covariance is %dx%d for %d objects", db.Cov.Rows, db.Cov.Cols, n)
+		}
+		return db.Cov, nil
+	}
+	cov := linalg.NewMatrix(n, n)
+	for i, o := range db.Objects {
+		cov.Set(i, i, o.Value.Variance())
+	}
+	return cov, nil
+}
+
 // Currents returns the vector u of current values.
 func (db *DB) Currents() []float64 {
 	out := make([]float64, db.N())

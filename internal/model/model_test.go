@@ -58,6 +58,35 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// Covariance is Cov when set, or the diagonal of the marginal variances;
+// a Cov of the wrong size is an error, not an index panic downstream.
+func TestCovariance(t *testing.T) {
+	db := sampleDB()
+	cov, err := db.Covariance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range db.Variances() {
+		for j := 0; j < db.N(); j++ {
+			want := 0.0
+			if i == j {
+				want = v
+			}
+			if cov.At(i, j) != want {
+				t.Fatalf("Covariance()[%d][%d] = %v, want %v", i, j, cov.At(i, j), want)
+			}
+		}
+	}
+	db.SetDecayCovariance(0.5)
+	if cov, err := db.Covariance(); err != nil || cov != db.Cov {
+		t.Fatalf("Covariance() = %p, %v; want Cov %p", cov, err, db.Cov)
+	}
+	db.Cov = linalg.NewMatrix(2, 2)
+	if _, err := db.Covariance(); err == nil {
+		t.Fatal("wrong-size covariance accepted")
+	}
+}
+
 func TestVectors(t *testing.T) {
 	db := sampleDB()
 	if got := db.Currents(); got[0] != 10 || got[2] != 30 {

@@ -422,13 +422,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// compute runs f under the server's per-request timeout and in-flight
-// cap, passing f the bounded context. The solvers cooperate with
-// cancellation (cleansel.SelectContext and friends), so when the
-// deadline fires — or the caller walks away — the solver goroutine
-// stops within one benefit evaluation instead of running to
-// completion; it holds its semaphore slot until it actually exits, so
-// the MaxInflight bound on burning cores is real.
+// compute runs f on the caller's goroutine under the server's
+// per-request timeout and in-flight cap, passing f the bounded context.
+// The solvers cooperate with cancellation (cleansel.SelectContext and
+// friends), so when the deadline fires — or the caller walks away — f
+// returns within one benefit evaluation instead of running to
+// completion; the semaphore slot is held until f returns, so the
+// MaxInflight bound on burning cores is real.
 func (s *Server) compute(ctx context.Context, f func(context.Context) (any, error)) (any, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
 	defer cancel()
@@ -437,22 +437,8 @@ func (s *Server) compute(ctx context.Context, f func(context.Context) (any, erro
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
 	}
-	type outcome struct {
-		v   any
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() { <-s.sem }()
-		v, err := f(ctx)
-		ch <- outcome{v, err}
-	}()
-	select {
-	case <-ctx.Done():
-		return nil, context.Cause(ctx)
-	case o := <-ch:
-		return o.v, o.err
-	}
+	defer func() { <-s.sem }()
+	return f(ctx)
 }
 
 // canonicalRequest is a decoded request that appends its canonical

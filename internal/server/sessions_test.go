@@ -212,6 +212,19 @@ func TestSessionExpiryHTTP(t *testing.T) {
 	wantError(t, do(t, h, "GET", "/v1/sessions/s_0123456789abcdef", ""), http.StatusNotFound, "not_found")
 }
 
+// The goal name is case-insensitive, as on /v1/select: a create with
+// "MAXPR" opens a maxpr episode.
+func TestSessionGoalAnyCase(t *testing.T) {
+	h := newTestServer(Config{})
+	rec := do(t, h, "POST", "/v1/sessions", sessionBody("MAXPR", 1, 3))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if st := sessionState(t, rec.Body.Bytes()); st["goal"] != "maxpr" {
+		t.Fatalf("goal %v, want maxpr", st["goal"])
+	}
+}
+
 func TestSessionBadRequests(t *testing.T) {
 	h := newTestServer(Config{})
 	wantError(t, do(t, h, "POST", "/v1/sessions", `{"goal": "bogus"}`), http.StatusBadRequest, "bad_request")

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/dist"
@@ -55,10 +56,10 @@ const (
 	MinVar Goal = "minvar"
 )
 
-// ParseGoal maps a wire-format goal name onto a Goal; the empty string
-// defaults to MinVar, matching cleansel.ParseGoal.
+// ParseGoal maps a wire-format goal name (case-insensitive) onto a Goal;
+// the empty string defaults to MinVar, matching cleansel.ParseGoal.
 func ParseGoal(s string) (Goal, error) {
-	switch s {
+	switch strings.ToLower(s) {
 	case "", "minvar":
 		return MinVar, nil
 	case "maxpr":

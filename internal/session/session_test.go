@@ -334,6 +334,7 @@ func TestNewStepperValidation(t *testing.T) {
 func TestParseGoal(t *testing.T) {
 	for in, want := range map[string]session.Goal{
 		"": session.MinVar, "minvar": session.MinVar, "maxpr": session.MaxPr,
+		"MinVar": session.MinVar, "MAXPR": session.MaxPr,
 	} {
 		g, err := session.ParseGoal(in)
 		if err != nil || g != want {

@@ -2,8 +2,10 @@ package cleansel_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,6 +99,80 @@ func TestMinVarAnswersPinned(t *testing.T) {
 		}
 		if got := pinnedAnswer(t, task); got != string(want) {
 			t.Errorf("%s: answer moved\n got:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
+// correlatedMaxPrTask builds a MaxPr/fairness task over n normal objects
+// with the §4.5 decay covariance at γ = 0.6: integer costs 1–4, a window-4
+// sum claim, every sliding window as a perturbation, τ = 0.5 and a budget
+// of 20% of the total cost. Currents sit off their means, so the
+// conditional semantics shifts every cleaned object's mean.
+func correlatedMaxPrTask(tb testing.TB, n int, seed uint64) cleansel.Task {
+	tb.Helper()
+	const w = 4
+	r := rng.New(seed)
+	objs := make([]cleansel.Object, n)
+	for i := range objs {
+		mu, sigma := r.Uniform(10, 50), r.Uniform(0.5, 3)
+		v, err := cleansel.NewNormal(mu, sigma)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		objs[i] = cleansel.Object{
+			Name:    fmt.Sprintf("o%d", i),
+			Current: mu + sigma*r.Uniform(-1.5, 1.5),
+			Cost:    float64(r.IntRange(1, 4)),
+			Value:   v,
+		}
+	}
+	db := cleansel.NewDB(objs)
+	if err := cleansel.WithDecayCovariance(db, 0.6); err != nil {
+		tb.Fatal(err)
+	}
+	start := r.Intn(n - w + 1)
+	orig := cleansel.WindowSum("claim", start, w)
+	set, err := cleansel.NewPerturbationSet(orig, cleansel.HigherIsStronger,
+		orig.Eval(db.Currents()), cleansel.SlidingWindows("w", n, w, start, 0.5))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cleansel.Task{
+		DB: db, Claims: set,
+		Measure: cleansel.Fairness, Goal: cleansel.MaximizeSurprise,
+		Algorithm: cleansel.AlgoGreedy, Budget: db.Budget(0.2), Tau: 0.5,
+	}
+}
+
+// TestMaxPrCorrelatedPinned compares fresh correlated MaxPr solves with
+// answers recorded from the Schur-complement evaluator that factored the
+// uncleaned block of Σ twice per probability: the chosen sets exactly,
+// and After within 1e-12 relative (the two routes round differently).
+// There is no update flag.
+func TestMaxPrCorrelatedPinned(t *testing.T) {
+	pins := []struct {
+		n      int
+		seed   uint64
+		chosen []int
+		after  float64
+	}{
+		{25, 1, []int{0, 1, 4, 7, 9, 19}, 0x1.e7f930cf8dca2p-01},
+		{25, 2, []int{1, 3, 7, 9, 11}, 0x1.fb581a25ba426p-01},
+		{50, 1, []int{0, 1, 4, 9, 13, 14, 15, 18, 19, 23}, 0x1.f62e9ac333241p-01},
+		{50, 2, []int{29, 35, 37, 39, 40, 42, 46, 49}, 0x1.ffe129939063bp-01},
+		{100, 1, []int{0, 1, 4, 7, 9, 11, 13, 14, 15, 18, 19, 20, 21, 22, 23, 25, 26, 30, 35}, 0x1.e9985b85292e9p-01},
+		{100, 2, []int{35, 37, 39, 40, 42, 43, 44, 46, 49, 51, 55, 56, 57, 60, 62, 63, 66, 80}, 0x1.ff51c12072607p-01},
+	}
+	for _, pin := range pins {
+		res, err := cleansel.Select(correlatedMaxPrTask(t, pin.n, pin.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal([]int(res.Set), pin.chosen) {
+			t.Errorf("n=%d seed %d: chose %v, want %v", pin.n, pin.seed, []int(res.Set), pin.chosen)
+		}
+		if res.Before != 0 || math.Abs(res.After-pin.after) > 1e-12*pin.after {
+			t.Errorf("n=%d seed %d: P %v -> %v, want 0 -> %v", pin.n, pin.seed, res.Before, res.After, pin.after)
 		}
 	}
 }
