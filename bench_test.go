@@ -1,6 +1,7 @@
 // Benchmarks regenerating every figure/experiment of the paper at reduced
 // (Small) scale, plus ablations of the design choices called out in
-// DESIGN.md. Run the full-scale experiments with cmd/repro -scale paper.
+// docs/ARCHITECTURE.md. Run the full-scale experiments with cmd/repro
+// -scale paper.
 package cleansel_test
 
 import (
@@ -140,21 +141,23 @@ func BenchmarkAblationSingletonBulk(b *testing.B) {
 }
 
 // BenchmarkAblationConvVsMC compares exact convolution against Monte
-// Carlo for the MaxPr objective.
+// Carlo for the MaxPr objective. The convolution side is a Hybrid whose
+// default state cap T stays under, so its Prob never samples.
 func BenchmarkAblationConvVsMC(b *testing.B) {
 	db, _ := uniqWorkload(24)
 	w := expt.SyntheticUniquenessFromDB(db, 100)
 	bias := w.Set.Bias()
 	T := model.NewSet(0, 1, 2, 3, 4, 5)
-	exact, err := maxpr.NewDiscreteAffine(db, bias, 1, 0)
+	exact, err := maxpr.NewHybrid(db, bias, 1, 0, 1, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
+	if exact.Extensions(T) == nil {
+		b.Fatal("T is past the state cap: Prob would sample")
+	}
 	b.Run("convolution", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.ProbErr(T); err != nil {
-				b.Fatal(err)
-			}
+			exact.Prob(T)
 		}
 	})
 	mc, err := maxpr.NewMonteCarlo(db, bias, 1, 10000, rng.New(3))
@@ -204,20 +207,18 @@ func BenchmarkAblationEVCache(b *testing.B) {
 	})
 }
 
-// BenchmarkSelectFacade measures the end-to-end public API path.
+// BenchmarkSelectFacade measures the end-to-end public API path: one
+// cleansel.Select of a MinVar/uniqueness task, with Before and After.
 func BenchmarkSelectFacade(b *testing.B) {
 	db, _ := uniqWorkload(40)
 	w := expt.SyntheticUniquenessFromDB(db, 100)
+	task := cleansel.Task{
+		DB: db, Claims: w.Set,
+		Measure: cleansel.Uniqueness, Goal: cleansel.MinimizeUncertainty,
+		Algorithm: cleansel.AlgoGreedy, Budget: db.Budget(0.25),
+	}
 	for i := 0; i < b.N; i++ {
-		engine, err := ev.NewGroupEngine(db, w.Set.Dup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sel, err := core.NewGreedyEngine("greedy", db, engine)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sel.Select(db.Budget(0.25)); err != nil {
+		if _, err := cleansel.Select(task); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -322,7 +322,10 @@ type Task struct {
 	// Goal picks MinVar or MaxPr.
 	Goal Goal
 	// Algorithm picks the solver (default AlgoGreedy). MaximizeSurprise
-	// supports AlgoGreedy only.
+	// supports AlgoGreedy only. Over correlated errors (WithDecayCovariance)
+	// MinimizeUncertainty supports AlgoGreedy (GreedyDep), AlgoNaive and
+	// AlgoRandom; AlgoOptimum and AlgoBest assume independent errors and
+	// fail.
 	Algorithm Algorithm
 	// Budget is the absolute cleaning budget.
 	Budget float64
@@ -399,30 +402,35 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 	switch task.Measure {
 	case Fairness:
 		bias := task.Claims.Bias()
-		if db.Cov != nil {
-			engine, err = ev.NewMVN(db, bias)
-			if err != nil {
-				return Result{}, err
-			}
-			sel, err = core.NewGreedyDep(db, bias)
-		} else {
+		switch {
+		case db.Cov == nil:
 			engine, err = ev.NewModular(db, bias)
-			if err != nil {
-				return Result{}, err
-			}
-			switch task.Algorithm {
-			case AlgoOptimum:
-				sel, err = core.NewOptimumModular(db, bias)
-			case AlgoNaive:
-				sel = &core.GreedyNaive{DB: db, Vars: bias.Vars()}
-			case AlgoRandom:
-				sel = &core.Random{DB: db, Seed: task.Seed}
-			case AlgoBest:
-				// The submodular machinery enumerates supports; run it on
-				// the discretized view (the objective stays modular, so
-				// the achieved EV is still reported exactly).
-				sel, err = core.NewBest(discreteView(db), bias.AsGroupSum())
-			default:
+		case task.Algorithm == AlgoOptimum || task.Algorithm == AlgoBest:
+			return Result{}, fmt.Errorf("cleansel: correlated errors are solved by greedy (GreedyDep), naive or random; algorithm %v assumes independent errors", task.Algorithm)
+		default:
+			engine, err = ev.NewMVN(db, bias)
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		switch task.Algorithm {
+		case AlgoOptimum:
+			sel, err = core.NewOptimumModular(db, bias)
+		case AlgoNaive:
+			sel = &core.GreedyNaive{DB: db, Vars: bias.Vars()}
+		case AlgoRandom:
+			sel = &core.Random{DB: db, Seed: task.Seed}
+		case AlgoBest:
+			// The submodular machinery enumerates supports; run it on
+			// the discretized view (the objective stays modular, so
+			// the achieved EV is still reported exactly).
+			sel, err = core.NewBest(discreteView(db), bias.AsGroupSum())
+		default:
+			if db.Cov != nil {
+				// GreedyDep: the adaptive greedy over the MVN engine
+				// that also reports Before and After.
+				sel, err = core.NewGreedyEngine("GreedyDep", db, engine)
+			} else {
 				sel, err = core.NewGreedyMinVarModular(db, bias)
 			}
 		}

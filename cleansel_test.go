@@ -2,9 +2,11 @@ package cleansel_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/datasets"
 )
 
@@ -293,6 +295,43 @@ func TestWithDecayCovariance(t *testing.T) {
 	}
 	if res.After >= res.Before {
 		t.Fatalf("correlated cleaning did not reduce variance: %v -> %v", res.Before, res.After)
+	}
+	// The other algorithms are honoured: random and naive run as on
+	// independent data, scored by the same MVN engine, and the two that
+	// assume independent errors are rejected.
+	for _, algo := range []cleansel.Algorithm{cleansel.AlgoRandom, cleansel.AlgoNaive} {
+		task := cleansel.Task{
+			DB: db, Claims: set,
+			Measure: cleansel.Fairness, Goal: cleansel.MinimizeUncertainty,
+			Algorithm: algo, Budget: db.Budget(0.2), Seed: 3,
+		}
+		var sel core.Selector = &core.Random{DB: db, Seed: task.Seed}
+		if algo == cleansel.AlgoNaive {
+			sel = &core.GreedyNaive{DB: db, Vars: set.Bias().Vars()}
+		}
+		want, err := sel.Select(task.Budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if algo == cleansel.AlgoRandom && slices.Equal(want, res.Set) {
+			t.Fatalf("random baseline chose GreedyDep's set %v: pick another seed", want)
+		}
+		got, err := cleansel.Select(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Set, want) || got.Before != res.Before {
+			t.Fatalf("%v: chose %v (Before %v), want %v (Before %v)", algo, got.Set, got.Before, want, res.Before)
+		}
+	}
+	for _, algo := range []cleansel.Algorithm{cleansel.AlgoOptimum, cleansel.AlgoBest} {
+		if _, err := cleansel.Select(cleansel.Task{
+			DB: db, Claims: set,
+			Measure: cleansel.Fairness, Goal: cleansel.MinimizeUncertainty,
+			Algorithm: algo, Budget: db.Budget(0.2),
+		}); err == nil {
+			t.Fatalf("correlated %v accepted", algo)
+		}
 	}
 	// Correlated + non-fairness measures are rejected.
 	if _, err := cleansel.Select(cleansel.Task{

@@ -20,11 +20,11 @@
 //     library (non-main, non-test) code must not mint its own
 //     context.Background / context.TODO — except in the standard blocking
 //     shim `func Foo(..)` delegating to its own `FooCtx(context.Background(), ..)`.
-//   - walltime: the deterministic engine packages (dist, ev, expt, core,
-//     numeric, obs) must not read wall-clock time (time.Now), the global
-//     math/rand stream, or the process environment; randomness flows
-//     through internal/rng split streams so every figure is reproducible
-//     bit-for-bit. internal/obs is the one sanctioned clock package (its
+//   - walltime: the deterministic engine packages (dist, ev, maxpr, expt,
+//     core, numeric, obs) must not read wall-clock time (time.Now), the
+//     global math/rand stream, or the process environment; randomness
+//     flows through internal/rng split streams so every figure is
+//     reproducible bit-for-bit. internal/obs is the one sanctioned clock package (its
 //     clock file carries an allow directive); other engines may tick the
 //     write-only obs.Recorder but must not touch obs.Clock, SystemClock,
 //     fake clocks, or NewRecorder — clocks are injected at the server
@@ -51,7 +51,8 @@ import (
 const ModulePath = "github.com/factcheck/cleansel"
 
 // deterministicPkgs are the packages whose outputs feed figures, ranks,
-// and assessments and therefore must be bit-identical run to run. The
+// assessments, session recommendations and wire bytes (cache keys and
+// dataset IDs), and therefore must be bit-identical run to run. The
 // maporder analyzer applies here.
 var deterministicPkgs = map[string]bool{
 	ModulePath:                           true,
@@ -70,6 +71,8 @@ var deterministicPkgs = map[string]bool{
 	ModulePath + "/internal/query":       true,
 	ModulePath + "/internal/rel":         true,
 	ModulePath + "/internal/rng":         true,
+	ModulePath + "/internal/server/wire": true,
+	ModulePath + "/internal/session":     true,
 	ModulePath + "/internal/submod":      true,
 }
 
@@ -84,6 +87,7 @@ var enginePkgs = map[string]bool{
 	ModulePath + "/internal/dist":        true,
 	ModulePath + "/internal/dist/oracle": true,
 	ModulePath + "/internal/ev":          true,
+	ModulePath + "/internal/maxpr":       true,
 	ModulePath + "/internal/expt":        true,
 	ModulePath + "/internal/core":        true,
 	ModulePath + "/internal/numeric":     true,

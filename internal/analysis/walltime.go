@@ -5,12 +5,13 @@ import (
 )
 
 // WallTime keeps ambient nondeterminism out of the engine packages
-// (dist, ev, expt, core, numeric, obs): no wall-clock reads (time.Now),
-// no global math/rand stream (randomness flows through internal/rng
-// split streams, whose output is stable across runs and Go releases),
-// and no environment-dependent branching (os.Getenv / os.LookupEnv /
-// os.Environ). Any of these makes an engine result depend on when,
-// where, or how the process ran instead of only on its inputs.
+// (dist, ev, maxpr, expt, core, numeric, obs): no wall-clock reads
+// (time.Now), no global math/rand stream (randomness flows through
+// internal/rng split streams, whose output is stable across runs and Go
+// releases), and no environment-dependent branching (os.Getenv /
+// os.LookupEnv / os.Environ). Any of these makes an engine result
+// depend on when, where, or how the process ran instead of only on its
+// inputs.
 //
 // internal/obs is the sanctioned exception — the single package where
 // wall time enters, injected as obs.Clock at the server boundary; its

@@ -70,7 +70,7 @@ func TestExample5ObjectivesDisagree(t *testing.T) {
 		t.Fatalf("MinVar Optimum chose %v, want {x1}", T)
 	}
 
-	eval, err := maxpr.NewDiscreteAffine(db, bias, 7.0/12.0, 0)
+	eval, err := maxpr.NewHybrid(db, bias, 7.0/12.0, 0, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,5 +460,31 @@ func TestGreedyDepDiagonalMatchesModular(t *testing.T) {
 		if !numeric.AlmostEqual(engine.EV(Td), engine.EV(Tm), 1e-9) {
 			t.Fatalf("budget %v: dep %v vs modular %v", budget, Td, Tm)
 		}
+	}
+}
+
+// GreedyDep spends no budget on an object whose cleaning reduces the
+// variance by nothing. b is error-free, so conditioning on it changes
+// nothing: once a is cleaned, b's benefit is exactly 0, and c (cost 5)
+// does not fit the remaining 0.5. The round must end there, not buy b
+// because its ratio of 0 is the best one left.
+func TestGreedyDepSkipsZeroBenefit(t *testing.T) {
+	costs := []float64{1, 0.5, 5}
+	objs := make([]model.Object, 3)
+	for i, s := range []float64{1, 0, 1} {
+		nd, err := dist.NewNormal(0, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = model.Object{Name: "o", Cost: costs[i], Value: nd}
+	}
+	db := model.New(objs)
+	db.SetDecayCovariance(0.9)
+	dep, err := NewGreedyDep(db, query.NewAffine(0, map[int]float64{0: 1, 2: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if T := selectT(t, dep, 1.5); !setsEqual(T, model.NewSet(0)) {
+		t.Fatalf("chose %v, want [0]", T)
 	}
 }

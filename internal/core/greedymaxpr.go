@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/factcheck/cleansel/internal/maxpr"
@@ -88,21 +87,14 @@ func (g *GreedyMaxPr) SelectContext(ctx context.Context, budget float64) (model.
 			}
 			if !built && scorer != nil {
 				built = true
-				var err error
-				if x, err = scorer.Extensions(T); err != nil {
-					return nil, fmt.Errorf("core: GreedyMaxPr: %w", err)
-				}
-				if x != nil {
+				if x = scorer.Extensions(T); x != nil {
 					cur = x.Prob() // exact, where the last pick left a sum of scored gains
 				}
 			}
 			gain, ok := x.Gain(o)
 			p := cur + gain
 			if !ok {
-				var err error
-				if p, err = g.prob(T.Add(o)); err != nil {
-					return nil, fmt.Errorf("core: GreedyMaxPr: %w", err)
-				}
+				p = g.eval.Prob(T.Add(o))
 				gain = p - cur
 			}
 			if len(T) == 0 && p > 0 {
@@ -129,17 +121,4 @@ func (g *GreedyMaxPr) SelectContext(ctx context.Context, budget float64) (model.
 		return model.NewSet(o), nil
 	}
 	return T, nil
-}
-
-// prob evaluates P(S) for one candidate set, through the evaluator's
-// ProbErr when it has one, so an exact-only evaluator past its state cap
-// (a bare maxpr.DiscreteAffine) fails the solve with ErrTooLarge instead
-// of panicking.
-func (g *GreedyMaxPr) prob(S model.Set) (float64, error) {
-	if pe, ok := g.eval.(interface {
-		ProbErr(model.Set) (float64, error)
-	}); ok {
-		return pe.ProbErr(S)
-	}
-	return g.eval.Prob(S), nil
 }

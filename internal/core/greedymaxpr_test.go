@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -282,30 +281,6 @@ func TestGreedyMaxPrTauZeroBoundary(t *testing.T) {
 	}
 }
 
-// A candidate set past the state cap of a bare DiscreteAffine, which has
-// no fallback, fails the solve with ErrTooLarge instead of panicking.
-func TestGreedyMaxPrExactOnlyTooLarge(t *testing.T) {
-	objs := make([]model.Object, 4)
-	coef := map[int]float64{}
-	for i := range objs {
-		objs[i] = model.Object{Name: fmt.Sprintf("o%d", i), Cost: 1, Current: 6,
-			Value: dist.UniformOver([]float64{1, 2, 3, 4, 5, 6})}
-		coef[i] = 1
-	}
-	db := model.New(objs)
-	eval, err := maxpr.NewDiscreteAffine(db, query.NewAffine(0, coef), 2.5, 36)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGreedyMaxPr(db, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Select(4); !errors.Is(err, maxpr.ErrTooLarge) {
-		t.Fatalf("Select = %v, want an error wrapping ErrTooLarge", err)
-	}
-}
-
 // Cleaning b never changes whether a surprise occurs (a's drop of 24/7
 // clears τ whatever b does, and b alone never reaches −τ), so
 // P({a, b}) = P({a}) exactly — but convolving {a, b} sums the masses in
@@ -321,7 +296,7 @@ func TestGreedyMaxPrRefusesRoundingGain(t *testing.T) {
 			[]float64{-7, -1, -9, -5}, []float64{0.6945224073493467, 0.09606833208694239, 0.1959718189028028, 0.013437441660908106})},
 	})
 	f := query.NewAffine(0, map[int]float64{0: -1.0 / 7, 1: 2.0 / 7})
-	eval, err := maxpr.NewDiscreteAffine(db, f, 0.6436132020589214, 0)
+	eval, err := maxpr.NewHybrid(db, f, 0.6436132020589214, 0, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

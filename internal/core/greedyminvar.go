@@ -260,8 +260,8 @@ func (g *GreedyEngine) SelectContext(ctx context.Context, budget float64) (model
 				return nil, err
 			}
 			b := cur - after
-			if b < 0 {
-				b = 0
+			if b <= 0 {
+				continue // no variance reduction: not worth any budget
 			}
 			if len(T) == 0 {
 				singles[o] = b

@@ -7,6 +7,7 @@ import (
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/maxpr"
 	"github.com/factcheck/cleansel/internal/query"
+	"github.com/factcheck/cleansel/internal/rng"
 )
 
 // Selector names are part of the experiment output contract.
@@ -39,7 +40,7 @@ func TestSelectorNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := maxpr.NewDiscreteAffine(db, f, 0.5, 0)
+	eval, err := maxpr.NewHybrid(db, f, 0.5, 0, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestConstructorNilGuards(t *testing.T) {
 	db := exampleDB()
 	f := query.NewAffine(0, map[int]float64{0: 1})
 	engine, _ := ev.NewModular(db, f)
-	eval, _ := maxpr.NewDiscreteAffine(db, f, 0.5, 0)
+	eval, _ := maxpr.NewHybrid(db, f, 0.5, 0, 1, rng.New(1))
 
 	if _, err := NewGreedyMinVarModular(nil, f); err == nil {
 		t.Fatal("nil db accepted")

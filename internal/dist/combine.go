@@ -87,7 +87,7 @@ func Mixture(dists []*Discrete, weights []float64) (*Discrete, error) {
 // support convolution. Sums that collide on the quantization grid merge,
 // which keeps the state space at the number of distinct outcomes rather
 // than the raw product. Callers bound the product of support sizes
-// beforehand; see maxpr.DiscreteAffine.
+// beforehand; see maxpr.Hybrid.
 //
 // The grid is chosen per convolution from the reachable magnitude
 // |offset| + Σ|wᵢ|·max|Xᵢ| (see ConvGrid):

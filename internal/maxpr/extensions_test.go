@@ -6,6 +6,7 @@ import (
 
 	"github.com/factcheck/cleansel/internal/dist"
 	"github.com/factcheck/cleansel/internal/model"
+	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/query"
 	"github.com/factcheck/cleansel/internal/rng"
 )
@@ -27,14 +28,14 @@ func extensionDB() (*model.DB, *query.Affine) {
 func TestExtensionsMatchProb(t *testing.T) {
 	db, f := extensionDB()
 	for _, tau := range []float64{0, 0.5, 2} {
-		e, err := NewDiscreteAffine(db, f, tau, 0)
+		e, err := NewHybrid(db, f, tau, 0, 1, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, T := range []model.Set{nil, model.NewSet(0), model.NewSet(1, 2), model.NewSet(0, 1, 3)} {
-			x, err := e.Extensions(T)
-			if err != nil {
-				t.Fatal(err)
+			x := e.Extensions(T)
+			if x == nil {
+				t.Fatalf("τ %v, T %v: no scorer under the cap", tau, T)
 			}
 			if math.Float64bits(x.Prob()) != math.Float64bits(e.Prob(T)) {
 				t.Fatalf("τ %v, T %v: scorer P %v, Prob %v", tau, T, x.Prob(), e.Prob(T))
@@ -59,40 +60,36 @@ func TestExtensionsMatchProb(t *testing.T) {
 }
 
 // Past the state cap the scorer leaves a candidate to the caller; a set
-// that is itself past the cap is ErrTooLarge for DiscreteAffine and no
-// scorer at all for Hybrid, whose Prob falls back to Monte Carlo.
+// that is itself past the cap has no scorer at all, and its Prob falls
+// back to Monte Carlo.
 func TestExtensionsStateCap(t *testing.T) {
 	db, f := extensionDB()
-	e, err := NewDiscreteAffine(db, f, 0.5, 12)
+	e, err := NewHybrid(db, f, 0.5, 12, 100, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := e.Extensions(model.NewSet(1)) // 4 states
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := x.Gain(0); !ok { // 4·3 = 12 fits
+	rec := obs.NewRecorder(nil)
+	e.Observe(rec)
+	// {1} has 4 states: a candidate at the cap (4·3 = 12) is covered, and
+	// so is a zero coefficient, which adds no states.
+	x := e.Extensions(model.NewSet(1))
+	if _, ok := x.Gain(0); !ok {
 		t.Fatal("candidate at the cap not covered")
 	}
-	if _, ok := x.Gain(2); !ok { // zero coefficient: no new states
+	if _, ok := x.Gain(2); !ok {
 		t.Fatal("zero-coefficient candidate not covered")
 	}
-	x, err = e.Extensions(model.NewSet(0, 1)) // 12 states
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := x.Gain(3); ok { // 12·2 > 12
+	// {0, 1} has 12 states, and 12·2 > 12.
+	x = e.Extensions(model.NewSet(0, 1))
+	if _, ok := x.Gain(3); ok {
 		t.Fatal("candidate past the cap reported as covered")
 	}
-	if _, err := e.Extensions(model.NewSet(0, 1, 3)); err != ErrTooLarge {
-		t.Fatalf("set past the cap: %v, want ErrTooLarge", err)
+	if x := e.Extensions(model.NewSet(0, 1, 3)); x != nil {
+		t.Fatal("set past the cap got a scorer")
 	}
-	h, err := NewHybrid(db, f, 0.5, 12, 100, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x, err := h.Extensions(model.NewSet(0, 1, 3)); x != nil || err != nil {
-		t.Fatalf("Hybrid past the cap: %v, %v; want no scorer", x, err)
+	e.Prob(model.NewSet(0, 1, 3))
+	if got := counters(rec); got["maxpr_exact"] != 2 || got["maxpr_mc_fallback"] != 1 {
+		t.Fatalf("counters %v, want 2 scored gains and 1 fallback", got)
 	}
 	if _, ok := (*Extensions)(nil).Gain(0); ok {
 		t.Fatal("a nil scorer covers nothing")
@@ -102,20 +99,20 @@ func TestExtensionsStateCap(t *testing.T) {
 // Cached delegates scoring to an inner scorer and has none otherwise.
 func TestCachedExtensions(t *testing.T) {
 	db, f := extensionDB()
-	e, err := NewDiscreteAffine(db, f, 0.5, 0)
+	e, err := NewHybrid(db, f, 0.5, 0, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := NewCached(e).Extensions(model.NewSet(0))
-	if err != nil || x == nil || x.Prob() != e.Prob(model.NewSet(0)) {
-		t.Fatalf("Cached(DiscreteAffine) scorer: %v, %v", x, err)
+	x := NewCached(e).Extensions(model.NewSet(0))
+	if x == nil || x.Prob() != e.Prob(model.NewSet(0)) {
+		t.Fatalf("Cached(Hybrid) scorer: %v", x)
 	}
 	mc, err := NewMonteCarlo(db, f, 0.5, 10, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x, err := NewCached(mc).Extensions(model.NewSet(0)); x != nil || err != nil {
-		t.Fatalf("Cached(MonteCarlo) scorer: %v, %v; want none", x, err)
+	if x := NewCached(mc).Extensions(model.NewSet(0)); x != nil {
+		t.Fatalf("Cached(MonteCarlo) scorer: %v; want none", x)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/dist"
+	"github.com/factcheck/cleansel/internal/linalg"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/numeric"
 	"github.com/factcheck/cleansel/internal/query"
@@ -38,7 +39,7 @@ func TestHybridExactRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewDiscreteAffine(db, f, 1, 0)
+	exact, err := NewHybrid(db, f, 1, 0, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestHybridFallsBackToMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewDiscreteAffine(db, f, 1, 0)
+	exact, err := NewHybrid(db, f, 1, 0, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +66,30 @@ func TestHybridFallsBackToMC(t *testing.T) {
 	want := exact.Prob(T)
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("hybrid MC fallback %v too far from exact %v", got, want)
+	}
+}
+
+// NewHybrid rejects what neither route can evaluate: a negative τ,
+// correlated errors, a value model that is not discrete, and a fallback
+// without samples.
+func TestHybridValidation(t *testing.T) {
+	f := fullAffine(2)
+	corr := hybridDB(2)
+	corr.Cov = linalg.FromRows([][]float64{{1, 0.5}, {0.5, 1}})
+	nd, err := dist.NewNormal(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normal := model.New([]model.Object{{Name: "a", Cost: 1, Value: nd}, {Name: "b", Cost: 1, Value: nd}})
+	for name, build := range map[string]func() (*Hybrid, error){
+		"negative tau": func() (*Hybrid, error) { return NewHybrid(hybridDB(2), f, -1, 0, 10, rng.New(1)) },
+		"correlated":   func() (*Hybrid, error) { return NewHybrid(corr, f, 1, 0, 10, rng.New(1)) },
+		"normal value": func() (*Hybrid, error) { return NewHybrid(normal, f, 1, 0, 10, rng.New(1)) },
+		"no samples":   func() (*Hybrid, error) { return NewHybrid(hybridDB(2), f, 1, 0, 0, rng.New(1)) },
+	} {
+		if h, err := build(); err == nil || h != nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -15,14 +15,13 @@
 //   - MVNAffine     — correlated normal errors: conditional law of X_T
 //     given X_{O\T} = u through the precision matrix Q = Σ⁻¹, which
 //     factors only the |T|×|T| block Q_TT (docs/NUMERICS.md).
-//   - DiscreteAffine — independent discrete errors: D by exact
-//     convolution.
+//   - Hybrid        — independent discrete errors: D by exact
+//     convolution while its state space fits a cap, MonteCarlo beyond.
 //   - MonteCarlo    — arbitrary f: sampling fallback.
 //
-// DiscreteAffine, and Hybrid and Cached over it, are also
-// ExtensionScorers: one convolution of D_T scores every one-object
-// extension of T, which is how greedy selection avoids convolving each
-// candidate set afresh.
+// Hybrid, and Cached over it, are also ExtensionScorers: one convolution
+// of D_T scores every one-object extension of T, which is how greedy
+// selection avoids convolving each candidate set afresh.
 package maxpr
 
 import (
@@ -222,52 +221,57 @@ func (e *MVNAffine) Prob(T model.Set) float64 {
 	return tailProb(mean, varD, e.tau)
 }
 
-// DiscreteAffine evaluates the objective exactly for independent discrete
-// errors by convolving the drop D = Σ_{i∈T} a_i(X_i − u_i). The
-// convolution runs over current-shifted supports X_i − u_i, built once at
-// construction, so the outcome in which every cleaned value equals its
-// current value is a drop of exactly 0 — never a round-off residue that
-// the strict test D < −τ would count as a surprise at τ = 0. The
-// convolution grid is scale-aware (see dist.WeightedSum/dist.ConvGrid):
+// Hybrid evaluates the objective for independent discrete errors: exactly,
+// by convolving the drop D = Σ_{i∈T} a_i(X_i − u_i), while T's state space
+// fits a cap, and by Monte Carlo beyond it — the practical evaluator for
+// greedy selection over discrete databases whose chosen sets can grow
+// large. The convolution runs over current-shifted supports X_i − u_i,
+// built once at construction, so the outcome in which every cleaned value
+// equals its current value is a drop of exactly 0 — never a round-off
+// residue that the strict test D < −τ would count as a surprise at τ = 0.
+// The convolution grid is scale-aware (see dist.WeightedSum/dist.ConvGrid):
 // large-magnitude workloads — CDC-style counts reaching 1e12 and beyond —
 // convolve on an exact integer grid when the weighted supports are
 // integral (or dyadic), and on a relative-resolution grid otherwise, so
-// realistic claim scales solve exactly instead of erroring or silently
-// degrading to Monte Carlo.
-type DiscreteAffine struct {
+// the fallback triggers on state-space size, never on magnitude.
+type Hybrid struct {
 	// shifted[i] is the law of X_i − u_i (nil when a_i = 0: the object
 	// never moves the drop).
 	shifted []*dist.Discrete
 	a       []float64
 	tau     float64
-	// maxStates caps the convolution support; larger requests error out so
-	// callers can fall back to Monte Carlo.
+	// maxStates caps the convolution support; sets past it go to mc.
 	maxStates int
-	// rec, when set via Observe, receives write-only convolution trace
-	// counters; it never influences results.
+	mc        *MonteCarlo
+	// rec, when set via Observe, receives write-only trace counters; it
+	// never influences results.
 	rec *obs.Recorder
 }
-
-// Observe attaches a trace recorder ticking convolution work counters
-// (nil detaches). Recording is write-only: probabilities are
-// bit-identical with or without it.
-func (e *DiscreteAffine) Observe(rec *obs.Recorder) { e.rec = rec }
 
 // DefaultMaxStates bounds exact convolution work (supports ≤ 6 and claims
 // over tens of objects stay far below it).
 const DefaultMaxStates = 1 << 22
 
-// NewDiscreteAffine builds the evaluator.
-func NewDiscreteAffine(db *model.DB, f *query.Affine, tau float64, maxStates int) (*DiscreteAffine, error) {
+// errTooLarge signals that exact convolution would exceed maxStates.
+var errTooLarge = errors.New("maxpr: convolution state space too large")
+
+// NewHybrid builds the evaluator. Every object value must be discrete and
+// the database independent; maxStates ≤ 0 means DefaultMaxStates, and the
+// fallback draws samples outcomes per set from r.
+func NewHybrid(db *model.DB, f *query.Affine, tau float64, maxStates, samples int, r *rng.RNG) (*Hybrid, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
 	}
 	if db.Cov != nil {
-		return nil, errors.New("maxpr: DiscreteAffine requires independent values")
+		return nil, errors.New("maxpr: Hybrid requires independent values")
 	}
 	ds, err := db.Discretes()
 	if err != nil {
-		return nil, fmt.Errorf("maxpr: DiscreteAffine: %w", err)
+		return nil, fmt.Errorf("maxpr: Hybrid: %w", err)
+	}
+	mc, err := NewMonteCarlo(db, f, tau, samples, r)
+	if err != nil {
+		return nil, err
 	}
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
@@ -287,58 +291,52 @@ func NewDiscreteAffine(db *model.DB, f *query.Affine, tau float64, maxStates int
 		// would renormalize them.
 		shifted[i] = &dist.Discrete{Values: vals, Probs: d.Probs}
 	}
-	return &DiscreteAffine{shifted: shifted, a: a, tau: tau, maxStates: maxStates}, nil
+	return &Hybrid{shifted: shifted, a: a, tau: tau, maxStates: maxStates, mc: mc}, nil
 }
 
-// Prob returns Pr[D < −τ] by exact convolution. It panics with
-// ErrTooLarge when T's state space exceeds the cap, because Evaluator has
-// no error channel: callers whose sets can grow large use ProbErr, or
-// Hybrid, which falls back to Monte Carlo instead.
-func (e *DiscreteAffine) Prob(T model.Set) float64 {
-	p, err := e.ProbErr(T)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+// Observe attaches a trace recorder (nil detaches). It ticks the
+// convolution work counters and each evaluation's route, maxpr_exact or
+// maxpr_mc_fallback. Recording is write-only: probabilities are
+// bit-identical with or without it.
+func (h *Hybrid) Observe(rec *obs.Recorder) { h.rec = rec }
 
-// ErrTooLarge signals that exact convolution would exceed maxStates.
-var ErrTooLarge = errors.New("maxpr: convolution state space too large")
-
-// ProbErr returns Pr[D < −τ] or ErrTooLarge.
-func (e *DiscreteAffine) ProbErr(T model.Set) (float64, error) {
+// Prob implements Evaluator: Pr[D < −τ] by exact convolution, or the
+// Monte-Carlo estimate when T's state space exceeds the cap.
+func (h *Hybrid) Prob(T model.Set) float64 {
 	if len(T) == 0 {
-		return 0, nil
+		h.rec.Add("maxpr_exact", 1)
+		return 0
 	}
-	d, _, err := e.drop(T)
-	if err != nil {
-		return 0, err
+	if d, _, err := h.drop(T); err == nil {
+		h.rec.Add("maxpr_exact", 1)
+		return d.PrBelow(-h.tau)
 	}
-	return d.PrBelow(-e.tau), nil
+	h.rec.Add("maxpr_mc_fallback", 1)
+	return h.mc.Prob(T)
 }
 
 // drop convolves the law of D_T = Σ_{i∈T} a_i·(X_i − u_i) over the
 // current-shifted supports, returning it with its state count (the
-// product of the moving objects' support sizes), or ErrTooLarge when that
-// count exceeds the cap. ProbErr and Extensions share it, so P(T) is the
+// product of the moving objects' support sizes), or errTooLarge when that
+// count exceeds the cap. Prob and Extensions share it, so P(T) is the
 // same bits on both routes.
-func (e *DiscreteAffine) drop(T model.Set) (*dist.Discrete, int, error) {
+func (h *Hybrid) drop(T model.Set) (*dist.Discrete, int, error) {
 	states := 1
 	weights := make([]float64, 0, len(T))
 	parts := make([]*dist.Discrete, 0, len(T))
 	for _, i := range T {
-		if e.a[i] == 0 {
+		if h.a[i] == 0 {
 			continue
 		}
-		size := e.shifted[i].Size()
-		if states > e.maxStates/size {
-			return nil, 0, ErrTooLarge
+		size := h.shifted[i].Size()
+		if states > h.maxStates/size {
+			return nil, 0, errTooLarge
 		}
 		states *= size
-		weights = append(weights, e.a[i])
-		parts = append(parts, e.shifted[i])
+		weights = append(weights, h.a[i])
+		parts = append(parts, h.shifted[i])
 	}
-	d, err := dist.WeightedSumRec(e.rec, 0, weights, parts)
+	d, err := dist.WeightedSumRec(h.rec, 0, weights, parts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -353,7 +351,7 @@ type ExtensionScorer interface {
 	// Extensions returns the scorer of T's one-object extensions, or nil
 	// when the evaluator has none for T; the caller then evaluates each
 	// candidate with Prob.
-	Extensions(T model.Set) (*Extensions, error)
+	Extensions(T model.Set) *Extensions
 }
 
 // Extensions scores the one-object extensions of a set T. It holds the
@@ -368,21 +366,22 @@ type ExtensionScorer interface {
 // two thresholds: it is never the rounding residue of subtracting two
 // separately convolved probabilities.
 type Extensions struct {
-	e      *DiscreteAffine
+	h      *Hybrid
 	drop   *dist.Discrete // D_T
 	p      float64        // P(T) = F(−τ)
 	states int            // state count of D_T
-	rec    *obs.Recorder  // counts exact evaluations for Hybrid's route counters
 }
 
-// Extensions implements ExtensionScorer. It returns ErrTooLarge when T
-// itself is past the state cap.
-func (e *DiscreteAffine) Extensions(T model.Set) (*Extensions, error) {
-	d, states, err := e.drop(T)
+// Extensions implements ExtensionScorer. When T itself cannot be
+// convolved it returns nil, so every candidate goes through Prob — the
+// Monte-Carlo fallback Prob would take for the same sets; candidates past
+// the cap are likewise left to Prob.
+func (h *Hybrid) Extensions(T model.Set) *Extensions {
+	d, states, err := h.drop(T)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return &Extensions{e: e, drop: d, p: d.PrBelow(-e.tau), states: states}, nil
+	return &Extensions{h: h, drop: d, p: d.PrBelow(-h.tau), states: states}
 }
 
 // Prob returns P(T), bit-identical to the evaluator's Prob(T).
@@ -390,82 +389,25 @@ func (x *Extensions) Prob() float64 { return x.p }
 
 // Gain returns Δ(o) for a candidate o ∉ T, with ok = false when the
 // convolution of T ∪ {o} would exceed the state cap (or x is nil): the
-// caller then evaluates P(T ∪ {o}) itself.
+// caller then evaluates P(T ∪ {o}) itself. Each gain it answers counts as
+// one exact evaluation.
 func (x *Extensions) Gain(o int) (gain float64, ok bool) {
 	if x == nil {
 		return 0, false
 	}
-	e := x.e
+	h := x.h
 	var acc numeric.KahanAcc
-	if a := e.a[o]; a != 0 { // a zero coefficient never moves the drop
-		s := e.shifted[o]
-		if x.states > e.maxStates/s.Size() {
+	if a := h.a[o]; a != 0 { // a zero coefficient never moves the drop
+		s := h.shifted[o]
+		if x.states > h.maxStates/s.Size() {
 			return 0, false
 		}
 		for j, v := range s.Values {
-			acc.Add(s.Probs[j] * (x.drop.PrBelow(-e.tau-a*v) - x.p))
+			acc.Add(s.Probs[j] * (x.drop.PrBelow(-h.tau-a*v) - x.p))
 		}
 	}
-	x.rec.Add("maxpr_exact", 1)
+	h.rec.Add("maxpr_exact", 1)
 	return acc.Value(), true
-}
-
-// Hybrid evaluates exactly by convolution while the state space fits and
-// falls back to Monte Carlo beyond that — the practical evaluator for
-// greedy selection over discrete databases whose chosen sets can grow
-// large. Since the convolution grid became scale-aware the fallback only
-// triggers on state-space size (ErrTooLarge), never on magnitude:
-// large-magnitude workloads that used to bounce off the fixed grid and
-// silently degrade to sampling now take the exact path.
-type Hybrid struct {
-	exact *DiscreteAffine
-	mc    *MonteCarlo
-	rec   *obs.Recorder
-}
-
-// NewHybrid builds the combined evaluator.
-func NewHybrid(db *model.DB, f *query.Affine, tau float64, maxStates, samples int, r *rng.RNG) (*Hybrid, error) {
-	exact, err := NewDiscreteAffine(db, f, tau, maxStates)
-	if err != nil {
-		return nil, err
-	}
-	mc, err := NewMonteCarlo(db, f, tau, samples, r)
-	if err != nil {
-		return nil, err
-	}
-	return &Hybrid{exact: exact, mc: mc}, nil
-}
-
-// Observe attaches a trace recorder to the exact path and counts each
-// evaluation's route (maxpr_exact vs maxpr_mc_fallback) on it.
-func (h *Hybrid) Observe(rec *obs.Recorder) {
-	h.exact.Observe(rec)
-	h.rec = rec
-}
-
-// Prob implements Evaluator.
-func (h *Hybrid) Prob(T model.Set) float64 {
-	p, err := h.exact.ProbErr(T)
-	if err == nil {
-		h.rec.Add("maxpr_exact", 1)
-		return p
-	}
-	h.rec.Add("maxpr_mc_fallback", 1)
-	return h.mc.Prob(T)
-}
-
-// Extensions implements ExtensionScorer over the exact evaluator. When T
-// itself cannot be convolved it returns nil, so every candidate goes
-// through Prob — the Monte-Carlo fallback Prob would take for the same
-// sets; candidates past the cap are likewise left to Prob. Each gain the
-// scorer answers counts as one exact evaluation.
-func (h *Hybrid) Extensions(T model.Set) (*Extensions, error) {
-	x, err := h.exact.Extensions(T)
-	if err != nil {
-		return nil, nil
-	}
-	x.rec = h.rec
-	return x, nil
 }
 
 // Cached memoizes another evaluator by the canonical key of the subset.
@@ -502,11 +444,11 @@ func (c *Cached) Prob(T model.Set) float64 {
 // evaluator (nil when it has no scorer). Gains are not memoized; the
 // candidates the scorer leaves to the caller come back through Prob,
 // which is.
-func (c *Cached) Extensions(T model.Set) (*Extensions, error) {
+func (c *Cached) Extensions(T model.Set) *Extensions {
 	if s, ok := c.inner.(ExtensionScorer); ok {
 		return s.Extensions(T)
 	}
-	return nil, nil
+	return nil
 }
 
 // MonteCarlo estimates the objective for an arbitrary query function:

@@ -8,6 +8,7 @@ import (
 	"github.com/factcheck/cleansel/internal/linalg"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/numeric"
+	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/query"
 	"github.com/factcheck/cleansel/internal/rng"
 )
@@ -25,7 +26,7 @@ func example5DB() *model.DB {
 func TestExample5DiscreteAffine(t *testing.T) {
 	db := example5DB()
 	f := query.NewAffine(0, map[int]float64{0: 1, 1: 1})
-	e, err := NewDiscreteAffine(db, f, 7.0/12.0, 0)
+	e, err := NewHybrid(db, f, 7.0/12.0, 0, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestDiscreteAffineMatchesMonteCarlo(t *testing.T) {
 		db := model.New(objs)
 		f := query.NewAffine(float64(r.IntRange(-2, 2)), coef)
 		tau := r.Float64()
-		exact, err := NewDiscreteAffine(db, f, tau, 0)
+		exact, err := NewHybrid(db, f, tau, 0, 1, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +212,18 @@ func TestMVNAffineCorrelatedSemanticsDiffer(t *testing.T) {
 	}
 }
 
+// counters reads a recorder's counters by name.
+func counters(rec *obs.Recorder) map[string]int64 {
+	got := map[string]int64{}
+	for _, c := range rec.Snapshot().Counters {
+		got[c.Name] = c.Value
+	}
+	return got
+}
+
+// A set past the state cap has no extension scorer, and its Prob is the
+// Monte-Carlo estimate (counted as a fallback) rather than a panic or an
+// error; small subsets stay exact.
 func TestDiscreteAffineTooLarge(t *testing.T) {
 	objs := make([]model.Object, 12)
 	for i := range objs {
@@ -221,20 +234,30 @@ func TestDiscreteAffineTooLarge(t *testing.T) {
 	for i := range objs {
 		coef[i] = 1
 	}
-	e, err := NewDiscreteAffine(db, query.NewAffine(0, coef), 0.5, 1000)
+	e, err := NewHybrid(db, query.NewAffine(0, coef), 0.5, 1000, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.NewRecorder(nil)
+	e.Observe(rec)
 	var all model.Set
 	for i := range objs {
 		all = all.Add(i)
 	}
-	if _, err := e.ProbErr(all); err != ErrTooLarge {
-		t.Fatalf("want ErrTooLarge, got %v", err)
+	if x := e.Extensions(all); x != nil {
+		t.Fatal("a set past the cap got an extension scorer")
 	}
-	// Small subsets still work.
-	if _, err := e.ProbErr(model.NewSet(0, 1)); err != nil {
-		t.Fatalf("small subset failed: %v", err)
+	e.Prob(all)
+	if got := counters(rec); got["maxpr_mc_fallback"] != 1 || got["maxpr_exact"] != 0 || got["conv_ops"] != 0 {
+		t.Fatalf("set past the cap: counters %v, want one fallback and no convolution", got)
+	}
+	// Small subsets still convolve exactly.
+	if x := e.Extensions(model.NewSet(0, 1)); x == nil {
+		t.Fatal("small subset has no scorer")
+	}
+	e.Prob(model.NewSet(0, 1))
+	if got := counters(rec); got["maxpr_mc_fallback"] != 1 || got["maxpr_exact"] != 1 {
+		t.Fatalf("small subset: counters %v, want one exact evaluation", got)
 	}
 }
 

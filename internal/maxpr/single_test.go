@@ -60,7 +60,7 @@ func TestSingleProbMatchesDiscreteAffine(t *testing.T) {
 		tau := r.Float64()
 		db := model.New([]model.Object{{Name: "x", Cost: 1, Current: u, Value: d}})
 		f := query.NewAffine(0, map[int]float64{0: a})
-		e, err := NewDiscreteAffine(db, f, tau, 0)
+		e, err := NewHybrid(db, f, tau, 0, 1, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestSingleProbMatchesDiscreteAffine(t *testing.T) {
 		// sums them in value order, SingleProb sums the law's masses in
 		// support order: equal up to round-off, not bit order.
 		if !numeric.AlmostEqual(got, want, 1e-12) {
-			t.Fatalf("trial %d: SingleProb %v vs DiscreteAffine %v", trial, got, want)
+			t.Fatalf("trial %d: SingleProb %v vs Hybrid %v", trial, got, want)
 		}
 	}
 }

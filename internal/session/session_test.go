@@ -64,7 +64,7 @@ func driveEpisode(t *testing.T, st *session.Stepper, truth []float64) []int {
 // reveal it rebuilds the database, the revealed object becoming a point
 // mass at its truth, and scores every uncleaned affordable object on the
 // rebuilt database: a_o²·Var[X_o] for MinVar, maxpr.SingleProb for MaxPr
-// (pinned to the NormalAffine and DiscreteAffine evaluators in the maxpr
+// (pinned to the NormalAffine and Hybrid evaluators in the maxpr
 // package's tests). It cleans the best benefit per cost, strictly
 // greater winning so the lowest ID breaks ties, and stops once a MaxPr
 // episode's realized drop exceeds τ or no affordable object has positive

@@ -1,6 +1,7 @@
 package cleansel_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -11,7 +12,11 @@ import (
 	"testing"
 
 	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/datasets"
+	"github.com/factcheck/cleansel/internal/ev"
+	"github.com/factcheck/cleansel/internal/maxpr"
+	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/rng"
 )
 
@@ -175,4 +180,125 @@ func TestMaxPrCorrelatedPinned(t *testing.T) {
 			t.Errorf("n=%d seed %d: P %v -> %v, want 0 -> %v", pin.n, pin.seed, res.Before, res.After, pin.after)
 		}
 	}
+}
+
+// maxPrShape builds the served select_maxpr shape over n unit-cost
+// objects with 6-point supports: a window-4 sum claim checked against its
+// current value, every other disjoint window as a perturbation, and τ a
+// quarter of the bias's standard deviation. It returns the database, the
+// claim set and τ.
+func maxPrShape(tb testing.TB, n int, seed uint64) (*cleansel.DB, *cleansel.PerturbationSet, float64) {
+	tb.Helper()
+	const w = 4
+	r := rng.New(seed)
+	db := datasets.SyntheticK(datasets.UR, n, datasets.MaxSupport, r.Uint64())
+	for i := range db.Objects {
+		db.Objects[i].Cost = 1
+	}
+	start := w * r.Intn(n/w)
+	orig := cleansel.WindowSum("claim", start, w)
+	var ps []cleansel.Perturbed
+	for _, p := range cleansel.NonOverlappingWindows("w", n, w, start, 0.35) {
+		if p.Distance > 0 {
+			ps = append(ps, p)
+		}
+	}
+	set, err := cleansel.NewPerturbationSet(orig, cleansel.HigherIsStronger, orig.Eval(db.Currents()), ps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := ev.NewModular(db, set.Bias())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, set, 0.25 * math.Sqrt(m.Variance())
+}
+
+// maxPrCounts renders the MaxPr work counters a solve ticked.
+func maxPrCounts(rec *obs.Recorder) (string, map[string]int64) {
+	got := map[string]int64{}
+	for _, c := range rec.Snapshot().Counters {
+		got[c.Name] = c.Value
+	}
+	var b strings.Builder
+	for _, name := range []string{"conv_ops", "maxpr_exact", "maxpr_mc_fallback"} {
+		fmt.Fprintf(&b, "%s %d\n", name, got[name])
+	}
+	return b.String(), got
+}
+
+// servedMaxPrAnswer renders a traced facade solve of the served
+// select_maxpr shape at n = 100 with a budget of 4: the chosen set,
+// Before and After as exact hexadecimal floats, and the work counters.
+func servedMaxPrAnswer(tb testing.TB, seed uint64) string {
+	tb.Helper()
+	db, set, tau := maxPrShape(tb, 100, seed)
+	task := cleansel.Task{
+		DB: db, Claims: set,
+		Measure: cleansel.Fairness, Goal: cleansel.MaximizeSurprise,
+		Algorithm: cleansel.AlgoGreedy, Budget: 4, Tau: tau, Seed: seed,
+	}
+	rec := obs.NewRecorder(nil)
+	res, err := cleansel.SelectContext(obs.WithRecorder(context.Background(), rec), task)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hex := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
+	counts, _ := maxPrCounts(rec)
+	return fmt.Sprintf("chosen %v\nbefore %s\nafter %s\n%s", []int(res.Set), hex(res.Before), hex(res.After), counts)
+}
+
+// fallbackMaxPrAnswer renders a GreedyMaxPr solve over 12 objects of the
+// same shape whose evaluator caps exact convolution at 36 states: from
+// the third round on, candidates go to the Monte-Carlo fallback. It
+// returns the chosen set, P of it from the memoizing evaluator as an
+// exact hexadecimal float and the work counters, with the number of
+// fallback evaluations.
+func fallbackMaxPrAnswer(tb testing.TB) (string, int64) {
+	tb.Helper()
+	db, set, tau := maxPrShape(tb, 12, 9)
+	h, err := maxpr.NewHybrid(db, set.Bias(), tau, 36, 2000, rng.New(9))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := obs.NewRecorder(nil)
+	h.Observe(rec)
+	eval := maxpr.NewCached(h)
+	g, err := core.NewGreedyMaxPr(db, eval)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	T, err := g.Select(6)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := eval.Prob(T)
+	counts, got := maxPrCounts(rec)
+	return fmt.Sprintf("chosen %v\np %s\n%s", []int(T), strconv.FormatFloat(p, 'x', -1, 64), counts), got["maxpr_mc_fallback"]
+}
+
+// TestMaxPrDiscretePinned compares fresh MaxPr solves over independent
+// discrete errors with answers and work counts recorded before the exact
+// convolution and its Monte-Carlo fallback became one evaluator, bit for
+// bit: four facade solves of the served shape, which stay exact, and one
+// greedy solve whose evaluator falls back to Monte Carlo. The figure
+// goldens print six digits. There is no update flag.
+func TestMaxPrDiscretePinned(t *testing.T) {
+	check := func(name, got string) {
+		want, err := os.ReadFile(filepath.Join("testdata", "maxpr_pinned", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: answer moved\n got:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		check(fmt.Sprintf("served-seed%d", seed), servedMaxPrAnswer(t, seed))
+	}
+	got, fallbacks := fallbackMaxPrAnswer(t)
+	if fallbacks == 0 {
+		t.Fatal("the Monte-Carlo fallback never fired: the pin would not cover it")
+	}
+	check("fallback-n12", got)
 }
