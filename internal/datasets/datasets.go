@@ -1,9 +1,8 @@
 // Package datasets provides the three evaluation datasets of §4 plus the
 // synthetic value-distribution generators URx, LNx, and SMx.
 //
-// The real-world series are embedded as magnitude-faithful substitutes
-// (the paper's exact tables are not published; see DESIGN.md §1 for the
-// substitution rationale):
+// The real-world series are embedded as magnitude-faithful substitutes,
+// because the paper's exact tables are not published:
 //
 //   - Adoptions — NYC adoptions 1989–2014. The series satisfies the
 //     property the Giuliani claim rests on: total adoptions rose 65–70%

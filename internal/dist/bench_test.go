@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"github.com/factcheck/cleansel/internal/numeric"
 	"github.com/factcheck/cleansel/internal/rng"
 )
 
@@ -72,9 +75,9 @@ func BenchmarkWeightedSumDense(b *testing.B) {
 	}
 }
 
-// BenchmarkWeightedSumMap forces the same workload down the hashed-map
-// path: the denominator of the dense-vs-map speedup gate (≥5× floor,
-// enforced by scripts/bench.sh).
+// BenchmarkWeightedSumMap forces the same workload through the hashed-key
+// reference kernel (hashed_test.go): the denominator of the dense-vs-map
+// speedup gate (≥5× floor, enforced by scripts/bench.sh).
 func BenchmarkWeightedSumMap(b *testing.B) {
 	offset, weights, parts := wideConvWorkload()
 	grid, _, err := ConvGrid(offset, weights, parts)
@@ -86,6 +89,77 @@ func BenchmarkWeightedSumMap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := weightedSumMap(nil, grid, offset, weights, parts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWeightedSumMerge forces the same workload through the
+// off-lattice merge, the kernel a failed dense certificate falls to:
+// scripts/bench.sh records its ratio to the dense kernel, ungated.
+func BenchmarkWeightedSumMerge(b *testing.B) {
+	offset, weights, parts := wideConvWorkload()
+	grid, _, err := ConvGrid(offset, weights, parts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := weightedSumMerge(nil, grid, offset, weights, parts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// supportsWorkload builds an off-lattice convolution of k-point integer
+// supports under real weights, the shape select_maxpr convolves, with as
+// many parts (at least two) as keep the final layer at or under 2^14
+// product states.
+func supportsWorkload(k int) (offset float64, weights []float64, parts []*Discrete) {
+	r := rng.New(uint64(k))
+	n := max(2, int(math.Log(1<<14)/math.Log(float64(k))))
+	for i := 0; i < n; i++ {
+		vals := make([]float64, k)
+		for j := range vals {
+			vals[j] = float64(r.IntRange(0, 1000))
+		}
+		parts = append(parts, UniformOver(vals))
+		weights = append(weights, r.Uniform(0.1, 1))
+	}
+	return 0.5, weights, parts
+}
+
+// BenchmarkWeightedSumSupports times the hashed reference against the
+// merge on off-lattice convolutions of 2- to 100-point supports, so
+// that "no support size is slower than hashing" can be rechecked:
+//
+//	go test -run '^$' -bench BenchmarkWeightedSumSupports ./internal/dist
+func BenchmarkWeightedSumSupports(b *testing.B) {
+	kernels := []struct {
+		name string
+		run  func(*convStats, numeric.Grid, float64, []float64, []*Discrete) (*Discrete, error)
+	}{
+		{"hashed", weightedSumMap},
+		{"merge", weightedSumMerge},
+	}
+	for _, k := range []int{2, 6, 16, 64, 100} {
+		offset, weights, parts := supportsWorkload(k)
+		grid, reach, err := ConvGrid(offset, weights, parts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, dense := weightedSumLattice(offset, weights, parts, grid, reach); dense {
+			b.Fatalf("%d-point workload certifies for the dense kernel", k)
+		}
+		for _, kern := range kernels {
+			b.Run(fmt.Sprintf("points=%d/kernel=%s", k, kern.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := kern.run(nil, grid, offset, weights, parts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -11,17 +11,29 @@ import (
 
 // convStats counts the elementary work of one convolution:
 // ops is the number of atom products visited, merged the number that
-// collided with an existing grid key. The counts are write-only
-// observability — nothing reads them back into the computation.
+// collided with an existing grid key, and route the counter naming the
+// kernel that ran (convDense or convMerge; empty when validation
+// failed first). The counts are write-only observability — nothing
+// reads them back into the computation.
 type convStats struct {
 	ops    int64
 	merged int64
+	route  string
 }
+
+// The route counters: one of them ticks once per convolution.
+const (
+	convDense = "conv_dense"
+	convMerge = "conv_merge"
+)
 
 // report ticks the stats into a recorder (nil-safe).
 func (st *convStats) report(rec *obs.Recorder) {
 	rec.Add("conv_ops", st.ops)
 	rec.Add("conv_atoms_merged", st.merged)
+	if st.route != "" {
+		rec.Add(st.route, 1)
+	}
 }
 
 // Mixture pools conflicting source laws for one object into the
@@ -107,13 +119,21 @@ func Mixture(dists []*Discrete, weights []float64) (*Discrete, error) {
 // perturbs a support value by more than one resolution. The only
 // magnitude WeightedSum still rejects is a reach that overflows float64
 // entirely.
+//
+// Two kernels compute the same bits: a dense span kernel when the atoms
+// certify onto an integer lattice (dense.go), and otherwise a K-way
+// merge of key-sorted streams (merge.go). Either way the support comes
+// out in ascending order, and each layer adds its products into a key in
+// (source atom, support atom) order.
 func WeightedSum(offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
 	return weightedSum(nil, offset, weights, parts)
 }
 
 // WeightedSumRec is WeightedSum with write-only trace counters: the
-// number of atom products convolved and the grid-collision merges tick
-// into rec (nil rec is the plain WeightedSum). The returned law is
+// number of atom products convolved (conv_ops) and the grid-collision
+// merges (conv_atoms_merged) tick into rec, and so does one route
+// counter per convolution, conv_dense or conv_merge, naming the kernel
+// that ran (nil rec is the plain WeightedSum). The returned law is
 // bit-identical either way.
 func WeightedSumRec(rec *obs.Recorder, offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
 	if rec == nil {
@@ -131,56 +151,15 @@ func weightedSum(st *convStats, offset float64, weights []float64, parts []*Disc
 		return nil, err
 	}
 	if lat, ok := weightedSumLattice(offset, weights, parts, grid, reach); ok {
+		if st != nil {
+			st.route = convDense
+		}
 		return weightedSumDense(st, offset, weights, parts, lat)
 	}
-	return weightedSumMap(st, grid, offset, weights, parts)
-}
-
-// weightedSumMap is the hashed-key convolution: the general path for
-// supports the dense certificate rejects (non-dyadic values, relative
-// grids, sparse wide spans), and the reference the dense kernel is
-// fuzz-pinned against.
-func weightedSumMap(st *convStats, grid numeric.Grid, offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
-	probs := map[int64]float64{grid.Key(offset): 1}
-	vals := map[int64]float64{grid.Key(offset): offset}
-	for i, part := range parts {
-		if weights[i] == 0 {
-			continue
-		}
-		// The raw product is only an upper bound on the layer size (and
-		// can overflow int); mapSizeHint caps the pre-allocation.
-		nextProbs := make(map[int64]float64, mapSizeHint(len(probs), part.Size()))
-		nextVals := make(map[int64]float64, mapSizeHint(len(probs), part.Size()))
-		// Sorted iteration: several source atoms can land on one
-		// destination key, and the += below must add them in a fixed
-		// order for the sum to be bit-stable across runs.
-		for _, key := range numeric.SortedKeys(probs) {
-			p := probs[key]
-			base := vals[key]
-			for j, v := range part.Values {
-				s := base + weights[i]*v
-				k := grid.Key(s)
-				if _, seen := nextVals[k]; !seen {
-					nextVals[k] = s
-				} else if st != nil {
-					st.merged++
-				}
-				if st != nil {
-					st.ops++
-				}
-				nextProbs[k] += p * part.Probs[j]
-			}
-		}
-		probs, vals = nextProbs, nextVals
+	if st != nil {
+		st.route = convMerge
 	}
-	keys := numeric.SortedKeys(probs)
-	values := make([]float64, len(keys))
-	ps := make([]float64, len(keys))
-	for i, k := range keys {
-		values[i] = vals[k]
-		ps[i] = probs[k]
-	}
-	return NewDiscrete(values, ps)
+	return weightedSumMerge(st, grid, offset, weights, parts)
 }
 
 // poolGrid chooses Mixture's pooling grid with the same regime ladder

@@ -10,12 +10,11 @@ import (
 // Dense-span convolution.
 //
 // Every convolution lives on a known uniform numeric.Grid, so whenever
-// the working support is an integer lattice the per-layer
-// map[int64]float64 (hash, bucket chase, SortedKeys re-sort) is a dense
-// []float64 in disguise: cell index = (key − lo)/stride. The kernel here
-// runs exactly that layout, and is used only when a pre-flight
-// certificate (convLattice) proves the result is bit-identical to the
-// map path:
+// the working support is an integer lattice the merge's key-sorted
+// layer (merge.go: one heap step per product) is a dense []float64 in
+// disguise: cell index = (key − lo)/stride. The kernel here runs exactly
+// that layout, and is used only when a pre-flight certificate
+// (convLattice) proves the result is bit-identical to the merge:
 //
 //   - every atom the convolution adds — the offset and each fp product
 //     weights[i]·v — is a multiple of a common dyadic stride d = 2^-shift
@@ -26,31 +25,32 @@ import (
 //   - every reachable partial sum, measured in strides on the actual
 //     integer atoms (sumAbs below), stays inside float64's exact-integer
 //     range both as a value (≤ 2^53 strides) and as a scaled key
-//     (≤ 2^53 cells) — so every fp add the map path performs is exact,
+//     (≤ 2^53 cells) — so every fp add the merge performs is exact,
 //     merge-by-key coincides with merge-by-lattice-point, and the
-//     first-seen value the map keeps per key reconstructs bit-for-bit
+//     first-seen value the merge keeps per key reconstructs bit-for-bit
 //     as float64(units)·d.
 //
 // Under that certificate the dense pass visits source cells in ascending
-// index order (= ascending key order, = the map path's SortedKeys order)
-// and atoms in slice order, so every float64 addition happens in the same
-// sequence with the same operands: the output Discrete is bit-identical,
-// and the conv_ops/conv_atoms_merged trace counters tick identically.
-// Anything that fails the certificate — non-dyadic values, a relative
-// (scale < 1) grid, spans past the width caps, a −0.0 that the map path
-// would preserve but value reconstruction cannot — falls back to the map
-// path unchanged. FuzzDenseVsMap pins the equivalence. Pooling
-// (Mixture) runs on a map only: it sits on no hot path.
+// index order (= ascending key order, = the merge's source order) and
+// atoms in slice order, so every float64 addition happens in the same
+// sequence with the same operands as the merge's (key, i, j) order: the
+// output Discrete is bit-identical, and the conv_ops/conv_atoms_merged
+// trace counters tick identically. Anything that fails the certificate —
+// non-dyadic values, a relative (scale < 1) grid, spans past the width
+// caps, a −0.0 that the merge would preserve but value reconstruction
+// cannot — falls back to the merge unchanged. FuzzDenseVsMap pins the
+// equivalence. Pooling (Mixture) runs on a map only: it sits on no hot
+// path.
 
 // maxDenseWidth caps a dense span at 2^20 cells (8 MiB per float buffer):
-// wider lattices fall back to the map path rather than committing
+// wider lattices fall back to the merge rather than committing
 // unbounded memory to a sparse support.
 const maxDenseWidth = 1 << 20
 
-// maxDenseFanout bounds span width relative to the work the map path
+// maxDenseFanout bounds span width relative to the work the merge
 // would do (the product state space of the convolution): a span more
 // than 64× wider than the atom traffic is sparse territory where
-// scanning cells loses to hashing atoms.
+// scanning cells loses to merging atoms.
 const maxDenseFanout = 64
 
 // denseScratch holds the reusable buffers of one dense convolution: the
@@ -112,13 +112,13 @@ type convLattice struct {
 // convolution (see the package comment above for the conditions) and
 // derives the span geometry from the already-validated reach — the
 // allocation is exact, never speculative. Returns ok=false whenever any
-// condition fails; the caller then takes the map path.
+// condition fails; the caller then takes the merge.
 func weightedSumLattice(offset float64, weights []float64, parts []*Discrete, grid numeric.Grid, reach float64) (convLattice, bool) {
 	if !grid.KeysExactWithin(reach) {
 		return convLattice{}, false
 	}
 	// A −0.0 offset that survives to the output (no layer shifts it)
-	// would reconstruct as +0.0; the map path keeps the exact −0.0 bits.
+	// would reconstruct as +0.0; the merge keeps the exact −0.0 bits.
 	if offset == 0 && math.Signbit(offset) {
 		return convLattice{}, false
 	}
@@ -199,8 +199,8 @@ func weightedSumLattice(offset float64, weights []float64, parts []*Discrete, gr
 	return convLattice{shift: shift, g: g, offInt: offInt, width: int(width)}, true
 }
 
-// weightedSumDense is the dense twin of weightedSumMap, run only under a
-// convLattice certificate. Same layer structure, same visit order
+// weightedSumDense is the dense twin of weightedSumMerge, run only under
+// a convLattice certificate. Same layer structure, same visit order
 // (source cells ascending = keys ascending, atoms in slice order), same
 // fp operands — bit-identical output and trace counters.
 func weightedSumDense(st *convStats, offset float64, weights []float64, parts []*Discrete, lat convLattice) (*Discrete, error) {
@@ -272,8 +272,8 @@ func weightedSumDense(st *convStats, offset float64, weights []float64, parts []
 		if !curSeen[m] {
 			continue
 		}
-		// Exact reconstruction of the first-seen sum the map path would
-		// store: the units fit 2^53, so float64(units)·d is the exact
+		// Exact reconstruction of the first-seen sum the merge would
+		// keep: the units fit 2^53, so float64(units)·d is the exact
 		// lattice value, bit for bit.
 		values = append(values, float64(curLo+int64(m)*lat.g)*d)
 		probs = append(probs, cur[m])
@@ -282,25 +282,4 @@ func weightedSumDense(st *convStats, offset float64, weights []float64, parts []
 	sc.seenA, sc.seenB = curSeen, nextSeen
 	denseScratchPool.Put(sc)
 	return NewDiscrete(values, probs)
-}
-
-// maxConvMapHint caps the bucket pre-allocation of one map-path
-// convolution layer. The raw product len(probs)·Size() is an
-// upper bound that wide-support workloads overshoot by orders of
-// magnitude once grid merges collapse the layer — and that can overflow
-// int outright on adversarial sizes. Past the cap the map grows on
-// demand like any other.
-const maxConvMapHint = 1 << 16
-
-// mapSizeHint returns a safe make() capacity hint for a layer producing
-// up to n·m entries: never negative, never the overflowed product,
-// never more than maxConvMapHint.
-func mapSizeHint(n, m int) int {
-	if n <= 0 || m <= 0 {
-		return 0
-	}
-	if n > maxConvMapHint/m {
-		return maxConvMapHint
-	}
-	return n * m
 }

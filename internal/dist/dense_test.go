@@ -30,31 +30,40 @@ func assertSameLaw(t *testing.T, got, want *Discrete) {
 }
 
 // diffWeightedSum runs one convolution through the public path and
-// through the forced map path, asserts both laws and both trace-counter
-// sets are bit-identical, and reports whether the dense kernel engaged.
+// through the forced merge (the path a failed certificate falls to),
+// asserts both laws and both trace-counter sets are bit-identical, pins
+// the merge to the hashed reference, and reports whether the dense
+// kernel engaged.
 func diffWeightedSum(t *testing.T, offset float64, weights []float64, parts []*Discrete) bool {
 	t.Helper()
 	grid, reach, err := ConvGrid(offset, weights, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stAuto, stMap convStats
+	var stAuto, stMerge convStats
 	auto, err := weightedSum(&stAuto, offset, weights, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := weightedSumMap(&stMap, grid, offset, weights, parts)
+	ref, err := weightedSumMerge(&stMerge, grid, offset, weights, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameLaw(t, auto, ref)
-	if stAuto != stMap {
-		t.Fatalf("trace counters diverge: auto %+v vs map %+v", stAuto, stMap)
-	}
 	_, dense := weightedSumLattice(offset, weights, parts, grid, reach)
+	stMerge.route = convMerge
+	if dense {
+		stMerge.route = convDense
+	}
+	if stAuto != stMerge {
+		t.Fatalf("trace counters diverge: auto %+v vs merge %+v", stAuto, stMerge)
+	}
+	diffMergeHashed(t, offset, weights, parts)
 	return dense
 }
 
+// TestWeightedSumDenseMatchesMap runs each shape through diffWeightedSum
+// and pins whether it certifies for the dense kernel.
 func TestWeightedSumDenseMatchesMap(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -175,6 +184,42 @@ func TestWeightedSumDenseMatchesMap(t *testing.T) {
 			parts: []*Discrete{UniformOver([]float64{9.9e7, -9.9e7, 1})},
 			dense: false,
 		},
+		{name: "no parts", offset: 3.5, dense: true},
+		{
+			name:    "negative-zero offset and atom",
+			offset:  negZero,
+			weights: []float64{1},
+			parts:   []*Discrete{UniformOver([]float64{negZero, 0.1})},
+			dense:   false,
+		},
+		{
+			name:    "single-point parts",
+			offset:  0.1,
+			weights: []float64{0.3, -0.7},
+			parts:   []*Discrete{PointMass(1.0 / 3), PointMass(2.0 / 7)},
+			dense:   false,
+		},
+		{
+			name:    "all products on one key",
+			offset:  0,
+			weights: []float64{1, -1},
+			parts:   []*Discrete{UniformOver([]float64{0.1, 0.1, 0.1}), UniformOver([]float64{0.1, 0.1})},
+			dense:   false,
+		},
+		{
+			name:    "negative-zero mass",
+			offset:  0.5,
+			weights: []float64{2.5},
+			parts:   []*Discrete{MustDiscrete([]float64{1, 2, 3}, []float64{0, 1, negZero})},
+			dense:   true,
+		},
+		{
+			name:    "hundred-point parts",
+			offset:  1.0 / 7,
+			weights: []float64{0.1, -3},
+			parts:   []*Discrete{randomSupport(rng.New(1), 100), randomSupport(rng.New(2), 100)},
+			dense:   false,
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -187,7 +232,7 @@ func TestWeightedSumDenseMatchesMap(t *testing.T) {
 
 // TestWeightedSumWideBenchShapeIsDense pins that the workload the
 // BENCH_parallel.json speedup gate measures actually runs the dense
-// kernel, and bit-identically to the map path.
+// kernel, and bit-identically to the merge and the hashed reference.
 func TestWeightedSumWideBenchShapeIsDense(t *testing.T) {
 	offset, weights, parts := wideConvWorkload()
 	if !diffWeightedSum(t, offset, weights, parts) {
@@ -197,8 +242,8 @@ func TestWeightedSumWideBenchShapeIsDense(t *testing.T) {
 
 // TestDenseCountersReachRecorder is the TestRecorderIsOffPath companion
 // for the dense path: the conv_ops/conv_atoms_merged counters a recorded
-// convolution reports must equal the map path's counts even when the
-// dense kernel did the work.
+// convolution reports must equal the merge's counts even when the dense
+// kernel did the work.
 func TestDenseCountersReachRecorder(t *testing.T) {
 	offset, weights, parts := wideConvWorkload()
 	rec := obs.NewRecorder(nil)
@@ -214,11 +259,11 @@ func TestDenseCountersReachRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st convStats
-	if _, err := weightedSumMap(&st, grid, offset, weights, parts); err != nil {
+	if _, err := weightedSumMerge(&st, grid, offset, weights, parts); err != nil {
 		t.Fatal(err)
 	}
 	if got["conv_ops"] != st.ops || got["conv_atoms_merged"] != st.merged {
-		t.Fatalf("dense-path counters {ops %d, merged %d} vs map {ops %d, merged %d}",
+		t.Fatalf("dense-path counters {ops %d, merged %d} vs merge {ops %d, merged %d}",
 			got["conv_ops"], got["conv_atoms_merged"], st.ops, st.merged)
 	}
 	if st.ops == 0 || st.merged == 0 {
@@ -226,11 +271,12 @@ func TestDenseCountersReachRecorder(t *testing.T) {
 	}
 }
 
-// TestMapSizeHint is the regression test for the layer-hint overflow:
-// the pre-fix code handed make() the raw product len(probs)·Size(),
-// which overflows int on adversarial sizes (a negative make size
-// panics) and overshoots real layers by orders of magnitude. The hint
-// must stay within [0, maxConvMapHint] for every input.
+// TestMapSizeHint is the regression test for the hashed reference's
+// layer-hint overflow: the pre-fix code handed make() the raw product
+// len(probs)·Size(), which overflows int on adversarial sizes (a
+// negative make size panics) and overshoots real layers by orders of
+// magnitude. The hint must stay within [0, maxConvMapHint] for every
+// input.
 func TestMapSizeHint(t *testing.T) {
 	cases := []struct {
 		n, m, want int
@@ -255,20 +301,31 @@ func TestMapSizeHint(t *testing.T) {
 	}
 }
 
-// TestDenseScratchConcurrent exercises the scratch-buffer pool from
-// concurrent convolutions (the serving path runs solves in parallel):
-// every goroutine must get bit-identical results while buffers recycle
-// through sync.Pool. Run under -race in CI.
+// TestDenseScratchConcurrent exercises the scratch-buffer pools of both
+// kernels from concurrent convolutions (the serving path runs solves in
+// parallel): every goroutine must get bit-identical results while
+// buffers recycle through sync.Pool. Run under -race in CI.
 func TestDenseScratchConcurrent(t *testing.T) {
-	offset, weights, parts := wideConvWorkload()
-	ref, err := WeightedSum(offset, weights, parts)
-	if err != nil {
-		t.Fatal(err)
+	type conv struct {
+		name    string
+		offset  float64
+		weights []float64
+		parts   []*Discrete
+		ref     *Discrete
 	}
-	small := []*Discrete{UniformOver([]float64{-2, 0.5, 3})}
-	refSmall, err := WeightedSum(1, []float64{2}, small)
-	if err != nil {
-		t.Fatal(err)
+	offset, weights, parts := wideConvWorkload()
+	convs := []*conv{
+		{name: "wide", offset: offset, weights: weights, parts: parts},
+		{name: "small", offset: 1, weights: []float64{2}, parts: []*Discrete{UniformOver([]float64{-2, 0.5, 3})}},
+		{name: "off-lattice", offset: 0.1, weights: []float64{1.5, -0.3}, parts: []*Discrete{
+			UniformOver([]float64{0.1, 0.2, 7}), UniformOver([]float64{1.0 / 3, 2, 5})}},
+	}
+	for _, c := range convs {
+		ref, err := WeightedSum(c.offset, c.weights, c.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ref = ref
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -277,26 +334,17 @@ func TestDenseScratchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				d, err := WeightedSum(offset, weights, parts)
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				for j := range ref.Values {
-					if d.Values[j] != ref.Values[j] || d.Probs[j] != ref.Probs[j] {
-						errs <- "wide convolution diverged across goroutines"
+				for _, c := range convs {
+					d, err := WeightedSum(c.offset, c.weights, c.parts)
+					if err != nil {
+						errs <- err.Error()
 						return
 					}
-				}
-				s, err := WeightedSum(1, []float64{2}, small)
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				for j := range refSmall.Values {
-					if s.Values[j] != refSmall.Values[j] || s.Probs[j] != refSmall.Probs[j] {
-						errs <- "small convolution diverged across goroutines"
-						return
+					for j := range c.ref.Values {
+						if d.Values[j] != c.ref.Values[j] || d.Probs[j] != c.ref.Probs[j] {
+							errs <- c.name + " convolution diverged across goroutines"
+							return
+						}
 					}
 				}
 			}
@@ -311,8 +359,9 @@ func TestDenseScratchConcurrent(t *testing.T) {
 
 // FuzzDenseVsMap is the differential pin of the dense kernel: whatever
 // the regime (legacy grid, exact dyadic grid, relative grid — seeds
-// cover all three), the public convolution and the forced map path must
-// produce bit-identical laws and identical trace counters.
+// cover all three), the public convolution and the forced merge must
+// produce bit-identical laws and identical trace counters, and the merge
+// must match the hashed-map reference.
 func FuzzDenseVsMap(f *testing.F) {
 	f.Add(uint64(1), 0.0, 1.0, 1.0, 100.0, uint8(0))    // legacy grid, integers
 	f.Add(uint64(2), 12345.0, 2.0, 1.0, 1e11, uint8(0)) // exact grid, wide integers
@@ -349,22 +398,9 @@ func FuzzDenseVsMap(f *testing.F) {
 		}
 		parts := []*Discrete{shape(), shape()}
 		weights := []float64{w0, w1}
-		grid, _, err := ConvGrid(offset, weights, parts)
-		if err != nil {
+		if _, _, err := ConvGrid(offset, weights, parts); err != nil {
 			t.Skip() // reach overflow: out of scope here
 		}
-		var stAuto, stMap convStats
-		auto, err := weightedSum(&stAuto, offset, weights, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := weightedSumMap(&stMap, grid, offset, weights, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameLaw(t, auto, ref)
-		if stAuto != stMap {
-			t.Fatalf("trace counters diverge: auto %+v vs map %+v", stAuto, stMap)
-		}
+		diffWeightedSum(t, offset, weights, parts)
 	})
 }

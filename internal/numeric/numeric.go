@@ -108,8 +108,9 @@ func NormalQuantile(p float64) float64 {
 // this bound instead of silently degrading; see GridFor.
 const QuantizeMaxAbs = 1e8
 
-// SortedKeys returns the keys of m sorted ascending; used to iterate
-// convolution maps deterministically.
+// SortedKeys returns the keys of m sorted ascending; dist.Mixture, its
+// one caller outside tests, iterates its pooling map in this order so
+// the pooled masses are bit-stable.
 func SortedKeys(m map[int64]float64) []int64 {
 	ks := make([]int64, 0, len(m))
 	for k := range m {

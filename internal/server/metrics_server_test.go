@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -85,6 +87,28 @@ func TestMetricsScrapeCountsRequests(t *testing.T) {
 	exp = scrape(t, h)
 	if v := metricValue(t, exp, `cleanseld_requests_total{endpoint="metrics",code="200"}`); v != 1 {
 		t.Fatalf("metrics endpoint requests = %v, want 1", v)
+	}
+}
+
+// TestMetricsCountConvolutionRoutes serves one select_maxpr request from
+// the benchmark's generator and reads the convolution route counters
+// off /metrics: the T = ∅ drop law certifies onto the dense lattice, and
+// the later rounds' drop laws and the final P(T) run on the off-lattice
+// merge.
+func TestMetricsCountConvolutionRoutes(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("wire", "testdata", "select_maxpr.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestServer(Config{})
+	if rec := do(t, h, "POST", "/v1/select", string(body)); rec.Code != http.StatusOK {
+		t.Fatalf("select status %d: %s", rec.Code, rec.Body.String())
+	}
+	exp := scrape(t, h)
+	dense := metricValue(t, exp, `cleanseld_engine_ops_total{op="conv_dense"}`)
+	merge := metricValue(t, exp, `cleanseld_engine_ops_total{op="conv_merge"}`)
+	if dense != 1 || merge != 4 {
+		t.Fatalf("%v dense and %v merge convolutions, want 1 and 4", dense, merge)
 	}
 }
 

@@ -230,7 +230,8 @@ func maxPrCounts(rec *obs.Recorder) (string, map[string]int64) {
 // servedMaxPrAnswer renders a traced facade solve of the served
 // select_maxpr shape at n = 100 with a budget of 4: the chosen set,
 // Before and After as exact hexadecimal floats, and the work counters.
-func servedMaxPrAnswer(tb testing.TB, seed uint64) string {
+// It also returns every counter the solve ticked.
+func servedMaxPrAnswer(tb testing.TB, seed uint64) (string, map[string]int64) {
 	tb.Helper()
 	db, set, tau := maxPrShape(tb, 100, seed)
 	task := cleansel.Task{
@@ -244,17 +245,17 @@ func servedMaxPrAnswer(tb testing.TB, seed uint64) string {
 		tb.Fatal(err)
 	}
 	hex := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
-	counts, _ := maxPrCounts(rec)
-	return fmt.Sprintf("chosen %v\nbefore %s\nafter %s\n%s", []int(res.Set), hex(res.Before), hex(res.After), counts)
+	counts, got := maxPrCounts(rec)
+	return fmt.Sprintf("chosen %v\nbefore %s\nafter %s\n%s", []int(res.Set), hex(res.Before), hex(res.After), counts), got
 }
 
 // fallbackMaxPrAnswer renders a GreedyMaxPr solve over 12 objects of the
 // same shape whose evaluator caps exact convolution at 36 states: from
 // the third round on, candidates go to the Monte-Carlo fallback. It
 // returns the chosen set, P of it from the memoizing evaluator as an
-// exact hexadecimal float and the work counters, with the number of
-// fallback evaluations.
-func fallbackMaxPrAnswer(tb testing.TB) (string, int64) {
+// exact hexadecimal float and the work counters, with every counter
+// the solve ticked.
+func fallbackMaxPrAnswer(tb testing.TB) (string, map[string]int64) {
 	tb.Helper()
 	db, set, tau := maxPrShape(tb, 12, 9)
 	h, err := maxpr.NewHybrid(db, set.Bias(), tau, 36, 2000, rng.New(9))
@@ -274,7 +275,7 @@ func fallbackMaxPrAnswer(tb testing.TB) (string, int64) {
 	}
 	p := eval.Prob(T)
 	counts, got := maxPrCounts(rec)
-	return fmt.Sprintf("chosen %v\np %s\n%s", []int(T), strconv.FormatFloat(p, 'x', -1, 64), counts), got["maxpr_mc_fallback"]
+	return fmt.Sprintf("chosen %v\np %s\n%s", []int(T), strconv.FormatFloat(p, 'x', -1, 64), counts), got
 }
 
 // TestMaxPrDiscretePinned compares fresh MaxPr solves over independent
@@ -293,12 +294,26 @@ func TestMaxPrDiscretePinned(t *testing.T) {
 			t.Errorf("%s: answer moved\n got:\n%s\nwant:\n%s", name, got, want)
 		}
 	}
-	for _, seed := range []uint64{1, 2, 3, 4} {
-		check(fmt.Sprintf("served-seed%d", seed), servedMaxPrAnswer(t, seed))
+	// Each solve's convolutions are also counted by the kernel that ran
+	// them (dist.WeightedSumRec's route counters). In a served solve the
+	// first round's drop law, a point mass at 0 for T = ∅, certifies onto
+	// the dense lattice; the real coefficients put the three later rounds'
+	// drop laws and the final P(T) on the off-lattice merge.
+	routes := func(name string, counters map[string]int64, dense, merge int64) {
+		if counters["conv_dense"] != dense || counters["conv_merge"] != merge {
+			t.Errorf("%s: %d dense and %d merge convolutions, want %d and %d",
+				name, counters["conv_dense"], counters["conv_merge"], dense, merge)
+		}
 	}
-	got, fallbacks := fallbackMaxPrAnswer(t)
-	if fallbacks == 0 {
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		got, counters := servedMaxPrAnswer(t, seed)
+		check(fmt.Sprintf("served-seed%d", seed), got)
+		routes(fmt.Sprintf("served seed %d", seed), counters, 1, 4)
+	}
+	got, counters := fallbackMaxPrAnswer(t)
+	if counters["maxpr_mc_fallback"] == 0 {
 		t.Fatal("the Monte-Carlo fallback never fired: the pin would not cover it")
 	}
 	check("fallback-n12", got)
+	routes("fallback", counters, 3, 0)
 }

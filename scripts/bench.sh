@@ -5,20 +5,28 @@
 # the full worker curve (workers=1, every power of two up to GOMAXPROCS,
 # and GOMAXPROCS itself — see benchWorkerCounts in bench_test.go), plus
 # BenchmarkWeightedSumWide (the reach≈1e12 integer convolution on the
-# scale-aware grid; no workers dimension) and its dense-vs-map pair —
+# scale-aware grid; no workers dimension) and its kernel split —
 # BenchmarkWeightedSumDense (the dense lattice kernel on the wide
-# workload shape) against BenchmarkWeightedSumMap (the same shape forced
-# down the hashed-map path) — with BENCHTIME iterations per rep (default
-# 5x) and COUNT repetitions (default 3), and writes BENCH_parallel.json
-# at the repo root: per benchmark the min and median ns/op across reps,
-# plus a median-based speedup per (family, workers) point relative to
-# that family's workers=1 baseline — the whole scaling curve, not just
-# the endpoints. Families without a workers dimension are recorded but
-# excluded from worker speedups; the dense-vs-map ratio lands in the
-# speedup object as "BenchmarkWeightedSumDense/vs=map" and is gated by
-# MIN_DENSE_SPEEDUP (default 5) — the dense convolution engine exists to
-# beat hashing by well over that on wide integer supports, and a drop
-# below the floor means the kernel quietly stopped engaging or paying.
+# workload shape), BenchmarkWeightedSumMap (the same shape forced
+# through the hashed-key kernel that internal/dist keeps in its tests as
+# the reference of the off-lattice merge) and BenchmarkWeightedSumMerge
+# (the same shape forced through the merge, the production fallback of
+# a failed dense certificate) — with BENCHTIME iterations per rep
+# (default 5x) and COUNT repetitions (default 3), and writes
+# BENCH_parallel.json at the repo root: per benchmark the min and
+# median ns/op across reps, plus a median-based speedup per (family,
+# workers) point relative to that family's workers=1 baseline — the
+# whole scaling curve, not just the endpoints. Families without a
+# workers dimension are recorded but excluded from worker speedups.
+# The dense-vs-map ratio lands in the speedup object as
+# "BenchmarkWeightedSumDense/vs=map" and is gated by MIN_DENSE_SPEEDUP
+# (default 5): the dense kernel beats hashing by well over that on wide
+# integer supports, and a drop below the floor means the kernel quietly
+# stopped engaging or paying. "BenchmarkWeightedSumDense/vs=merge" is
+# recorded beside it, ungated: what the dense kernel saves over the
+# fallback production would otherwise run. (The merge against hashing
+# at 2- to 100-point supports is BenchmarkWeightedSumSupports in
+# ./internal/dist, run by hand; it is not part of this script.)
 # BenchmarkGreedyMaxPr (./internal/core) times one MaxPr select at n=200
 # with 6-point discrete supports on its incremental route (one drop-law
 # convolution per round) and on its per-candidate route (one convolution
@@ -77,7 +85,7 @@ if [ -n "${GOMAXPROCS:-}" ] && [ "${GOMAXPROCS}" != "$ncpu" ] && [ -z "${BENCH_A
 fi
 export GOMAXPROCS="${GOMAXPROCS:-$ncpu}"
 
-go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkGreedyMaxPr' \
+go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkWeightedSumMerge|BenchmarkGreedyMaxPr' \
   -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core | tee "$raw"
 
 awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_dense="$min_dense_speedup" -v min_maxpr="$min_maxpr_speedup" '
@@ -148,9 +156,9 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
         failmsg[++nfail] = sprintf("%s: %.3fx at workers=%s (floor %s)", f, sp, w, min_speedup)
     }
     # Dense-vs-map: the wide-convolution workload on the dense lattice
-    # kernel against the same shape forced down the hashed-map path.
-    # Unlike the worker curve this ratio is CPU-count independent, so it
-    # is gated on every runner.
+    # kernel against the same shape forced through the hashed-key
+    # reference. Unlike the worker curve this ratio is CPU-count
+    # independent, so it is gated on every runner.
     if (reps["BenchmarkWeightedSumMap"] > 0 && reps["BenchmarkWeightedSumDense"] > 0) {
       dd = med("BenchmarkWeightedSumDense")
       if (dd > 0) {
@@ -159,6 +167,15 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
         first = 0
         if (min_dense + 0 > 0 && sp < min_dense + 0)
           failmsg[++nfail] = sprintf("dense-vs-map: %.3fx on the wide convolution (floor %s)", sp, min_dense)
+      }
+    }
+    # Dense-vs-merge: the same workload forced through the off-lattice
+    # merge, the path a failed dense certificate falls to. Recorded only.
+    if (reps["BenchmarkWeightedSumMerge"] > 0 && reps["BenchmarkWeightedSumDense"] > 0) {
+      dd = med("BenchmarkWeightedSumDense")
+      if (dd > 0) {
+        printf "%s\n    \"BenchmarkWeightedSumDense/vs=merge\": %.3f", (first ? "" : ","), med("BenchmarkWeightedSumMerge") / dd
+        first = 0
       }
     }
     # Incremental-vs-per-candidate GreedyMaxPr: also CPU-count independent.
