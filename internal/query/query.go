@@ -31,7 +31,8 @@ type Affine struct {
 	Const float64
 	Coef  map[int]float64
 
-	vars []int // sorted keys of Coef, cached so Eval sums in a fixed order
+	vars []int     // sorted keys of Coef, cached so Eval sums in a fixed order
+	coef []float64 // Coef[vars[k]], so Eval reads no map
 }
 
 // NewAffine returns an affine function; zero coefficients are dropped.
@@ -42,20 +43,21 @@ func NewAffine(constant float64, coef map[int]float64) *Affine {
 			c[i] = v
 		}
 	}
-	return &Affine{Const: constant, Coef: c, vars: sortedCoefKeys(c)}
+	vars, cf := sortedCoefs(c)
+	return &Affine{Const: constant, Coef: c, vars: vars, coef: cf}
 }
 
 // Eval evaluates the affine form. Terms are summed in increasing
 // variable order: float addition is not associative, so summing in map
 // iteration order would make the low bits run-dependent.
 func (a *Affine) Eval(x []float64) float64 {
-	vars := a.vars
+	vars, coef := a.vars, a.coef
 	if vars == nil { // literal-constructed value: no cached order
-		vars = sortedCoefKeys(a.Coef)
+		vars, coef = sortedCoefs(a.Coef)
 	}
 	s := a.Const
-	for _, i := range vars {
-		s += a.Coef[i] * x[i]
+	for k, i := range vars {
+		s += coef[k] * x[i]
 	}
 	return s
 }
@@ -74,6 +76,17 @@ func sortedCoefKeys(coef map[int]float64) []int {
 	}
 	sort.Ints(keys)
 	return keys
+}
+
+// sortedCoefs returns the keys of a sparse coefficient map in
+// increasing order and the coefficients in the same order.
+func sortedCoefs(coef map[int]float64) ([]int, []float64) {
+	keys := sortedCoefKeys(coef)
+	vals := make([]float64, len(keys))
+	for k, i := range keys {
+		vals[k] = coef[i]
+	}
+	return keys, vals
 }
 
 // CoefAt returns the coefficient of X_i (0 if absent).

@@ -23,9 +23,9 @@ import (
 
 // buildSessionStepper compiles a create request into an episode
 // stepper: resolve the database, compile the claim's bias function, and
-// validate the episode parameters. It is also the restore path — the
-// manager rebuilds snapshotted sessions through it — so it must stay a
-// pure function of the request bytes and the dataset store.
+// validate the episode parameters. A live create compiles the decoded
+// body through it and a restore the decoded canonical spec, so it must
+// stay a pure function of the decoded request and the dataset store.
 func (s *Server) buildSessionStepper(req wire.SessionRequest) (*session.Stepper, error) {
 	goal, err := session.ParseGoal(req.Goal)
 	if err != nil {
@@ -43,8 +43,7 @@ func (s *Server) buildSessionStepper(req wire.SessionRequest) (*session.Stepper,
 }
 
 // rebuildSession builds a stepper from spec, the canonical
-// create-request bytes: at create, and as the manager's restore
-// callback.
+// create-request bytes: the manager's restore callback.
 func (s *Server) rebuildSession(spec []byte) (*session.Stepper, error) {
 	req, err := wire.DecodeSession(bytes.NewReader(spec))
 	if err != nil {
@@ -92,16 +91,17 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// Canonical spec: the decoded request's canonical encoding, so equal
 	// requests persist equal bytes regardless of client formatting.
 	spec := req.AppendCanonical(nil)
+	// A stepper keeps its objects' names for the life of the session,
+	// and decoded names share the whole body, padding and all: copy
+	// them, as the dataset store does.
+	ownNames(req.Objects)
 	// The create-time compile (dataset build, claim compilation, first
 	// recommendation) is the one potentially expensive session step;
 	// run it under the compute pool and timeout like any other solve.
-	// It builds from the spec, as a restore does: the names a stepper
-	// keeps then share a spec-sized copy, where req's share the whole
-	// body, padding and all, for the life of the session.
 	v, err := s.compute(r.Context(), func(ctx context.Context) (any, error) {
 		rec := obs.FromContext(ctx)
 		endCompile := rec.Span("compile")
-		st, err := s.rebuildSession(spec)
+		st, err := s.buildSessionStepper(req)
 		endCompile()
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -344,6 +345,64 @@ func TestSessionRestartRecovery(t *testing.T) {
 	rec = do(t, h2, "POST", "/v1/sessions/"+id+"/clean", cleanBody(1, next, 120))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("continuing replayed session: %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// restartNamesBody is a session create request over inline objects
+// named as in pinUploadBody: characters the canonical encoding escapes,
+// U+2028, invalid UTF-8 and a lone surrogate.
+const restartNamesBody = `{"objects": [
+    {"name": "a<b>&c", "current": 100, "cost": 1, "values": [95, 100, 105], "probs": [1, 1, 1]},
+    {"name": "café ` + "\u2028 \xff" + ` \ud800", "current": 120, "cost": 1, "values": [90, 120, 150], "probs": [1, 1, 1]},
+    {"NAME": "upper", "current": 140, "cost": 1, "normal": {"mean": 140, "sigma": 8}}
+  ],
+  "claim": {"name": "total", "coef": {"0": 1, "1": 1, "2": 1}},
+  "direction": "higher",
+  "perturbations": [{"claim": {"name": "reweighted", "coef": {"0": 1, "1": 2, "2": 1}}, "sensibility": 1}],
+  "goal": "maxpr", "tau": 1, "budget": 3}`
+
+// TestSessionRestartAnswersSameBytes checks that a restored session
+// answers the bytes the live one did. A live create compiles the
+// decoded request body; a restore compiles the decoded canonical spec.
+// The decoder, like encoding/json, already reads invalid UTF-8 and a
+// lone surrogate as U+FFFD, and responses encode names as the canonical
+// spec does, so the two compiles must agree on every name. After the
+// create and after each clean, a daemon restarted on a copy of the
+// snapshot must answer GET with the live response's bytes, the session
+// id blanked.
+func TestSessionRestartAnswersSameBytes(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "sessions.snap")
+	h := mustNew(t, Config{SessionSnapshot: snap}).Handler()
+	live := do(t, h, "POST", "/v1/sessions", restartNamesBody)
+	currents := []float64{100, 120, 140}
+	for step := 0; ; step++ {
+		if live.Code != http.StatusOK {
+			t.Fatalf("live step %d: status %d: %s", step, live.Code, live.Body.String())
+		}
+		st := sessionState(t, live.Body.Bytes())
+		id := st["id"].(string)
+		data, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restart := filepath.Join(dir, fmt.Sprintf("restart-%d.snap", step))
+		if err := os.WriteFile(restart, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		restored := do(t, mustNew(t, Config{SessionSnapshot: restart}).Handler(), "GET", "/v1/sessions/"+id, "")
+		blank := func(b []byte) string { return strings.ReplaceAll(string(b), id, "") }
+		if got, want := blank(restored.Body.Bytes()), blank(live.Body.Bytes()); restored.Code != http.StatusOK || got != want {
+			t.Fatalf("step %d: restored daemon answered %d\n%s\nlive daemon answered\n%s", step, restored.Code, got, want)
+		}
+		if st["status"] != "active" {
+			if step != 3 || !strings.Contains(live.Body.String(), `"café \u2028 `+"\ufffd \ufffd\"") {
+				t.Fatalf("episode ended after %d cleans, want 3 naming every object: %s", step, live.Body.String())
+			}
+			return
+		}
+		obj := int(st["recommendation"].(map[string]any)["object"].(float64))
+		live = do(t, h, "POST", "/v1/sessions/"+id+"/clean", cleanBody(step, obj, currents[obj]))
 	}
 }
 

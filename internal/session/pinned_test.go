@@ -63,6 +63,18 @@ func windowBias(t testing.TB, db *model.DB, r *rng.RNG) (*query.Affine, float64)
 	return f, 0.25 * math.Sqrt(m.Variance())
 }
 
+// claim draws the episode's claim and returns its bias, its τ (0 for
+// MinVar) and the generator the revealed values are then drawn from.
+func (ep pinnedEpisode) claim(tb testing.TB) (*query.Affine, float64, *rng.RNG) {
+	tb.Helper()
+	r := rng.New(ep.seed)
+	f, tau := windowBias(tb, ep.db, r)
+	if ep.goal == session.MinVar {
+		tau = 0
+	}
+	return f, tau, r
+}
+
 // normalSeries builds an n-object series of normal laws with seeded
 // means, spreads, currents and integer costs in [1, 10].
 func normalSeries(t testing.TB, n int, seed uint64) *model.DB {
@@ -85,11 +97,7 @@ func normalSeries(t testing.TB, n int, seed uint64) *model.DB {
 // line per state and one per reveal. Every float is an exact hex float.
 func renderEpisode(t *testing.T, ep pinnedEpisode) string {
 	t.Helper()
-	r := rng.New(ep.seed)
-	f, tau := windowBias(t, ep.db, r)
-	if ep.goal == session.MinVar {
-		tau = 0
-	}
+	f, tau, r := ep.claim(t)
 	st := mustStepper(t, ep.db, f, ep.goal, tau, pinBudget)
 	hex := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
 	var b strings.Builder
@@ -116,7 +124,7 @@ func renderEpisode(t *testing.T, ep pinnedEpisode) string {
 		if !ok {
 			return b.String()
 		}
-		value := ep.db.Objects[rr.Object].Value.(interface{ Sample(*rng.RNG) float64 }).Sample(r)
+		value := ep.draw(rr.Object, r)
 		if err := st.Reveal(rr.Object, value, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -124,16 +132,21 @@ func renderEpisode(t *testing.T, ep pinnedEpisode) string {
 	}
 }
 
+// draw samples object o's true value from its law.
+func (ep pinnedEpisode) draw(o int, r *rng.RNG) float64 {
+	return ep.db.Objects[o].Value.(interface{ Sample(*rng.RNG) float64 }).Sample(r)
+}
+
 // pinnedEpisodes lists the recorded episodes. A MaxPr episode usually
 // ends once its first or second reveal finds the counter, so the MaxPr
 // seeds are ones whose episodes run six or seven reveals, one ending
 // countered and one exhausted.
-func pinnedEpisodes(t *testing.T) []pinnedEpisode {
+func pinnedEpisodes(tb testing.TB) []pinnedEpisode {
 	discrete := datasets.SyntheticK(datasets.UR, pinN, datasets.MaxSupport, 7)
 	return []pinnedEpisode{
 		{file: "minvar_window.txt", db: discrete, goal: session.MinVar, seed: 11},
 		{file: "maxpr_window.txt", db: discrete, goal: session.MaxPr, seed: 53},
-		{file: "maxpr_normal.txt", db: normalSeries(t, pinN, 15), goal: session.MaxPr, seed: 16},
+		{file: "maxpr_normal.txt", db: normalSeries(tb, pinN, 15), goal: session.MaxPr, seed: 16},
 	}
 }
 

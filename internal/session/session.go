@@ -15,12 +15,17 @@
 //     selectors' budget tolerance and lowest-ID tie-break — and the
 //     one-step MaxPr benefit is maxpr.SingleProb, bit-identical to the
 //     NormalAffine closed form the upfront GreedyMaxPr uses.
-//   - Incremental conditioning. Reporting a revealed value substitutes a
-//     point mass for the object's law (à la ev.GroupEngine.CondMoments)
-//     and updates the current-value vector in place; nothing recompiles
-//     the dataset. The stepper ticks session_step_evals and
-//     session_conditioned counters on the request's obs.Recorder so a
-//     trace can prove it.
+//   - Incremental conditioning. The stepper computes each object's mean,
+//     variance and one-step benefit once, at construction. Reporting a
+//     revealed value substitutes a point mass for the object's law (à la
+//     ev.GroupEngine.CondMoments): it rewrites that object's moments and
+//     current value and evaluates the claim once. A benefit depends only
+//     on the object's own law and current value, and a revealed object
+//     leaves the candidate set, so no other benefit goes stale and a step
+//     reads kept values; nothing recompiles the dataset. The stepper
+//     ticks session_step_evals (the candidates a recommendation compares)
+//     and session_conditioned counters on the request's obs.Recorder so
+//     a trace can prove it.
 //
 // Everything here is sequential and deterministic: recommendations are
 // a pure function of (database, claim, goal, τ, budget, reveal log),
@@ -107,14 +112,18 @@ type Stepper struct {
 	f    *query.Affine
 	tau  float64
 
-	names  []string
-	costs  []float64
-	coef   []float64     // dense claim coefficients
-	values []model.Value // marginal laws; reveals substitute point masses
-	u      []float64     // current values; reveals overwrite
-	mask   []bool        // cleaned objects
+	names []string
+	costs []float64
+	coef  []float64 // dense claim coefficients
+	u     []float64 // current values; reveals overwrite
+	mask  []bool    // cleaned objects
+
+	// Moments of each object's law, a revealed object's those of its
+	// point mass, and each uncleaned object's one-step benefit.
+	mean, variance, benefit []float64
 
 	baseline  float64 // f at the original current values
+	current   float64 // f at u
 	budget    float64
 	remaining float64
 	spent     float64
@@ -130,8 +139,9 @@ type Stepper struct {
 // NewStepper builds the episode state for an affine claim function over
 // an independent database. For the MaxPr goal every value model must be
 // normal or discrete (the laws SingleProb evaluates exactly) and τ must
-// be non-negative. The database is not retained mutably: reveals touch
-// only the stepper's own copies.
+// be non-negative. The stepper keeps no reference to the database: it
+// evaluates each law's moments and one-step benefit here, and reveals
+// touch only its own copies.
 func NewStepper(db *model.DB, f *query.Affine, goal Goal, tau, budget float64) (*Stepper, error) {
 	if db == nil || db.N() == 0 {
 		return nil, errors.New("session: empty database")
@@ -159,25 +169,32 @@ func NewStepper(db *model.DB, f *query.Affine, goal Goal, tau, budget float64) (
 		names:     make([]string, n),
 		costs:     db.Costs(),
 		coef:      f.Dense(n),
-		values:    make([]model.Value, n),
 		u:         db.Currents(),
 		mask:      make([]bool, n),
+		mean:      make([]float64, n),
+		variance:  make([]float64, n),
+		benefit:   make([]float64, n),
 		budget:    budget,
 		remaining: budget,
 	}
 	for i, o := range db.Objects {
 		s.names[i] = o.Name
-		s.values[i] = o.Value
-		if goal == MaxPr {
-			// Fail at create time, not mid-episode: SingleProb supports
-			// exactly the laws the database can carry today, but a guard
-			// here keeps any future value model an explicit decision.
-			if _, err := maxpr.SingleProb(o.Value, s.coef[i], s.u[i], tau); err != nil {
-				return nil, fmt.Errorf("session: object %d (%s): %w", i, o.Name, err)
-			}
+		s.mean[i], s.variance[i] = o.Value.Mean(), o.Value.Variance()
+		if goal == MinVar {
+			s.benefit[i] = s.coef[i] * s.coef[i] * s.variance[i]
+			continue
 		}
+		// Fail at create time, not mid-episode: SingleProb supports
+		// exactly the laws the database can carry today, but a guard
+		// here keeps any future value model an explicit decision.
+		p, err := maxpr.SingleProb(o.Value, s.coef[i], s.u[i], tau)
+		if err != nil {
+			return nil, fmt.Errorf("session: object %d (%s): %w", i, o.Name, err)
+		}
+		s.benefit[i] = p
 	}
 	s.baseline = f.Eval(s.u)
+	s.current = s.baseline
 	return s, nil
 }
 
@@ -208,11 +225,11 @@ func (s *Stepper) Baseline() float64 { return s.baseline }
 
 // Current returns f at the working values: revealed truths substituted,
 // everything else at its original current value.
-func (s *Stepper) Current() float64 { return s.f.Eval(s.u) }
+func (s *Stepper) Current() float64 { return s.current }
 
 // Achieved returns the realized drop baseline − current (positive = the
 // measure fell).
-func (s *Stepper) Achieved() float64 { return s.baseline - s.Current() }
+func (s *Stepper) Achieved() float64 { return s.baseline - s.current }
 
 // Countered reports whether the realized drop exceeds τ — for MaxPr
 // sessions, the terminal success state: the episode stops paying once
@@ -222,42 +239,26 @@ func (s *Stepper) Countered() bool { return s.goal == MaxPr && s.Achieved() > s.
 // Estimate returns the posterior mean of f(X) given the reveals:
 // revealed values are point masses, unrevealed objects contribute their
 // marginal means (the CondMoments mean under independence).
-func (s *Stepper) Estimate() float64 {
-	means := make([]float64, len(s.values))
-	for i, v := range s.values {
-		means[i] = v.Mean()
-	}
-	return s.f.Eval(means)
-}
+func (s *Stepper) Estimate() float64 { return s.f.Eval(s.mean) }
 
 // Uncertainty returns the posterior variance of f(X) given the reveals:
 // Σ aᵢ²·Var[Xᵢ] with revealed variances gone (the CondMoments variance
 // under independence).
 func (s *Stepper) Uncertainty() float64 {
 	var acc float64
-	for i, v := range s.values {
-		acc += s.coef[i] * s.coef[i] * v.Variance()
+	for i, v := range s.variance {
+		acc += s.coef[i] * s.coef[i] * v
 	}
 	return acc
-}
-
-// benefit returns the one-step objective of cleaning o on the current
-// state. Laws were validated at construction, so the MaxPr path cannot
-// error.
-func (s *Stepper) benefit(o int) float64 {
-	if s.goal == MinVar {
-		return s.coef[o] * s.coef[o] * s.values[o].Variance()
-	}
-	p, _ := maxpr.SingleProb(s.values[o], s.coef[o], s.u[o], s.tau)
-	return p
 }
 
 // Recommend returns the current recommendation, or ok = false when the
 // session is terminal (countered, or no affordable step improves). The
 // result is cached between reveals; the first call after a mutation
-// evaluates every candidate once and ticks one session_step_evals per
-// evaluation on rec (nil-safe), so a request trace shows exactly how
-// much engine work the step cost.
+// compares every affordable candidate's kept benefit once (a_o²·Var[X_o]
+// for MinVar, maxpr.SingleProb for MaxPr) and adds the number compared
+// to session_step_evals on rec (nil-safe), so a request trace shows how
+// many candidates the step weighed.
 func (s *Stepper) Recommend(rec *obs.Recorder) (Recommendation, bool) {
 	if s.recValid {
 		return s.rec, s.recOK
@@ -267,10 +268,14 @@ func (s *Stepper) Recommend(rec *obs.Recorder) (Recommendation, bool) {
 	if s.Countered() {
 		return s.rec, false
 	}
+	var evals int64
 	best, bestB, bestR := core.NextAdaptiveStep(s.costs, s.mask, s.remaining, func(o int) float64 {
-		rec.Add("session_step_evals", 1)
-		return s.benefit(o)
+		evals++
+		return s.benefit[o]
 	})
+	if evals > 0 {
+		rec.Add("session_step_evals", evals)
+	}
 	if best < 0 {
 		return s.rec, false
 	}
@@ -305,11 +310,12 @@ var (
 // accepted — the recommendation is advice, not a contract — but a
 // terminal session takes no further reveals. On success the object's
 // law collapses to a point mass, the working value becomes the truth,
-// the budget shrinks, and the step counter advances; one
-// session_conditioned tick lands on rec.
+// the claim is evaluated once at the new working values, the budget
+// shrinks, and the step counter advances; one session_conditioned tick
+// lands on rec.
 func (s *Stepper) Reveal(o int, value float64, rec *obs.Recorder) error {
-	if o < 0 || o >= len(s.values) {
-		return fmt.Errorf("session: object %d out of range [0, %d)", o, len(s.values))
+	if o < 0 || o >= len(s.u) {
+		return fmt.Errorf("session: object %d out of range [0, %d)", o, len(s.u))
 	}
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("session: revealed value for object %d must be finite, got %v", o, value)
@@ -325,9 +331,12 @@ func (s *Stepper) Reveal(o int, value float64, rec *obs.Recorder) error {
 	}
 	// Point-mass substitution, à la ev.GroupEngine.CondMoments: the
 	// revealed value is the law now. No dataset recompile, no evaluator
-	// rebuild — the next Recommend reads the updated state directly.
-	s.values[o] = dist.PointMass(value)
+	// rebuild, and no other object's benefit to refresh: o leaves the
+	// candidate set, and every other benefit reads only its own object.
+	pm := dist.PointMass(value)
+	s.mean[o], s.variance[o] = pm.Mean(), pm.Variance()
 	s.u[o] = value
+	s.current = s.f.Eval(s.u)
 	s.mask[o] = true
 	s.remaining -= s.costs[o]
 	s.spent += s.costs[o]

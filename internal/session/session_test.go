@@ -32,7 +32,7 @@ func normalDB(t *testing.T) *model.DB {
 	})
 }
 
-func mustStepper(t *testing.T, db *model.DB, f *query.Affine, goal session.Goal, tau, budget float64) *session.Stepper {
+func mustStepper(t testing.TB, db *model.DB, f *query.Affine, goal session.Goal, tau, budget float64) *session.Stepper {
 	t.Helper()
 	st, err := session.NewStepper(db, f, goal, tau, budget)
 	if err != nil {
