@@ -74,15 +74,13 @@ func (d *Discrete) index() *discreteIndex {
 			break
 		}
 	}
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return d.Values[order[a]] < d.Values[order[b]]
-	})
+	order := sortedOrder(d.Values)
 	var acc numeric.KahanAcc
-	for i, j := range order {
+	for i := range n {
+		j := i
+		if order != nil {
+			j = order[i]
+		}
 		ix.sortedVals[i] = d.Values[j]
 		ix.below[i] = acc.Value()
 		acc.Add(d.Probs[j])
@@ -90,6 +88,31 @@ func (d *Discrete) index() *discreteIndex {
 	ix.below[n] = acc.Value()
 	d.idx.Store(ix)
 	return ix
+}
+
+// sortedOrder returns the support indices stably sorted by value, or nil
+// when the support is already non-decreasing under the sort's own < and
+// holds no NaN, so the stable sort would be the identity. Every
+// WeightedSum result is ascending, so drop laws never sort.
+func sortedOrder(values []float64) []int {
+	ascending := true
+	for j, v := range values {
+		if math.IsNaN(v) || j > 0 && v < values[j-1] {
+			ascending = false
+			break
+		}
+	}
+	if ascending {
+		return nil
+	}
+	order := make([]int, len(values))
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return values[order[a]] < values[order[b]]
+	})
+	return order
 }
 
 // NewDiscrete builds a validated law from a support and (possibly

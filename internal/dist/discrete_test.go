@@ -328,3 +328,58 @@ func TestDiscreteSampleRespectsDistributionShift(t *testing.T) {
 		}
 	}
 }
+
+// An ascending support skips the index's stable sort, which would be the
+// identity: the first PrBelow on a 100-point ascending law allocates
+// only the index and its three tables (it also sorted a 100-entry order
+// slice through sort.SliceStable before, seven allocations in all).
+func TestAscendingIndexSkipsSort(t *testing.T) {
+	const n, runs = 100, 50
+	values := make([]float64, n)
+	probs := make([]float64, n)
+	for i := range values {
+		values[i] = float64(i)*0.5 - 20
+		probs[i] = 1.0 / n
+	}
+	values[n/2] = values[n/2-1] // a tie keeps the support non-decreasing
+	laws := make([]*Discrete, runs+1)
+	for i := range laws {
+		laws[i] = &Discrete{Values: values, Probs: probs}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		laws[i].PrBelow(3)
+		i++
+	}); allocs != 4 {
+		t.Fatalf("first PrBelow on an ascending law allocated %v times, want 4", allocs)
+	}
+}
+
+// A shuffled support and its stably sorted twin build the same sorted
+// tables, so every PrBelow agrees to the bit; the twin, being ascending,
+// skips the sort.
+func TestShuffledSupportMatchesSortedTwin(t *testing.T) {
+	shuffled := wideDiscrete(t, 10*smallSupport)
+	order := sortedOrder(shuffled.Values)
+	if order == nil {
+		t.Fatal("wideDiscrete support is already ascending")
+	}
+	twin := &Discrete{Values: make([]float64, len(order)), Probs: make([]float64, len(order))}
+	for i, j := range order {
+		twin.Values[i], twin.Probs[i] = shuffled.Values[j], shuffled.Probs[j]
+	}
+	if sortedOrder(twin.Values) != nil {
+		t.Fatal("sorted twin is not ascending")
+	}
+	queries := append(append([]float64(nil), shuffled.Values...),
+		-100, 100, 0.5, -0.0, math.Inf(1), math.Inf(-1), math.NaN())
+	for _, v := range queries {
+		if got, want := twin.PrBelow(v), shuffled.PrBelow(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("PrBelow(%v): sorted twin %v, shuffled %v", v, got, want)
+		}
+	}
+	// A NaN in the support is never taken for ascending.
+	if sortedOrder([]float64{1, math.NaN(), 2}) == nil {
+		t.Fatal("support with NaN taken for ascending")
+	}
+}
