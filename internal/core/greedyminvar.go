@@ -160,14 +160,16 @@ func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (
 		gainSum += gain
 		// Refresh the benefits of locally affected objects so the queue
 		// max stays exact (EV is submodular: stale entries underestimate).
-		// DeltasCtx walks each affected term once for all of its live
-		// objects, then reads every delta's term values from the engine
-		// memo; the deltas come back in Affected order, so the queue is
-		// the same at every worker count.
+		// Only objects the remaining budget still affords: the budget only
+		// shrinks, so any other entry is skipped at pop whatever its
+		// benefit. DeltasCtx walks each affected term once for all of its
+		// live objects, then reads every delta's term values from the
+		// engine memo; the deltas come back in Affected order, so the
+		// queue is the same at every worker count.
 		stale := st.Affected(o)
 		live := stale[:0]
 		for _, a := range stale {
-			if !st.Cleaned(a) {
+			if !st.Cleaned(a) && fitsBudget(0, g.db.Objects[a].Cost, remaining) {
 				live = append(live, a)
 			}
 		}

@@ -58,14 +58,16 @@ func servedMinVarTask(tb testing.TB, seed uint64) cleansel.Task {
 // ev_cache_misses). Each term's support is walked (ev_term_walks) once
 // to start the State, which also yields the singleton benefits; once
 // per refreshing round, when one extension walk of the cleaned
-// object's term computes every live neighbour's extended value; and
-// once more when the greedy first cleans an object of a term, whose
-// extended value no refresh has computed yet. Before the extension
-// walk, these seeds took 85/85/84/85 walks: one per term to start,
-// another per term for the singleton benefits, and one per live
-// neighbour per round.
+// object's term computes every live affordable neighbour's extended
+// value; and once more when the greedy first cleans an object of a
+// term, whose extended value no refresh has computed yet. The round of
+// the last affordable clean refreshes nothing: no object fits what
+// remains. Before the extension walk, these seeds took 85/85/84/85
+// walks: one per term to start, another per term for the singleton
+// benefits, and one per live neighbour per round; before the last
+// round stopped refreshing, 34/34/33/34 walks and 17 fan-outs.
 func TestSelectMinVarWorkCounts(t *testing.T) {
-	walks := map[uint64]int64{1: 34, 2: 34, 3: 33, 4: 34}
+	walks := map[uint64]int64{1: 33, 2: 33, 3: 32, 4: 33}
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		task := servedMinVarTask(t, seed)
 		rec := obs.NewRecorder(nil)
@@ -84,9 +86,11 @@ func TestSelectMinVarWorkCounts(t *testing.T) {
 			t.Errorf("seed %d: Before/After missed the memo %d times (counters %v)", seed, got["ev_cache_misses"], got)
 		}
 		// A round refreshes when the cleaned object shares a term with
-		// an object still uncleaned. When every chosen object shares
-		// one with an object outside the final set, every round does,
-		// whatever the cleaning order.
+		// an object still uncleaned that the remaining budget affords.
+		// With unit costs, every round but the one that spends the last
+		// unit leaves budget for one more, and when every chosen object
+		// shares a term with an object outside the final set, each of
+		// those rounds refreshes, whatever the cleaning order.
 		engine, err := ev.NewGroupEngine(task.DB, task.Claims.Dup())
 		if err != nil {
 			t.Fatal(err)
@@ -104,6 +108,7 @@ func TestSelectMinVarWorkCounts(t *testing.T) {
 				t.Fatalf("seed %d: object %d shares terms only with chosen objects; pick a seed where every round refreshes", seed, o)
 			}
 		}
+		refreshing := min(len(res.Set), int(task.Budget)-1)
 		dup := task.Claims.Dup()
 		touched := 0
 		for _, term := range dup.Terms {
@@ -114,14 +119,14 @@ func TestSelectMinVarWorkCounts(t *testing.T) {
 				}
 			}
 		}
-		if want := int64(len(dup.Terms) + len(res.Set) + touched); got["ev_term_walks"] != want || want != walks[seed] {
-			t.Errorf("seed %d: %d term walks for %d terms, %d rounds and %d cleaned terms, want %d (pinned %d)",
-				seed, got["ev_term_walks"], len(dup.Terms), len(res.Set), touched, want, walks[seed])
+		if want := int64(len(dup.Terms) + refreshing + touched); got["ev_term_walks"] != want || want != walks[seed] {
+			t.Errorf("seed %d: %d term walks for %d terms, %d refreshing rounds and %d cleaned terms, want %d (pinned %d)",
+				seed, got["ev_term_walks"], len(dup.Terms), refreshing, touched, want, walks[seed])
 		}
 		// One fan-out starts the State; each refreshing round fans out
 		// its extension walks, then its deltas.
-		if want := int64(1 + 2*len(res.Set)); got["parallel_fanouts"] != want {
-			t.Errorf("seed %d: %d parallel fan-outs for %d refreshing rounds, want %d", seed, got["parallel_fanouts"], len(res.Set), want)
+		if want := int64(1 + 2*refreshing); got["parallel_fanouts"] != want || want != 15 {
+			t.Errorf("seed %d: %d parallel fan-outs for %d refreshing rounds, want %d (pinned 15)", seed, got["parallel_fanouts"], refreshing, want)
 		}
 	}
 }
