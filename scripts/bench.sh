@@ -34,6 +34,11 @@
 # "BenchmarkGreedyMaxPr/vs=per-candidate" and is gated by
 # MIN_MAXPR_SPEEDUP (default 10) — a drop below it means GreedyMaxPr
 # stopped engaging the extension scorer.
+# BenchmarkSessionStep (./internal/session) times one whole adaptive
+# episode of the served session shape, create through every
+# Recommend/Reveal to the terminal state, with goal=minvar and
+# goal=maxpr sub-benchmarks; it reports allocations (B/op and
+# allocs/op show in the raw output) and is recorded, ungated.
 # A single 1x pass is noise; min/median over repetitions is what makes
 # cross-run comparisons meaningful.
 #
@@ -85,8 +90,8 @@ if [ -n "${GOMAXPROCS:-}" ] && [ "${GOMAXPROCS}" != "$ncpu" ] && [ -z "${BENCH_A
 fi
 export GOMAXPROCS="${GOMAXPROCS:-$ncpu}"
 
-go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkWeightedSumMerge|BenchmarkGreedyMaxPr' \
-  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core | tee "$raw"
+go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkWeightedSumMerge|BenchmarkGreedyMaxPr|BenchmarkSessionStep' \
+  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session | tee "$raw"
 
 awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_dense="$min_dense_speedup" -v min_maxpr="$min_maxpr_speedup" '
   BEGIN { gomaxprocs = 1 }              # go test omits the -N suffix when GOMAXPROCS=1
