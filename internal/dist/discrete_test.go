@@ -331,8 +331,8 @@ func TestDiscreteSampleRespectsDistributionShift(t *testing.T) {
 
 // An ascending support skips the index's stable sort, which would be the
 // identity: the first PrBelow on a 100-point ascending law allocates
-// only the index and its three tables (it also sorted a 100-entry order
-// slice through sort.SliceStable before, seven allocations in all).
+// only the index and its three tables, not an order slice and what
+// sort.SliceStable allocates to sort it.
 func TestAscendingIndexSkipsSort(t *testing.T) {
 	const n, runs = 100, 50
 	values := make([]float64, n)

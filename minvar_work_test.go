@@ -64,8 +64,7 @@ func servedMinVarTask(tb testing.TB, seed uint64) cleansel.Task {
 // the last affordable clean refreshes nothing: no object fits what
 // remains. Before the extension walk, these seeds took 85/85/84/85
 // walks: one per term to start, another per term for the singleton
-// benefits, and one per live neighbour per round; before the last
-// round stopped refreshing, 34/34/33/34 walks and 17 fan-outs.
+// benefits, and one per live neighbour per round.
 func TestSelectMinVarWorkCounts(t *testing.T) {
 	walks := map[uint64]int64{1: 33, 2: 33, 3: 32, 4: 33}
 	for _, seed := range []uint64{1, 2, 3, 4} {
