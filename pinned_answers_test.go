@@ -228,16 +228,16 @@ func maxPrCounts(rec *obs.Recorder) (string, map[string]int64) {
 }
 
 // servedMaxPrAnswer renders a traced facade solve of the served
-// select_maxpr shape at n = 100 with a budget of 4: the chosen set,
+// select_maxpr shape at n = 100 with the given budget: the chosen set,
 // Before and After as exact hexadecimal floats, and the work counters.
 // It also returns every counter the solve ticked.
-func servedMaxPrAnswer(tb testing.TB, seed uint64) (string, map[string]int64) {
+func servedMaxPrAnswer(tb testing.TB, seed uint64, budget float64) (string, map[string]int64) {
 	tb.Helper()
 	db, set, tau := maxPrShape(tb, 100, seed)
 	task := cleansel.Task{
 		DB: db, Claims: set,
 		Measure: cleansel.Fairness, Goal: cleansel.MaximizeSurprise,
-		Algorithm: cleansel.AlgoGreedy, Budget: 4, Tau: tau, Seed: seed,
+		Algorithm: cleansel.AlgoGreedy, Budget: budget, Tau: tau, Seed: seed,
 	}
 	rec := obs.NewRecorder(nil)
 	res, err := cleansel.SelectContext(obs.WithRecorder(context.Background(), rec), task)
@@ -282,8 +282,12 @@ func fallbackMaxPrAnswer(tb testing.TB) (string, map[string]int64) {
 // discrete errors with answers and work counts recorded before the exact
 // convolution and its Monte-Carlo fallback became one evaluator, bit for
 // bit: four facade solves of the served shape, which stay exact, and one
-// greedy solve whose evaluator falls back to Monte Carlo. The figure
-// goldens print six digits. There is no update flag.
+// greedy solve whose evaluator falls back to Monte Carlo. A fifth facade
+// solve of the served shape, at budget 9 and recorded while the fallback
+// was still a separate whole-claim sampler, reaches the facade's own
+// fallback: its ninth round's candidates are past the 2^22-state cap and
+// are sampled, 20,000 draws each. The figure goldens print six digits.
+// There is no update flag.
 func TestMaxPrDiscretePinned(t *testing.T) {
 	check := func(name, got string) {
 		want, err := os.ReadFile(filepath.Join("testdata", "maxpr_pinned", name+".txt"))
@@ -298,7 +302,9 @@ func TestMaxPrDiscretePinned(t *testing.T) {
 	// them (dist.WeightedSumRec's route counters). In a served solve the
 	// first round's drop law, a point mass at 0 for T = ∅, certifies onto
 	// the dense lattice; the real coefficients put the three later rounds'
-	// drop laws and the final P(T) on the off-lattice merge.
+	// drop laws and the final P(T) on the off-lattice merge. At budget 9
+	// the eight later rounds' drop laws take the merge, and the final
+	// P(T) is the memoized sample of the ninth round's winner.
 	routes := func(name string, counters map[string]int64, dense, merge int64) {
 		if counters["conv_dense"] != dense || counters["conv_merge"] != merge {
 			t.Errorf("%s: %d dense and %d merge convolutions, want %d and %d",
@@ -306,11 +312,14 @@ func TestMaxPrDiscretePinned(t *testing.T) {
 		}
 	}
 	for _, seed := range []uint64{1, 2, 3, 4} {
-		got, counters := servedMaxPrAnswer(t, seed)
+		got, counters := servedMaxPrAnswer(t, seed, 4)
 		check(fmt.Sprintf("served-seed%d", seed), got)
 		routes(fmt.Sprintf("served seed %d", seed), counters, 1, 4)
 	}
-	got, counters := fallbackMaxPrAnswer(t)
+	got, counters := servedMaxPrAnswer(t, 2, 9)
+	check("served-budget9-seed2", got)
+	routes("served budget 9", counters, 1, 8)
+	got, counters = fallbackMaxPrAnswer(t)
 	if counters["maxpr_mc_fallback"] == 0 {
 		t.Fatal("the Monte-Carlo fallback never fired: the pin would not cover it")
 	}
