@@ -142,7 +142,8 @@ func BenchmarkAblationSingletonBulk(b *testing.B) {
 
 // BenchmarkAblationConvVsMC compares exact convolution against Monte
 // Carlo for the MaxPr objective. The convolution side is a Hybrid whose
-// default state cap T stays under, so its Prob never samples.
+// default state cap T stays under, so its Prob never samples; the Monte
+// Carlo side is a Hybrid capped at one state, so its Prob always does.
 func BenchmarkAblationConvVsMC(b *testing.B) {
 	db, _ := uniqWorkload(24)
 	w := expt.SyntheticUniquenessFromDB(db, 100)
@@ -160,7 +161,7 @@ func BenchmarkAblationConvVsMC(b *testing.B) {
 			exact.Prob(T)
 		}
 	})
-	mc, err := maxpr.NewMonteCarlo(db, bias, 1, 10000, rng.New(3))
+	mc, err := maxpr.NewHybrid(db, bias, 1, 1, 10000, rng.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}

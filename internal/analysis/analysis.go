@@ -6,10 +6,12 @@
 // The contract the analyzers encode:
 //
 //   - maporder: in deterministic packages, a range over a map whose body
-//     accumulates floats (+=, -=, *=, /=) or appends to a slice leaks the
-//     randomized map iteration order into results — float addition is not
-//     associative. Iterate numeric.SortedKeys (or extract and sort keys)
-//     instead.
+//     accumulates floats (+=, -=, *=, /=), appends to a slice, or stores
+//     into a map, slice or array under an index other than the range key
+//     leaks the randomized map iteration order into results — float
+//     addition is not associative, and when two keys map to one index the
+//     last write wins. Iterate numeric.SortedKeys (or extract and sort
+//     keys) instead.
 //   - floateq: outside internal/numeric, == / != / switch on float
 //     operands is almost always a latent pooling bug; comparisons belong
 //     on grid keys (numeric.Grid.Key) or numeric.AlmostEqual. Comparing

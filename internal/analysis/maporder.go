@@ -7,15 +7,19 @@ import (
 )
 
 // MapOrder flags range-over-map loops in deterministic packages whose
-// bodies accumulate floats with a compound assignment or append to a
-// slice. Go randomizes map iteration order per run, and float addition
-// is not associative, so the order leaks into the accumulated bits; the
-// fix is to iterate numeric.SortedKeys(m) (int64-keyed maps) or to
-// extract and sort the keys first. Appending only the range key itself
-// is the first half of exactly that idiom and is allowed.
+// bodies accumulate floats with a compound assignment, append to a
+// slice, or store into a map, slice or array under an index other than
+// the range key. Go randomizes map iteration order per run, and float
+// addition is not associative, so the order leaks into the accumulated
+// bits; when two keys map to one index, the last write in that order
+// wins. The fix is to iterate numeric.SortedKeys(m) (int64-keyed maps)
+// or to extract and sort the keys first. Appending only the range key
+// itself is the first half of exactly that idiom and is allowed, and so
+// is a store indexed by the range key (out[k] = v): distinct keys write
+// distinct elements.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "float accumulation or append under randomized map iteration order",
+	Doc:  "float accumulation, append or aliased store under randomized map iteration order",
 	Run:  runMapOrder,
 }
 
@@ -64,6 +68,13 @@ func inspectMapRangeBody(p *Pass, rs *ast.RangeStmt, keyObj types.Object) {
 							stmt.Tok)
 					}
 				}
+			case token.ASSIGN:
+				for _, lhs := range stmt.Lhs {
+					if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && !isRangeKey(p.Info, ix.Index, keyObj) {
+						p.Reportf(stmt.Pos(),
+							"store inside range over map under an index other than the range key: when two keys map to one index, the last write in randomized order wins; visit the keys in sorted order instead")
+					}
+				}
 			}
 		case *ast.CallExpr:
 			if !isBuiltinAppend(p.Info, stmt) {
@@ -77,6 +88,12 @@ func inspectMapRangeBody(p *Pass, rs *ast.RangeStmt, keyObj types.Object) {
 		}
 		return true
 	})
+}
+
+// isRangeKey reports whether e is the range key variable itself.
+func isRangeKey(info *types.Info, e ast.Expr, keyObj types.Object) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && keyObj != nil && info.Uses[id] == keyObj
 }
 
 // isBuiltinAppend reports whether call invokes the append builtin.
@@ -97,8 +114,7 @@ func appendsOnlyRangeKey(info *types.Info, call *ast.CallExpr, keyObj types.Obje
 		return false
 	}
 	for _, arg := range call.Args[1:] {
-		id, ok := ast.Unparen(arg).(*ast.Ident)
-		if !ok || info.Uses[id] != keyObj {
+		if !isRangeKey(info, arg, keyObj) {
 			return false
 		}
 	}

@@ -47,6 +47,38 @@ func sortedKeysExtraction(m map[int64]float64) []int64 {
 	return keys
 }
 
+// parseIDs mirrors the pre-fix claim decoder: "1" and "01" both parse to
+// id 1, and whichever the randomized order visits last wins.
+func parseIDs(coef map[string]float64) map[int]float64 {
+	out := map[int]float64{}
+	for key, v := range coef {
+		out[len(key)] = v // want maporder "store inside range over map under an index other than the range key"
+	}
+	return out
+}
+
+// firstByValue stores into a slice under the range value, not the key:
+// two keys with one value collide.
+func firstByValue(m map[int64]int, owner []int64) {
+	for k, v := range m {
+		owner[v] = k // want maporder "store inside range over map under an index other than the range key"
+	}
+}
+
+// keyedStores write one element per distinct key, so the iteration
+// order cannot matter; a plain variable is not a store into a map, slice
+// or array.
+func keyedStores(m map[int64]float64) (map[int64]float64, bool) {
+	out := make(map[int64]float64, len(m))
+	nonEmpty := false
+	for k, v := range m {
+		out[k] = v
+		(out)[(k)] = v
+		nonEmpty = true
+	}
+	return out, nonEmpty
+}
+
 // intAccumulation is exact arithmetic; order cannot leak into the bits.
 func intAccumulation(m map[int64]int64) int64 {
 	var s int64

@@ -92,6 +92,9 @@ func (r *Random) Name() string { return "Random" }
 
 // Select implements Selector.
 func (r *Random) Select(budget float64) (model.Set, error) {
+	if err := validateBudget(budget); err != nil {
+		return nil, err
+	}
 	gen := rng.New(r.Seed)
 	perm := gen.Perm(r.DB.N())
 	var T model.Set
@@ -120,6 +123,9 @@ func (g *GreedyNaiveCostBlind) Name() string { return "GreedyNaiveCostBlind" }
 
 // Select implements Selector.
 func (g *GreedyNaiveCostBlind) Select(budget float64) (model.Set, error) {
+	if err := validateBudget(budget); err != nil {
+		return nil, err
+	}
 	order := referencedOrder(g.DB, g.Vars, func(o int) float64 {
 		return g.DB.Objects[o].Value.Variance()
 	})
@@ -147,6 +153,9 @@ func (g *GreedyNaive) Name() string { return "GreedyNaive" }
 
 // Select implements Selector.
 func (g *GreedyNaive) Select(budget float64) (model.Set, error) {
+	if err := validateBudget(budget); err != nil {
+		return nil, err
+	}
 	benefits := make([]float64, g.DB.N())
 	for _, o := range candidateList(g.DB, g.Vars) {
 		benefits[o] = g.DB.Objects[o].Value.Variance()

@@ -10,8 +10,11 @@ import (
 	"github.com/factcheck/cleansel/internal/rng"
 )
 
-// Selector names are part of the experiment output contract.
-func TestSelectorNames(t *testing.T) {
+// selectorRoster builds one of every selector over Example 3's database,
+// keyed by the name each must report (a "#k" suffix tells apart the
+// variants that share one).
+func selectorRoster(t *testing.T) map[string]Selector {
+	t.Helper()
 	db := exampleDB()
 	f := query.NewAffine(0, map[int]float64{0: 1, 1: 1})
 	g := f.AsGroupSum()
@@ -52,7 +55,7 @@ func TestSelectorNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]Selector{
+	return map[string]Selector{
 		"Random":               &Random{DB: db},
 		"GreedyNaiveCostBlind": &GreedyNaiveCostBlind{DB: db},
 		"GreedyNaive":          &GreedyNaive{DB: db},
@@ -64,12 +67,28 @@ func TestSelectorNames(t *testing.T) {
 		"GreedyMaxPr":          gmp,
 		"OPT":                  exh,
 	}
-	for want, sel := range cases {
+}
+
+// Selector names are part of the experiment output contract.
+func TestSelectorNames(t *testing.T) {
+	for want, sel := range selectorRoster(t) {
 		if i := len(want) - 2; i > 0 && want[i] == '#' {
 			want = want[:i]
 		}
 		if got := sel.Name(); got != want {
 			t.Fatalf("Name() = %q, want %q", got, want)
+		}
+	}
+}
+
+// Every selector rejects a negative or NaN budget instead of returning
+// an empty set.
+func TestSelectorsRejectInvalidBudgets(t *testing.T) {
+	for name, sel := range selectorRoster(t) {
+		for _, budget := range []float64{-1, math.NaN()} {
+			if T, err := sel.Select(budget); err == nil {
+				t.Errorf("%s: budget %v accepted, chose %v", name, budget, T)
+			}
 		}
 	}
 }

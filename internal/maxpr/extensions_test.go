@@ -107,12 +107,17 @@ func TestCachedExtensions(t *testing.T) {
 	if x == nil || x.Prob() != e.Prob(model.NewSet(0)) {
 		t.Fatalf("Cached(Hybrid) scorer: %v", x)
 	}
-	mc, err := NewMonteCarlo(db, f, 0.5, 10, rng.New(1))
+	nd, err := dist.NewNormal(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x := NewCached(mc).Extensions(model.NewSet(0)); x != nil {
-		t.Fatalf("Cached(MonteCarlo) scorer: %v; want none", x)
+	normal := model.New([]model.Object{{Name: "a", Cost: 1, Value: nd}})
+	na, err := NewNormalAffine(normal, query.NewAffine(0, map[int]float64{0: 1}), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x := NewCached(na).Extensions(model.NewSet(0)); x != nil {
+		t.Fatalf("Cached(NormalAffine) scorer: %v; want none", x)
 	}
 }
 

@@ -69,6 +69,36 @@ func TestHybridFallsBackToMC(t *testing.T) {
 	}
 }
 
+// Past the cap, each draw takes every object of T once, in T's order, a
+// zero-coefficient object included: with one draw per set, P(T) is 1
+// exactly when the moving object's draw, the second of the stream, is a
+// drop below −τ.
+func TestHybridSamplesEveryObjectOfT(t *testing.T) {
+	still := dist.MustDiscrete([]float64{0, 1}, []float64{0.5, 0.5})
+	moving := dist.MustDiscrete([]float64{-1, 1}, []float64{0.5, 0.5})
+	db := model.New([]model.Object{
+		{Name: "still", Cost: 1, Value: still},
+		{Name: "moving", Cost: 1, Value: moving},
+	})
+	f := query.NewAffine(0, map[int]float64{1: 1})
+	T := model.NewSet(0, 1)
+	for seed := uint64(1); seed <= 32; seed++ {
+		h, err := NewHybrid(db, f, 0.5, 1, 1, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(seed)
+		still.Sample(r)
+		want := 0.0
+		if moving.Sample(r) < -0.5 {
+			want = 1
+		}
+		if got := h.Prob(T); got != want {
+			t.Fatalf("seed %d: P(T) = %v, want %v", seed, got, want)
+		}
+	}
+}
+
 // NewHybrid rejects what neither route can evaluate: a negative τ,
 // correlated errors, a value model that is not discrete, and a fallback
 // without samples.
@@ -96,7 +126,8 @@ func TestHybridValidation(t *testing.T) {
 func TestCachedConsistency(t *testing.T) {
 	db := hybridDB(8)
 	f := fullAffine(8)
-	mc, err := NewMonteCarlo(db, f, 1, 2000, rng.New(3))
+	// Capped at one state, the Hybrid samples every set.
+	mc, err := NewHybrid(db, f, 1, 1, 2000, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +150,7 @@ func TestCachedConsistency(t *testing.T) {
 func TestCachedEmptySet(t *testing.T) {
 	db := hybridDB(4)
 	f := fullAffine(4)
-	mc, err := NewMonteCarlo(db, f, 1, 100, rng.New(4))
+	mc, err := NewHybrid(db, f, 1, 1, 100, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

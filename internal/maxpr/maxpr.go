@@ -16,8 +16,8 @@
 //     given X_{O\T} = u through the precision matrix Q = Σ⁻¹, which
 //     factors only the |T|×|T| block Q_TT (docs/NUMERICS.md).
 //   - Hybrid        — independent discrete errors: D by exact
-//     convolution while its state space fits a cap, MonteCarlo beyond.
-//   - MonteCarlo    — arbitrary f: sampling fallback.
+//     convolution while its state space fits a cap, and by sampling D
+//     from the same shifted supports beyond it.
 //
 // Hybrid, and Cached over it, are also ExtensionScorers: one convolution
 // of D_T scores every one-object extension of T, which is how greedy
@@ -223,10 +223,10 @@ func (e *MVNAffine) Prob(T model.Set) float64 {
 
 // Hybrid evaluates the objective for independent discrete errors: exactly,
 // by convolving the drop D = Σ_{i∈T} a_i(X_i − u_i), while T's state space
-// fits a cap, and by Monte Carlo beyond it — the practical evaluator for
+// fits a cap, and by sampling D beyond it — the practical evaluator for
 // greedy selection over discrete databases whose chosen sets can grow
-// large. The convolution runs over current-shifted supports X_i − u_i,
-// built once at construction, so the outcome in which every cleaned value
+// large. Both routes run over current-shifted supports X_i − u_i, built
+// once at construction, so the outcome in which every cleaned value
 // equals its current value is a drop of exactly 0 — never a round-off
 // residue that the strict test D < −τ would count as a surprise at τ = 0.
 // The convolution grid is scale-aware (see dist.WeightedSum/dist.ConvGrid):
@@ -235,14 +235,17 @@ func (e *MVNAffine) Prob(T model.Set) float64 {
 // integral (or dyadic), and on a relative-resolution grid otherwise, so
 // the fallback triggers on state-space size, never on magnitude.
 type Hybrid struct {
-	// shifted[i] is the law of X_i − u_i (nil when a_i = 0: the object
-	// never moves the drop).
+	// shifted[i] is the law of X_i − u_i. The convolution and Gain skip
+	// objects with a_i = 0, which never move the drop; the sampler draws
+	// them too, so its random stream does not depend on the coefficients.
 	shifted []*dist.Discrete
 	a       []float64
 	tau     float64
-	// maxStates caps the convolution support; sets past it go to mc.
+	// maxStates caps the convolution support; sets past it are sampled,
+	// samples draws of D each, from r.
 	maxStates int
-	mc        *MonteCarlo
+	samples   int
+	r         *rng.RNG
 	// rec, when set via Observe, receives write-only trace counters; it
 	// never influences results.
 	rec *obs.Recorder
@@ -257,7 +260,7 @@ var errTooLarge = errors.New("maxpr: convolution state space too large")
 
 // NewHybrid builds the evaluator. Every object value must be discrete and
 // the database independent; maxStates ≤ 0 means DefaultMaxStates, and the
-// fallback draws samples outcomes per set from r.
+// fallback draws samples ≥ 1 outcomes per set from r.
 func NewHybrid(db *model.DB, f *query.Affine, tau float64, maxStates, samples int, r *rng.RNG) (*Hybrid, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
@@ -269,19 +272,14 @@ func NewHybrid(db *model.DB, f *query.Affine, tau float64, maxStates, samples in
 	if err != nil {
 		return nil, fmt.Errorf("maxpr: Hybrid: %w", err)
 	}
-	mc, err := NewMonteCarlo(db, f, tau, samples, r)
-	if err != nil {
-		return nil, err
+	if samples <= 0 {
+		return nil, fmt.Errorf("maxpr: need samples >= 1, got %d", samples)
 	}
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	a := f.Dense(db.N())
 	shifted := make([]*dist.Discrete, len(ds))
 	for i, d := range ds {
-		if a[i] == 0 {
-			continue
-		}
 		u := db.Objects[i].Current
 		vals := make([]float64, len(d.Values))
 		for j, x := range d.Values {
@@ -291,7 +289,7 @@ func NewHybrid(db *model.DB, f *query.Affine, tau float64, maxStates, samples in
 		// would renormalize them.
 		shifted[i] = &dist.Discrete{Values: vals, Probs: d.Probs}
 	}
-	return &Hybrid{shifted: shifted, a: a, tau: tau, maxStates: maxStates, mc: mc}, nil
+	return &Hybrid{shifted: shifted, a: f.Dense(db.N()), tau: tau, maxStates: maxStates, samples: samples, r: r}, nil
 }
 
 // Observe attaches a trace recorder (nil detaches). It ticks the
@@ -301,7 +299,9 @@ func NewHybrid(db *model.DB, f *query.Affine, tau float64, maxStates, samples in
 func (h *Hybrid) Observe(rec *obs.Recorder) { h.rec = rec }
 
 // Prob implements Evaluator: Pr[D < −τ] by exact convolution, or the
-// Monte-Carlo estimate when T's state space exceeds the cap.
+// Monte-Carlo estimate when T's state space exceeds the cap. Each of the
+// estimate's draws takes every object of T once, in T's order, from its
+// shifted law, and counts a hit when the drop they sum to is below −τ.
 func (h *Hybrid) Prob(T model.Set) float64 {
 	if len(T) == 0 {
 		h.rec.Add("maxpr_exact", 1)
@@ -312,7 +312,17 @@ func (h *Hybrid) Prob(T model.Set) float64 {
 		return d.PrBelow(-h.tau)
 	}
 	h.rec.Add("maxpr_mc_fallback", 1)
-	return h.mc.Prob(T)
+	hits := 0
+	for s := 0; s < h.samples; s++ {
+		var d float64
+		for _, i := range T {
+			d += h.a[i] * h.shifted[i].Sample(h.r)
+		}
+		if d < -h.tau {
+			hits++
+		}
+	}
+	return float64(hits) / float64(h.samples)
 }
 
 // drop convolves the law of D_T = Σ_{i∈T} a_i·(X_i − u_i) over the
@@ -412,8 +422,8 @@ func (x *Extensions) Gain(o int) (gain float64, ok bool) {
 
 // Cached memoizes another evaluator by the canonical key of the subset.
 // Greedy selection across a budget sweep revisits the same subsets many
-// times; with a Monte-Carlo inner evaluator, caching also keeps the
-// estimates consistent between visits.
+// times; with a sampling inner evaluator (Hybrid past its cap), caching
+// also keeps the estimates consistent between visits.
 type Cached struct {
 	inner Evaluator
 	cache map[string]float64
@@ -449,63 +459,4 @@ func (c *Cached) Extensions(T model.Set) *Extensions {
 		return s.Extensions(T)
 	}
 	return nil
-}
-
-// MonteCarlo estimates the objective for an arbitrary query function:
-// cleaned values are drawn from their marginals, the rest stay at u.
-type MonteCarlo struct {
-	db      *model.DB
-	samples int
-	f       query.Function
-	tau     float64
-	r       *rng.RNG
-
-	sample func(i int, r *rng.RNG) float64
-}
-
-// NewMonteCarlo builds the estimator; values may be discrete or normal.
-func NewMonteCarlo(db *model.DB, f query.Function, tau float64, samples int, r *rng.RNG) (*MonteCarlo, error) {
-	if tau < 0 {
-		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
-	}
-	if samples <= 0 {
-		return nil, fmt.Errorf("maxpr: need samples >= 1, got %d", samples)
-	}
-	if db.Cov != nil {
-		return nil, errors.New("maxpr: MonteCarlo requires independent values (use MVNAffine)")
-	}
-	mc := &MonteCarlo{db: db, samples: samples, f: f, tau: tau, r: r}
-	mc.sample = func(i int, r *rng.RNG) float64 {
-		switch v := db.Objects[i].Value.(type) {
-		case *dist.Discrete:
-			return v.Sample(r)
-		case dist.Normal:
-			return v.Sample(r)
-		default:
-			panic(fmt.Sprintf("maxpr: unsupported value model %T", v))
-		}
-	}
-	return mc, nil
-}
-
-// Prob estimates P(T) with the configured number of samples.
-func (e *MonteCarlo) Prob(T model.Set) float64 {
-	if len(T) == 0 {
-		return 0
-	}
-	x := e.db.Currents()
-	threshold := e.f.Eval(x) - e.tau
-	hits := 0
-	for s := 0; s < e.samples; s++ {
-		for _, i := range T {
-			x[i] = e.sample(i, e.r)
-		}
-		if e.f.Eval(x) < threshold {
-			hits++
-		}
-		for _, i := range T {
-			x[i] = e.db.Objects[i].Current
-		}
-	}
-	return float64(hits) / float64(e.samples)
 }

@@ -41,6 +41,8 @@ func TestExample5DiscreteAffine(t *testing.T) {
 	}
 }
 
+// Exact convolution agrees with sampling: a Hybrid capped at one state
+// samples every set with a nonzero coefficient.
 func TestDiscreteAffineMatchesMonteCarlo(t *testing.T) {
 	r := rng.New(11)
 	for trial := 0; trial < 10; trial++ {
@@ -66,7 +68,7 @@ func TestDiscreteAffineMatchesMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, err := NewMonteCarlo(db, f, tau, 60000, r.Split())
+		mc, err := NewHybrid(db, f, tau, 1, 60000, r.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,34 +260,6 @@ func TestDiscreteAffineTooLarge(t *testing.T) {
 	e.Prob(model.NewSet(0, 1))
 	if got := counters(rec); got["maxpr_mc_fallback"] != 1 || got["maxpr_exact"] != 1 {
 		t.Fatalf("small subset: counters %v, want one exact evaluation", got)
-	}
-}
-
-func TestMonteCarloNormalDB(t *testing.T) {
-	n1, _ := dist.NewNormal(10, 2)
-	db := model.New([]model.Object{
-		{Name: "a", Cost: 1, Current: 10, Value: n1},
-	})
-	f := query.NewAffine(0, map[int]float64{0: 1})
-	na, _ := NewNormalAffine(db, f, 1)
-	mc, err := NewMonteCarlo(db, f, 1, 200000, rng.New(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	T := model.NewSet(0)
-	if got, want := mc.Prob(T), na.Prob(T); math.Abs(got-want) > 0.01 {
-		t.Fatalf("MC %v vs closed form %v", got, want)
-	}
-}
-
-func TestMonteCarloValidation(t *testing.T) {
-	db := example5DB()
-	f := query.NewAffine(0, map[int]float64{0: 1})
-	if _, err := NewMonteCarlo(db, f, 0.1, 0, rng.New(1)); err == nil {
-		t.Fatal("samples=0 accepted")
-	}
-	if _, err := NewMonteCarlo(db, f, -0.1, 100, rng.New(1)); err == nil {
-		t.Fatal("negative tau accepted")
 	}
 }
 

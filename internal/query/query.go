@@ -272,8 +272,8 @@ func Indicator(vars []int, pred func(vals []float64) bool) *GroupSum {
 	}}}
 }
 
-// Func adapts an arbitrary closure into a Function; used by tests and the
-// Monte-Carlo fallbacks. The closure receives the full value vector.
+// Func adapts an arbitrary closure into a Function. The closure receives
+// the full value vector.
 type Func struct {
 	F func(x []float64) float64
 	V []int

@@ -13,6 +13,8 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,16 +225,18 @@ func BuildDB(specs []Object) (*cleansel.DB, error) {
 	return db, nil
 }
 
-// BuildClaim maps a claim specification onto a cleansel claim; object
-// IDs must parse as integers in [0, n).
+// BuildClaim maps a claim specification onto a cleansel claim. Every
+// key must be the canonical decimal spelling (strconv.Itoa) of an object
+// ID in [0, n), so no two keys name one object. Keys are visited in
+// sorted order, so a bad claim is always reported by the same key.
 func BuildClaim(spec Claim, n int) (*cleansel.Claim, error) {
 	coef := make(map[int]float64, len(spec.Coef))
-	for key, v := range spec.Coef {
+	for _, key := range slices.Sorted(maps.Keys(spec.Coef)) {
 		id, err := strconv.Atoi(key)
-		if err != nil || id < 0 || id >= n {
+		if err != nil || id < 0 || id >= n || strconv.Itoa(id) != key {
 			return nil, fmt.Errorf("claim %q: bad object id %q", spec.Name, key)
 		}
-		coef[id] = v
+		coef[id] = spec.Coef[key]
 	}
 	return cleansel.NewClaim(spec.Name, spec.Const, coef), nil
 }

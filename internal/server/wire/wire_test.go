@@ -131,6 +131,31 @@ func TestBuildClaimErrors(t *testing.T) {
 	}
 }
 
+// An object ID key is its canonical decimal spelling. Other spellings of
+// an id would race for its coefficient in map order, so they are
+// rejected, and the sorted first bad key names the error every time.
+func TestBuildClaimRejectsAliasedIDs(t *testing.T) {
+	for _, key := range []string{"01", "+1", "00", "-0", " 1", "1 "} {
+		if _, err := BuildClaim(Claim{Name: "c", Coef: map[string]float64{key: 1}}, 3); err == nil {
+			t.Errorf("object id key %q accepted", key)
+		}
+	}
+	aliased := Claim{Name: "c", Coef: map[string]float64{"1": 2, "01": 3, "+1": 5}}
+	for i := 0; i < 50; i++ {
+		_, err := BuildClaim(aliased, 3)
+		if err == nil || err.Error() != `claim "c": bad object id "+1"` {
+			t.Fatalf("aliased keys: err %v, want the bad id \"+1\"", err)
+		}
+	}
+	cl, err := BuildClaim(Claim{Name: "c", Coef: map[string]float64{"0": 1, "2": 4, "10": 0.5}}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.Coef; len(got) != 3 || got[0] != 1 || got[2] != 4 || got[10] != 0.5 {
+		t.Fatalf("canonical keys built %v", got)
+	}
+}
+
 func TestBuildTaskErrors(t *testing.T) {
 	base := decodeSample(t)
 	db, err := BuildDB(base.Objects)

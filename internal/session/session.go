@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"github.com/factcheck/cleansel/internal/core"
-	"github.com/factcheck/cleansel/internal/dist"
 	"github.com/factcheck/cleansel/internal/maxpr"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/obs"
@@ -333,8 +332,10 @@ func (s *Stepper) Reveal(o int, value float64, rec *obs.Recorder) error {
 	// revealed value is the law now. No dataset recompile, no evaluator
 	// rebuild, and no other object's benefit to refresh: o leaves the
 	// candidate set, and every other benefit reads only its own object.
-	pm := dist.PointMass(value)
-	s.mean[o], s.variance[o] = pm.Mean(), pm.Variance()
+	// The moments are the point mass's own: variance 0, and a mean of
+	// value + 0, which is the compensated sum dist.Discrete.Mean takes
+	// of the one atom (a revealed −0 has mean +0).
+	s.mean[o], s.variance[o] = value+0, 0
 	s.u[o] = value
 	s.current = s.f.Eval(s.u)
 	s.mask[o] = true

@@ -255,6 +255,32 @@ func TestStepperRevealValidation(t *testing.T) {
 	}
 }
 
+// A reveal's moments are those of the point mass at the revealed value:
+// a revealed −0 has mean +0, so under a claim whose constant is −0 the
+// estimate the wire reports is +0, as the point mass's compensated mean
+// makes it.
+func TestStepperRevealNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	db := model.New([]model.Object{
+		{Name: "a", Cost: 1, Current: 1, Value: dist.MustDiscrete([]float64{-1, 1}, []float64{0.5, 0.5})},
+	})
+	f := query.NewAffine(negZero, map[int]float64{0: 1})
+	st := mustStepper(t, db, f, session.MinVar, 0, 1)
+	if err := st.Reveal(0, negZero, nil); err != nil {
+		t.Fatal(err)
+	}
+	pm := dist.PointMass(negZero)
+	if got := st.Estimate(); got != 0 || math.Signbit(got) {
+		t.Fatalf("estimate %v (sign bit %v), want +0", got, math.Signbit(got))
+	}
+	if got, want := st.Estimate(), f.Eval([]float64{pm.Mean()}); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("estimate %x, want the point mass's %x", math.Float64bits(got), math.Float64bits(want))
+	}
+	if got := st.Uncertainty(); got != 0 || math.Signbit(got) {
+		t.Fatalf("uncertainty %v, want +0", got)
+	}
+}
+
 func isConflict(err error) bool { return errors.Is(err, session.ErrRevealConflict) }
 
 func TestStepperBudgetConflict(t *testing.T) {
