@@ -79,12 +79,41 @@ func pinnedAnswer(tb testing.TB, task cleansel.Task) string {
 	return b.String()
 }
 
+// servedConstantTermsTask is servedMinVarTask with two more
+// perturbations: a constant claim with an empty coef, whose term has
+// no vars, and a claim whose only coefficient is 0, kept as it is
+// written, so its term sweeps one var of the first perturbation's
+// window with a −0 coefficient (the direction folded in). Both terms
+// are constant, so they add no variance, but every walk still visits
+// them.
+func servedConstantTermsTask(tb testing.TB, seed uint64, measure cleansel.Measure) cleansel.Task {
+	tb.Helper()
+	task := servedMinVarTask(tb, seed)
+	set := task.Claims
+	zeroAt := set.Perturbs[0].Claim.Vars()[1]
+	ps := append(slices.Clone(set.Perturbs),
+		cleansel.Perturbed{Claim: cleansel.NewClaim("const", set.Ref+1, nil), Sensibility: 0.5},
+		cleansel.Perturbed{Claim: &cleansel.Claim{Name: "zero", Coef: map[int]float64{zeroAt: 0}}, Sensibility: 0.5})
+	var err error
+	task.Claims, err = cleansel.NewPerturbationSet(set.Original, set.Dir, set.Ref, ps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	task.Measure = measure
+	return task
+}
+
 // pinnedTasks names the tasks whose answers testdata/minvar_pinned
 // holds: four of the served uniqueness shape (disjoint windows, no
-// pairs) and one robustness task over sliding windows (overlapping
-// pairs).
+// pairs), the served shape with two constant terms under uniqueness
+// and under robustness, and one robustness task over sliding windows
+// (overlapping pairs).
 func pinnedTasks(tb testing.TB) map[string]cleansel.Task {
-	tasks := map[string]cleansel.Task{"robustness-sliding-seed5": slidingRobustnessTask(tb, 5)}
+	tasks := map[string]cleansel.Task{
+		"robustness-sliding-seed5":           slidingRobustnessTask(tb, 5),
+		"served-constant-terms-seed1":        servedConstantTermsTask(tb, 1, cleansel.Uniqueness),
+		"served-constant-terms-robust-seed1": servedConstantTermsTask(tb, 1, cleansel.Robustness),
+	}
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		tasks[fmt.Sprintf("served-seed%d", seed)] = servedMinVarTask(tb, seed)
 	}
