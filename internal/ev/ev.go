@@ -61,8 +61,8 @@ func EVWithContext(ctx context.Context, e Engine, T model.Set) (float64, error) 
 // iteratively, the first var outermost and the last var fastest, and
 // writes level i's value into vals[slot[i]]. With slot = vars, vals is
 // an object-indexed assignment; with slot = positions in Term.Vars, vals
-// is the term's own argument vector, ready for Term.Eval without a
-// gather.
+// is the term's own argument vector, ready for Term.Eval or Term.Sweep
+// without a gather.
 //
 // An outcome's probability is the left-to-right product 1·p_0·p_1·…,
 // kept as one prefix product per level, so advancing the fastest var
@@ -191,20 +191,35 @@ func (o *odometer) fill(vars []int, cleaned []bool, want bool) {
 	}
 }
 
-// splitTerm fills in with a term's cleaned vars and out with its
-// uncleaned ones, in declaration order, with slot = position in vars.
-func splitTerm(vars []int, cleaned []bool, in, out *odometer) {
+// unitLevel is the last level of a term walk with no uncleaned var:
+// one outcome, of probability 1, that writes no argument.
+var unitLevel = dist.PointMass(0)
+
+// splitSweep splits a term's vars for a term walk: in gets the cleaned
+// vars and up every uncleaned var but the last, each in declaration
+// order with slot = position in vars. It returns the law of the last
+// uncleaned var, the level the walk sweeps, and that var's position in
+// vars; with no uncleaned var it returns unitLevel and −1.
+func splitSweep(dists []*dist.Discrete, vars []int, cleaned []bool, in, up *odometer) (inner *dist.Discrete, pos int) {
 	in.vars, in.slot = in.vars[:0], in.slot[:0]
-	out.vars, out.slot = out.vars[:0], out.slot[:0]
-	for pos, v := range vars {
+	up.vars, up.slot = up.vars[:0], up.slot[:0]
+	pos = -1
+	for p, v := range vars {
 		if cleaned[v] {
 			in.vars = append(in.vars, v)
-			in.slot = append(in.slot, pos)
-		} else {
-			out.vars = append(out.vars, v)
-			out.slot = append(out.slot, pos)
+			in.slot = append(in.slot, p)
+			continue
 		}
+		if pos >= 0 {
+			up.vars = append(up.vars, vars[pos])
+			up.slot = append(up.slot, pos)
+		}
+		pos = p
 	}
+	if pos < 0 {
+		return unitLevel, -1
+	}
+	return dists[vars[pos]], pos
 }
 
 // BruteForce is the exponential-time reference engine: it enumerates the

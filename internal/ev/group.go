@@ -60,9 +60,10 @@ type GroupEngine struct {
 }
 
 type termInfo struct {
-	vars []int
-	eval func([]float64) float64
-	sig  string // canonical signature ("" = unshareable)
+	vars  []int
+	eval  func([]float64) float64
+	sweep func(vals []float64, pos int, xs, out []float64) // Term.Sweep, or EvalSweep(eval)
+	sig   string                                           // canonical signature ("" = unshareable)
 }
 
 type pairInfo struct {
@@ -106,7 +107,11 @@ func NewGroupEngine(db *model.DB, g *query.GroupSum) (*GroupEngine, error) {
 		}
 		// Terms must receive values in their declared order; keep the
 		// original order for evaluation but track sorted vars for set math.
-		e.terms = append(e.terms, termInfo{vars: t.Vars, eval: t.Eval, sig: t.Sig})
+		sweep := t.Sweep
+		if sweep == nil {
+			sweep = query.EvalSweep(t.Eval)
+		}
+		e.terms = append(e.terms, termInfo{vars: t.Vars, eval: t.Eval, sweep: sweep, sig: t.Sig})
 	}
 	// Index terms per object and find overlapping pairs.
 	for k, t := range e.terms {
@@ -236,28 +241,38 @@ func (e *GroupEngine) evalTerm(k int, x []float64, sc *evScratch) float64 {
 
 // termEV returns Σ_a Pr[a]·Var[g_k | X_{R_k∩T} = a] for term k given the
 // cleaned mask, enumerating with the provided distributions. Both walks
-// write straight into the term's argument vector. An outcome where the
-// term is ±0 adds nothing: its addends are ±0, which leave an
-// accumulator that starts at +0 unchanged bit for bit (see
-// docs/NUMERICS.md). Every walk here and in the kernels below applies
-// the same rule.
+// write straight into the term's argument vector. The inner one is an
+// odometer over the uncleaned vars but the last, times one sweep of
+// the last (see splitSweep); with no uncleaned var, its one outcome is
+// evaluated once. An outcome where the term is ±0 adds nothing: its
+// addends are ±0, which leave an accumulator that starts at +0
+// unchanged bit for bit (see docs/NUMERICS.md). Every walk here and in
+// the kernels below applies the same rule.
 func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, sc *evScratch) float64 {
 	t := &e.terms[k]
 	args := growSlice(&sc.args, len(t.vars))
-	a, b := &sc.walks[0], &sc.walks[1]
-	splitTerm(t.vars, cleaned, a, b)
+	a, up := &sc.walks[0], &sc.walks[1]
+	inner, pos := splitSweep(dists, t.vars, cleaned, a, up)
 	a.bind(dists, args)
-	b.bind(dists, args)
+	up.bind(dists, args)
+	g := growSlice(&sc.swept, inner.Size())
 	var acc numeric.KahanAcc
 	for pa, ok := a.first(); ok; pa, ok = a.next() {
 		var m1, m2 numeric.KahanAcc
-		for p, ok := b.first(); ok; p, ok = b.next() {
-			v := t.eval(args)
-			if v == 0 {
-				continue
+		for pu, ok := up.first(); ok; pu, ok = up.next() {
+			if pos < 0 {
+				g[0] = t.eval(args)
+			} else {
+				t.sweep(args, pos, inner.Values, g)
 			}
-			m1.Add(p * v)
-			m2.Add(p * v * v)
+			for j, v := range g {
+				if v == 0 {
+					continue
+				}
+				p := pu * inner.Probs[j]
+				m1.Add(p * v)
+				m2.Add(p * v * v)
+			}
 		}
 		mean := m1.Value()
 		variance := m2.Value() - mean*mean
@@ -319,45 +334,63 @@ func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, sc 
 // (declaration order) next. The drops group the joint sweep by each
 // var's value and divide its moments by the value's probability; they
 // are the singleton benefits NewStateCtx returns, not extendTerm's
-// exact ones. drops is nil for a fully cleaned term.
+// exact ones. A fully cleaned term has no drops: it returns termEV and
+// nil.
 func (e *GroupEngine) singletonTerm(k int, cleaned []bool, sc *evScratch) (ev float64, drops []float64) {
 	t := &e.terms[k]
-	a, b := &sc.walks[0], &sc.walks[1]
-	splitTerm(t.vars, cleaned, a, b)
+	a, up := &sc.walks[0], &sc.walks[1]
+	inner, pos := splitSweep(e.dists, t.vars, cleaned, a, up)
+	if pos < 0 {
+		return e.termEV(e.dists, k, cleaned, sc), nil
+	}
 	args := growSlice(&sc.args, len(t.vars))
 	a.bind(e.dists, args)
-	b.bind(e.dists, args)
-	// evAfter[lv] accumulates Σ_a p_a Σ_val p_val·Var[g | a, X_v=val]
-	// for the var v at inner level lv. The accumulators and moment rows
-	// live on the worker scratch, indexed by level.
-	for len(sc.m1) < len(b.vars) {
+	up.bind(e.dists, args)
+	// The uncleaned vars are levels 0..last: up's levels, then the
+	// swept one. evAfter[lv] accumulates Σ_a p_a Σ_val p_val·Var[g | a,
+	// X_v=val] for the var v at level lv. The accumulators and moment
+	// rows live on the worker scratch, indexed by level.
+	last := len(up.vars)
+	law := func(lv int) *dist.Discrete {
+		if lv == last {
+			return inner
+		}
+		return e.dists[up.vars[lv]]
+	}
+	for len(sc.m1) <= last {
 		sc.m1, sc.m2 = append(sc.m1, nil), append(sc.m2, nil)
 	}
-	m1, m2 := sc.m1, sc.m2
-	evAfter := growSlice(&sc.acc, len(b.vars))
+	m1, m2 := sc.m1[:last+1], sc.m2[:last+1]
+	evAfter := growSlice(&sc.acc, last+1)
 	clear(evAfter)
-	for lv, v := range b.vars {
-		growSlice(&m1[lv], e.dists[v].Size())
-		growSlice(&m2[lv], e.dists[v].Size())
+	for lv := range m1 {
+		growSlice(&m1[lv], law(lv).Size())
+		growSlice(&m2[lv], law(lv).Size())
 	}
+	g := growSlice(&sc.swept, inner.Size())
 	var acc numeric.KahanAcc
 	for pa, ok := a.first(); ok; pa, ok = a.next() {
-		for lv := range b.vars {
+		for lv := range m1 {
 			clear(m1[lv])
 			clear(m2[lv])
 		}
+		r1, r2 := m1[last], m2[last]
 		var t1, t2 numeric.KahanAcc
-		for pb, ok := b.first(); ok; pb, ok = b.next() {
-			g := t.eval(args)
-			if g == 0 {
-				continue
-			}
-			pg := pb * g
-			t1.Add(pg)
-			t2.Add(pg * g)
-			for lv, j := range b.idx {
-				m1[lv][j] += pg
-				m2[lv][j] += pg * g
+		for pu, ok := up.first(); ok; pu, ok = up.next() {
+			t.sweep(args, pos, inner.Values, g)
+			for j, v := range g {
+				if v == 0 {
+					continue
+				}
+				pg := pu * inner.Probs[j] * v
+				t1.Add(pg)
+				t2.Add(pg * v)
+				for lv, i := range up.idx {
+					m1[lv][i] += pg
+					m2[lv][i] += pg * v
+				}
+				r1[j] += pg
+				r2[j] += pg * v
 			}
 		}
 		mean := t1.Value()
@@ -366,9 +399,9 @@ func (e *GroupEngine) singletonTerm(k int, cleaned []bool, sc *evScratch) (ev fl
 			variance = 0
 		}
 		acc.Add(pa * variance)
-		for lv, v := range b.vars {
+		for lv := range m1 {
 			r1, r2 := m1[lv], m2[lv]
-			for j, pv := range e.dists[v].Probs {
+			for j, pv := range law(lv).Probs {
 				if pv == 0 {
 					continue
 				}
@@ -382,10 +415,7 @@ func (e *GroupEngine) singletonTerm(k int, cleaned []bool, sc *evScratch) (ev fl
 		}
 	}
 	ev = acc.Value()
-	if len(b.vars) == 0 {
-		return ev, nil
-	}
-	drops = make([]float64, len(b.vars))
+	drops = make([]float64, last+1)
 	for lv := range drops {
 		drops[lv] = ev - evAfter[lv].Value()
 	}
@@ -419,22 +449,20 @@ type extReq struct {
 func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch) []float64 {
 	t := &e.terms[k]
 	args := growSlice(&sc.args, len(t.vars))
-	a, b, up, ap := &sc.walks[0], &sc.walks[1], &sc.walks[2], &sc.walks[3]
-	splitTerm(t.vars, cleaned, a, b)
-	// The inner split walks as its upper levels (an odometer) times its
-	// last level (an explicit loop), so each outcome knows which of its
-	// factors changed.
-	last := len(b.vars) - 1
-	up.vars = append(up.vars[:0], b.vars[:last]...)
-	up.slot = append(up.slot[:0], b.slot[:last]...)
+	a, up, ap := &sc.walks[0], &sc.walks[1], &sc.walks[2]
+	// The inner split walks as its upper levels (an odometer) times one
+	// sweep of its last level, level last, so each outcome knows which
+	// of its factors changed.
+	inner, pos := splitSweep(e.dists, t.vars, cleaned, a, up)
+	last := len(up.vars)
 	a.bind(e.dists, args)
 	up.bind(e.dists, args)
-	inner, innerSlot := e.dists[b.vars[last]], b.slot[last]
+	g := growSlice(&sc.swept, inner.Size())
 
 	reqs, cells := sc.ext[:0], 0
 	for _, v := range vs {
 		level := 0
-		for b.vars[level] != v {
+		for level < last && up.vars[level] != v {
 			level++
 		}
 		reqs = append(reqs, extReq{level: level, off: cells})
@@ -467,10 +495,9 @@ func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch)
 				}
 				rq.above, rq.cell = p, rq.off+up.idx[rq.level]
 			}
-			for j, x := range inner.Values {
-				args[innerSlot] = x
-				g := t.eval(args)
-				if g == 0 {
+			t.sweep(args, pos, inner.Values, g)
+			for j, v := range g {
+				if v == 0 {
 					continue
 				}
 				for r := range reqs {
@@ -478,12 +505,12 @@ func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch)
 					var pg float64
 					c := rq.cell
 					if rq.level == last {
-						pg, c = rq.above*g, rq.off+j
+						pg, c = rq.above*v, rq.off+j
 					} else {
-						pg = rq.above * inner.Probs[j] * g
+						pg = rq.above * inner.Probs[j] * v
 					}
 					m1[c].Add(pg)
-					m2[c].Add(pg * g)
+					m2[c].Add(pg * v)
 				}
 			}
 		}
@@ -543,8 +570,9 @@ func growSlice[T any](buf *[]T, n int) []T {
 // object-indexed assignment vector, a term argument vector, the level
 // arrays and var lists of up to four nested walks, the id-mode gather
 // buffer, a private cleaned mask for the parallel refresh, the new
-// term/pair values of the last recompute, the per-level moment
-// workspace of the start walk, and the extension walk's accumulators.
+// term/pair values of the last recompute, a term walk's swept values,
+// the per-level moment workspace of the start walk, and the extension
+// walk's accumulators.
 // Work items fully overwrite the slots they read, so reusing a
 // workspace across items never changes a result.
 type evScratch struct {
@@ -559,6 +587,9 @@ type evScratch struct {
 	// termNew and pairNew hold the values State.recompute computed,
 	// aligned with varTerms[o] and varPairs[o].
 	termNew, pairNew []float64
+	// A term walk's sweep output: the term at each value of the swept
+	// (last uncleaned) level.
+	swept []float64
 	// Start-walk workspace (see singletonTerm), indexed by the walk's
 	// inner level: conditional first/second moment rows, grown to the
 	// level's support size, and one Kahan accumulator per level.

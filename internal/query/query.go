@@ -120,18 +120,38 @@ func (a *Affine) AsGroupSum() *GroupSum {
 // objects in Vars (sorted ascending). Eval receives the values of exactly
 // those objects, in the same order.
 //
+// Sweep, when non-nil, evaluates the term along one argument: it writes
+// out[j] = Eval(vals) with vals[pos] = xs[j], bit for bit, for every j,
+// and may overwrite vals[pos]. The enumeration engines call it once per
+// outcome of a walk's upper levels to cover the innermost level. A nil
+// Sweep means EvalSweep(Eval); the constructors here (LinearTerm,
+// IndicatorGE, NegMinSquared) fill in one that folds the arguments
+// before pos once.
+//
 // Sig, when non-empty, is a canonical signature of the term: two terms
 // with equal signatures evaluate identically on every input (same Vars
 // in the same order, same functional form, same parameters to the bit).
 // Engines use it to share cached per-term results across separately
 // compiled problems over the same database — the cross-claim
-// amortization of bulk triage. The closure constructors here
-// (LinearTerm, IndicatorGE, NegMinSquared) fill it in; hand-built terms
-// may leave it empty, which only disables sharing, never correctness.
+// amortization of bulk triage. The constructors here fill it in;
+// hand-built terms may leave it empty, which only disables sharing,
+// never correctness.
 type Term struct {
-	Vars []int
-	Eval func(vals []float64) float64
-	Sig  string
+	Vars  []int
+	Eval  func(vals []float64) float64
+	Sweep func(vals []float64, pos int, xs, out []float64)
+	Sig   string
+}
+
+// EvalSweep returns the sweep of a term that has only Eval: it sets
+// vals[pos] to each of xs in turn and evaluates.
+func EvalSweep(eval func(vals []float64) float64) func(vals []float64, pos int, xs, out []float64) {
+	return func(vals []float64, pos int, xs, out []float64) {
+		for j, x := range xs {
+			vals[pos] = x
+			out[j] = eval(vals)
+		}
+	}
 }
 
 // TermSig builds the canonical signature of a parametric term: the kind
@@ -200,61 +220,108 @@ func (g *GroupSum) Vars() []int {
 
 // LinearTerm builds a term w·Σ coef_j·X_{vars_j} + c restricted to vars.
 func LinearTerm(vars []int, coef []float64, c float64) Term {
-	vs := append([]int(nil), vars...)
-	cf := append([]float64(nil), coef...)
-	return Term{
-		Vars: vs,
-		Eval: func(vals []float64) float64 {
-			s := c
-			for j, v := range vals {
-				s += cf[j] * v
-			}
-			return s
-		},
-		Sig: TermSig("lin", vs, cf, []float64{c}),
-	}
+	return linearTerm("lin", vars, coef, c, 0, shapeSum, c)
 }
 
 // IndicatorGE builds the term weight·1[Σ coef_j·X_j + c ≥ 0], the building
 // block of the duplicity (uniqueness) measure.
 func IndicatorGE(vars []int, coef []float64, c, weight float64) Term {
-	vs := append([]int(nil), vars...)
-	cf := append([]float64(nil), coef...)
-	return Term{
-		Vars: vs,
-		Eval: func(vals []float64) float64 {
-			s := c
-			for j, v := range vals {
-				s += cf[j] * v
-			}
-			if s >= 0 {
-				return weight
-			}
-			return 0
-		},
-		Sig: TermSig("ge", vs, cf, []float64{c, weight}),
-	}
+	return linearTerm("ge", vars, coef, c, weight, shapeGE, c, weight)
 }
 
 // NegMinSquared builds the term weight·(min{Σ coef_j·X_j + c, 0})², the
 // building block of the fragility (robustness) measure.
 func NegMinSquared(vars []int, coef []float64, c, weight float64) Term {
+	return linearTerm("nms", vars, coef, c, weight, shapeNegMinSquared, c, weight)
+}
+
+// linearTerm builds the Term of a linear value over copies of vars and
+// coef, signed with kind, vars, coef and params.
+func linearTerm(kind string, vars []int, coef []float64, c, weight float64, shape linearShape, params ...float64) Term {
+	l := &linear{coef: append([]float64(nil), coef...), c: c, weight: weight, shape: shape}
 	vs := append([]int(nil), vars...)
-	cf := append([]float64(nil), coef...)
-	return Term{
-		Vars: vs,
-		Eval: func(vals []float64) float64 {
-			s := c
-			for j, v := range vals {
-				s += cf[j] * v
-			}
-			if s >= 0 {
-				return 0
-			}
-			return weight * s * s
-		},
-		Sig: TermSig("nms", vs, cf, []float64{c, weight}),
+	return Term{Vars: vs, Eval: l.eval, Sweep: l.sweep, Sig: TermSig(kind, vs, l.coef, params)}
+}
+
+// linearShape is what a linear value does with its sum s.
+type linearShape uint8
+
+const (
+	shapeSum           linearShape = iota // s
+	shapeGE                               // weight·1[s ≥ 0]
+	shapeNegMinSquared                    // weight·(min{s, 0})²
+)
+
+// linear is the value behind LinearTerm, IndicatorGE and NegMinSquared:
+// shape applied to the sum s = c + Σ_j coef_j·vals_j, folded left to
+// right as s = s + coef_j·vals_j. eval runs the fold over every
+// argument; sweep splits it at pos, running the arguments before pos
+// once and then, per swept value, one multiply-add and the arguments
+// after pos. Splitting a fold never re-associates it, so both produce
+// the same bits.
+type linear struct {
+	coef      []float64
+	c, weight float64
+	shape     linearShape
+}
+
+func (l *linear) eval(vals []float64) float64 {
+	s := l.c
+	for j, v := range vals {
+		s += l.coef[j] * v
 	}
+	return l.apply(s)
+}
+
+func (l *linear) sweep(vals []float64, pos int, xs, out []float64) {
+	head := l.c
+	for j, v := range vals[:pos] {
+		head += l.coef[j] * v
+	}
+	cp := l.coef[pos]
+	tail, tailCoef := vals[pos+1:], l.coef[pos+1:len(vals)]
+	out = out[:len(xs)]
+	for j, x := range xs {
+		s := head + cp*x
+		for i, v := range tail {
+			s += tailCoef[i] * v
+		}
+		out[j] = s
+	}
+	switch l.shape {
+	case shapeGE:
+		for j, s := range out {
+			out[j] = l.ge(s)
+		}
+	case shapeNegMinSquared:
+		for j, s := range out {
+			out[j] = l.negMinSquared(s)
+		}
+	}
+}
+
+func (l *linear) apply(s float64) float64 {
+	switch l.shape {
+	case shapeGE:
+		return l.ge(s)
+	case shapeNegMinSquared:
+		return l.negMinSquared(s)
+	}
+	return s
+}
+
+func (l *linear) ge(s float64) float64 {
+	if s >= 0 {
+		return l.weight
+	}
+	return 0
+}
+
+func (l *linear) negMinSquared(s float64) float64 {
+	if s >= 0 {
+		return 0
+	}
+	return l.weight * s * s
 }
 
 // Indicator builds an arbitrary-predicate single-term function 1[pred(x)],
@@ -271,16 +338,3 @@ func Indicator(vars []int, pred func(vals []float64) bool) *GroupSum {
 		},
 	}}}
 }
-
-// Func adapts an arbitrary closure into a Function. The closure receives
-// the full value vector.
-type Func struct {
-	F func(x []float64) float64
-	V []int
-}
-
-// Eval calls the closure.
-func (f *Func) Eval(x []float64) float64 { return f.F(x) }
-
-// Vars returns the declared variable list.
-func (f *Func) Vars() []int { return f.V }

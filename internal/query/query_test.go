@@ -103,19 +103,6 @@ func TestIndicator(t *testing.T) {
 	}
 }
 
-func TestFuncAdapter(t *testing.T) {
-	f := &Func{
-		F: func(x []float64) float64 { return x[1] * x[1] },
-		V: []int{1},
-	}
-	if f.Eval([]float64{0, 3}) != 9 {
-		t.Fatal("Func adapter broken")
-	}
-	if len(f.Vars()) != 1 || f.Vars()[0] != 1 {
-		t.Fatal("Func vars broken")
-	}
-}
-
 func TestTermClosureCapturesCopies(t *testing.T) {
 	vars := []int{0}
 	coef := []float64{2}
