@@ -133,7 +133,7 @@ func mustBF(t *testing.T, db *model.DB, f query.Function) *BruteForce {
 	return bf
 }
 
-func mustGroup(t *testing.T, db *model.DB, g *query.GroupSum) *GroupEngine {
+func mustGroup(t testing.TB, db *model.DB, g *query.GroupSum) *GroupEngine {
 	t.Helper()
 	e, err := NewGroupEngine(db, g)
 	if err != nil {

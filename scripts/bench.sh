@@ -39,6 +39,12 @@
 # Recommend/Reveal to the terminal state, with goal=minvar and
 # goal=maxpr sub-benchmarks; it reports allocations (B/op and
 # allocs/op show in the raw output) and is recorded, ungated.
+# BenchmarkSelectMinVarServed (repo root) times one facade solve of the
+# served MinVar/uniqueness shape, and BenchmarkTermWalks (./internal/ev)
+# the group engine's term walks on the same shape: walk=start (the
+# start walk of all 19 terms), walk=extend (one extension walk) and
+# walk=termEV (one termEV at one cleaned var). Both report allocations
+# and are recorded, ungated.
 # A single 1x pass is noise; min/median over repetitions is what makes
 # cross-run comparisons meaningful.
 #
@@ -90,8 +96,8 @@ if [ -n "${GOMAXPROCS:-}" ] && [ "${GOMAXPROCS}" != "$ncpu" ] && [ -z "${BENCH_A
 fi
 export GOMAXPROCS="${GOMAXPROCS:-$ncpu}"
 
-go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkWeightedSumMerge|BenchmarkGreedyMaxPr|BenchmarkSessionStep' \
-  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session | tee "$raw"
+go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkSelectMinVarServed|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkWeightedSumMerge|BenchmarkGreedyMaxPr|BenchmarkSessionStep|BenchmarkTermWalks' \
+  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session ./internal/ev | tee "$raw"
 
 awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_dense="$min_dense_speedup" -v min_maxpr="$min_maxpr_speedup" '
   BEGIN { gomaxprocs = 1 }              # go test omits the -N suffix when GOMAXPROCS=1
