@@ -286,42 +286,24 @@ func (l *linear) sweep(vals []float64, pos int, xs, out []float64) {
 		for i, v := range tail {
 			s += tailCoef[i] * v
 		}
-		out[j] = s
-	}
-	switch l.shape {
-	case shapeGE:
-		for j, s := range out {
-			out[j] = l.ge(s)
-		}
-	case shapeNegMinSquared:
-		for j, s := range out {
-			out[j] = l.negMinSquared(s)
-		}
+		out[j] = l.apply(s)
 	}
 }
 
 func (l *linear) apply(s float64) float64 {
 	switch l.shape {
 	case shapeGE:
-		return l.ge(s)
+		if s >= 0 {
+			return l.weight
+		}
+		return 0
 	case shapeNegMinSquared:
-		return l.negMinSquared(s)
+		if s >= 0 {
+			return 0
+		}
+		return l.weight * s * s
 	}
 	return s
-}
-
-func (l *linear) ge(s float64) float64 {
-	if s >= 0 {
-		return l.weight
-	}
-	return 0
-}
-
-func (l *linear) negMinSquared(s float64) float64 {
-	if s >= 0 {
-		return 0
-	}
-	return l.weight * s * s
 }
 
 // Indicator builds an arbitrary-predicate single-term function 1[pred(x)],
