@@ -429,8 +429,11 @@ type extReq struct {
 	// Per outcome of the split's upper levels (all but the last): the
 	// left-to-right product of their probabilities with this var's
 	// factor left out, and, for a var above the last level, its cell.
-	above float64
-	cell  int
+	// For a var above the last upper level, head is that product
+	// without the last upper level's factor, which alone changes
+	// between carries.
+	above, head float64
+	cell        int
 }
 
 // extendTerm returns termEV(k, cleaned ∪ {v}) for every var v of vs,
@@ -483,17 +486,27 @@ func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch)
 	for _, ok := a.first(); ok; _, ok = a.next() {
 		clear(moments)
 		for pu, ok := up.first(); ok; pu, ok = up.next() {
+			// The last upper level is the odometer's fastest: it is
+			// back at its first value exactly when the walk started or
+			// carried, the only times a level above it moves.
+			carried := last == 0 || up.idx[last-1] == 0
 			for r := range reqs {
 				rq := &reqs[r]
-				if rq.level == last {
+				switch {
+				case rq.level == last:
 					rq.above = pu
-					continue
+				case rq.level == last-1:
+					rq.above, rq.cell = up.prefix[last-1], rq.off+up.idx[last-1]
+				default:
+					if carried {
+						p := up.prefix[rq.level]
+						for l := rq.level + 1; l < last-1; l++ {
+							p *= e.dists[up.vars[l]].Probs[up.idx[l]]
+						}
+						rq.head, rq.cell = p, rq.off+up.idx[rq.level]
+					}
+					rq.above = rq.head * e.dists[up.vars[last-1]].Probs[up.idx[last-1]]
 				}
-				p := up.prefix[rq.level]
-				for l := rq.level + 1; l < last; l++ {
-					p *= e.dists[up.vars[l]].Probs[up.idx[l]]
-				}
-				rq.above, rq.cell = p, rq.off+up.idx[rq.level]
 			}
 			t.sweep(args, pos, inner.Values, g)
 			for j, v := range g {
