@@ -211,12 +211,16 @@ func TestMaxPrCorrelatedPinned(t *testing.T) {
 	}
 }
 
+// servedDecay is the sensibility decay λ of the served select_maxpr
+// shape's perturbations.
+const servedDecay = 0.35
+
 // maxPrShape builds the served select_maxpr shape over n unit-cost
 // objects with 6-point supports: a window-4 sum claim checked against its
-// current value, every other disjoint window as a perturbation, and τ a
-// quarter of the bias's standard deviation. It returns the database, the
-// claim set and τ.
-func maxPrShape(tb testing.TB, n int, seed uint64) (*cleansel.DB, *cleansel.PerturbationSet, float64) {
+// current value, every other disjoint window as a perturbation with
+// sensibility decay lambda, and τ a quarter of the bias's standard
+// deviation. It returns the database, the claim set and τ.
+func maxPrShape(tb testing.TB, n int, seed uint64, lambda float64) (*cleansel.DB, *cleansel.PerturbationSet, float64) {
 	tb.Helper()
 	const w = 4
 	r := rng.New(seed)
@@ -227,7 +231,7 @@ func maxPrShape(tb testing.TB, n int, seed uint64) (*cleansel.DB, *cleansel.Pert
 	start := w * r.Intn(n/w)
 	orig := cleansel.WindowSum("claim", start, w)
 	var ps []cleansel.Perturbed
-	for _, p := range cleansel.NonOverlappingWindows("w", n, w, start, 0.35) {
+	for _, p := range cleansel.NonOverlappingWindows("w", n, w, start, lambda) {
 		if p.Distance > 0 {
 			ps = append(ps, p)
 		}
@@ -256,13 +260,13 @@ func maxPrCounts(rec *obs.Recorder) (string, map[string]int64) {
 	return b.String(), got
 }
 
-// servedMaxPrAnswer renders a traced facade solve of the served
-// select_maxpr shape at n = 100 with the given budget: the chosen set,
-// Before and After as exact hexadecimal floats, and the work counters.
-// It also returns every counter the solve ticked.
-func servedMaxPrAnswer(tb testing.TB, seed uint64, budget float64) (string, map[string]int64) {
+// maxPrAnswer renders a traced facade solve of maxPrShape with the
+// given budget: the chosen set, Before and After as exact hexadecimal
+// floats, and the work counters. It also returns every counter the
+// solve ticked.
+func maxPrAnswer(tb testing.TB, n int, lambda float64, seed uint64, budget float64) (string, map[string]int64) {
 	tb.Helper()
-	db, set, tau := maxPrShape(tb, 100, seed)
+	db, set, tau := maxPrShape(tb, n, seed, lambda)
 	task := cleansel.Task{
 		DB: db, Claims: set,
 		Measure: cleansel.Fairness, Goal: cleansel.MaximizeSurprise,
@@ -286,7 +290,7 @@ func servedMaxPrAnswer(tb testing.TB, seed uint64, budget float64) (string, map[
 // the solve ticked.
 func fallbackMaxPrAnswer(tb testing.TB) (string, map[string]int64) {
 	tb.Helper()
-	db, set, tau := maxPrShape(tb, 12, 9)
+	db, set, tau := maxPrShape(tb, 12, 9, servedDecay)
 	h, err := maxpr.NewHybrid(db, set.Bias(), tau, 36, 2000, rng.New(9))
 	if err != nil {
 		tb.Fatal(err)
@@ -315,8 +319,9 @@ func fallbackMaxPrAnswer(tb testing.TB) (string, map[string]int64) {
 // solve of the served shape, at budget 9 and recorded while the fallback
 // was still a separate whole-claim sampler, reaches the facade's own
 // fallback: its ninth round's candidates are past the 2^22-state cap and
-// are sampled, 20,000 draws each. The figure goldens print six digits.
-// There is no update flag.
+// are sampled, 20,000 draws each. A sixth facade solve, at n = 68 with
+// equal sensibilities, convolves drop laws that lie on a dyadic lattice.
+// The figure goldens print six digits. There is no update flag.
 func TestMaxPrDiscretePinned(t *testing.T) {
 	check := func(name, got string) {
 		want, err := os.ReadFile(filepath.Join("testdata", "maxpr_pinned", name+".txt"))
@@ -341,11 +346,11 @@ func TestMaxPrDiscretePinned(t *testing.T) {
 		}
 	}
 	for _, seed := range []uint64{1, 2, 3, 4} {
-		got, counters := servedMaxPrAnswer(t, seed, 4)
+		got, counters := maxPrAnswer(t, 100, servedDecay, seed, 4)
 		check(fmt.Sprintf("served-seed%d", seed), got)
 		routes(fmt.Sprintf("served seed %d", seed), counters, 1, 4)
 	}
-	got, counters := servedMaxPrAnswer(t, 2, 9)
+	got, counters := maxPrAnswer(t, 100, servedDecay, 2, 9)
 	check("served-budget9-seed2", got)
 	routes("served budget 9", counters, 1, 8)
 	got, counters = fallbackMaxPrAnswer(t)
@@ -354,4 +359,10 @@ func TestMaxPrDiscretePinned(t *testing.T) {
 	}
 	check("fallback-n12", got)
 	routes("fallback", counters, 3, 0)
+	// At λ = 0 the 16 perturbations of n = 68 weigh the same, so every
+	// bias coefficient is ±1/16 and each drop law over the integer
+	// supports lies on a dyadic lattice.
+	got, counters = maxPrAnswer(t, 68, 0, 1, 4)
+	check("lattice-n68-seed1", got)
+	routes("lattice", counters, 5, 0)
 }
