@@ -9,12 +9,11 @@ import (
 	"github.com/factcheck/cleansel/internal/rng"
 )
 
-// wideConvWorkload builds the reach≈1e12 integer workload the wide
-// benchmarks (and the BENCH_parallel.json dense-vs-map gate) share:
-// eight 4-point integer supports around 1e11 on the exact integer grid
-// — the scale-aware regime the fixed 1e-9 grid used to reject, and a
-// shape whose 4^8 product state space collapses onto a ~3e4-cell dense
-// lattice once the common 1e8 factor is divided out.
+// wideConvWorkload builds the reach≈1e12 integer workload of
+// BenchmarkWeightedSumWide: eight 4-point integer supports around 1e11
+// on the exact integer grid — the scale-aware regime the fixed 1e-9
+// grid used to reject, and a shape whose 4^8 product state space
+// collapses onto at most ~3e4 distinct sums, all multiples of 1e8.
 func wideConvWorkload() (offset float64, weights []float64, parts []*Discrete) {
 	r := rng.New(7)
 	const nParts = 8
@@ -32,10 +31,9 @@ func wideConvWorkload() (offset float64, weights []float64, parts []*Discrete) {
 }
 
 // BenchmarkWeightedSumWide convolves the wide integer workload through
-// the public path (the dense kernel, since the shape certifies).
-// scripts/bench.sh records it into BENCH_parallel.json so regressions
-// in the wide-magnitude hot path are visible next to the parallel
-// numbers.
+// the public path. scripts/bench.sh records it into BENCH_parallel.json,
+// ungated, so regressions in the wide-magnitude convolution are visible
+// next to the parallel numbers.
 func BenchmarkWeightedSumWide(b *testing.B) {
 	offset, weights, parts := wideConvWorkload()
 	g, reach, err := ConvGrid(offset, weights, parts)
@@ -54,65 +52,8 @@ func BenchmarkWeightedSumWide(b *testing.B) {
 	}
 }
 
-// BenchmarkWeightedSumDense is the dense side of the BENCH_parallel.json
-// dense-vs-map speedup row: BenchmarkWeightedSumWide's workload shape,
-// asserted onto the dense lattice kernel.
-func BenchmarkWeightedSumDense(b *testing.B) {
-	offset, weights, parts := wideConvWorkload()
-	grid, reach, err := ConvGrid(offset, weights, parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, ok := weightedSumLattice(offset, weights, parts, grid, reach); !ok {
-		b.Fatal("workload does not certify for the dense kernel")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := WeightedSum(offset, weights, parts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWeightedSumMap forces the same workload through the hashed-key
-// reference kernel (hashed_test.go): the denominator of the dense-vs-map
-// speedup gate (≥5× floor, enforced by scripts/bench.sh).
-func BenchmarkWeightedSumMap(b *testing.B) {
-	offset, weights, parts := wideConvWorkload()
-	grid, _, err := ConvGrid(offset, weights, parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := weightedSumMap(nil, grid, offset, weights, parts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWeightedSumMerge forces the same workload through the
-// off-lattice merge, the kernel a failed dense certificate falls to:
-// scripts/bench.sh records its ratio to the dense kernel, ungated.
-func BenchmarkWeightedSumMerge(b *testing.B) {
-	offset, weights, parts := wideConvWorkload()
-	grid, _, err := ConvGrid(offset, weights, parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := weightedSumMerge(nil, grid, offset, weights, parts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// supportsWorkload builds an off-lattice convolution of k-point integer
-// supports under real weights, the shape select_maxpr convolves, with as
+// supportsWorkload builds a convolution of k-point integer supports
+// under real weights, the shape select_maxpr convolves, with as
 // many parts (at least two) as keep the final layer at or under 2^14
 // product states.
 func supportsWorkload(k int) (offset float64, weights []float64, parts []*Discrete) {
@@ -130,7 +71,7 @@ func supportsWorkload(k int) (offset float64, weights []float64, parts []*Discre
 }
 
 // BenchmarkWeightedSumSupports times the hashed reference against the
-// merge on off-lattice convolutions of 2- to 100-point supports, so
+// merge on convolutions of 2- to 100-point supports, so
 // that "no support size is slower than hashing" can be rechecked:
 //
 //	go test -run '^$' -bench BenchmarkWeightedSumSupports ./internal/dist
@@ -144,12 +85,9 @@ func BenchmarkWeightedSumSupports(b *testing.B) {
 	}
 	for _, k := range []int{2, 6, 16, 64, 100} {
 		offset, weights, parts := supportsWorkload(k)
-		grid, reach, err := ConvGrid(offset, weights, parts)
+		grid, _, err := ConvGrid(offset, weights, parts)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if _, dense := weightedSumLattice(offset, weights, parts, grid, reach); dense {
-			b.Fatalf("%d-point workload certifies for the dense kernel", k)
 		}
 		for _, kern := range kernels {
 			b.Run(fmt.Sprintf("points=%d/kernel=%s", k, kern.name), func(b *testing.B) {

@@ -10,30 +10,18 @@ import (
 )
 
 // convStats counts the elementary work of one convolution:
-// ops is the number of atom products visited, merged the number that
-// collided with an existing grid key, and route the counter naming the
-// kernel that ran (convDense or convMerge; empty when validation
-// failed first). The counts are write-only observability — nothing
-// reads them back into the computation.
+// ops is the number of atom products visited and merged the number that
+// collided with an existing grid key. The counts are write-only
+// observability — nothing reads them back into the computation.
 type convStats struct {
 	ops    int64
 	merged int64
-	route  string
 }
-
-// The route counters: one of them ticks once per convolution.
-const (
-	convDense = "conv_dense"
-	convMerge = "conv_merge"
-)
 
 // report ticks the stats into a recorder (nil-safe).
 func (st *convStats) report(rec *obs.Recorder) {
 	rec.Add("conv_ops", st.ops)
 	rec.Add("conv_atoms_merged", st.merged)
-	if st.route != "" {
-		rec.Add(st.route, 1)
-	}
 }
 
 // Mixture pools conflicting source laws for one object into the
@@ -120,21 +108,17 @@ func Mixture(dists []*Discrete, weights []float64) (*Discrete, error) {
 // magnitude WeightedSum still rejects is a reach that overflows float64
 // entirely.
 //
-// Two kernels compute the same bits: a dense span kernel when the atoms
-// certify onto an integer lattice (dense.go), and otherwise a K-way
-// merge of key-sorted streams (merge.go). Either way the support comes
-// out in ascending order, and each layer adds its products into a key in
-// (source atom, support atom) order.
+// The kernel is a K-way merge of key-sorted streams (merge.go): the
+// support comes out in ascending order, and each layer adds its products
+// into a key in (source atom, support atom) order.
 func WeightedSum(offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
 	return weightedSum(nil, offset, weights, parts)
 }
 
 // WeightedSumRec is WeightedSum with write-only trace counters: the
 // number of atom products convolved (conv_ops) and the grid-collision
-// merges (conv_atoms_merged) tick into rec, and so does one route
-// counter per convolution, conv_dense or conv_merge, naming the kernel
-// that ran (nil rec is the plain WeightedSum). The returned law is
-// bit-identical either way.
+// merges (conv_atoms_merged) tick into rec (nil rec is the plain
+// WeightedSum). The returned law is bit-identical either way.
 func WeightedSumRec(rec *obs.Recorder, offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
 	if rec == nil {
 		return weightedSum(nil, offset, weights, parts)
@@ -146,18 +130,9 @@ func WeightedSumRec(rec *obs.Recorder, offset float64, weights []float64, parts 
 }
 
 func weightedSum(st *convStats, offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
-	grid, reach, err := ConvGrid(offset, weights, parts)
+	grid, _, err := ConvGrid(offset, weights, parts)
 	if err != nil {
 		return nil, err
-	}
-	if lat, ok := weightedSumLattice(offset, weights, parts, grid, reach); ok {
-		if st != nil {
-			st.route = convDense
-		}
-		return weightedSumDense(st, offset, weights, parts, lat)
-	}
-	if st != nil {
-		st.route = convMerge
 	}
 	return weightedSumMerge(st, grid, offset, weights, parts)
 }

@@ -1,11 +1,16 @@
 package dist
 
-import "github.com/factcheck/cleansel/internal/numeric"
+import (
+	"math"
+	"testing"
 
-// weightedSumMap is the hashed-key convolution the off-lattice merge
-// replaced, kept verbatim as the reference the merge is pinned against
-// bit for bit (TestMergeMatchesHashed, FuzzMergeVsHashed) and as the
-// denominator of the dense-vs-map benchmark ratio.
+	"github.com/factcheck/cleansel/internal/numeric"
+)
+
+// weightedSumMap is the hashed-key convolution the merge replaced, kept
+// verbatim as the reference the merge is pinned against bit for bit
+// (TestMergeMatchesHashed, FuzzMergeVsHashed) and timed against it by
+// BenchmarkWeightedSumSupports.
 func weightedSumMap(st *convStats, grid numeric.Grid, offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
 	probs := map[int64]float64{grid.Key(offset): 1}
 	vals := map[int64]float64{grid.Key(offset): offset}
@@ -68,4 +73,34 @@ func mapSizeHint(n, m int) int {
 		return maxConvMapHint
 	}
 	return n * m
+}
+
+// TestMapSizeHint is the regression test for the hashed reference's
+// layer-hint overflow: the pre-fix code handed make() the raw product
+// len(probs)·Size(), which overflows int on adversarial sizes (a
+// negative make size panics) and overshoots real layers by orders of
+// magnitude. The hint must stay within [0, maxConvMapHint] for every
+// input.
+func TestMapSizeHint(t *testing.T) {
+	cases := []struct {
+		n, m, want int
+	}{
+		{0, 5, 0},
+		{5, 0, 0},
+		{-3, 7, 0},
+		{7, -3, 0},
+		{10, 12, 120},
+		{256, 256, maxConvMapHint},
+		{maxConvMapHint, 2, maxConvMapHint},
+		{math.MaxInt, math.MaxInt, maxConvMapHint}, // pre-fix: n*m overflows to 1
+		{math.MaxInt/2 + 1, 2, maxConvMapHint},     // pre-fix: n*m overflows negative, make panics
+		{3, math.MaxInt, maxConvMapHint},
+	}
+	for _, c := range cases {
+		got := mapSizeHint(c.n, c.m)
+		if got != c.want {
+			t.Errorf("mapSizeHint(%d, %d) = %d, want %d", c.n, c.m, got, c.want)
+		}
+		_ = make(map[int64]float64, got) // the pre-fix panic this guards against
+	}
 }

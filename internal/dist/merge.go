@@ -6,12 +6,11 @@ import (
 	"github.com/factcheck/cleansel/internal/numeric"
 )
 
-// Off-lattice convolution.
+// Merge convolution.
 //
-// A convolution whose atoms do not certify onto a dense lattice (see
-// dense.go) runs here, on layers kept as parallel slices of first-seen
-// values and masses in ascending grid-key order. No key is hashed and
-// no layer is sorted: the order comes from monotonicity.
+// Every convolution runs here, on layers kept as parallel slices of
+// first-seen values and masses in ascending grid-key order. No key is
+// hashed and no layer is sorted: the order comes from monotonicity.
 //
 //   - Distinct keys of a layer mean strictly ascending values, because
 //     Grid.Key is monotone: Key(x) ≤ Key(y) whenever x ≤ y.
@@ -70,8 +69,9 @@ func siftDown(h []mergeHead, m int) {
 }
 
 // mergeScratch holds the reusable buffers of one merge convolution: the
-// ping-pong layer slices and the heap. Pooled like denseScratch; every
-// slice is truncated before it is written, so reuse cannot leak state.
+// ping-pong layer slices and the heap. Pooled so steady-state
+// convolutions allocate little beyond the result Discrete; every slice
+// is truncated before it is written, so reuse cannot leak state.
 type mergeScratch struct {
 	valsA, valsB   []float64
 	probsA, probsB []float64
@@ -80,8 +80,8 @@ type mergeScratch struct {
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// weightedSumMerge is the off-lattice convolution: the path for every
-// shape the dense certificate rejects.
+// weightedSumMerge convolves offset + Σ_i weights[i]·parts[i] on grid,
+// one layer per part with a nonzero weight.
 func weightedSumMerge(st *convStats, grid numeric.Grid, offset float64, weights []float64, parts []*Discrete) (*Discrete, error) {
 	sc := mergeScratchPool.Get().(*mergeScratch)
 	vals := append(sc.valsA[:0], offset)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/obs"
@@ -10,6 +11,26 @@ import (
 
 // negZero is −0.0, which a literal cannot spell.
 var negZero = math.Copysign(0, -1)
+
+// assertSameLaw asserts two laws are bit-identical: same support, same
+// probabilities, compared on the raw float64 bits (so ±0.0 and exact
+// round-off placement both count).
+func assertSameLaw(t *testing.T, got, want *Discrete) {
+	t.Helper()
+	if got.Size() != want.Size() {
+		t.Fatalf("support sizes differ: %d vs %d", got.Size(), want.Size())
+	}
+	for i := range want.Values {
+		if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+			t.Fatalf("value %d: %v (%#x) vs %v (%#x)",
+				i, got.Values[i], math.Float64bits(got.Values[i]),
+				want.Values[i], math.Float64bits(want.Values[i]))
+		}
+		if math.Float64bits(got.Probs[i]) != math.Float64bits(want.Probs[i]) {
+			t.Fatalf("prob %d (value %v): %v vs %v", i, want.Values[i], got.Probs[i], want.Probs[i])
+		}
+	}
+}
 
 // randomSupport draws one support of the given size from one of the
 // families the merge must match the hashed kernel on: integers, dyadic
@@ -99,10 +120,11 @@ func randomConv(r *rng.RNG) (offset float64, weights []float64, parts []*Discret
 	return offset, weights, parts
 }
 
-// diffMergeHashed runs one convolution through the merge and through
-// the hashed reference and asserts the laws (values and masses as bits)
-// and both work counters are identical. It reports false when the inputs
-// fail validation, which neither kernel then sees.
+// diffMergeHashed runs one convolution through weightedSum, the path
+// behind WeightedSum and WeightedSumRec, and through the hashed
+// reference, and asserts the laws (values and masses as bits) and both
+// work counters are identical. It reports false when the inputs fail
+// validation, which neither kernel then sees.
 func diffMergeHashed(t *testing.T, offset float64, weights []float64, parts []*Discrete) bool {
 	t.Helper()
 	grid, _, err := ConvGrid(offset, weights, parts)
@@ -110,7 +132,7 @@ func diffMergeHashed(t *testing.T, offset float64, weights []float64, parts []*D
 		return false
 	}
 	var stMerge, stHashed convStats
-	got, errMerge := weightedSumMerge(&stMerge, grid, offset, weights, parts)
+	got, errMerge := weightedSum(&stMerge, offset, weights, parts)
 	want, errHashed := weightedSumMap(&stHashed, grid, offset, weights, parts)
 	if (errMerge == nil) != (errHashed == nil) {
 		t.Fatalf("errors differ: merge %v, hashed %v", errMerge, errHashed)
@@ -172,29 +194,242 @@ func FuzzMergeVsHashed(f *testing.F) {
 	})
 }
 
-// TestConvRouteCounters pins the route counters without a clock: each
-// recorded convolution ticks conv_dense or conv_merge once, and one that
-// fails validation ticks neither.
-func TestConvRouteCounters(t *testing.T) {
-	rec := obs.NewRecorder(nil)
+// TestWeightedSumShapesMatchHashed runs named edge shapes through
+// diffMergeHashed: lattice and off-lattice supports on each grid,
+// collisions, zero weights and masses, −0 offsets, atoms and masses,
+// and hundred-point parts.
+func TestWeightedSumShapesMatchHashed(t *testing.T) {
+	cases := []struct {
+		name    string
+		offset  float64
+		weights []float64
+		parts   []*Discrete
+	}{
+		{
+			name:    "legacy grid small integers",
+			offset:  3,
+			weights: []float64{1, 2, 1},
+			parts: []*Discrete{
+				UniformOver([]float64{-2, 0, 1, 5}),
+				UniformOver([]float64{10, 11, 13}),
+				UniformOver([]float64{-7, 7}),
+			},
+		},
+		{
+			name:    "legacy grid dyadic quarters",
+			offset:  0.25,
+			weights: []float64{1, 1},
+			parts: []*Discrete{
+				UniformOver([]float64{-0.75, 0.5, 2.25}),
+				UniformOver([]float64{0, 0.25, 1}),
+			},
+		},
+		{
+			name:    "exact grid wide integers with common factor",
+			offset:  12345,
+			weights: []float64{1, 2},
+			parts: []*Discrete{
+				UniformOver([]float64{-3e10, 1e10, 7e10}),
+				UniformOver([]float64{2e10, 5e10}),
+			},
+		},
+		{
+			name:    "colliding sums merge identically",
+			offset:  0,
+			weights: []float64{1, 1},
+			parts: []*Discrete{
+				MustDiscrete([]float64{0, 1, 2}, []float64{0.25, 0.5, 0.25}),
+				MustDiscrete([]float64{0, 1, 2}, []float64{0.5, 0.25, 0.25}),
+			},
+		},
+		{
+			name:    "zero-probability atoms stay in the support",
+			offset:  1,
+			weights: []float64{1, 1},
+			parts: []*Discrete{
+				MustDiscrete([]float64{0, 3}, []float64{1, 0}),
+				MustDiscrete([]float64{0, 1}, []float64{0.5, 0.5}),
+			},
+		},
+		{
+			name:    "zero weights drop layers",
+			offset:  -4,
+			weights: []float64{0, 1, 0},
+			parts: []*Discrete{
+				UniformOver([]float64{1e300, -1e300}), // skipped entirely
+				UniformOver([]float64{1, 2}),
+				UniformOver([]float64{5}),
+			},
+		},
+		{
+			name:    "all weights zero",
+			offset:  7,
+			weights: []float64{0},
+			parts:   []*Discrete{UniformOver([]float64{1, 2})},
+		},
+		{
+			name:    "negative offset negative values",
+			offset:  -1000,
+			weights: []float64{3, -2},
+			parts: []*Discrete{
+				UniformOver([]float64{-5, -1, 4}),
+				UniformOver([]float64{-8, 0, 2}),
+			},
+		},
+		{
+			name:    "non-dyadic values",
+			offset:  0,
+			weights: []float64{1, 1},
+			parts: []*Discrete{
+				UniformOver([]float64{0.1, 0.2}),
+				UniformOver([]float64{1.0 / 3, 2}),
+			},
+		},
+		{
+			name:    "negative-zero offset",
+			offset:  negZero,
+			weights: []float64{1},
+			parts:   []*Discrete{UniformOver([]float64{0, 1})},
+		},
+		{
+			name:    "sparse wide span",
+			offset:  0,
+			weights: []float64{1},
+			parts:   []*Discrete{UniformOver([]float64{0, 1, 1e6})},
+		},
+		{
+			name:    "legacy grid past exact keys",
+			offset:  0,
+			weights: []float64{1},
+			// reach 9.9e7 ≤ QuantizeMaxAbs keeps the legacy grid, but
+			// 9.9e7·1e9 > 2^53 so keys are no longer exact products.
+			parts: []*Discrete{UniformOver([]float64{9.9e7, -9.9e7, 1})},
+		},
+		{name: "no parts", offset: 3.5},
+		{
+			name:    "negative-zero offset and atom",
+			offset:  negZero,
+			weights: []float64{1},
+			parts:   []*Discrete{UniformOver([]float64{negZero, 0.1})},
+		},
+		{
+			name:    "single-point parts",
+			offset:  0.1,
+			weights: []float64{0.3, -0.7},
+			parts:   []*Discrete{PointMass(1.0 / 3), PointMass(2.0 / 7)},
+		},
+		{
+			name:    "all products on one key",
+			offset:  0,
+			weights: []float64{1, -1},
+			parts:   []*Discrete{UniformOver([]float64{0.1, 0.1, 0.1}), UniformOver([]float64{0.1, 0.1})},
+		},
+		{
+			name:    "negative-zero mass",
+			offset:  0.5,
+			weights: []float64{2.5},
+			parts:   []*Discrete{MustDiscrete([]float64{1, 2, 3}, []float64{0, 1, negZero})},
+		},
+		{
+			name:    "hundred-point parts",
+			offset:  1.0 / 7,
+			weights: []float64{0.1, -3},
+			parts:   []*Discrete{randomSupport(rng.New(1), 100), randomSupport(rng.New(2), 100)},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if !diffMergeHashed(t, c.offset, c.weights, c.parts) {
+				t.Fatal("failed validation")
+			}
+		})
+	}
+}
+
+// TestConvCountersReachRecorder pins the convolution counters without a
+// clock: a recorded convolution ticks the merge's conv_ops and
+// conv_atoms_merged, and one that fails validation ticks nothing.
+func TestConvCountersReachRecorder(t *testing.T) {
 	offset, weights, parts := wideConvWorkload()
-	if _, err := WeightedSumRec(rec, offset, weights, parts); err != nil {
+	grid, _, err := ConvGrid(offset, weights, parts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	offLattice := []*Discrete{UniformOver([]float64{0.1, 0.2}), UniformOver([]float64{1.0 / 3, 2})}
-	for k := 0; k < 2; k++ {
-		if _, err := WeightedSumRec(rec, 0, []float64{1, 1}, offLattice); err != nil {
-			t.Fatal(err)
-		}
+	var st convStats
+	if _, err := weightedSumMerge(&st, grid, offset, weights, parts); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := WeightedSumRec(rec, math.NaN(), []float64{1}, offLattice[:1]); err == nil {
+	if st.ops == 0 || st.merged == 0 {
+		t.Fatal("workload should both convolve and merge")
+	}
+	rec := obs.NewRecorder(nil)
+	if _, err := WeightedSumRec(rec, math.NaN(), weights, parts); err == nil {
 		t.Fatal("a NaN offset convolved")
+	}
+	if _, err := WeightedSumRec(rec, offset, weights, parts); err != nil {
+		t.Fatal(err)
 	}
 	got := map[string]int64{}
 	for _, c := range rec.Snapshot().Counters {
 		got[c.Name] = c.Value
 	}
-	if got[convDense] != 1 || got[convMerge] != 2 {
-		t.Fatalf("routes: %d dense, %d merge; want 1 and 2", got[convDense], got[convMerge])
+	if len(got) != 2 || got["conv_ops"] != st.ops || got["conv_atoms_merged"] != st.merged {
+		t.Fatalf("counters %v, want conv_ops %d and conv_atoms_merged %d", got, st.ops, st.merged)
+	}
+}
+
+// TestMergeScratchConcurrent runs convolutions on many goroutines at
+// once (the serving path runs solves in parallel): every goroutine must
+// get bit-identical results while the merge's scratch buffers recycle
+// through sync.Pool. Run under -race in CI.
+func TestMergeScratchConcurrent(t *testing.T) {
+	type conv struct {
+		name    string
+		offset  float64
+		weights []float64
+		parts   []*Discrete
+		ref     *Discrete
+	}
+	offset, weights, parts := wideConvWorkload()
+	convs := []*conv{
+		{name: "wide", offset: offset, weights: weights, parts: parts},
+		{name: "small", offset: 1, weights: []float64{2}, parts: []*Discrete{UniformOver([]float64{-2, 0.5, 3})}},
+		{name: "off-lattice", offset: 0.1, weights: []float64{1.5, -0.3}, parts: []*Discrete{
+			UniformOver([]float64{0.1, 0.2, 7}), UniformOver([]float64{1.0 / 3, 2, 5})}},
+	}
+	for _, c := range convs {
+		ref, err := WeightedSum(c.offset, c.weights, c.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ref = ref
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				for _, c := range convs {
+					d, err := WeightedSum(c.offset, c.weights, c.parts)
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					for j := range c.ref.Values {
+						if d.Values[j] != c.ref.Values[j] || d.Probs[j] != c.ref.Probs[j] {
+							errs <- c.name + " convolution diverged across goroutines"
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }

@@ -76,12 +76,6 @@ func GridFor(reach float64) Grid {
 // total instead of implementation-defined.
 const maxInt64Float = 9.223372036854775808e18
 
-// MaxExactKeyAbs is 2^53, the largest magnitude at which float64
-// represents every integer exactly. While |x|·scale stays within it the
-// scaled product that Key rounds still carries sub-cell precision, so
-// keys of exact lattice values are themselves exact; see KeysExactWithin.
-const MaxExactKeyAbs = 1 << 53
-
 // Key collapses x onto the grid: the index of the cell containing x.
 // The conversion is total: a scaled product beyond ±2^63 — far outside
 // every constructor's documented key range — saturates to
@@ -101,32 +95,6 @@ func (g Grid) Key(x float64) int64 {
 		return math.MinInt64
 	}
 	return int64(r)
-}
-
-// KeysExactWithin reports whether every key the grid assigns inside
-// ±reach is computed on an exact scaled product: |x|·scale ≤ 2^53 keeps
-// x·scale inside float64's exact-integer range, so for values that are
-// themselves exact multiples of a common stride the product — and hence
-// the key — is exact, distinct lattice values at least one cell apart
-// get distinct keys, and dense span indexing agrees with map keying bit
-// for bit. Dense convolution kernels require this certificate before
-// replacing hashed keys with (key − lo) offsets.
-func (g Grid) KeysExactWithin(reach float64) bool {
-	return reach*g.scale <= MaxExactKeyAbs
-}
-
-// CellsPerStride returns the number of grid cells spanned by one step of
-// a value lattice with the given stride, when that count is an exact
-// positive integer (the condition under which values that are stride
-// apart land on keys exactly cells apart, making a dense span indexable
-// by (key − lo)/cells). The caller must pass a stride whose product with
-// the scale is computed exactly — powers of two always are.
-func (g Grid) CellsPerStride(stride float64) (int64, bool) {
-	t := stride * g.scale
-	if !(t >= 1) || t > MaxExactKeyAbs || math.Trunc(t) != t {
-		return 0, false
-	}
-	return int64(t), true
 }
 
 // Value returns the center of cell k, inverting Key up to one resolution.

@@ -130,56 +130,6 @@ func TestGridKeySaturates(t *testing.T) {
 	}
 }
 
-// TestKeysExactWithin pins the dense-kernel exactness certificate: the
-// scaled reach must stay inside float64's exact-integer range.
-func TestKeysExactWithin(t *testing.T) {
-	g := DefaultGrid()
-	if !g.KeysExactWithin(9e6) {
-		t.Error("9e6·1e9 = 9e15 ≤ 2^53 should certify")
-	}
-	if g.KeysExactWithin(1e8) {
-		t.Error("1e8·1e9 = 1e17 > 2^53 must not certify")
-	}
-	e := ExactGrid(1)
-	if !e.KeysExactWithin(1 << 53) {
-		t.Error("2^53 on the unit grid should certify")
-	}
-	if e.KeysExactWithin(math.Nextafter(1<<53, math.Inf(1))) {
-		t.Error("past 2^53 must not certify")
-	}
-	if GridFor(1e12).KeysExactWithin(math.NaN()) {
-		t.Error("NaN reach must not certify")
-	}
-}
-
-// TestCellsPerStride pins the stride→cells bridge the dense spans index
-// through: exact positive integer counts pass, everything else refuses.
-func TestCellsPerStride(t *testing.T) {
-	g := DefaultGrid() // scale 1e9
-	if c, ok := g.CellsPerStride(1); !ok || c != 1e9 {
-		t.Errorf("unit stride on 1e-9 grid: %d, %v", c, ok)
-	}
-	if c, ok := g.CellsPerStride(0.25); !ok || c != 25e7 {
-		t.Errorf("quarter stride: %d, %v", c, ok)
-	}
-	if _, ok := g.CellsPerStride(1.0 / 1024); ok {
-		t.Error("1e9/1024 is not integral; must refuse")
-	}
-	u := ExactGrid(1)
-	if c, ok := u.CellsPerStride(1); !ok || c != 1 {
-		t.Errorf("unit stride on unit grid: %d, %v", c, ok)
-	}
-	if _, ok := u.CellsPerStride(0.5); ok {
-		t.Error("sub-cell stride must refuse")
-	}
-	if _, ok := GridFor(1e18).CellsPerStride(1); ok {
-		t.Error("relative grid (scale < 1) must refuse integer strides")
-	}
-	if _, ok := u.CellsPerStride(math.NaN()); ok {
-		t.Error("NaN stride must refuse")
-	}
-}
-
 // FuzzGridKey fuzzes the key/value round trip: for any finite x within
 // the grid's reach, Value(Key(x)) stays within half a resolution (plus
 // the float round-off the legacy regime always had), keys are monotone,

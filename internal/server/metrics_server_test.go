@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/factcheck/cleansel/internal/obs"
 )
 
 // scrape fetches /metrics and returns the body.
@@ -90,25 +92,37 @@ func TestMetricsScrapeCountsRequests(t *testing.T) {
 	}
 }
 
-// TestMetricsCountConvolutionRoutes serves one select_maxpr request from
-// the benchmark's generator and reads the convolution route counters
-// off /metrics: the T = ∅ drop law certifies onto the dense lattice, and
-// the later rounds' drop laws and the final P(T) run on the off-lattice
-// merge.
+// TestMetricsCountConvolutionRoutes serves one traced select_maxpr
+// request from the benchmark's generator and reads its convolution work
+// off /metrics: the conv_ops counter there equals the conv_ops the
+// request's own trace reports.
 func TestMetricsCountConvolutionRoutes(t *testing.T) {
 	body, err := os.ReadFile(filepath.Join("wire", "testdata", "select_maxpr.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := newTestServer(Config{})
-	if rec := do(t, h, "POST", "/v1/select", string(body)); rec.Code != http.StatusOK {
+	rec := do(t, h, "POST", "/v1/select?trace=1", string(body))
+	if rec.Code != http.StatusOK {
 		t.Fatalf("select status %d: %s", rec.Code, rec.Body.String())
 	}
-	exp := scrape(t, h)
-	dense := metricValue(t, exp, `cleanseld_engine_ops_total{op="conv_dense"}`)
-	merge := metricValue(t, exp, `cleanseld_engine_ops_total{op="conv_merge"}`)
-	if dense != 1 || merge != 4 {
-		t.Fatalf("%v dense and %v merge convolutions, want 1 and 4", dense, merge)
+	var env struct {
+		Trace obs.Trace `json:"trace"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	var traced int64
+	for _, c := range env.Trace.Counters {
+		if c.Name == "conv_ops" {
+			traced = c.Value
+		}
+	}
+	if traced == 0 {
+		t.Fatal("the traced select convolved nothing")
+	}
+	if got := metricValue(t, scrape(t, h), `cleanseld_engine_ops_total{op="conv_ops"}`); got != float64(traced) {
+		t.Fatalf("/metrics conv_ops = %v, the request's trace says %d", got, traced)
 	}
 }
 

@@ -5,27 +5,15 @@
 # the full worker curve (workers=1, every power of two up to GOMAXPROCS,
 # and GOMAXPROCS itself — see benchWorkerCounts in bench_test.go), plus
 # BenchmarkWeightedSumWide (the reach≈1e12 integer convolution on the
-# scale-aware grid; no workers dimension) and its kernel split —
-# BenchmarkWeightedSumDense (the dense lattice kernel on the wide
-# workload shape), BenchmarkWeightedSumMap (the same shape forced
-# through the hashed-key kernel that internal/dist keeps in its tests as
-# the reference of the off-lattice merge) and BenchmarkWeightedSumMerge
-# (the same shape forced through the merge, the production fallback of
-# a failed dense certificate) — with BENCHTIME iterations per rep
-# (default 5x) and COUNT repetitions (default 3), and writes
-# BENCH_parallel.json at the repo root: per benchmark the min and
-# median ns/op across reps, plus a median-based speedup per (family,
-# workers) point relative to that family's workers=1 baseline — the
-# whole scaling curve, not just the endpoints. Families without a
-# workers dimension are recorded but excluded from worker speedups.
-# The dense-vs-map ratio lands in the speedup object as
-# "BenchmarkWeightedSumDense/vs=map" and is gated by MIN_DENSE_SPEEDUP
-# (default 5): the dense kernel beats hashing by well over that on wide
-# integer supports, and a drop below the floor means the kernel quietly
-# stopped engaging or paying. "BenchmarkWeightedSumDense/vs=merge" is
-# recorded beside it, ungated: what the dense kernel saves over the
-# fallback production would otherwise run. (The merge against hashing
-# at 2- to 100-point supports is BenchmarkWeightedSumSupports in
+# scale-aware grid; no workers dimension; recorded, ungated) — with
+# BENCHTIME iterations per rep (default 5x) and COUNT repetitions
+# (default 3), and writes BENCH_parallel.json at the repo root: per
+# benchmark the min and median ns/op across reps, plus a median-based
+# speedup per (family, workers) point relative to that family's
+# workers=1 baseline — the whole scaling curve, not just the endpoints.
+# Families without a workers dimension are recorded but excluded from
+# worker speedups. (The convolution against the hashed-key reference at
+# 2- to 100-point supports is BenchmarkWeightedSumSupports in
 # ./internal/dist, run by hand; it is not part of this script.)
 # BenchmarkGreedyMaxPr (./internal/core) times one MaxPr select at n=200
 # with 6-point discrete supports on its incremental route (one drop-law
@@ -80,7 +68,6 @@ cd "$(dirname "$0")/.."
 benchtime="${BENCHTIME:-5x}"
 count="${COUNT:-3}"
 min_speedup="${MIN_SPEEDUP:-0.9}"
-min_dense_speedup="${MIN_DENSE_SPEEDUP:-5}"
 min_maxpr_speedup="${MIN_MAXPR_SPEEDUP:-10}"
 out="${BENCH_OUT:-BENCH_parallel.json}"
 raw=$(mktemp)
@@ -96,10 +83,10 @@ if [ -n "${GOMAXPROCS:-}" ] && [ "${GOMAXPROCS}" != "$ncpu" ] && [ -z "${BENCH_A
 fi
 export GOMAXPROCS="${GOMAXPROCS:-$ncpu}"
 
-go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkSelectMinVarServed|BenchmarkWeightedSumWide|BenchmarkWeightedSumDense|BenchmarkWeightedSumMap|BenchmarkWeightedSumMerge|BenchmarkGreedyMaxPr|BenchmarkSessionStep|BenchmarkTermWalks' \
+go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkSelectMinVarServed|BenchmarkWeightedSumWide|BenchmarkGreedyMaxPr|BenchmarkSessionStep|BenchmarkTermWalks' \
   -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session ./internal/ev | tee "$raw"
 
-awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_dense="$min_dense_speedup" -v min_maxpr="$min_maxpr_speedup" '
+awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_maxpr="$min_maxpr_speedup" '
   BEGIN { gomaxprocs = 1 }              # go test omits the -N suffix when GOMAXPROCS=1
   /^Benchmark/ && /ns\/op/ {
     name = $1
@@ -166,30 +153,8 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
       if (min_speedup + 0 > 0 && w == gomaxprocs && sp < min_speedup + 0)
         failmsg[++nfail] = sprintf("%s: %.3fx at workers=%s (floor %s)", f, sp, w, min_speedup)
     }
-    # Dense-vs-map: the wide-convolution workload on the dense lattice
-    # kernel against the same shape forced through the hashed-key
-    # reference. Unlike the worker curve this ratio is CPU-count
-    # independent, so it is gated on every runner.
-    if (reps["BenchmarkWeightedSumMap"] > 0 && reps["BenchmarkWeightedSumDense"] > 0) {
-      dd = med("BenchmarkWeightedSumDense")
-      if (dd > 0) {
-        sp = med("BenchmarkWeightedSumMap") / dd
-        printf "%s\n    \"BenchmarkWeightedSumDense/vs=map\": %.3f", (first ? "" : ","), sp
-        first = 0
-        if (min_dense + 0 > 0 && sp < min_dense + 0)
-          failmsg[++nfail] = sprintf("dense-vs-map: %.3fx on the wide convolution (floor %s)", sp, min_dense)
-      }
-    }
-    # Dense-vs-merge: the same workload forced through the off-lattice
-    # merge, the path a failed dense certificate falls to. Recorded only.
-    if (reps["BenchmarkWeightedSumMerge"] > 0 && reps["BenchmarkWeightedSumDense"] > 0) {
-      dd = med("BenchmarkWeightedSumDense")
-      if (dd > 0) {
-        printf "%s\n    \"BenchmarkWeightedSumDense/vs=merge\": %.3f", (first ? "" : ","), med("BenchmarkWeightedSumMerge") / dd
-        first = 0
-      }
-    }
-    # Incremental-vs-per-candidate GreedyMaxPr: also CPU-count independent.
+    # Incremental-vs-per-candidate GreedyMaxPr: unlike the worker curve
+    # this ratio is CPU-count independent, so it is gated on every runner.
     inc = "BenchmarkGreedyMaxPr/path=incremental"
     per = "BenchmarkGreedyMaxPr/path=per-candidate"
     if (reps[inc] > 0 && reps[per] > 0) {
@@ -207,7 +172,7 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
     if (nfail > 0) exit 1
   }
 ' "$raw" > "$out" || {
-  echo "wrote $out (speedup below a floor: parallel $min_speedup, dense-vs-map $min_dense_speedup, maxpr $min_maxpr_speedup):" >&2
+  echo "wrote $out (speedup below a floor: parallel $min_speedup, maxpr $min_maxpr_speedup):" >&2
   cat "$out" >&2
   exit 1
 }
