@@ -19,6 +19,8 @@ import (
 	"sort"
 )
 
+var errInfeasible = errors.New("knapsack: covering requirement infeasible")
+
 // Result is a solved knapsack instance.
 type Result struct {
 	Indices []int   // chosen item indices, ascending
@@ -41,15 +43,18 @@ func validate(values, costs []float64) error {
 	return nil
 }
 
-// scale converts float costs to integers at the given precision
-// (ceil for item costs — never understate what an item consumes — and
-// floor for the budget — never allow more than the real budget).
-func scale(costs []float64, precision float64) []int {
-	out := make([]int, len(costs))
-	for i, c := range costs {
-		out[i] = int(math.Ceil(c/precision - 1e-9))
+// maxCells bounds the table either solver allocates, in cells (one
+// item row by one capacity column each); past it they return an error
+// instead of allocating.
+const maxCells = 1 << 28
+
+// checkCells returns an error when a table of rows × (cols + 1) cells,
+// with cols a whole float, exceeds maxCells.
+func checkCells(rows int, cols float64) error {
+	if float64(rows)*(cols+1) > maxCells {
+		return fmt.Errorf("knapsack: a %d × %.0f table exceeds %d cells; use a coarser cost precision", rows, cols+1, maxCells)
 	}
-	return out
+	return nil
 }
 
 func sum(xs []float64, idx []int) float64 {
@@ -61,20 +66,47 @@ func sum(xs []float64, idx []int) float64 {
 }
 
 // MaxDP solves max Σ v_i s.t. Σ c_i ≤ budget exactly (after cost
-// discretization at precision). Time O(n·C), memory O(n·C) bits for
+// discretization at precision: ceil for item costs — never understate
+// what an item consumes — and floor for the budget — never allow more
+// than the real budget). Time O(n·C), memory O(n·C) bits for
 // reconstruction.
+//
+// The scaling runs in floats. Items that cost more than the capacity C
+// are dropped, and C is capped at the sum S of the remaining items'
+// scaled costs: at every capacity c ≥ S all of them fit, so the dp
+// value and every take-or-skip decision of the reconstruction are those
+// at S, and capping changes no answer.
 func MaxDP(values, costs []float64, budget, precision float64) (Result, error) {
 	if err := validate(values, costs); err != nil {
 		return Result{}, err
 	}
-	if precision <= 0 {
+	if !(precision > 0) {
 		return Result{}, errors.New("knapsack: precision must be positive")
 	}
+	if math.IsNaN(budget) {
+		return Result{}, errors.New("knapsack: budget is NaN")
+	}
 	n := len(values)
-	ic := scale(costs, precision)
-	C := int(math.Floor(budget/precision + 1e-9))
-	if C < 0 {
-		C = 0
+	capacity := max(math.Floor(budget/precision+1e-9), 0)
+	scaled := make([]float64, n)
+	var fits float64
+	for i, c := range costs {
+		scaled[i] = math.Ceil(c/precision - 1e-9)
+		if scaled[i] <= capacity {
+			fits += scaled[i]
+		}
+	}
+	capacity = min(capacity, fits)
+	if err := checkCells(n, capacity); err != nil {
+		return Result{}, err
+	}
+	C := int(capacity)
+	ic := make([]int, n)
+	for i, sc := range scaled {
+		ic[i] = C + 1 // dropped: more than the capacity
+		if sc <= capacity {
+			ic[i] = int(sc)
+		}
 	}
 	// dp[c] = best value with capacity c; keep[i][c] = item i taken at c.
 	dp := make([]float64, C+1)
@@ -113,17 +145,34 @@ func MinDP(values, costs []float64, lower, precision float64) (Result, error) {
 	if err := validate(values, costs); err != nil {
 		return Result{}, err
 	}
-	if precision <= 0 {
+	if !(precision > 0) {
 		return Result{}, errors.New("knapsack: precision must be positive")
 	}
 	n := len(values)
-	ic := make([]int, n)
-	for i, c := range costs {
-		ic[i] = int(math.Floor(c/precision + 1e-9))
-	}
-	L := int(math.Ceil(lower/precision - 1e-9))
-	if L <= 0 {
+	req := math.Ceil(lower/precision - 1e-9)
+	if !(req > 0) {
 		return Result{}, nil // empty set covers a non-positive requirement
+	}
+	// Coverage past the requirement counts like the requirement itself
+	// (a taken item leaves max(0, j − c_i)), so capping it changes no
+	// cell; all items together cover the most, so the requirement is
+	// feasible exactly when their capped coverage reaches it.
+	covers := make([]float64, n)
+	var total float64
+	for i, c := range costs {
+		covers[i] = min(math.Floor(c/precision+1e-9), req)
+		total += covers[i]
+	}
+	if total < req {
+		return Result{}, errInfeasible
+	}
+	if err := checkCells(n+1, req); err != nil {
+		return Result{}, err
+	}
+	L := int(req)
+	ic := make([]int, n)
+	for i, c := range covers {
+		ic[i] = int(c)
 	}
 	const inf = math.MaxFloat64 / 4
 	// dp[i][j] = min value over items 0..i−1 with covered cost ≥ j.
@@ -151,7 +200,7 @@ func MinDP(values, costs []float64, lower, precision float64) (Result, error) {
 		}
 	}
 	if dp[n][L] >= inf {
-		return Result{}, errors.New("knapsack: covering requirement infeasible")
+		return Result{}, errInfeasible
 	}
 	res := Result{Value: dp[n][L]}
 	j := L

@@ -2,6 +2,7 @@ package knapsack
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/rng"
@@ -178,5 +179,50 @@ func TestZeroCostItems(t *testing.T) {
 	}
 	if res.Value != 2 {
 		t.Fatalf("free item should always be taken: %+v", res)
+	}
+}
+
+// TestMaxDPHugeBudgetAndCosts feeds budgets and costs whose scaled
+// values overflow int or no table could hold: a budget past the total
+// cost answers what the total cost answers, an item dearer than the
+// budget is dropped, and a capacity past the table bound is an error.
+func TestMaxDPHugeBudgetAndCosts(t *testing.T) {
+	values, costs := []float64{3, 0, 2}, []float64{1, 1, 1}
+	want, err := MaxDP(values, costs, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []float64{1e16, 1e300, math.Inf(1)} {
+		got, err := MaxDP(values, costs, budget, 1)
+		if err != nil || !slices.Equal(got.Indices, want.Indices) || got.Value != want.Value {
+			t.Errorf("budget %v: %+v, %v; want %+v", budget, got, err, want)
+		}
+	}
+	got, err := MaxDP([]float64{3, 5, 2}, []float64{1, 1e300, 1}, 5, 1)
+	if err != nil || !slices.Equal(got.Indices, []int{0, 2}) {
+		t.Errorf("cost 1e300: %+v, %v; want items [0 2]", got, err)
+	}
+	if _, err := MaxDP(values, []float64{1e10, 1e10, 1e10}, 1e16, 1); err == nil {
+		t.Error("a 3 × 3e10 table was allocated")
+	}
+	if _, err := MaxDP(values, costs, math.NaN(), 1); err == nil {
+		t.Error("a NaN budget solved")
+	}
+}
+
+// TestMinDPHugeCosts feeds covering requirements no table could hold:
+// an infeasible one is an error before anything is allocated, a
+// feasible one past the table bound is an error, and an item covering
+// far more than the requirement counts as covering it.
+func TestMinDPHugeCosts(t *testing.T) {
+	if _, err := MinDP([]float64{1}, []float64{1e17}, 1e18, 1); err != errInfeasible {
+		t.Errorf("requirement 1e18 over coverage 1e17: %v, want errInfeasible", err)
+	}
+	if _, err := MinDP([]float64{1, 2}, []float64{1e17, 1e17}, 1e17, 1); err == nil {
+		t.Error("a 3 × 1e17 table was allocated")
+	}
+	got, err := MinDP([]float64{5, 1, 4}, []float64{1e300, 2, 1}, 2, 1)
+	if err != nil || !slices.Equal(got.Indices, []int{1}) || got.Value != 1 {
+		t.Errorf("coverage 1e300: %+v, %v; want item [1] at value 1", got, err)
 	}
 }

@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"log/slog"
+	"net/http"
+	"runtime/debug"
 	"sync"
 
 	"github.com/factcheck/cleansel/internal/obs"
@@ -19,6 +22,9 @@ import (
 // abandoned (each waiter leaves when its own request context is done),
 // so one impatient client cannot kill a solve that others still want —
 // and a solve nobody wants any more stops instead of burning a core.
+// A panic on that goroutine is recovered and logged with its stack, and
+// every waiter gets errPanicked, so one bad request cannot take the
+// daemon down.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -26,7 +32,13 @@ type flightGroup struct {
 	// is an obs.Counter so the server can register the same object on
 	// /metrics — one source for both the scrape and /healthz.
 	coalesced *obs.Counter
+	log       *slog.Logger
 }
+
+// errPanicked is what every waiter of a call whose function panicked
+// gets: a 500 with code "internal".
+var errPanicked = &apiError{Status: http.StatusInternalServerError, Code: "internal",
+	Message: "internal error: the computation failed; the daemon logged its stack"}
 
 type flightCall struct {
 	cancel  context.CancelFunc
@@ -42,13 +54,14 @@ type flightCall struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return newFlightGroupCounting(&obs.Counter{})
+	return newFlightGroupCounting(&obs.Counter{}, slog.New(slog.DiscardHandler))
 }
 
 // newFlightGroupCounting builds a group ticking coalesced joins into
-// the given (typically metrics-registered) counter.
-func newFlightGroupCounting(coalesced *obs.Counter) *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall), coalesced: coalesced}
+// the given (typically metrics-registered) counter and logging
+// recovered panics to log.
+func newFlightGroupCounting(coalesced *obs.Counter, log *slog.Logger) *flightGroup {
+	return &flightGroup{calls: make(map[string]*flightCall), coalesced: coalesced, log: log}
 }
 
 // Coalesced returns how many callers have been served by joining an
@@ -103,7 +116,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 	g.calls[key] = c
 	g.mu.Unlock()
 	go func() {
-		body, err := fn(callCtx)
+		body, err := g.run(callCtx, key, fn)
 		g.mu.Lock()
 		c.body, c.err = body, err
 		// A replaced abandoned call must not delete its successor.
@@ -115,6 +128,18 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		cancel()
 	}()
 	return g.wait(ctx, c, false)
+}
+
+// run calls fn, turning a panic into errPanicked after logging it with
+// its stack.
+func (g *flightGroup) run(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			g.log.Error("computation panicked", "key", key, "panic", p, "stack", string(debug.Stack()))
+			body, err = nil, errPanicked
+		}
+	}()
+	return fn(ctx)
 }
 
 func (g *flightGroup) wait(ctx context.Context, c *flightCall, shared bool) ([]byte, bool, error) {

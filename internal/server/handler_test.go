@@ -44,6 +44,32 @@ func selectBody(dataRef string) string {
 }`
 }
 
+// TestSelectOptimumHugeBudget sends optimum fairness selects whose
+// budget dwarfs the objects' total cost of 3: they answer what budget 3
+// answers (jan and mar) instead of sizing the knapsack from the budget,
+// which at 1e16 panicked and at 1e300 overflowed to an empty set.
+func TestSelectOptimumHugeBudget(t *testing.T) {
+	h := newTestServer(Config{})
+	body := func(budget string) string {
+		return `{` + inlineObjects + problemBody + `,
+  "measure": "fairness",
+  "goal": "minvar",
+  "algorithm": "optimum",
+  "budget": ` + budget + `
+}`
+	}
+	want := do(t, h, "POST", "/v1/select", body("3"))
+	if want.Code != http.StatusOK || !strings.Contains(want.Body.String(), `"jan","mar"`) {
+		t.Fatalf("budget 3: status %d, body %s", want.Code, want.Body.String())
+	}
+	for _, budget := range []string{"1e16", "1e300"} {
+		rec := do(t, h, "POST", "/v1/select", body(budget))
+		if rec.Code != http.StatusOK || rec.Body.String() != want.Body.String() {
+			t.Errorf("budget %s: status %d, body %s; want %s", budget, rec.Code, rec.Body.String(), want.Body.String())
+		}
+	}
+}
+
 // mustNew builds a Server, failing the test on configuration errors
 // (only possible when durable state is requested).
 func mustNew(t testing.TB, cfg Config) *Server {

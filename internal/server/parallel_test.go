@@ -1,21 +1,68 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/parallel"
 	"github.com/factcheck/cleansel/internal/server/wire"
 )
 
 // --- flightGroup unit tests -------------------------------------------------
+
+// TestFlightGroupRecoversPanic panics inside a call two callers wait
+// on: the process survives, both get errPanicked, the panic is logged
+// with its stack, and the key is free for the next call.
+func TestFlightGroupRecoversPanic(t *testing.T) {
+	var logs bytes.Buffer
+	g := newFlightGroupCounting(&obs.Counter{}, slog.New(slog.NewTextHandler(&logs, nil)))
+	release := make(chan struct{})
+	fn := func(context.Context) ([]byte, error) {
+		<-release
+		panic("solver bug")
+	}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, _, err := g.Do(context.Background(), "k", fn)
+			errs <- err
+		}()
+	}
+	deadline := time.After(5 * time.Second)
+	for g.Coalesced() < 1 {
+		select {
+		case <-deadline:
+			t.Fatal("callers never coalesced")
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != errPanicked {
+			t.Fatalf("waiter %d got %v, want errPanicked", i, err)
+		}
+	}
+	// Every waiter returned after the log line was written.
+	if out := logs.String(); !strings.Contains(out, "solver bug") || !strings.Contains(out, "TestFlightGroupRecoversPanic") {
+		t.Fatalf("panic not logged with its stack:\n%s", out)
+	}
+	body, _, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(body) != "ok" {
+		t.Fatalf("next call on the key: %q, %v", body, err)
+	}
+}
 
 func TestFlightGroupCoalesces(t *testing.T) {
 	g := newFlightGroup()

@@ -221,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 	// Metrics come last so gauges close over fully constructed state;
 	// the flight group takes its coalesced counter from the registry.
 	s.met = newServerMetrics(s)
-	s.flights = newFlightGroupCounting(s.met.coalesced)
+	s.flights = newFlightGroupCounting(s.met.coalesced, s.log)
 	return s, nil
 }
 
