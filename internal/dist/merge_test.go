@@ -146,7 +146,7 @@ func diffMergeHashed(t *testing.T, offset float64, weights []float64, parts []*D
 	return true
 }
 
-// TestMergeMatchesHashed pins the off-lattice merge to the hashed-key
+// TestMergeMatchesHashed pins the convolution merge to the hashed-key
 // convolution it replaced, bit for bit, on 100,000 seeded convolutions
 // that cover every grid regime (checked below), supports of 1 to 100
 // points, −0 atoms and offsets, zero and negative weights, duplicate

@@ -55,7 +55,7 @@ func BenchmarkTermWalks(b *testing.B) {
 	sc := newEvScratch(db.N())
 	none := make([]bool, db.N())
 	one := make([]bool, db.N())
-	vars := e.terms[0].vars
+	vars := e.terms[0].Vars
 	one[vars[0]] = true
 	b.Run("walk=start", func(b *testing.B) {
 		b.ReportAllocs()

@@ -445,4 +445,8 @@ func TestGroupEngineValidation(t *testing.T) {
 	if _, err := NewGroupEngine(db, bad2); err == nil {
 		t.Fatal("out-of-range var accepted")
 	}
+	bad3 := &query.GroupSum{Terms: []query.Term{{Vars: []int{0}}}}
+	if _, err := NewGroupEngine(db, bad3); err == nil {
+		t.Fatal("term without a function accepted")
+	}
 }

@@ -66,7 +66,7 @@ func TestExtendTermMatchesTermEV(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		db, g := extensionInstance(r)
 		e := mustGroup(t, db, g)
-		vars := e.terms[0].vars
+		vars := e.terms[0].Vars
 		cleaned := make([]bool, db.N())
 		var open []int
 		for _, v := range vars {

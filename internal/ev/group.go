@@ -34,7 +34,7 @@ type GroupEngine struct {
 	dists []*dist.Discrete
 	g     *query.GroupSum
 
-	terms []termInfo
+	terms []query.Term
 	pairs []pairInfo
 
 	varTerms [][]int // object id -> indices into terms
@@ -57,13 +57,6 @@ type GroupEngine struct {
 	// different claims over the same database reuse each other's
 	// enumerations (see SharedEVCache).
 	shared *SharedEVCache
-}
-
-type termInfo struct {
-	vars  []int
-	eval  func([]float64) float64
-	sweep func(vals []float64, pos int, xs, out []float64) // Term.Sweep, or EvalSweep(eval)
-	sig   string                                           // canonical signature ("" = unshareable)
 }
 
 type pairInfo struct {
@@ -92,7 +85,10 @@ func NewGroupEngine(db *model.DB, g *query.GroupSum) (*GroupEngine, error) {
 		varTerms: make([][]int, db.N()),
 		varPairs: make([][]int, db.N()),
 	}
-	for _, t := range g.Terms {
+	for k, t := range g.Terms {
+		if t.TermFunc == nil {
+			return nil, fmt.Errorf("ev: term %d has no function", k)
+		}
 		vars := append([]int(nil), t.Vars...)
 		sort.Ints(vars)
 		for i := 1; i < len(vars); i++ {
@@ -105,17 +101,13 @@ func NewGroupEngine(db *model.DB, g *query.GroupSum) (*GroupEngine, error) {
 				return nil, fmt.Errorf("ev: term references unknown object %d", v)
 			}
 		}
-		// Terms must receive values in their declared order; keep the
-		// original order for evaluation but track sorted vars for set math.
-		sweep := t.Sweep
-		if sweep == nil {
-			sweep = query.EvalSweep(t.Eval)
-		}
-		e.terms = append(e.terms, termInfo{vars: t.Vars, eval: t.Eval, sweep: sweep, sig: t.Sig})
+		// Terms must receive values in their declared order, so the
+		// engine keeps each term as declared.
+		e.terms = append(e.terms, t)
 	}
 	// Index terms per object and find overlapping pairs.
 	for k, t := range e.terms {
-		for _, v := range t.vars {
+		for _, v := range t.Vars {
 			e.varTerms[v] = append(e.varTerms[v], k)
 		}
 	}
@@ -185,23 +177,23 @@ func memoize(cache []map[uint64]float64, i int, vars []int, cleaned []bool, v fl
 
 func (e *GroupEngine) buildPair(k, l int) pairInfo {
 	inK := map[int]bool{}
-	for _, v := range e.terms[k].vars {
+	for _, v := range e.terms[k].Vars {
 		inK[v] = true
 	}
 	p := pairInfo{k: k, l: l}
 	inShared := map[int]bool{}
-	for _, v := range e.terms[l].vars {
+	for _, v := range e.terms[l].Vars {
 		if inK[v] {
 			p.shared = append(p.shared, v)
 			inShared[v] = true
 		}
 	}
-	for _, v := range e.terms[k].vars {
+	for _, v := range e.terms[k].Vars {
 		if !inShared[v] {
 			p.onlyK = append(p.onlyK, v)
 		}
 	}
-	for _, v := range e.terms[l].vars {
+	for _, v := range e.terms[l].Vars {
 		if !inShared[v] {
 			p.onlyL = append(p.onlyL, v)
 		}
@@ -216,7 +208,7 @@ func (e *GroupEngine) buildPair(k, l int) pairInfo {
 	// Ordered, not sorted: pairEV groups its products around the k-side
 	// term, so only a pair with the same (k,l) role assignment is
 	// guaranteed the same float64 (see the SharedEVCache contract).
-	if sk, sl := e.terms[k].sig, e.terms[l].sig; sk != "" && sl != "" {
+	if sk, sl := e.terms[k].Sig, e.terms[l].Sig; sk != "" && sl != "" {
 		p.sig = sk + "\x1e" + sl
 	}
 	return p
@@ -232,11 +224,11 @@ func (e *GroupEngine) NumPairs() int { return len(e.pairs) }
 func (e *GroupEngine) evalTerm(k int, x []float64, sc *evScratch) float64 {
 	t := &e.terms[k]
 	buf := sc.buf[:0]
-	for _, v := range t.vars {
+	for _, v := range t.Vars {
 		buf = append(buf, x[v])
 	}
 	sc.buf = buf
-	return t.eval(buf)
+	return t.Eval(buf)
 }
 
 // termEV returns Σ_a Pr[a]·Var[g_k | X_{R_k∩T} = a] for term k given the
@@ -250,9 +242,9 @@ func (e *GroupEngine) evalTerm(k int, x []float64, sc *evScratch) float64 {
 // the kernels below applies the same rule.
 func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, sc *evScratch) float64 {
 	t := &e.terms[k]
-	args := growSlice(&sc.args, len(t.vars))
+	args := growSlice(&sc.args, len(t.Vars))
 	a, up := &sc.walks[0], &sc.walks[1]
-	inner, pos := splitSweep(dists, t.vars, cleaned, a, up)
+	inner, pos := splitSweep(dists, t.Vars, cleaned, a, up)
 	a.bind(dists, args)
 	up.bind(dists, args)
 	g := growSlice(&sc.swept, inner.Size())
@@ -261,9 +253,9 @@ func (e *GroupEngine) termEV(dists []*dist.Discrete, k int, cleaned []bool, sc *
 		var m1, m2 numeric.KahanAcc
 		for pu, ok := up.first(); ok; pu, ok = up.next() {
 			if pos < 0 {
-				g[0] = t.eval(args)
+				g[0] = t.Eval(args)
 			} else {
-				t.sweep(args, pos, inner.Values, g)
+				t.Sweep(args, pos, inner.Values, g)
 			}
 			for j, v := range g {
 				if v == 0 {
@@ -339,11 +331,11 @@ func (e *GroupEngine) pairEV(dists []*dist.Discrete, pi int, cleaned []bool, sc 
 func (e *GroupEngine) singletonTerm(k int, cleaned []bool, sc *evScratch) (ev float64, drops []float64) {
 	t := &e.terms[k]
 	a, up := &sc.walks[0], &sc.walks[1]
-	inner, pos := splitSweep(e.dists, t.vars, cleaned, a, up)
+	inner, pos := splitSweep(e.dists, t.Vars, cleaned, a, up)
 	if pos < 0 {
 		return e.termEV(e.dists, k, cleaned, sc), nil
 	}
-	args := growSlice(&sc.args, len(t.vars))
+	args := growSlice(&sc.args, len(t.Vars))
 	a.bind(e.dists, args)
 	up.bind(e.dists, args)
 	// The uncleaned vars are levels 0..last: up's levels, then the
@@ -377,7 +369,7 @@ func (e *GroupEngine) singletonTerm(k int, cleaned []bool, sc *evScratch) (ev fl
 		r1, r2 := m1[last], m2[last]
 		var t1, t2 numeric.KahanAcc
 		for pu, ok := up.first(); ok; pu, ok = up.next() {
-			t.sweep(args, pos, inner.Values, g)
+			t.Sweep(args, pos, inner.Values, g)
 			for j, v := range g {
 				if v == 0 {
 					continue
@@ -451,12 +443,12 @@ type extReq struct {
 // termEV's outer order. The result aliases the scratch.
 func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch) []float64 {
 	t := &e.terms[k]
-	args := growSlice(&sc.args, len(t.vars))
+	args := growSlice(&sc.args, len(t.Vars))
 	a, up, ap := &sc.walks[0], &sc.walks[1], &sc.walks[2]
 	// The inner split walks as its upper levels (an odometer) times one
 	// sweep of its last level, level last, so each outcome knows which
 	// of its factors changed.
-	inner, pos := splitSweep(e.dists, t.vars, cleaned, a, up)
+	inner, pos := splitSweep(e.dists, t.Vars, cleaned, a, up)
 	last := len(up.vars)
 	a.bind(e.dists, args)
 	up.bind(e.dists, args)
@@ -508,7 +500,7 @@ func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch)
 					rq.above = rq.head * e.dists[up.vars[last-1]].Probs[up.idx[last-1]]
 				}
 			}
-			t.sweep(args, pos, inner.Values, g)
+			t.Sweep(args, pos, inner.Values, g)
 			for j, v := range g {
 				if v == 0 {
 					continue
@@ -542,7 +534,7 @@ func (e *GroupEngine) extendTerm(k int, cleaned []bool, vs []int, sc *evScratch)
 	for r, v := range vs {
 		ap.vars, ap.slot = ap.vars[:0], ap.slot[:0]
 		q := 0
-		for pos, w := range t.vars {
+		for pos, w := range t.Vars {
 			if w == v {
 				q = len(ap.vars)
 			}
@@ -754,8 +746,8 @@ func (e *GroupEngine) EVCtx(ctx context.Context, T model.Set) (float64, error) {
 		sharedTerms, sharedPairs = e.shared.terms, e.shared.pairs
 	}
 	termVals, err := e.memoValues(ctx, cleaned, e.termCache, sharedTerms,
-		func(k int) []int { return e.terms[k].vars },
-		func(k int) string { return e.terms[k].sig },
+		func(k int) []int { return e.terms[k].Vars },
+		func(k int) string { return e.terms[k].Sig },
 		func(k int, sc *evScratch) float64 {
 			rec.Add("ev_term_walks", 1)
 			return e.termEV(e.dists, k, cleaned, sc)
@@ -806,7 +798,7 @@ func (e *GroupEngine) CondMoments(values []float64, known []bool) (mean, varianc
 	mAcc.Add(e.g.Const)
 	for k := range e.terms {
 		var m1 numeric.KahanAcc
-		newOdometer(ds, sc.x, e.terms[k].vars).each(func(p float64) {
+		newOdometer(ds, sc.x, e.terms[k].Vars).each(func(p float64) {
 			m1.Add(p * e.evalTerm(k, sc.x, sc))
 		})
 		mAcc.Add(m1.Value())
@@ -911,7 +903,7 @@ func (e *GroupEngine) newState(ctx context.Context) (*State, [][]float64, error)
 	s.pairEV = pairEV
 	e.mu.Lock()
 	for k, v := range s.termEV {
-		memoize(e.termCache, k, e.terms[k].vars, s.cleaned, v)
+		memoize(e.termCache, k, e.terms[k].Vars, s.cleaned, v)
 	}
 	for pi, v := range pairEV {
 		memoize(e.pairCache, pi, e.pairs[pi].union, s.cleaned, v)
@@ -942,7 +934,7 @@ func (s *State) singletons(ctx context.Context, drops [][]float64) ([]float64, e
 	e := s.e
 	benefits := make([]float64, e.db.N())
 	for k, d := range drops {
-		for j, v := range e.terms[k].vars {
+		for j, v := range e.terms[k].Vars {
 			benefits[v] += d[j]
 		}
 	}
@@ -1039,11 +1031,11 @@ func (s *State) extend(ctx context.Context, objs []int) error {
 			continue
 		}
 		for _, k := range e.varTerms[o] {
-			mask, ok := localMask(e.terms[k].vars, s.cleaned)
+			mask, ok := localMask(e.terms[k].Vars, s.cleaned)
 			if !ok {
 				continue
 			}
-			if _, hit := e.termCache[k][mask|varBit(e.terms[k].vars, o)]; !hit {
+			if _, hit := e.termCache[k][mask|varBit(e.terms[k].Vars, o)]; !hit {
 				reqs = append(reqs, termReq{k: k, o: o})
 			}
 		}
@@ -1073,7 +1065,7 @@ func (s *State) extend(ctx context.Context, objs []int) error {
 		k, vs := work[i].k, work[i].vs
 		vals := e.extendTerm(k, s.cleaned, vs, s.pool.get(worker))
 		rec.Add("ev_term_walks", 1)
-		vars := e.terms[k].vars
+		vars := e.terms[k].Vars
 		mask, _ := localMask(vars, s.cleaned)
 		e.mu.Lock()
 		for j, v := range vs {
@@ -1108,7 +1100,7 @@ func (s *State) Clean(o int) float64 {
 	e.mu.Lock()
 	for j, k := range e.varTerms[o] {
 		s.termEV[k] = sc.termNew[j]
-		memoize(e.termCache, k, e.terms[k].vars, s.cleaned, sc.termNew[j])
+		memoize(e.termCache, k, e.terms[k].Vars, s.cleaned, sc.termNew[j])
 	}
 	for j, pi := range e.varPairs[o] {
 		s.pairEV[pi] = sc.pairNew[j]
@@ -1149,7 +1141,7 @@ func (s *State) recompute(o int, sc *evScratch, mask []bool, rec *obs.Recorder) 
 
 // memoTerm returns term k's memo value at the cleaned mask, if any.
 func (e *GroupEngine) memoTerm(k int, cleaned []bool) (float64, bool) {
-	mask, ok := localMask(e.terms[k].vars, cleaned)
+	mask, ok := localMask(e.terms[k].Vars, cleaned)
 	if !ok {
 		return 0, false
 	}
@@ -1165,7 +1157,7 @@ func (e *GroupEngine) memoTerm(k int, cleaned []bool) (float64, bool) {
 func (s *State) Affected(o int) []int {
 	seen := map[int]struct{}{}
 	for _, k := range s.e.varTerms[o] {
-		for _, v := range s.e.terms[k].vars {
+		for _, v := range s.e.terms[k].Vars {
 			seen[v] = struct{}{}
 		}
 	}

@@ -71,15 +71,15 @@ func oracleSplit(vars []int, cleaned []bool) (in, out []int) {
 // oracleEval gathers term k's arguments from x and evaluates it.
 func oracleEval(e *GroupEngine, k int, x []float64) float64 {
 	var buf []float64
-	for _, v := range e.terms[k].vars {
+	for _, v := range e.terms[k].Vars {
 		buf = append(buf, x[v])
 	}
-	return e.terms[k].eval(buf)
+	return e.terms[k].Eval(buf)
 }
 
 func oracleTermEV(e *GroupEngine, k int, cleaned []bool) float64 {
 	x := make([]float64, e.db.N())
-	a, b := oracleSplit(e.terms[k].vars, cleaned)
+	a, b := oracleSplit(e.terms[k].Vars, cleaned)
 	var acc numeric.KahanAcc
 	enumerateRec(e.dists, a, x, func(pa float64) {
 		var m1, m2 numeric.KahanAcc
@@ -189,7 +189,7 @@ func (s *oracleState) singletons() []float64 {
 	x := make([]float64, n)
 	idx := make([]int, n)
 	for k := range e.terms {
-		a, b := oracleSplit(e.terms[k].vars, s.cleaned)
+		a, b := oracleSplit(e.terms[k].Vars, s.cleaned)
 		if len(b) == 0 {
 			continue
 		}
@@ -337,7 +337,7 @@ func withZeroAtom(r *rng.RNG, db *model.DB, i int) {
 // that is exactly zero, of either sign, on some outcomes.
 func signedZeroTerm(vars []int, thr float64) query.Term {
 	negZero := math.Copysign(0, -1)
-	return query.Term{Vars: vars, Eval: func(vals []float64) float64 {
+	return query.Term{Vars: vars, TermFunc: query.EvalFunc(func(vals []float64) float64 {
 		s := 0.0
 		for j, v := range vals {
 			s += float64(j+1) * v
@@ -349,7 +349,7 @@ func signedZeroTerm(vars []int, thr float64) query.Term {
 			return negZero
 		}
 		return 0
-	}}
+	})}
 }
 
 func dedupInts(vs []int) []int {

@@ -82,8 +82,8 @@ func TestSharedCacheUnsignedTermsNeverShare(t *testing.T) {
 	r := rng.New(11)
 	db := randomDB(r, 3)
 	g := &query.GroupSum{Terms: []query.Term{{
-		Vars: []int{0, 1},
-		Eval: func(vals []float64) float64 { return vals[0] * vals[1] },
+		Vars:     []int{0, 1},
+		TermFunc: query.EvalFunc(func(vals []float64) float64 { return vals[0] * vals[1] }),
 	}}}
 	shared := NewSharedEVCache()
 	e1 := mustGroupShared(t, db, g, shared)

@@ -109,24 +109,16 @@ func (a *Affine) AsGroupSum() *GroupSum {
 	for _, i := range a.Vars() {
 		c := a.Coef[i]
 		g.Terms = append(g.Terms, Term{
-			Vars: []int{i},
-			Eval: func(vals []float64) float64 { return c * vals[0] },
+			Vars:     []int{i},
+			TermFunc: EvalFunc(func(vals []float64) float64 { return c * vals[0] }),
 		})
 	}
 	return g
 }
 
 // Term is one additive component g_k of a GroupSum, referencing only the
-// objects in Vars (sorted ascending). Eval receives the values of exactly
-// those objects, in the same order.
-//
-// Sweep, when non-nil, evaluates the term along one argument: it writes
-// out[j] = Eval(vals) with vals[pos] = xs[j], bit for bit, for every j,
-// and may overwrite vals[pos]. The enumeration engines call it once per
-// outcome of a walk's upper levels to cover the innermost level. A nil
-// Sweep means EvalSweep(Eval); the constructors here (LinearTerm,
-// IndicatorGE, NegMinSquared) fill in one that folds the arguments
-// before pos once.
+// objects in Vars (sorted ascending). Its TermFunc receives the values of
+// exactly those objects, in the same order.
 //
 // Sig, when non-empty, is a canonical signature of the term: two terms
 // with equal signatures evaluate identically on every input (same Vars
@@ -137,20 +129,36 @@ func (a *Affine) AsGroupSum() *GroupSum {
 // hand-built terms may leave it empty, which only disables sharing,
 // never correctness.
 type Term struct {
-	Vars  []int
-	Eval  func(vals []float64) float64
-	Sweep func(vals []float64, pos int, xs, out []float64)
-	Sig   string
+	Vars []int
+	TermFunc
+	Sig string
 }
 
-// EvalSweep returns the sweep of a term that has only Eval: it sets
-// vals[pos] to each of xs in turn and evaluates.
-func EvalSweep(eval func(vals []float64) float64) func(vals []float64, pos int, xs, out []float64) {
-	return func(vals []float64, pos int, xs, out []float64) {
-		for j, x := range xs {
-			vals[pos] = x
-			out[j] = eval(vals)
-		}
+// TermFunc is the function a Term computes.
+type TermFunc interface {
+	// Eval evaluates the term at vals, the values of its Vars.
+	Eval(vals []float64) float64
+	// Sweep evaluates the term along one argument: it writes
+	// out[j] = Eval(vals) with vals[pos] = xs[j], bit for bit, for every
+	// j, and may overwrite vals[pos]. The enumeration engines call it
+	// once per outcome of a walk's upper levels to cover the innermost
+	// level. The linear terms built here (LinearTerm, IndicatorGE,
+	// NegMinSquared) fold the arguments before pos once.
+	Sweep(vals []float64, pos int, xs, out []float64)
+}
+
+// EvalFunc is a TermFunc given by its Eval alone: Sweep sets vals[pos]
+// to each of xs in turn and evaluates.
+type EvalFunc func(vals []float64) float64
+
+// Eval calls f.
+func (f EvalFunc) Eval(vals []float64) float64 { return f(vals) }
+
+// Sweep evaluates f at each of xs placed at vals[pos].
+func (f EvalFunc) Sweep(vals []float64, pos int, xs, out []float64) {
+	for j, x := range xs {
+		vals[pos] = x
+		out[j] = f(vals)
 	}
 }
 
@@ -240,7 +248,7 @@ func NegMinSquared(vars []int, coef []float64, c, weight float64) Term {
 func linearTerm(kind string, vars []int, coef []float64, c, weight float64, shape linearShape, params ...float64) Term {
 	l := &linear{coef: append([]float64(nil), coef...), c: c, weight: weight, shape: shape}
 	vs := append([]int(nil), vars...)
-	return Term{Vars: vs, Eval: l.eval, Sweep: l.sweep, Sig: TermSig(kind, vs, l.coef, params)}
+	return Term{Vars: vs, TermFunc: l, Sig: TermSig(kind, vs, l.coef, params)}
 }
 
 // linearShape is what a linear value does with its sum s.
@@ -254,8 +262,8 @@ const (
 
 // linear is the value behind LinearTerm, IndicatorGE and NegMinSquared:
 // shape applied to the sum s = c + Σ_j coef_j·vals_j, folded left to
-// right as s = s + coef_j·vals_j. eval runs the fold over every
-// argument; sweep splits it at pos, running the arguments before pos
+// right as s = s + coef_j·vals_j. Eval runs the fold over every
+// argument; Sweep splits it at pos, running the arguments before pos
 // once and then, per swept value, one multiply-add and the arguments
 // after pos. Splitting a fold never re-associates it, so both produce
 // the same bits.
@@ -265,7 +273,7 @@ type linear struct {
 	shape     linearShape
 }
 
-func (l *linear) eval(vals []float64) float64 {
+func (l *linear) Eval(vals []float64) float64 {
 	s := l.c
 	for j, v := range vals {
 		s += l.coef[j] * v
@@ -273,7 +281,7 @@ func (l *linear) eval(vals []float64) float64 {
 	return l.apply(s)
 }
 
-func (l *linear) sweep(vals []float64, pos int, xs, out []float64) {
+func (l *linear) Sweep(vals []float64, pos int, xs, out []float64) {
 	head := l.c
 	for j, v := range vals[:pos] {
 		head += l.coef[j] * v
@@ -312,11 +320,11 @@ func Indicator(vars []int, pred func(vals []float64) bool) *GroupSum {
 	vs := append([]int(nil), vars...)
 	return &GroupSum{Terms: []Term{{
 		Vars: vs,
-		Eval: func(vals []float64) float64 {
+		TermFunc: EvalFunc(func(vals []float64) float64 {
 			if pred(vals) {
 				return 1
 			}
 			return 0
-		},
+		}),
 	}}}
 }

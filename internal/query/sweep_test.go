@@ -24,8 +24,7 @@ func sweepValue(r *rng.RNG) float64 {
 // sweepTerms draws the terms a sweep check runs on: the three linear
 // constructors over 1–8 vars sharing one draw of coefficients,
 // constant and weight, and a closure term with a position-weighted sum
-// that is −0 below zero, swept by EvalSweep as the group engine sweeps
-// a term without its own Sweep.
+// that is −0 below zero, swept by EvalFunc's loop over Eval.
 func sweepTerms(r *rng.RNG) []Term {
 	n := 1 + r.Intn(8)
 	vars := make([]int, n)
@@ -49,7 +48,7 @@ func sweepTerms(r *rng.RNG) []Term {
 		LinearTerm(vars, coef, c),
 		IndicatorGE(vars, coef, c, w),
 		NegMinSquared(vars, coef, c, w),
-		{Vars: vars, Eval: closure, Sweep: EvalSweep(closure)},
+		{Vars: vars, TermFunc: EvalFunc(closure)},
 	}
 }
 
