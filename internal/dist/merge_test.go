@@ -194,11 +194,15 @@ func FuzzMergeVsHashed(f *testing.F) {
 	})
 }
 
-// TestWeightedSumShapesMatchHashed runs named edge shapes through
-// diffMergeHashed: lattice and off-lattice supports on each grid,
+// TestWeightedSumDenseMatchesMap runs named edge shapes through
+// diffMergeHashed: dense lattice and off-lattice supports on each grid,
 // collisions, zero weights and masses, −0 offsets, atoms and masses,
-// and hundred-point parts.
-func TestWeightedSumShapesMatchHashed(t *testing.T) {
+// hundred-point parts and BenchmarkWeightedSumWide's shape. The shapes
+// were first written for a dense lattice kernel, since deleted; the
+// names that say "falls back" mark the shapes its exactness
+// certificate refused.
+func TestWeightedSumDenseMatchesMap(t *testing.T) {
+	wideOffset, wideWeights, wideParts := wideConvWorkload()
 	cases := []struct {
 		name    string
 		offset  float64
@@ -277,7 +281,7 @@ func TestWeightedSumShapesMatchHashed(t *testing.T) {
 			},
 		},
 		{
-			name:    "non-dyadic values",
+			name:    "non-dyadic values fall back",
 			offset:  0,
 			weights: []float64{1, 1},
 			parts: []*Discrete{
@@ -286,19 +290,19 @@ func TestWeightedSumShapesMatchHashed(t *testing.T) {
 			},
 		},
 		{
-			name:    "negative-zero offset",
+			name:    "negative-zero offset falls back",
 			offset:  negZero,
 			weights: []float64{1},
 			parts:   []*Discrete{UniformOver([]float64{0, 1})},
 		},
 		{
-			name:    "sparse wide span",
+			name:    "sparse wide span falls back on fanout",
 			offset:  0,
 			weights: []float64{1},
 			parts:   []*Discrete{UniformOver([]float64{0, 1, 1e6})},
 		},
 		{
-			name:    "legacy grid past exact keys",
+			name:    "legacy grid past exact keys falls back",
 			offset:  0,
 			weights: []float64{1},
 			// reach 9.9e7 ≤ QuantizeMaxAbs keeps the legacy grid, but
@@ -336,6 +340,7 @@ func TestWeightedSumShapesMatchHashed(t *testing.T) {
 			weights: []float64{0.1, -3},
 			parts:   []*Discrete{randomSupport(rng.New(1), 100), randomSupport(rng.New(2), 100)},
 		},
+		{name: "wide benchmark shape", offset: wideOffset, weights: wideWeights, parts: wideParts},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

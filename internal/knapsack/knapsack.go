@@ -52,7 +52,7 @@ const maxCells = 1 << 28
 // with cols a whole float, exceeds maxCells.
 func checkCells(rows int, cols float64) error {
 	if float64(rows)*(cols+1) > maxCells {
-		return fmt.Errorf("knapsack: a %d × %.0f table exceeds %d cells; use a coarser cost precision", rows, cols+1, maxCells)
+		return fmt.Errorf("knapsack: a %d × %.0f table exceeds %d cells", rows, cols+1, maxCells)
 	}
 	return nil
 }

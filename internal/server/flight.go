@@ -135,7 +135,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 func (g *flightGroup) run(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (body []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			g.log.Error("computation panicked", "key", key, "panic", p, "stack", string(debug.Stack()))
+			g.log.ErrorContext(ctx, "computation panicked", "key", key, "panic", p, "stack", string(debug.Stack()))
 			body, err = nil, errPanicked
 		}
 	}()
