@@ -1,6 +1,7 @@
 package knapsack
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -215,7 +216,7 @@ func TestMaxDPHugeBudgetAndCosts(t *testing.T) {
 // feasible one past the table bound is an error, and an item covering
 // far more than the requirement counts as covering it.
 func TestMinDPHugeCosts(t *testing.T) {
-	if _, err := MinDP([]float64{1}, []float64{1e17}, 1e18, 1); err != errInfeasible {
+	if _, err := MinDP([]float64{1}, []float64{1e17}, 1e18, 1); !errors.Is(err, errInfeasible) {
 		t.Errorf("requirement 1e18 over coverage 1e17: %v, want errInfeasible", err)
 	}
 	if _, err := MinDP([]float64{1, 2}, []float64{1e17, 1e17}, 1e17, 1); err == nil {

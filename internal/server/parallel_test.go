@@ -50,7 +50,7 @@ func TestFlightGroupRecoversPanic(t *testing.T) {
 	}
 	close(release)
 	for i := 0; i < 2; i++ {
-		if err := <-errs; err != errPanicked {
+		if err := <-errs; !errors.Is(err, errPanicked) {
 			t.Fatalf("waiter %d got %v, want errPanicked", i, err)
 		}
 	}
