@@ -351,11 +351,10 @@ func TestWeightedSumDenseMatchesMap(t *testing.T) {
 	}
 }
 
-// TestConvCountersReachRecorder pins the convolution counters without a
-// clock: a recorded convolution ticks the merge's conv_ops and
-// conv_atoms_merged, and one that fails validation ticks nothing.
-func TestConvCountersReachRecorder(t *testing.T) {
-	offset, weights, parts := wideConvWorkload()
+// mergeCounts returns the conv_ops and conv_atoms_merged counts of one
+// convolution, run on the merge directly.
+func mergeCounts(t *testing.T, offset float64, weights []float64, parts []*Discrete) convStats {
+	t.Helper()
 	grid, _, err := ConvGrid(offset, weights, parts)
 	if err != nil {
 		t.Fatal(err)
@@ -364,22 +363,66 @@ func TestConvCountersReachRecorder(t *testing.T) {
 	if _, err := weightedSumMerge(&st, grid, offset, weights, parts); err != nil {
 		t.Fatal(err)
 	}
-	if st.ops == 0 || st.merged == 0 {
-		t.Fatal("workload should both convolve and merge")
-	}
-	rec := obs.NewRecorder(nil)
-	if _, err := WeightedSumRec(rec, math.NaN(), weights, parts); err == nil {
-		t.Fatal("a NaN offset convolved")
-	}
-	if _, err := WeightedSumRec(rec, offset, weights, parts); err != nil {
-		t.Fatal(err)
-	}
+	return st
+}
+
+// recordedCounters returns rec's counters by name.
+func recordedCounters(rec *obs.Recorder) map[string]int64 {
 	got := map[string]int64{}
 	for _, c := range rec.Snapshot().Counters {
 		got[c.Name] = c.Value
 	}
+	return got
+}
+
+// TestDenseCountersReachRecorder is the TestRecorderIsOffPath companion
+// for the wide lattice workload (the dense shape, which once took a
+// kernel of its own): the conv_ops/conv_atoms_merged counters a recorded
+// convolution reports must equal the merge's counts, and they are the
+// only counters it reports.
+func TestDenseCountersReachRecorder(t *testing.T) {
+	offset, weights, parts := wideConvWorkload()
+	rec := obs.NewRecorder(nil)
+	if _, err := WeightedSumRec(rec, offset, weights, parts); err != nil {
+		t.Fatal(err)
+	}
+	got := recordedCounters(rec)
+	st := mergeCounts(t, offset, weights, parts)
 	if len(got) != 2 || got["conv_ops"] != st.ops || got["conv_atoms_merged"] != st.merged {
 		t.Fatalf("counters %v, want conv_ops %d and conv_atoms_merged %d", got, st.ops, st.merged)
+	}
+	if st.ops == 0 || st.merged == 0 {
+		t.Fatal("workload should both convolve and merge")
+	}
+}
+
+// TestConvRouteCounters pins the counters of a run of convolutions
+// without a clock: every route, lattice or off-lattice, is the merge, so
+// each recorded convolution adds exactly the merge's counts, no
+// per-route counter is reported, and one that fails validation ticks
+// nothing.
+func TestConvRouteCounters(t *testing.T) {
+	rec := obs.NewRecorder(nil)
+	offset, weights, parts := wideConvWorkload()
+	if _, err := WeightedSumRec(rec, offset, weights, parts); err != nil {
+		t.Fatal(err)
+	}
+	want := mergeCounts(t, offset, weights, parts)
+	offLattice := []*Discrete{UniformOver([]float64{0.1, 0.2}), UniformOver([]float64{1.0 / 3, 2})}
+	for k := 0; k < 2; k++ {
+		if _, err := WeightedSumRec(rec, 0, []float64{1, 1}, offLattice); err != nil {
+			t.Fatal(err)
+		}
+		st := mergeCounts(t, 0, []float64{1, 1}, offLattice)
+		want.ops += st.ops
+		want.merged += st.merged
+	}
+	if _, err := WeightedSumRec(rec, math.NaN(), []float64{1}, offLattice[:1]); err == nil {
+		t.Fatal("a NaN offset convolved")
+	}
+	got := recordedCounters(rec)
+	if len(got) != 2 || got["conv_ops"] != want.ops || got["conv_atoms_merged"] != want.merged {
+		t.Fatalf("counters %v, want conv_ops %d and conv_atoms_merged %d", got, want.ops, want.merged)
 	}
 }
 
