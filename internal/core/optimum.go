@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -174,10 +175,12 @@ func memoizeSetFunc(f func(model.Set) float64) func(model.Set) float64 {
 	}
 }
 
+// setKey encodes S's ids as uvarints, a prefix-free encoding, so
+// distinct sets never share a key.
 func setKey(S model.Set) string {
-	buf := make([]byte, 0, 4*len(S))
+	buf := make([]byte, 0, 2*len(S))
 	for _, v := range S {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), ',')
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
 	return string(buf)
 }

@@ -47,12 +47,14 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// A CounterVec is a family of Counters keyed by label values.
-type CounterVec struct {
+// vec is a family of metrics of one kind keyed by label values; With
+// creates each child with newChild on first use.
+type vec[T any] struct {
 	labelNames []string
+	newChild   func() T
 
 	mu       sync.Mutex
-	children map[string]*vecChild[*Counter]
+	children map[string]*vecChild[T]
 }
 
 type vecChild[T any] struct {
@@ -64,9 +66,22 @@ const labelSep = "\x1f"
 
 func labelKey(values []string) string { return strings.Join(values, labelSep) }
 
-// With returns the Counter for the given label values, creating it on
+func newVec[T any](labelNames []string, newChild func() T) vec[T] {
+	for _, l := range labelNames {
+		if !validLabelName(l) {
+			panic(fmt.Sprintf("obs: invalid label name %q", l))
+		}
+	}
+	return vec[T]{
+		labelNames: append([]string(nil), labelNames...),
+		newChild:   newChild,
+		children:   make(map[string]*vecChild[T]),
+	}
+}
+
+// With returns the metric for the given label values, creating it on
 // first use. The number of values must match the vec's label names.
-func (v *CounterVec) With(values ...string) *Counter {
+func (v *vec[T]) With(values ...string) T {
 	if len(values) != len(v.labelNames) {
 		panic(fmt.Sprintf("obs: %d label values for %d labels %v", len(values), len(v.labelNames), v.labelNames))
 	}
@@ -75,11 +90,29 @@ func (v *CounterVec) With(values ...string) *Counter {
 	defer v.mu.Unlock()
 	child, ok := v.children[key]
 	if !ok {
-		child = &vecChild[*Counter]{labelValues: append([]string(nil), values...), metric: &Counter{}}
+		child = &vecChild[T]{labelValues: append([]string(nil), values...), metric: v.newChild()}
 		v.children[key] = child
 	}
 	return child.metric
 }
+
+// sortedChildren returns the children ordered by label values, for
+// deterministic exposition.
+func (v *vec[T]) sortedChildren() []*vecChild[T] {
+	v.mu.Lock()
+	out := make([]*vecChild[T], 0, len(v.children))
+	for _, child := range v.children {
+		out = append(out, child)
+	}
+	v.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		return labelKey(out[i].labelValues) < labelKey(out[j].labelValues)
+	})
+	return out
+}
+
+// A CounterVec is a family of Counters keyed by label values.
+type CounterVec struct{ vec[*Counter] }
 
 // Total returns the sum over every child counter.
 func (v *CounterVec) Total() float64 {
@@ -90,21 +123,6 @@ func (v *CounterVec) Total() float64 {
 		sum += child.metric.Value()
 	}
 	return sum
-}
-
-// sorted returns the children ordered by label values, for
-// deterministic exposition.
-func (v *CounterVec) sortedChildren() []*vecChild[*Counter] {
-	v.mu.Lock()
-	out := make([]*vecChild[*Counter], 0, len(v.children))
-	for _, child := range v.children {
-		out = append(out, child)
-	}
-	v.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		return labelKey(out[i].labelValues) < labelKey(out[j].labelValues)
-	})
-	return out
 }
 
 // DefLatencyBuckets are the fixed upper bounds (seconds) of the
@@ -168,43 +186,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // A HistogramVec is a family of Histograms keyed by label values.
-type HistogramVec struct {
-	labelNames []string
-	buckets    []float64
-
-	mu       sync.Mutex
-	children map[string]*vecChild[*Histogram]
-}
-
-// With returns the Histogram for the given label values, creating it on
-// first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("obs: %d label values for %d labels %v", len(values), len(v.labelNames), v.labelNames))
-	}
-	key := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	child, ok := v.children[key]
-	if !ok {
-		child = &vecChild[*Histogram]{labelValues: append([]string(nil), values...), metric: newHistogram(v.buckets)}
-		v.children[key] = child
-	}
-	return child.metric
-}
-
-func (v *HistogramVec) sortedChildren() []*vecChild[*Histogram] {
-	v.mu.Lock()
-	out := make([]*vecChild[*Histogram], 0, len(v.children))
-	for _, child := range v.children {
-		out = append(out, child)
-	}
-	v.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		return labelKey(out[i].labelValues) < labelKey(out[j].labelValues)
-	})
-	return out
-}
+type HistogramVec struct{ vec[*Histogram] }
 
 type familyKind int
 
@@ -263,12 +245,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 // CounterVec registers and returns a labeled counter family. Labels
 // are exposed in the order given here.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	for _, l := range labelNames {
-		if !validLabelName(l) {
-			panic(fmt.Sprintf("obs: invalid label name %q", l))
-		}
-	}
-	v := &CounterVec{labelNames: append([]string(nil), labelNames...), children: make(map[string]*vecChild[*Counter])}
+	v := &CounterVec{newVec(labelNames, func() *Counter { return &Counter{} })}
 	r.register(&family{name: name, help: help, kind: counterVecKind, vec: v})
 	return v
 }
@@ -283,17 +260,9 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 
 // HistogramVec registers and returns a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	for _, l := range labelNames {
-		if !validLabelName(l) {
-			panic(fmt.Sprintf("obs: invalid label name %q", l))
-		}
-	}
-	v := &HistogramVec{
-		labelNames: append([]string(nil), labelNames...),
-		buckets:    append([]float64(nil), buckets...),
-		children:   make(map[string]*vecChild[*Histogram]),
-	}
-	sort.Float64s(v.buckets)
+	bounds := append([]float64(nil), buckets...)
+	sort.Float64s(bounds)
+	v := &HistogramVec{newVec(labelNames, func() *Histogram { return newHistogram(bounds) })}
 	r.register(&family{name: name, help: help, kind: histogramVecKind, histVec: v})
 	return v
 }

@@ -30,8 +30,10 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -94,6 +96,10 @@ func claimExtra(want int) int {
 // done, remaining items are skipped and For returns the context's
 // cause. When one or more fn calls fail, the error of the smallest
 // item index is returned — deterministic regardless of scheduling.
+// When an fn call panics, the remaining items are skipped, every
+// worker is waited for, and the panic is raised again on the caller as
+// a *WorkerPanic, so a recover there sees it whichever worker it
+// happened on.
 func For(ctx context.Context, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		if ctx.Err() != nil {
@@ -115,29 +121,16 @@ func For(ctx context.Context, n int, fn func(worker, i int) error) error {
 	if workers > 1 {
 		extra = claimExtra(workers - 1)
 	}
-	if extra == 0 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
-		return nil
-	}
 	defer active.Add(-int64(extra))
 
 	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		mu      sync.Mutex
-		firstI  = n
-		firstEr error
-		wg      sync.WaitGroup
+		next     atomic.Int64
+		stop     atomic.Bool
+		mu       sync.Mutex
+		firstI   = n
+		firstEr  error
+		panicked *WorkerPanic
+		wg       sync.WaitGroup
 	)
 	fail := func(i int, err error) {
 		mu.Lock()
@@ -148,6 +141,21 @@ func For(ctx context.Context, n int, fn func(worker, i int) error) error {
 		stop.Store(true)
 	}
 	run := func(worker int) {
+		defer func() {
+			if p := recover(); p != nil {
+				// A nested For already captured the innermost site.
+				wp, ok := p.(*WorkerPanic)
+				if !ok {
+					wp = &WorkerPanic{Value: p, Stack: debug.Stack()}
+				}
+				mu.Lock()
+				if panicked == nil {
+					panicked = wp
+				}
+				mu.Unlock()
+				stop.Store(true)
+			}
+		}()
 		for !stop.Load() {
 			if ctx.Err() != nil {
 				stop.Store(true)
@@ -172,6 +180,9 @@ func For(ctx context.Context, n int, fn func(worker, i int) error) error {
 	}
 	run(0) // the caller works too — progress never depends on the budget
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	if firstEr != nil {
 		return firstEr
 	}
@@ -180,6 +191,18 @@ func For(ctx context.Context, n int, fn func(worker, i int) error) error {
 	}
 	return nil
 }
+
+// A WorkerPanic is what For raises on its caller when an item panics:
+// the item's panic value and the stack of the goroutine it panicked on.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error renders the panic value followed by the worker's stack, so a
+// logged recover shows where the item panicked, not just where For
+// raised it again.
+func (p *WorkerPanic) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p.Stack) }
 
 // Map runs fn over [0, n) like For and collects the results in item
 // order. On error (or cancellation) the partial results are discarded

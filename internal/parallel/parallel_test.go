@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,5 +215,40 @@ func TestMapCollectsInOrder(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
+	}
+}
+
+// TestForWorkerPanicReachesCaller panics in an item that runs on an
+// extra worker: the panic must come back to For's caller, where a
+// recover catches it, after every worker has stopped and the budget is
+// released.
+func TestForWorkerPanicReachesCaller(t *testing.T) {
+	t.Setenv(EnvWorkers, "2")
+	onWorker1 := make(chan struct{})
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		_ = For(context.Background(), 2, func(worker, i int) error {
+			if worker == 1 {
+				close(onWorker1)
+				panic("item bug")
+			}
+			// Hold the caller's item until worker 1 has taken the other.
+			select {
+			case <-onWorker1:
+			case <-time.After(5 * time.Second):
+			}
+			return nil
+		})
+	}()
+	wp, ok := p.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %v (%T), want a *WorkerPanic", p, p)
+	}
+	if wp.Value != "item bug" || !strings.Contains(wp.Error(), "TestForWorkerPanicReachesCaller") {
+		t.Fatalf("panic %q lost its value or the worker's stack:\n%s", wp.Value, wp.Error())
+	}
+	if got := active.Load(); got != 0 {
+		t.Fatalf("extra-worker budget not released: active = %d", got)
 	}
 }

@@ -53,14 +53,10 @@ type flightCall struct {
 	err       error
 }
 
-func newFlightGroup() *flightGroup {
-	return newFlightGroupCounting(&obs.Counter{}, slog.New(slog.DiscardHandler))
-}
-
-// newFlightGroupCounting builds a group ticking coalesced joins into
-// the given (typically metrics-registered) counter and logging
-// recovered panics to log.
-func newFlightGroupCounting(coalesced *obs.Counter, log *slog.Logger) *flightGroup {
+// newFlightGroup builds a group ticking coalesced joins into the given
+// (typically metrics-registered) counter and logging recovered panics
+// to log.
+func newFlightGroup(coalesced *obs.Counter, log *slog.Logger) *flightGroup {
 	return &flightGroup{calls: make(map[string]*flightCall), coalesced: coalesced, log: log}
 }
 

@@ -286,10 +286,9 @@ func (s *Server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz reports liveness and statistics. Every number here is
 // read from the same objects the /metrics registry exposes (the
-// instrumented cache counters, the flight group's coalesced counter,
+// registered cache counters, the flight group's coalesced counter,
 // the request CounterVec), so the two views cannot disagree.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.results.Stats()
 	health := map[string]any{
 		"status":         "ok",
 		"uptime_seconds": int64(s.clock.Now().Sub(s.start).Seconds()),
@@ -301,8 +300,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache": map[string]any{
 			"entries": s.results.Len(),
 			"bytes":   s.results.Bytes(),
-			"hits":    hits,
-			"misses":  misses,
+			"hits":    uint64(s.met.cacheHit.Value()),
+			"misses":  uint64(s.met.cacheMiss.Value()),
 		},
 	}
 	if p := s.persistStats(); p != nil {

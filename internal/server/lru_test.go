@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/factcheck/cleansel/internal/lru"
+	"github.com/factcheck/cleansel/internal/obs"
 )
 
 func TestLRUBasics(t *testing.T) {
-	c := newLRU[int](2, 0)
+	var hits, misses obs.Counter
+	c := lru.New[int](2, 0, &hits, &misses, nil)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -27,14 +31,13 @@ func TestLRUBasics(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("stats = %d/%d, want 2/2", hits, misses)
+	if hits.Value() != 2 || misses.Value() != 2 {
+		t.Fatalf("stats = %v/%v, want 2/2", hits.Value(), misses.Value())
 	}
 }
 
 func TestLRUUpdateRefreshes(t *testing.T) {
-	c := newLRU[int](2, 0)
+	c := lru.New[int](2, 0, nil, nil, nil)
 	c.Put("a", 1, 1)
 	c.Put("b", 2, 1)
 	c.Put("a", 10, 1) // refresh, not insert
@@ -48,7 +51,7 @@ func TestLRUUpdateRefreshes(t *testing.T) {
 }
 
 func TestLRUDisabled(t *testing.T) {
-	c := newLRU[int](-1, 0)
+	c := lru.New[int](-1, 0, nil, nil, nil)
 	c.Put("a", 1, 1)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
@@ -59,7 +62,7 @@ func TestLRUDisabled(t *testing.T) {
 }
 
 func TestLRUConcurrentAccess(t *testing.T) {
-	c := newLRU[int](16, 0)
+	c := lru.New[int](16, 0, nil, nil, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -79,7 +82,7 @@ func TestLRUConcurrentAccess(t *testing.T) {
 }
 
 func TestLRUByteBound(t *testing.T) {
-	c := newLRU[string](0, 100) // unbounded count, 100-byte budget
+	c := lru.New[string](0, 100, nil, nil, nil) // unbounded count, 100-byte budget
 	c.Put("a", "x", 40)
 	c.Put("b", "y", 40)
 	c.Put("c", "z", 40) // 120 bytes total: evicts "a"
@@ -103,7 +106,7 @@ func TestLRUByteBound(t *testing.T) {
 }
 
 func TestLRUOversizedEntryNotRetained(t *testing.T) {
-	c := newLRU[string](0, 100)
+	c := lru.New[string](0, 100, nil, nil, nil)
 	c.Put("big", "v", 500)
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("entry larger than the byte budget was retained")
@@ -117,7 +120,7 @@ func TestLRUOversizedEntryNotRetained(t *testing.T) {
 // entry that can never fit must be refused up front, not flush the
 // warm entries making room for it.
 func TestLRUOversizedEntryPreservesResidents(t *testing.T) {
-	c := newLRU[string](0, 100)
+	c := lru.New[string](0, 100, nil, nil, nil)
 	c.Put("a", "x", 40)
 	c.Put("b", "y", 40)
 	c.Put("big", "v", 500)

@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"github.com/factcheck/cleansel/internal/obs"
+	"github.com/factcheck/cleansel/internal/session"
 )
 
 // serverMetrics is cleanseld's metric surface, all registered on one
-// obs.Registry served at GET /metrics. The counters here are the same
-// objects the serving layer increments (result cache, flight group,
-// dataset store), so /healthz — which reads them too — can never
-// disagree with a scrape.
+// obs.Registry served at GET /metrics. Its counters are created
+// registered and handed to their owners at construction (result cache,
+// flight group, dataset store, session manager), so /healthz — which
+// reads the same objects — can never disagree with a scrape.
 type serverMetrics struct {
 	registry *obs.Registry
 
@@ -32,6 +33,9 @@ type serverMetrics struct {
 	// Durable-state failures observed while serving.
 	persistErrors *obs.Counter
 
+	// Interactive-session lifecycle events.
+	sessions session.Counters
+
 	// Per-stage solve time and engine operation counts, aggregated
 	// across requests from each request's Recorder.
 	stageSeconds *obs.CounterVec
@@ -43,9 +47,9 @@ type serverMetrics struct {
 	triageClaims *obs.CounterVec
 }
 
-// newServerMetrics registers the catalog. s must already have its
-// caches and stores constructed; gauges read them live at scrape time.
-func newServerMetrics(s *Server) *serverMetrics {
+// newServerMetrics registers the counters; registerGauges adds the
+// gauges once the state they read exists.
+func newServerMetrics() *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		registry: reg,
@@ -76,24 +80,21 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.datasetMiss = datasetOps.With("miss")
 	sessionEvents := reg.CounterVec("cleanseld_sessions_total",
 		"Interactive-session lifecycle events.", "event")
-	sesCreated := sessionEvents.With("created")
-	sesExpired := sessionEvents.With("expired")
-	sesEvicted := sessionEvents.With("evicted")
-	sesRestored := sessionEvents.With("restored")
-	sesLoadErr := sessionEvents.With("load_error")
-	sesPersistErr := sessionEvents.With("persist_error")
-	// Seed the registered counters with what the manager already
-	// counted (restore runs before metrics exist), then swap them in so
-	// /metrics and /healthz read the very objects the manager ticks.
-	st := s.sessions.Stats()
-	sesCreated.Add(float64(st.Created))
-	sesExpired.Add(float64(st.Expired))
-	sesEvicted.Add(float64(st.Evicted))
-	sesRestored.Add(float64(st.Restored))
-	sesLoadErr.Add(float64(st.LoadErrors))
-	sesPersistErr.Add(float64(st.PersistErrors))
-	s.sessions.Instrument(sesCreated, sesExpired, sesEvicted, sesRestored, sesLoadErr, sesPersistErr)
+	m.sessions = session.Counters{
+		Created:       sessionEvents.With("created"),
+		Expired:       sessionEvents.With("expired"),
+		Evicted:       sessionEvents.With("evicted"),
+		Restored:      sessionEvents.With("restored"),
+		LoadErrors:    sessionEvents.With("load_error"),
+		PersistErrors: sessionEvents.With("persist_error"),
+	}
+	return m
+}
 
+// registerGauges registers the gauges, which read s live at scrape
+// time; s must be fully constructed.
+func (m *serverMetrics) registerGauges(s *Server) {
+	reg := m.registry
 	reg.GaugeFunc("cleanseld_requests_in_flight",
 		"Requests currently being handled.", func() float64 { return float64(m.inflight.Load()) })
 	reg.GaugeFunc("cleanseld_cache_entries",
@@ -126,12 +127,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg.GaugeFunc("cleanseld_dataset_disk_bytes",
 			"Bytes resident in the durable dataset store.", func() float64 { return float64(s.disk.Bytes()) })
 	}
-
-	// Point the serving layer's own counters at the registered ones.
-	s.results.instrument(m.cacheHit, m.cacheMiss)
-	s.store.cache.instrument(m.datasetHit, m.datasetMiss)
-	s.store.reloads = m.diskReloads
-	return m
 }
 
 // absorb folds one request's trace into the process-wide stage/op

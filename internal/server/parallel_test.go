@@ -26,7 +26,7 @@ import (
 // with its stack, and the key is free for the next call.
 func TestFlightGroupRecoversPanic(t *testing.T) {
 	var logs bytes.Buffer
-	g := newFlightGroupCounting(&obs.Counter{}, slog.New(slog.NewTextHandler(&logs, nil)))
+	g := newFlightGroup(&obs.Counter{}, slog.New(slog.NewTextHandler(&logs, nil)))
 	release := make(chan struct{})
 	fn := func(context.Context) ([]byte, error) {
 		<-release
@@ -65,7 +65,7 @@ func TestFlightGroupRecoversPanic(t *testing.T) {
 }
 
 func TestFlightGroupCoalesces(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup(&obs.Counter{}, slog.New(slog.DiscardHandler))
 	release := make(chan struct{})
 	var computes int
 	var mu sync.Mutex
@@ -132,7 +132,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 // semantics: the computation's context stays live while any waiter
 // remains and is cancelled once the last one gives up.
 func TestFlightGroupCancelsWhenAllWaitersLeave(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup(&obs.Counter{}, slog.New(slog.DiscardHandler))
 	computeCancelled := make(chan struct{})
 	started := make(chan struct{})
 	fn := func(ctx context.Context) ([]byte, error) {
@@ -185,7 +185,7 @@ func TestFlightGroupCancelsWhenAllWaitersLeave(t *testing.T) {
 // is still winding down must get a fresh computation, not the doomed
 // call's context.Canceled.
 func TestFlightGroupReplacesAbandonedCall(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup(&obs.Counter{}, slog.New(slog.DiscardHandler))
 	firstStarted := make(chan struct{})
 	firstMayExit := make(chan struct{})
 	first := func(ctx context.Context) ([]byte, error) {
@@ -232,7 +232,7 @@ func TestFlightGroupReplacesAbandonedCall(t *testing.T) {
 // its own context is still live, retries as a starter instead of
 // inheriting someone else's timeout.
 func TestFlightGroupRetriesAfterLeaderDeadline(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup(&obs.Counter{}, slog.New(slog.DiscardHandler))
 	firstStarted := make(chan struct{})
 	calls := 0
 	var mu sync.Mutex
@@ -454,7 +454,7 @@ func TestDatasetStoreByteEviction(t *testing.T) {
 		}}}
 	}
 	// Measure one upload's accounted size, then budget for two.
-	probe, err := newDatasetStore(0, 0, nil).Add(mkDS("aaaa", 1))
+	probe, err := newDatasetStore(0, 0, nil, nil, nil, nil).Add(mkDS("aaaa", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestDatasetStoreByteEviction(t *testing.T) {
 		t.Fatalf("dataset size not accounted: %d", probe.Bytes)
 	}
 	budget := 2*probe.Bytes + probe.Bytes/2
-	st := newDatasetStore(0, budget, nil) // byte-bounded only
+	st := newDatasetStore(0, budget, nil, nil, nil, nil) // byte-bounded only
 	recA, err := st.Add(mkDS("aaaa", 1))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,8 @@
 //     atomic rename so a crash can never leave a half-written dataset
 //     under a valid name. Files are indexed (not parsed) on open and
 //     loaded lazily on first Get; entry and byte budgets are enforced
-//     against the on-disk index, evicting least-recently-used files.
+//     against the on-disk index (an lru.Cache sized in file bytes),
+//     evicting least-recently-used files.
 //
 //   - Snapshot: a versioned, checksummed on-disk format for the LRU
 //     result cache, written periodically and on graceful shutdown and
@@ -24,7 +25,6 @@ package persist
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -37,9 +37,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
+
+	"github.com/factcheck/cleansel/internal/lru"
 )
 
 const (
@@ -69,30 +70,23 @@ type datasetFile struct {
 // DatasetDir manages the content-hash-named dataset files under one
 // directory. All methods are safe for concurrent use.
 type DatasetDir struct {
-	dir        string
-	log        *slog.Logger
-	maxEntries int
-	maxBytes   int64
-
-	mu    sync.Mutex
-	order *list.List               // recency order; front = most recent
-	index map[string]*list.Element // id -> element holding *dsEntry
-	bytes int64
+	dir string
+	log *slog.Logger
+	// index holds every dataset id on disk, sized by its file's bytes,
+	// in recency order; evicting an id deletes its file.
+	index *lru.Cache[struct{}]
 
 	loadErrors atomic.Uint64
-}
-
-type dsEntry struct {
-	id   string
-	size int64
 }
 
 // OpenDatasets opens (creating if needed) a dataset directory bounded
 // by maxEntries entries (0 = unbounded) and maxBytes total file bytes
 // (0 = unbounded). Existing dataset files are indexed by name and size
 // only — parsing and integrity checks happen lazily on Get — with
-// recency seeded from file modification times. Leftover temp files
-// from a crashed write are removed and counted as load errors (the
+// recency seeded from file modification times, and the budgets evict
+// the oldest files; a file larger than the byte budget on its own is
+// deleted without evicting anything else. Leftover temp files from a
+// crashed write are removed and counted as load errors (the
 // interrupted upload was never acknowledged, but the operator should
 // see that it happened).
 func OpenDatasets(dir string, maxEntries int, maxBytes int64, log *slog.Logger) (*DatasetDir, error) {
@@ -106,14 +100,8 @@ func OpenDatasets(dir string, maxEntries int, maxBytes int64, log *slog.Logger) 
 	if err != nil {
 		return nil, fmt.Errorf("scanning dataset dir: %w", err)
 	}
-	d := &DatasetDir{
-		dir:        dir,
-		log:        log,
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		order:      list.New(),
-		index:      make(map[string]*list.Element),
-	}
+	d := &DatasetDir{dir: dir, log: log}
+	d.index = lru.New(max(maxEntries, 0), maxBytes, nil, nil, d.evicted)
 	type found struct {
 		id    string
 		size  int64
@@ -159,12 +147,12 @@ func OpenDatasets(dir string, maxEntries int, maxBytes int64, log *slog.Logger) 
 		return scan[i].id < scan[j].id
 	})
 	for _, f := range scan {
-		d.index[f.id] = d.order.PushFront(&dsEntry{id: f.id, size: f.size})
-		d.bytes += f.size
+		if maxBytes > 0 && f.size > maxBytes {
+			d.evicted(f.id, struct{}{}, f.size)
+			continue
+		}
+		d.index.Put(f.id, struct{}{}, f.size)
 	}
-	d.mu.Lock()
-	d.enforceBudgetsLocked()
-	d.mu.Unlock()
 	return d, nil
 }
 
@@ -199,24 +187,13 @@ func (d *DatasetDir) Put(id, name string, canonicalObjects []byte) error {
 		return fmt.Errorf("encoding dataset file: %w", err)
 	}
 	size := int64(len(body))
-	if d.maxBytes > 0 && size > d.maxBytes {
-		return fmt.Errorf("%w: dataset %s file is %d bytes, budget %d", ErrTooLarge, id, size, d.maxBytes)
+	if budget := d.index.MaxBytes(); budget > 0 && size > budget {
+		return fmt.Errorf("%w: dataset %s file is %d bytes, budget %d", ErrTooLarge, id, size, budget)
 	}
 	if err := atomicWrite(d.path(id), body); err != nil {
 		return fmt.Errorf("writing dataset file: %w", err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if el, ok := d.index[id]; ok {
-		e := el.Value.(*dsEntry)
-		d.bytes += size - e.size
-		e.size = size
-		d.order.MoveToFront(el)
-	} else {
-		d.index[id] = d.order.PushFront(&dsEntry{id: id, size: size})
-		d.bytes += size
-	}
-	d.enforceBudgetsLocked()
+	d.index.Put(id, struct{}{}, size)
 	return nil
 }
 
@@ -227,13 +204,7 @@ func (d *DatasetDir) Put(id, name string, canonicalObjects []byte) error {
 // quarantined (counted, logged, moved aside) and reported as missing —
 // never a crash, never silently wrong bytes.
 func (d *DatasetDir) Get(id string) (name string, canonicalObjects []byte, err error) {
-	d.mu.Lock()
-	el, ok := d.index[id]
-	if ok {
-		d.order.MoveToFront(el)
-	}
-	d.mu.Unlock()
-	if !ok {
+	if _, ok := d.index.Get(id); !ok {
 		return "", nil, fs.ErrNotExist
 	}
 	raw, err := os.ReadFile(d.path(id))
@@ -242,7 +213,7 @@ func (d *DatasetDir) Get(id string) (name string, canonicalObjects []byte, err e
 			// Not corruption: the file was removed under us (most
 			// likely a concurrent budget eviction between the index
 			// check and the read). Drop the stale index entry silently.
-			d.drop(id)
+			d.index.Remove(id)
 			return "", nil, fs.ErrNotExist
 		}
 		d.Quarantine(id, err)
@@ -281,30 +252,11 @@ func decodeDatasetFile(raw []byte) (datasetFile, error) {
 	return f, nil
 }
 
-// drop removes id from the index without counting a load error (used
-// when the file legitimately disappeared, e.g. a concurrent eviction).
-func (d *DatasetDir) drop(id string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if el, ok := d.index[id]; ok {
-		e := el.Value.(*dsEntry)
-		d.order.Remove(el)
-		delete(d.index, id)
-		d.bytes -= e.size
-	}
-}
-
 // Touch marks id most recently used in the on-disk index, if present.
 // The serving layer calls it on in-memory cache hits so that a hot
 // dataset's durable copy cannot age out of the disk budget while the
 // compiled copy keeps absorbing every request.
-func (d *DatasetDir) Touch(id string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if el, ok := d.index[id]; ok {
-		d.order.MoveToFront(el)
-	}
-}
+func (d *DatasetDir) Touch(id string) { d.index.Get(id) }
 
 // Quarantine drops id from the index and moves its file aside
 // (*.corrupt, kept for post-mortem), counting the load error. The
@@ -312,44 +264,27 @@ func (d *DatasetDir) Touch(id string) {
 func (d *DatasetDir) Quarantine(id string, cause error) {
 	d.loadErrors.Add(1)
 	d.log.Warn("persist: dataset unusable, quarantined", "id", id, "err", cause)
-	d.drop(id)
+	d.index.Remove(id)
 	if err := os.Rename(d.path(id), d.path(id)+corruptSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		d.log.Warn("persist: quarantining dataset file", "id", id, "err", err)
 	}
 }
 
-// enforceBudgetsLocked deletes least-recently-used dataset files while
-// either budget is exceeded. Callers hold d.mu.
-func (d *DatasetDir) enforceBudgetsLocked() {
-	for d.order.Len() > 0 &&
-		((d.maxEntries > 0 && d.order.Len() > d.maxEntries) ||
-			(d.maxBytes > 0 && d.bytes > d.maxBytes)) {
-		oldest := d.order.Back()
-		e := oldest.Value.(*dsEntry)
-		d.order.Remove(oldest)
-		delete(d.index, e.id)
-		d.bytes -= e.size
-		if err := os.Remove(d.path(e.id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			d.log.Warn("persist: removing evicted dataset file", "id", e.id, "err", err)
-		} else {
-			d.log.Info("persist: evicted dataset beyond budget", "id", e.id, "bytes", e.size)
-		}
+// evicted deletes the file of a dataset the budgets dropped: the
+// index's eviction callback.
+func (d *DatasetDir) evicted(id string, _ struct{}, size int64) {
+	if err := os.Remove(d.path(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		d.log.Warn("persist: removing evicted dataset file", "id", id, "err", err)
+	} else {
+		d.log.Info("persist: evicted dataset beyond budget", "id", id, "bytes", size)
 	}
 }
 
 // Len returns the number of indexed on-disk datasets.
-func (d *DatasetDir) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.order.Len()
-}
+func (d *DatasetDir) Len() int { return d.index.Len() }
 
 // Bytes returns the total size of the indexed on-disk dataset files.
-func (d *DatasetDir) Bytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.bytes
-}
+func (d *DatasetDir) Bytes() int64 { return d.index.Bytes() }
 
 // LoadErrors returns the cumulative count of unusable state detected:
 // leftover temp files at open plus files quarantined on load.

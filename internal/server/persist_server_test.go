@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/factcheck/cleansel/internal/lru"
 	"github.com/factcheck/cleansel/internal/server/persist"
 	"github.com/factcheck/cleansel/internal/server/wire"
 )
@@ -139,7 +140,7 @@ func TestDatasetEvictedFromMemoryReloadsFromDisk(t *testing.T) {
 	id := uploadQuickstart(t, h)
 
 	// Drop the compiled record from memory, leaving only the file.
-	s.store.cache = newLRU[*storedDataset](1, 0)
+	s.store.cache = lru.New[*storedDataset](1, 0, nil, nil, nil)
 
 	rec := do(t, h, "GET", "/v1/datasets/"+id, "")
 	if rec.Code != http.StatusOK {

@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/factcheck/cleansel/internal/lru"
 	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/server/persist"
 	"github.com/factcheck/cleansel/internal/server/wire"
@@ -151,7 +152,7 @@ type Server struct {
 	log     *slog.Logger
 	clock   obs.Clock
 	store   *datasetStore
-	results *lru[[]byte]
+	results *lru.Cache[[]byte]
 	flights *flightGroup  // coalesces identical in-flight solves
 	sem     chan struct{} // counting semaphore over solver goroutines
 	start   time.Time
@@ -179,12 +180,17 @@ type Server struct {
 // and skipped rather than refusing to serve.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	// The registry comes first: every counter is created registered and
+	// handed to its owner below.
+	met := newServerMetrics()
 	s := &Server{
 		cfg:     cfg,
 		log:     cfg.Logger,
 		clock:   cfg.Clock,
-		results: newLRU[[]byte](cfg.CacheSize, cfg.CacheBytes),
+		results: lru.New[[]byte](cfg.CacheSize, cfg.CacheBytes, met.cacheHit, met.cacheMiss, nil),
+		flights: newFlightGroup(met.coalesced, cfg.Logger),
 		sem:     make(chan struct{}, cfg.MaxInflight),
+		met:     met,
 	}
 	s.start = s.clock.Now()
 	if cfg.DataDir != "" {
@@ -195,7 +201,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.disk = disk
 	}
-	s.store = newDatasetStore(cfg.MaxDatasets, cfg.MaxDatasetBytes, s.disk)
+	s.store = newDatasetStore(cfg.MaxDatasets, cfg.MaxDatasetBytes, s.disk,
+		met.datasetHit, met.datasetMiss, met.diskReloads)
 	if cfg.CacheSnapshot != "" {
 		s.snapPath = cfg.CacheSnapshot
 		s.restoreSnapshot()
@@ -203,9 +210,8 @@ func New(cfg Config) (*Server, error) {
 		s.snapDone = make(chan struct{})
 		go s.snapshotLoop(cfg.CacheSnapshotEvery)
 	}
-	// Sessions come after the store (their restore path resolves
-	// datasets through it) and before metrics (whose gauges read the
-	// manager's counters).
+	// Sessions come after the store: their restore path resolves
+	// datasets through it.
 	sessions, err := session.NewManager(session.Config{
 		Clock:        cfg.Clock,
 		TTL:          cfg.SessionTTL,
@@ -213,15 +219,13 @@ func New(cfg Config) (*Server, error) {
 		SnapshotPath: cfg.SessionSnapshot,
 		Rebuild:      s.rebuildSession,
 		Logger:       cfg.Logger,
+		Counters:     met.sessions,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.sessions = sessions
-	// Metrics come last so gauges close over fully constructed state;
-	// the flight group takes its coalesced counter from the registry.
-	s.met = newServerMetrics(s)
-	s.flights = newFlightGroupCounting(s.met.coalesced, s.log)
+	met.registerGauges(s)
 	return s, nil
 }
 

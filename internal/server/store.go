@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/lru"
 	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/server/persist"
 	"github.com/factcheck/cleansel/internal/server/wire"
@@ -48,21 +49,22 @@ type storedDataset struct {
 // hash — from disk. Without one (the default), behavior is exactly the
 // historical in-memory semantics.
 type datasetStore struct {
-	cache *lru[*storedDataset]
+	cache *lru.Cache[*storedDataset]
 	disk  *persist.DatasetDir // nil = in-memory only
 	// reloads counts datasets recompiled from their disk file after an
 	// in-memory eviction or restart — each is a full decode + engine
 	// compile, so a climbing rate means the memory budget is too small
-	// for the working set. Swapped for a metrics-registered counter by
-	// the server.
+	// for the working set.
 	reloads *obs.Counter
 }
 
-func newDatasetStore(maxEntries int, maxBytes int64, disk *persist.DatasetDir) *datasetStore {
+// newDatasetStore builds a store whose cache ticks hits and misses and
+// whose disk reloads tick reloads; nil counters count nothing.
+func newDatasetStore(maxEntries int, maxBytes int64, disk *persist.DatasetDir, hits, misses, reloads *obs.Counter) *datasetStore {
 	return &datasetStore{
-		cache:   newLRU[*storedDataset](maxEntries, maxBytes),
+		cache:   lru.New[*storedDataset](maxEntries, maxBytes, hits, misses, nil),
 		disk:    disk,
-		reloads: &obs.Counter{},
+		reloads: reloads,
 	}
 }
 
@@ -98,7 +100,7 @@ func ownNames(objects []wire.Object) {
 func (s *datasetStore) Add(ds wire.Dataset) (*storedDataset, error) {
 	id, canonical := datasetID(ds.Objects)
 	size := int64(len(canonical))
-	if max := s.cache.maxBytes; max > 0 && size > max {
+	if max := s.cache.MaxBytes(); max > 0 && size > max {
 		return nil, fmt.Errorf("%w (%d > %d bytes)", errDatasetTooLarge, size, max)
 	}
 	rec, ok := s.cache.Get(id)

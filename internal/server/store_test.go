@@ -16,7 +16,7 @@ func toyDataset(name string, current float64) wire.Dataset {
 }
 
 func TestStoreContentAddressing(t *testing.T) {
-	s := newDatasetStore(4, 0, nil)
+	s := newDatasetStore(4, 0, nil, nil, nil, nil)
 	a, err := s.Add(toyDataset("first", 10))
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestStoreContentAddressing(t *testing.T) {
 }
 
 func TestStoreEvictsBeyondCapacity(t *testing.T) {
-	s := newDatasetStore(2, 0, nil)
+	s := newDatasetStore(2, 0, nil, nil, nil, nil)
 	a, _ := s.Add(toyDataset("a", 1))
 	s.Add(toyDataset("b", 2))
 	s.Add(toyDataset("c", 3))
@@ -63,7 +63,7 @@ func TestStoreEvictsBeyondCapacity(t *testing.T) {
 }
 
 func TestStoreRejectsInvalidDataset(t *testing.T) {
-	s := newDatasetStore(2, 0, nil)
+	s := newDatasetStore(2, 0, nil, nil, nil, nil)
 	if _, err := s.Add(wire.Dataset{Objects: []wire.Object{{Name: "x"}}}); err == nil {
 		t.Fatal("invalid dataset accepted")
 	}

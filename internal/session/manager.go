@@ -1,9 +1,6 @@
 package session
 
 import (
-	"container/list"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/factcheck/cleansel/internal/lru"
 	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/server/persist"
 )
@@ -39,8 +37,8 @@ type Config struct {
 	// TTL is the idle lifetime of a session: one untouched for longer is
 	// expired (default 30m; negative disables expiry).
 	TTL time.Duration
-	// Capacity bounds live sessions; creating beyond it evicts the least
-	// recently used (default 256).
+	// Capacity bounds live sessions; creating or restoring beyond it
+	// evicts the least recently used (default 256).
 	Capacity int
 	// SnapshotPath, when non-empty, makes sessions durable: every
 	// mutation rewrites a checksummed snapshot (internal/server/persist
@@ -53,9 +51,16 @@ type Config struct {
 	Rebuild func(spec []byte) (*Stepper, error)
 	// Logger receives restore/persist diagnostics; nil discards.
 	Logger *slog.Logger
-	// MintID overrides session ID generation (tests); nil uses 16 hex
-	// characters from crypto/rand with an "s_" prefix.
-	MintID func() string
+	// Counters are the lifecycle counters the manager ticks, restore
+	// included, so a server can register them on /metrics before the
+	// manager exists; nil fields get unregistered counters.
+	Counters Counters
+}
+
+// Counters are a Manager's lifecycle counters, read by Stats.
+type Counters struct {
+	Created, Expired, Evicted, Restored *obs.Counter
+	LoadErrors, PersistErrors           *obs.Counter
 }
 
 // DefaultTTL is the idle lifetime applied when Config.TTL is zero.
@@ -75,7 +80,6 @@ type record struct {
 	log      []Reveal
 	created  time.Time
 	lastUsed time.Time
-	elem     *list.Element
 }
 
 // Manager owns the session records of one server: creation, lookup
@@ -84,26 +88,20 @@ type record struct {
 type Manager struct {
 	clock   obs.Clock
 	ttl     time.Duration
-	cap     int
 	snap    string
 	rebuild func(spec []byte) (*Stepper, error)
 	log     *slog.Logger
-	mintID  func() string
 
+	// mu makes each lifecycle step (lookup, touch, evict, expire,
+	// snapshot) atomic across the table and the tombstones.
 	mu    sync.Mutex
-	byID  map[string]*record
-	order *list.List // front = most recently used
+	table *lru.Cache[*record] // live sessions, bounded by Capacity
 
-	// tombs remembers recently expired session IDs (bounded ring) so a
-	// late request gets 410 Gone instead of 404.
-	tombs     map[string]struct{}
-	tombOrder []string
+	// tombs remembers recently expired session IDs so a late request
+	// gets 410 Gone instead of 404.
+	tombs *lru.Cache[struct{}]
 
-	// Lifecycle counters; swapped for registry-backed ones by the
-	// server's metrics layer (the store.reloads pattern), read by both
-	// /metrics and /healthz.
-	created, expired, evicted, restored *obs.Counter
-	loadErrors, persistErrors           *obs.Counter
+	counts Counters
 }
 
 // maxTombstones bounds the expired-ID memory.
@@ -129,39 +127,27 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.MintID == nil {
-		cfg.MintID = mintID
+	c := cfg.Counters
+	for _, p := range []**obs.Counter{&c.Created, &c.Expired, &c.Evicted, &c.Restored, &c.LoadErrors, &c.PersistErrors} {
+		if *p == nil {
+			*p = &obs.Counter{}
+		}
 	}
 	m := &Manager{
 		clock:   cfg.Clock,
 		ttl:     cfg.TTL,
-		cap:     cfg.Capacity,
 		snap:    cfg.SnapshotPath,
 		rebuild: cfg.Rebuild,
 		log:     cfg.Logger,
-		mintID:  cfg.MintID,
-		byID:    make(map[string]*record),
-		order:   list.New(),
-		tombs:   make(map[string]struct{}),
-
-		created: &obs.Counter{}, expired: &obs.Counter{}, evicted: &obs.Counter{},
-		restored: &obs.Counter{}, loadErrors: &obs.Counter{}, persistErrors: &obs.Counter{},
+		table: lru.New(cfg.Capacity, 0, nil, nil,
+			func(string, *record, int64) { c.Evicted.Inc() }),
+		tombs:  lru.New[struct{}](maxTombstones, 0, nil, nil, nil),
+		counts: c,
 	}
 	if m.snap != "" {
 		m.restore()
 	}
 	return m, nil
-}
-
-// mintID returns a fresh "s_" + 16-hex session identifier.
-func mintID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// A broken crypto/rand is a broken platform; collide loudly
-		// rather than crash the daemon.
-		return "s_0000000000000000"
-	}
-	return "s_" + hex.EncodeToString(b[:])
 }
 
 // State is an immutable snapshot of one session, everything the wire
@@ -229,24 +215,15 @@ func (m *Manager) Create(spec []byte, st *Stepper, rec *obs.Recorder) (State, er
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sweep()
-	for m.order.Len() >= m.cap {
-		oldest := m.order.Back()
-		if oldest == nil {
-			break
-		}
-		m.drop(oldest.Value.(*record))
-		m.evicted.Inc()
-	}
 	now := m.clock.Now()
 	r := &record{
-		id:      m.mintID(),
+		id:      "s_" + obs.NewRequestID(),
 		spec:    append([]byte(nil), spec...),
 		st:      st,
 		created: now, lastUsed: now,
 	}
-	r.elem = m.order.PushFront(r)
-	m.byID[r.id] = r
-	m.created.Inc()
+	m.table.Put(r.id, r, 0)
+	m.counts.Created.Inc()
 	m.persistLocked()
 	return m.stateOf(r, rec), nil
 }
@@ -298,11 +275,10 @@ func (m *Manager) Clean(id string, step, object int, value float64, rec *obs.Rec
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, err := m.lookup(id)
-	if err != nil {
+	if _, err := m.lookup(id); err != nil {
 		return err
 	}
-	m.drop(r)
+	m.table.Remove(id)
 	m.persistLocked()
 	return nil
 }
@@ -311,10 +287,10 @@ func (m *Manager) Delete(id string) error {
 // m.mu.
 func (m *Manager) lookup(id string) (*record, error) {
 	m.sweep()
-	if r, ok := m.byID[id]; ok {
+	if r, ok := m.table.Peek(id); ok {
 		return r, nil
 	}
-	if _, gone := m.tombs[id]; gone {
+	if _, gone := m.tombs.Peek(id); gone {
 		return nil, fmt.Errorf("%w: session %q idled past its %s TTL", ErrExpired, id, m.ttl)
 	}
 	return nil, fmt.Errorf("%w: session %q (unknown, evicted, or deleted)", ErrNotFound, id)
@@ -329,19 +305,17 @@ func (m *Manager) sweep() {
 	}
 	now := m.clock.Now()
 	changed := false
-	for e := m.order.Back(); e != nil; {
-		r := e.Value.(*record)
-		prev := e.Prev()
-		if now.Sub(r.lastUsed) <= m.ttl {
-			// The LRU order is also a last-used order: everything closer
-			// to the front is fresher.
+	for {
+		id, r, ok := m.table.Oldest()
+		if !ok || now.Sub(r.lastUsed) <= m.ttl {
+			// The LRU order is also a last-used order: everything
+			// more recently used is fresher.
 			break
 		}
-		m.drop(r)
-		m.entomb(r.id)
-		m.expired.Inc()
+		m.table.Remove(id)
+		m.tombs.Put(id, struct{}{}, 0)
+		m.counts.Expired.Inc()
 		changed = true
-		e = prev
 	}
 	if changed {
 		m.persistLocked()
@@ -351,27 +325,7 @@ func (m *Manager) sweep() {
 // touch refreshes the session's recency. Callers hold m.mu.
 func (m *Manager) touch(r *record) {
 	r.lastUsed = m.clock.Now()
-	m.order.MoveToFront(r.elem)
-}
-
-// drop removes the record from the index and LRU list. Callers hold
-// m.mu.
-func (m *Manager) drop(r *record) {
-	delete(m.byID, r.id)
-	m.order.Remove(r.elem)
-}
-
-// entomb remembers an expired ID, bounded by maxTombstones.
-func (m *Manager) entomb(id string) {
-	if _, ok := m.tombs[id]; ok {
-		return
-	}
-	m.tombs[id] = struct{}{}
-	m.tombOrder = append(m.tombOrder, id)
-	for len(m.tombOrder) > maxTombstones {
-		delete(m.tombs, m.tombOrder[0])
-		m.tombOrder = m.tombOrder[1:]
-	}
+	m.table.Get(r.id)
 }
 
 // Stats is the lifecycle view /healthz reports.
@@ -386,31 +340,18 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		Active:        m.order.Len(),
-		Created:       uint64(m.created.Value()),
-		Expired:       uint64(m.expired.Value()),
-		Evicted:       uint64(m.evicted.Value()),
-		Restored:      uint64(m.restored.Value()),
-		LoadErrors:    uint64(m.loadErrors.Value()),
-		PersistErrors: uint64(m.persistErrors.Value()),
+		Active:        m.table.Len(),
+		Created:       uint64(m.counts.Created.Value()),
+		Expired:       uint64(m.counts.Expired.Value()),
+		Evicted:       uint64(m.counts.Evicted.Value()),
+		Restored:      uint64(m.counts.Restored.Value()),
+		LoadErrors:    uint64(m.counts.LoadErrors.Value()),
+		PersistErrors: uint64(m.counts.PersistErrors.Value()),
 	}
 }
 
 // Active returns the number of live sessions (a gauge for /metrics).
-func (m *Manager) Active() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
-}
-
-// Instrument points the lifecycle counters at registry-backed ones, so
-// /metrics and /healthz read the very objects the manager ticks.
-func (m *Manager) Instrument(created, expired, evicted, restored, loadErrors, persistErrors *obs.Counter) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.created, m.expired, m.evicted, m.restored = created, expired, evicted, restored
-	m.loadErrors, m.persistErrors = loadErrors, persistErrors
-}
+func (m *Manager) Active() int { return m.table.Len() }
 
 // Close flushes a final snapshot so a graceful shutdown loses nothing.
 func (m *Manager) Close() {
@@ -435,9 +376,8 @@ func (m *Manager) persistLocked() {
 	if m.snap == "" {
 		return
 	}
-	entries := make([]persist.Entry, 0, m.order.Len())
-	for e := m.order.Back(); e != nil; e = e.Prev() {
-		r := e.Value.(*record)
+	entries := make([]persist.Entry, 0, m.table.Len())
+	m.table.Each(func(id string, r *record, _ int64) {
 		val, err := json.Marshal(snapRecord{
 			Spec:        json.RawMessage(r.spec),
 			Log:         r.log,
@@ -445,29 +385,30 @@ func (m *Manager) persistLocked() {
 			LastUnix:    r.lastUsed.Unix(),
 		})
 		if err != nil {
-			m.log.Error("encoding session snapshot entry", "session", r.id, "err", err)
-			m.persistErrors.Inc()
-			continue
+			m.log.Error("encoding session snapshot entry", "session", id, "err", err)
+			m.counts.PersistErrors.Inc()
+			return
 		}
-		entries = append(entries, persist.Entry{Key: r.id, Value: val})
-	}
+		entries = append(entries, persist.Entry{Key: id, Value: val})
+	})
 	if err := persist.WriteSnapshot(m.snap, entries); err != nil {
 		m.log.Error("writing session snapshot", "path", m.snap, "err", err)
-		m.persistErrors.Inc()
+		m.counts.PersistErrors.Inc()
 	}
 }
 
 // restore refills the manager from the snapshot: rebuild each stepper
 // from its stored spec, replay its reveal log, drop what expired while
-// the daemon was down, and count what could not be brought back (for
-// example a session whose dataset file vanished).
+// the daemon was down, evict beyond Capacity as Create does, and count
+// what could not be brought back (for example a session whose dataset
+// file vanished).
 func (m *Manager) restore() {
 	entries, err := persist.ReadSnapshot(m.snap)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return // first boot
 		}
-		m.loadErrors.Inc()
+		m.counts.LoadErrors.Inc()
 		m.log.Warn("session snapshot unusable, starting empty", "path", m.snap, "err", err)
 		return
 	}
@@ -475,26 +416,26 @@ func (m *Manager) restore() {
 	for _, e := range entries {
 		var sr snapRecord
 		if err := json.Unmarshal(e.Value, &sr); err != nil {
-			m.loadErrors.Inc()
+			m.counts.LoadErrors.Inc()
 			m.log.Warn("skipping undecodable session", "session", e.Key, "err", err)
 			continue
 		}
 		last := time.Unix(sr.LastUnix, 0)
 		if m.ttl >= 0 && now.Sub(last) > m.ttl {
-			m.entomb(e.Key)
-			m.expired.Inc()
+			m.tombs.Put(e.Key, struct{}{}, 0)
+			m.counts.Expired.Inc()
 			continue
 		}
 		st, err := m.rebuild([]byte(sr.Spec))
 		if err != nil {
-			m.loadErrors.Inc()
+			m.counts.LoadErrors.Inc()
 			m.log.Warn("skipping unrebuildable session", "session", e.Key, "err", err)
 			continue
 		}
 		replayOK := true
 		for _, rv := range sr.Log {
 			if err := st.Reveal(rv.Object, rv.Value, nil); err != nil {
-				m.loadErrors.Inc()
+				m.counts.LoadErrors.Inc()
 				m.log.Warn("skipping session with unreplayable log", "session", e.Key, "err", err)
 				replayOK = false
 				break
@@ -510,12 +451,11 @@ func (m *Manager) restore() {
 			log:     append([]Reveal(nil), sr.Log...),
 			created: time.Unix(sr.CreatedUnix, 0), lastUsed: last,
 		}
-		// Entries arrive least recently used first; pushing each to the
-		// front reproduces the snapshot's recency order.
-		r.elem = m.order.PushFront(r)
-		m.byID[r.id] = r
-		m.restored.Inc()
+		// Entries arrive least recently used first; putting each in turn
+		// reproduces the snapshot's recency order.
+		m.table.Put(r.id, r, 0)
+		m.counts.Restored.Inc()
 	}
 	m.log.Info("restored session snapshot", "path", m.snap,
-		"sessions", m.order.Len(), "entries", len(entries))
+		"sessions", m.table.Len(), "entries", len(entries))
 }

@@ -5,8 +5,10 @@
 # restart on the same state directory and assert the dataset survived
 # (GET by id), the repeated select answers byte-identically, the result
 # cache came back from the snapshot (X-Cache: hit), and /healthz
-# reports clean persist stats. Used by CI and runnable locally:
-# ./scripts/smoke_persist.sh
+# reports clean persist stats. Then upload a larger dataset and restart
+# under a -max-dataset-bytes that fits the quickstart file but not the
+# larger one: only the larger file goes. Used by CI and runnable
+# locally: ./scripts/smoke_persist.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +27,7 @@ snapshot="$workdir/state/cache.snap"
 start_daemon() {
   rm -f "$workdir/addr"
   "$workdir/cleanseld" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
-    -data-dir "$datadir" -cache-snapshot "$snapshot" &
+    -data-dir "$datadir" -cache-snapshot "$snapshot" "$@" &
   pid=$!
   for _ in $(seq 1 50); do
     [ -s "$workdir/addr" ] && break
@@ -79,7 +81,35 @@ jq -e '.persist.datasets_on_disk == 1 and .persist.load_errors == 0
        and .persist.snapshot_age_seconds >= 0' "$workdir/health" >/dev/null \
   || { echo "FAIL: bad persist stats"; cat "$workdir/health"; exit 1; }
 
+# A larger, newer dataset, then a restart under a byte budget between
+# the two file sizes: the larger file is deleted on its own and the
+# older quickstart file stays.
+jq '.name = "large" | .objects = [range(0; 10) as $i | .objects[] | .name += ($i | tostring)]' \
+  examples/quickstart/dataset.json > "$workdir/large.json"
+status=$(curl -s -o "$workdir/large" -w '%{http_code}' \
+  -X POST --data @"$workdir/large.json" "$base/v1/datasets")
+[ "$status" = 200 ] || { echo "FAIL: large upload -> $status"; cat "$workdir/large"; exit 1; }
+large_id=$(jq -re '.id' "$workdir/large")
+kill -TERM "$pid"
+wait "$pid" || { echo "FAIL: daemon exited non-zero on SIGTERM"; exit 1; }
+pid=""
+small=$(wc -c < "$datadir/datasets/${id}.json")
+large=$(wc -c < "$datadir/datasets/${large_id}.json")
+budget=$(( (small + large) / 2 ))
+[ "$small" -lt "$budget" ] && [ "$budget" -lt "$large" ] \
+  || { echo "FAIL: no budget between file sizes $small and $large"; exit 1; }
+
+start_daemon -max-dataset-bytes "$budget"
+
+status=$(curl -s -o "$workdir/meta" -w '%{http_code}' "$base/v1/datasets/$id")
+[ "$status" = 200 ] || { echo "FAIL: quickstart lost under a $budget-byte budget -> $status"; cat "$workdir/meta"; exit 1; }
+status=$(curl -s -o "$workdir/meta" -w '%{http_code}' "$base/v1/datasets/$large_id")
+[ "$status" = 404 ] || { echo "FAIL: oversized dataset under a $budget-byte budget -> $status"; cat "$workdir/meta"; exit 1; }
+curl -s "$base/healthz" > "$workdir/health"
+jq -e '.persist.datasets_on_disk == 1 and .persist.load_errors == 0' "$workdir/health" >/dev/null \
+  || { echo "FAIL: bad persist stats under the lowered budget"; cat "$workdir/health"; exit 1; }
+
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
-echo "persist smoke OK: dataset + warm cache survived a SIGTERM restart at $base"
+echo "persist smoke OK: dataset + warm cache survived a SIGTERM restart, and a lowered budget dropped only the oversized file, at $base"
