@@ -175,7 +175,7 @@ var (
 // An object with zero variance makes the covariance singular, and a
 // MaximizeSurprise selection over it then fails with an error.
 func WithDecayCovariance(db *DB, gamma float64) error {
-	if gamma < 0 || gamma >= 1 {
+	if math.IsNaN(gamma) || gamma < 0 || gamma >= 1 {
 		return fmt.Errorf("cleansel: gamma %v outside [0, 1)", gamma)
 	}
 	db.SetDecayCovariance(gamma)
@@ -597,8 +597,8 @@ func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measu
 		}
 	}
 	sort.SliceStable(out, func(a, b int) bool {
-		ra := density(out[a].Benefit, out[a].Cost)
-		rb := density(out[b].Benefit, out[b].Cost)
+		ra := core.Ratio(out[a].Benefit, out[a].Cost)
+		rb := core.Ratio(out[b].Benefit, out[b].Cost)
 		if ra != rb {
 			return ra > rb
 		}
@@ -607,28 +607,10 @@ func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measu
 	return out, nil
 }
 
-func density(benefit, cost float64) float64 {
-	if cost == 0 {
-		if benefit > 0 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return benefit / cost
-}
-
 // QualityReport summarizes a claim's quality measures at the current
 // values together with their uncertainty (variance under the error
 // model), the §2.2 diagnostics a fact-checker starts from.
-type QualityReport struct {
-	Bias          float64 // bias at current values (negative = exaggeration)
-	BiasVariance  float64
-	Duplicity     int // perturbations at least as strong as the claim
-	DupVariance   float64
-	Fragility     float64
-	FragVariance  float64
-	Perturbations int
-}
+type QualityReport = core.Report
 
 // AssessClaim computes the quality report. The database must be
 // independent; discrete value models are required for the uniqueness and

@@ -1,6 +1,7 @@
 package cleansel_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -167,6 +168,60 @@ func TestSelectMaxPrRejectsNonGreedyAlgorithms(t *testing.T) {
 func TestSelectValidation(t *testing.T) {
 	if _, err := cleansel.Select(cleansel.Task{}); err == nil {
 		t.Fatal("empty task accepted")
+	}
+}
+
+// TestSelectRejectsNaNAndInf pins that a NaN or infinite input outside a
+// documented range is an error, not a plausible answer. Each case below
+// used to solve without one: γ = NaN chose nothing at Before = After =
+// NaN, τ = NaN reported no chance of surprise, a non-finite current
+// value or a NaN cost still chose a set, and σ = NaN chose one at
+// Before = After = NaN.
+func TestSelectRejectsNaNAndInf(t *testing.T) {
+	normalDB := func(t *testing.T) *cleansel.DB {
+		objs := make([]cleansel.Object, 5)
+		for i, c := range []float64{9010, 9275, 9300, 9125, 9430} {
+			v, err := cleansel.NewNormal(c, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs[i] = cleansel.Object{Name: fmt.Sprint("crimes/", i), Current: c, Cost: 1, Value: v}
+		}
+		return cleansel.NewDB(objs)
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		db   func(*testing.T) *cleansel.DB
+		edit func(*cleansel.DB) error
+		goal cleansel.Goal
+		tau  float64
+	}{
+		{"gamma NaN", normalDB, func(db *cleansel.DB) error { return cleansel.WithDecayCovariance(db, nan) }, cleansel.MinimizeUncertainty, 0},
+		{"tau NaN, discrete", crimeDB, nil, cleansel.MaximizeSurprise, nan},
+		{"tau NaN, normal", normalDB, nil, cleansel.MaximizeSurprise, nan},
+		{"tau NaN, correlated", normalDB, func(db *cleansel.DB) error { return cleansel.WithDecayCovariance(db, 0.5) }, cleansel.MaximizeSurprise, nan},
+		{"current +Inf", crimeDB, func(db *cleansel.DB) error { db.Objects[4].Current = math.Inf(1); return nil }, cleansel.MaximizeSurprise, 10},
+		{"current NaN", crimeDB, func(db *cleansel.DB) error { db.Objects[4].Current = nan; return nil }, cleansel.MinimizeUncertainty, 0},
+		{"cost NaN", crimeDB, func(db *cleansel.DB) error { db.Objects[4].Cost = nan; return nil }, cleansel.MinimizeUncertainty, 0},
+		{"sigma NaN", normalDB, func(db *cleansel.DB) error { db.Objects[4].Value = cleansel.Normal{Mu: 9430, Sigma: nan}; return nil }, cleansel.MinimizeUncertainty, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.db(t)
+			if tc.edit != nil {
+				if err := tc.edit(db); err != nil {
+					return // rejected where the value enters
+				}
+			}
+			res, err := cleansel.Select(cleansel.Task{
+				DB: db, Claims: crimeSet(t, db),
+				Measure: cleansel.Fairness, Goal: tc.goal,
+				Budget: 2, Tau: tc.tau, Seed: 3,
+			})
+			if err == nil {
+				t.Fatalf("accepted: chose %v, Before %v, After %v", res.Set, res.Before, res.After)
+			}
+		})
 	}
 }
 

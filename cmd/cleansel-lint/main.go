@@ -12,7 +12,9 @@
 //
 //	//lint:allow <check> — <reason>
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load failure.
+// Packages are resolved with `go list`, so the go command must be on
+// PATH. Exit status: 0 clean, 1 findings, 2 usage or load failure; a
+// pattern set that matches no module package is a load failure.
 package main
 
 import (

@@ -1,7 +1,9 @@
 // Package analysis is cleansel's in-tree static-analysis suite: a
 // stdlib-only driver (go/parser + go/types, no golang.org/x/tools) and
 // four analyzers that turn the repo's determinism contract into checked
-// policy.
+// policy. The driver resolves package patterns with `go list -deps`, so
+// module paths, build constraints and pattern expansion are the go
+// command's own, and type-checks the module's packages from source.
 //
 // The contract the analyzers encode:
 //

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -9,8 +11,8 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -20,241 +22,88 @@ import (
 // contexts, wall-clock timing, and exact float expectations.
 type Package struct {
 	Path  string // import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
 
-// A Loader resolves and type-checks module packages with the standard
-// library's source importer — no tool dependency beyond the go tree
-// itself. One Loader caches stdlib and module packages across calls.
-type Loader struct {
-	Fset       *token.FileSet
-	baseDir    string // anchors relative patterns ("."/"./...")
-	moduleRoot string
-	modulePath string
-	dirs       map[string]string // module import path -> absolute dir
-	loaded     map[string]*Package
-	loading    map[string]bool // cycle detection
-	std        types.Importer
+// listedPackage is the part of a `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool // reached only as a dependency, not matched by a pattern
 }
 
-// NewLoader builds a loader for the module containing dir (found by
-// walking up to go.mod).
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("analysis: no go.mod found above %s", abs)
-		}
-		root = parent
-	}
-	modPath, err := modulePathOf(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
+// loadPackages resolves patterns with `go list -deps`, run in dir, and
+// type-checks every non-standard package it prints, from source and in
+// its order: go list prints each package after its dependencies, so a
+// module import is always checked before its importer needs it.
+// Standard-library imports come from the source importer. It returns
+// the packages the patterns matched, in go list order.
+func loadPackages(dir string, patterns []string) ([]*Package, error) {
+	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly", "--"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	// The suite reasons about the pure-Go build: cgo variants of stdlib
 	// packages would drag the cgo tool into type-checking for nothing.
-	build.Default.CgoEnabled = false
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
+	}
+	build.Default.CgoEnabled = false // the source importer reads build.Default
+
 	fset := token.NewFileSet()
-	l := &Loader{
-		Fset:       fset,
-		baseDir:    abs,
-		moduleRoot: root,
-		modulePath: modPath,
-		dirs:       map[string]string{},
-		loaded:     map[string]*Package{},
-		loading:    map[string]bool{},
-		std:        importer.ForCompiler(fset, "source", nil),
-	}
-	if err := l.indexModule(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// modulePathOf extracts the module path from a go.mod file.
-func modulePathOf(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
 		}
-	}
-	return "", fmt.Errorf("analysis: no module line in %s", gomod)
-}
-
-// indexModule maps every buildable package dir under the module root to
-// its import path. Hidden dirs, underscore dirs, and testdata are
-// skipped, mirroring the go tool's ./... expansion.
-func (l *Loader) indexModule() error {
-	return filepath.WalkDir(l.moduleRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.moduleRoot &&
-			(strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		bp, err := build.ImportDir(path, 0)
-		if err != nil {
-			return nil // no buildable Go files here; keep walking
-		}
-		if len(bp.GoFiles) == 0 {
-			return nil
-		}
-		rel, err := filepath.Rel(l.moduleRoot, path)
-		if err != nil {
-			return err
-		}
-		imp := l.modulePath
-		if rel != "." {
-			imp = l.modulePath + "/" + filepath.ToSlash(rel)
-		}
-		l.dirs[imp] = path
-		return nil
+		return std.Import(path)
 	})
+	var matched []*Package
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("analysis: reading go list output: %w", err)
+		}
+		if lp.Standard {
+			continue
+		}
+		pkg, err := check(fset, imp, lp)
+		if err != nil {
+			return nil, err
+		}
+		checked[pkg.Path] = pkg.Types
+		if !lp.DepOnly {
+			matched = append(matched, pkg)
+		}
+	}
+	// go list only warns about a pattern that matches nothing, and
+	// patterns such as "std" match standard packages alone.
+	if len(matched) == 0 {
+		return nil, fmt.Errorf("analysis: no module packages match %s", strings.Join(patterns, " "))
+	}
+	return matched, nil
 }
 
-// Load expands the patterns ("./...", "./dir/...", ".", "./dir", or a
-// full import path) and returns the matched packages, type-checked, in
-// import-path order.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	targets := map[string]bool{}
-	for _, pat := range patterns {
-		matched, err := l.expand(pat)
-		if err != nil {
-			return nil, err
-		}
-		for _, imp := range matched {
-			targets[imp] = true
-		}
-	}
-	paths := make([]string, 0, len(targets))
-	for imp := range targets {
-		paths = append(paths, imp)
-	}
-	sort.Strings(paths)
-	pkgs := make([]*Package, 0, len(paths))
-	for _, imp := range paths {
-		pkg, err := l.load(imp)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// expand resolves one pattern to module import paths.
-func (l *Loader) expand(pat string) ([]string, error) {
-	toImport := func(dir string) (string, error) {
-		// Relative patterns anchor at the loader's base dir, not the
-		// process working directory, so Run(Config{Dir: ...}) behaves
-		// the same from any cwd.
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(l.baseDir, dir)
-		}
-		rel, err := filepath.Rel(l.moduleRoot, dir)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.modulePath)
-		}
-		if rel == "." {
-			return l.modulePath, nil
-		}
-		return l.modulePath + "/" + filepath.ToSlash(rel), nil
-	}
-	switch {
-	case strings.HasSuffix(pat, "/..."):
-		base, err := toImport(strings.TrimSuffix(pat, "/..."))
-		if err != nil {
-			return nil, err
-		}
-		var out []string
-		for imp := range l.dirs {
-			if imp == base || strings.HasPrefix(imp, base+"/") {
-				out = append(out, imp)
-			}
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("analysis: no packages match %s", pat)
-		}
-		return out, nil
-	case pat == "." || strings.HasPrefix(pat, "./") || strings.HasPrefix(pat, "/"):
-		imp, err := toImport(pat)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := l.dirs[imp]; !ok {
-			return nil, fmt.Errorf("analysis: no buildable package in %s", pat)
-		}
-		return []string{imp}, nil
-	default: // a plain import path
-		if _, ok := l.dirs[pat]; !ok {
-			return nil, fmt.Errorf("analysis: unknown package %s", pat)
-		}
-		return []string{pat}, nil
-	}
-}
-
-// load type-checks one module package (memoized).
-func (l *Loader) load(imp string) (*Package, error) {
-	if pkg, ok := l.loaded[imp]; ok {
-		return pkg, nil
-	}
-	if l.loading[imp] {
-		return nil, fmt.Errorf("analysis: import cycle through %s", imp)
-	}
-	l.loading[imp] = true
-	defer delete(l.loading, imp)
-
-	dir, ok := l.dirs[imp]
-	if !ok {
-		return nil, fmt.Errorf("analysis: unknown module package %s", imp)
-	}
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %s: %w", imp, err)
-	}
-	files := make([]*ast.File, 0, len(bp.GoFiles))
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+// check parses and type-checks one listed package, resolving its imports
+// through imp.
+func check(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Package, error) {
+	files := make([]*ast.File, 0, len(lp.GoFiles))
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	pkg, err := l.check(imp, files)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Dir = dir
-	l.loaded[imp] = pkg
-	return pkg, nil
-}
-
-// check type-checks parsed files as the package imp, resolving module
-// imports through the loader and everything else through the stdlib
-// source importer.
-func (l *Loader) check(imp string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -263,23 +112,14 @@ func (l *Loader) check(imp string, files []*ast.File) (*Package, error) {
 	}
 	var errs []error
 	conf := types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
-			if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
-				pkg, err := l.load(path)
-				if err != nil {
-					return nil, err
-				}
-				return pkg.Types, nil
-			}
-			return l.std.Import(path)
-		}),
-		Error: func(err error) { errs = append(errs, err) },
+		Importer: imp,
+		Error:    func(err error) { errs = append(errs, err) },
 	}
-	tpkg, _ := conf.Check(imp, l.Fset, files, info)
+	tpkg, _ := conf.Check(lp.ImportPath, fset, files, info)
 	if len(errs) > 0 {
-		return nil, fmt.Errorf("analysis: type-checking %s: %v", imp, errs[0])
+		return nil, fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, errs[0])
 	}
-	return &Package{Path: imp, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: lp.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // importerFunc adapts a function to types.Importer.

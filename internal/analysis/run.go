@@ -7,7 +7,8 @@ import (
 
 // A Config selects what Run analyzes.
 type Config struct {
-	// Dir anchors pattern resolution; it must be inside the module.
+	// Dir is where `go list` resolves the patterns: it anchors relative
+	// patterns and must be inside the module.
 	Dir string
 	// Patterns are package patterns ("./...", "./internal/dist", ...).
 	Patterns []string
@@ -33,11 +34,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 			analyzers = append(analyzers, a)
 		}
 	}
-	loader, err := NewLoader(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := loader.Load(cfg.Patterns...)
+	pkgs, err := loadPackages(cfg.Dir, cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}

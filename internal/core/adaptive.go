@@ -32,6 +32,11 @@ func NextAdaptiveStep(costs []float64, cleaned []bool, remaining float64,
 // would deem the object affordable.
 func FitsBudget(spent, c, budget float64) bool { return fitsBudget(spent, c, budget) }
 
+// Ratio is benefit-per-cost under the zero-cost convention every
+// selector ranks by. Exported for the root package's RankObjects, which
+// orders objects the way a selector would.
+func Ratio(benefit, cost float64) float64 { return ratio(benefit, cost) }
+
 // ValidateBudget rejects NaN or negative budgets with the same rule the
 // selectors apply.
 func ValidateBudget(budget float64) error { return validateBudget(budget) }

@@ -488,11 +488,3 @@ func TestGreedyDepSkipsZeroBenefit(t *testing.T) {
 		t.Fatalf("chose %v, want [0]", T)
 	}
 }
-
-// TestSetKeyDistinguishesWideIDs pins the memo key of Best's EV cache:
-// ids that agree in their low 24 bits must still key different sets.
-func TestSetKeyDistinguishesWideIDs(t *testing.T) {
-	if a, b := setKey(model.Set{1}), setKey(model.Set{1 + 1<<24}); a == b {
-		t.Fatalf("setKey({1}) == setKey({1+2^24}) == %q", a)
-	}
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -165,7 +164,7 @@ func (b *Best) SelectContext(ctx context.Context, budget float64) (T model.Set, 
 func memoizeSetFunc(f func(model.Set) float64) func(model.Set) float64 {
 	cache := map[string]float64{}
 	return func(S model.Set) float64 {
-		key := setKey(S)
+		key := model.SetKey(S)
 		if v, ok := cache[key]; ok {
 			return v
 		}
@@ -173,16 +172,6 @@ func memoizeSetFunc(f func(model.Set) float64) func(model.Set) float64 {
 		cache[key] = v
 		return v
 	}
-}
-
-// setKey encodes S's ids as uvarints, a prefix-free encoding, so
-// distinct sets never share a key.
-func setKey(S model.Set) string {
-	buf := make([]byte, 0, 2*len(S))
-	for _, v := range S {
-		buf = binary.AppendUvarint(buf, uint64(v))
-	}
-	return string(buf)
 }
 
 // OPT exhaustively enumerates all subsets within budget and returns the

@@ -13,14 +13,14 @@ import (
 )
 
 // Report is a claim quality assessment: the three §2.2 measures at the
-// current values plus their variances under the error model. It is
-// field-identical to the root package's QualityReport (which converts
-// directly), defined here so the triage machinery can live below the
-// public API.
+// current values plus their variances under the error model, the
+// diagnostics a fact-checker starts from. The root package exports it as
+// QualityReport; it is defined here so the triage machinery can live
+// below the public API.
 type Report struct {
-	Bias          float64
+	Bias          float64 // bias at current values (negative = exaggeration)
 	BiasVariance  float64
-	Duplicity     int
+	Duplicity     int // perturbations at least as strong as the claim
 	DupVariance   float64
 	Fragility     float64
 	FragVariance  float64

@@ -30,7 +30,7 @@ func (st *convStats) report(rec *obs.Recorder) {
 // non-negative with positive total. Atoms that collide on the pooling
 // grid merge — the same regime ladder WeightedSum convolves on (legacy
 // 1e-9 grid inside ±1e8, exact dyadic grid for integral/dyadic atoms,
-// relative quantization otherwise; see poolGrid), so two sources
+// relative quantization otherwise; see ConvGrid), so two sources
 // reporting the same quantity up to round-off pool into one atom
 // instead of two spuriously distinct ones. Each merged atom keeps the
 // first exact value seen; the pooled support comes out sorted
@@ -55,9 +55,20 @@ func Mixture(dists []*Discrete, weights []float64) (*Discrete, error) {
 	if wsum.Value() <= 0 {
 		return nil, errors.New("dist: Mixture weights sum to zero")
 	}
+	// Pooling never scales a value, so the grid is the one a convolution
+	// of the pooled atoms alone would run on.
+	var atoms []float64
+	for k, d := range dists {
+		if weights[k] != 0 {
+			atoms = append(atoms, d.Values...)
+		}
+	}
+	grid, _, err := ConvGrid(0, []float64{1}, []*Discrete{{Values: atoms}})
+	if err != nil {
+		return nil, err
+	}
 	// Mass w_k·p_k(v) accumulates per grid key in component order, then
 	// support order, which fixes the fp addition order.
-	grid := poolGrid(dists, weights)
 	pooled := map[int64]float64{}
 	vals := map[int64]float64{}
 	for k, d := range dists {
@@ -135,49 +146,6 @@ func weightedSum(st *convStats, offset float64, weights []float64, parts []*Disc
 		return nil, err
 	}
 	return weightedSumMerge(st, grid, offset, weights, parts)
-}
-
-// poolGrid chooses Mixture's pooling grid with the same regime ladder
-// as ConvGrid, over the pooled atoms themselves (pooling never scales a
-// value, so there are no weight products to consider): the legacy grid
-// inside ±QuantizeMaxAbs, the exact dyadic grid when every atom is
-// integral after a common power-of-two scaling, and relative
-// quantization otherwise.
-func poolGrid(dists []*Discrete, weights []float64) numeric.Grid {
-	var reach float64
-	for k, d := range dists {
-		if weights[k] == 0 {
-			continue
-		}
-		for _, v := range d.Values {
-			if a := math.Abs(v); a > reach {
-				reach = a
-			}
-		}
-	}
-	if reach <= numeric.QuantizeMaxAbs {
-		return numeric.DefaultGrid()
-	}
-	shift := 0
-	for k, d := range dists {
-		if weights[k] == 0 {
-			continue
-		}
-		for _, v := range d.Values {
-			s, ok := dyadicShift(v)
-			if !ok {
-				return numeric.GridFor(reach)
-			}
-			if s > shift {
-				shift = s
-			}
-		}
-	}
-	scale := float64(int64(1) << shift)
-	if reach*scale > maxExactInt {
-		return numeric.GridFor(reach)
-	}
-	return numeric.ExactGrid(scale)
 }
 
 // maxDyadicShift bounds the common-denominator search of the exact

@@ -25,7 +25,6 @@
 package maxpr
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -58,8 +57,8 @@ type NormalAffine struct {
 // NewNormalAffine builds the evaluator. Every object value must be
 // dist.Normal and the database independent.
 func NewNormalAffine(db *model.DB, f *query.Affine, tau float64) (*NormalAffine, error) {
-	if tau < 0 {
-		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
+	if err := checkTau(tau); err != nil {
+		return nil, err
 	}
 	if db.Cov != nil {
 		return nil, errors.New("maxpr: NormalAffine requires independent values")
@@ -101,8 +100,8 @@ func (e *NormalAffine) Prob(T model.Set) float64 {
 // discrete law the tail is summed exactly over the support in index
 // order (the strict inequality of Eq. (2), like Discrete.PrBelow).
 func SingleProb(v model.Value, a, u, tau float64) (float64, error) {
-	if tau < 0 {
-		return 0, fmt.Errorf("maxpr: negative tau %v", tau)
+	if err := checkTau(tau); err != nil {
+		return 0, err
 	}
 	if a == 0 {
 		// The drop is identically zero and τ ≥ 0: no surprise possible.
@@ -122,6 +121,15 @@ func SingleProb(v model.Value, a, u, tau float64) (float64, error) {
 	default:
 		return 0, fmt.Errorf("maxpr: unsupported value model %T", v)
 	}
+}
+
+// checkTau rejects a threshold outside [0, +Inf]: a NaN τ fails every
+// comparison with the drop, which would read as "no chance of surprise".
+func checkTau(tau float64) error {
+	if math.IsNaN(tau) || tau < 0 {
+		return fmt.Errorf("maxpr: invalid tau %v", tau)
+	}
+	return nil
 }
 
 // tailProb returns Pr[N(mean, varD) < −τ].
@@ -160,8 +168,8 @@ type MVNAffine struct {
 // precision matrix Σ⁻¹, which needs a positive-definite covariance: a
 // singular one is an error here, not a probability of 0 for every set.
 func NewMVNAffine(db *model.DB, f *query.Affine, tau float64, marginal bool) (*MVNAffine, error) {
-	if tau < 0 {
-		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
+	if err := checkTau(tau); err != nil {
+		return nil, err
 	}
 	cov, err := db.Covariance()
 	if err != nil {
@@ -262,8 +270,8 @@ var errTooLarge = errors.New("maxpr: convolution state space too large")
 // the database independent; maxStates ≤ 0 means DefaultMaxStates, and the
 // fallback draws samples ≥ 1 outcomes per set from r.
 func NewHybrid(db *model.DB, f *query.Affine, tau float64, maxStates, samples int, r *rng.RNG) (*Hybrid, error) {
-	if tau < 0 {
-		return nil, fmt.Errorf("maxpr: negative tau %v", tau)
+	if err := checkTau(tau); err != nil {
+		return nil, err
 	}
 	if db.Cov != nil {
 		return nil, errors.New("maxpr: Hybrid requires independent values")
@@ -434,14 +442,9 @@ func NewCached(inner Evaluator) *Cached {
 	return &Cached{inner: inner, cache: make(map[string]float64)}
 }
 
-// Prob implements Evaluator. The key is T's ids as full-width varints,
-// a prefix-free encoding, so distinct sets never share a key.
+// Prob implements Evaluator, memoized under model.SetKey(T).
 func (c *Cached) Prob(T model.Set) float64 {
-	key := make([]byte, 0, 2*len(T))
-	for _, v := range T {
-		key = binary.AppendUvarint(key, uint64(v))
-	}
-	k := string(key)
+	k := model.SetKey(T)
 	if p, ok := c.cache[k]; ok {
 		return p
 	}

@@ -6,6 +6,7 @@
 package model
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -53,7 +54,8 @@ func New(objects []Object) *DB {
 // N returns the number of objects.
 func (db *DB) N() int { return len(db.Objects) }
 
-// Validate checks costs, value models, and covariance consistency.
+// Validate checks costs, current values, value models, and covariance
+// consistency.
 func (db *DB) Validate() error {
 	if db.N() == 0 {
 		return errors.New("model: empty database")
@@ -62,14 +64,17 @@ func (db *DB) Validate() error {
 		if o.ID != i {
 			return fmt.Errorf("model: object %d has ID %d", i, o.ID)
 		}
-		if o.Cost < 0 {
-			return fmt.Errorf("model: object %d has negative cost %v", i, o.Cost)
+		if math.IsNaN(o.Cost) || o.Cost < 0 {
+			return fmt.Errorf("model: object %d has invalid cost %v", i, o.Cost)
+		}
+		if math.IsNaN(o.Current) || math.IsInf(o.Current, 0) {
+			return fmt.Errorf("model: object %d has non-finite current value %v", i, o.Current)
 		}
 		if o.Value == nil {
 			return fmt.Errorf("model: object %d has no value model", i)
 		}
-		if o.Value.Variance() < 0 {
-			return fmt.Errorf("model: object %d has negative variance", i)
+		if v := o.Value.Variance(); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("model: object %d has invalid variance %v", i, v)
 		}
 	}
 	if db.Cov != nil {
@@ -338,3 +343,14 @@ func (s Set) Cost(db *DB) float64 {
 
 // Clone returns a copy.
 func (s Set) Clone() Set { return append(Set(nil), s...) }
+
+// SetKey is the memo key of a set: its ids as uvarints, a prefix-free
+// encoding, so distinct sets never share a key. It is a function, not a
+// method, so the root package's Set alias gains no method.
+func SetKey(s Set) string {
+	buf := make([]byte, 0, 2*len(s))
+	for _, v := range s {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	return string(buf)
+}

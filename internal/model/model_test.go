@@ -208,3 +208,12 @@ func TestSetClone(t *testing.T) {
 		t.Fatal("Clone aliases")
 	}
 }
+
+// TestSetKeyDistinguishesWideIDs pins the memo key of every set-function
+// cache: ids that agree in their low 24 bits must still key different
+// sets.
+func TestSetKeyDistinguishesWideIDs(t *testing.T) {
+	if a, b := SetKey(Set{1}), SetKey(Set{1 + 1<<24}); a == b {
+		t.Fatalf("SetKey({1}) == SetKey({1+2^24}) == %q", a)
+	}
+}

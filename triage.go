@@ -38,11 +38,7 @@ func (t *TriageContext) AssessClaim(ctx context.Context, set *PerturbationSet) (
 	if set == nil {
 		return QualityReport{}, errors.New("cleansel: AssessClaim needs db and set")
 	}
-	rep, err := t.tc.Assess(ctx, set)
-	if err != nil {
-		return QualityReport{}, err
-	}
-	return QualityReport(rep), nil
+	return t.tc.Assess(ctx, set)
 }
 
 // AssessClaims assesses a batch: signature-identical claims (renamed
@@ -53,15 +49,7 @@ func (t *TriageContext) AssessClaim(ctx context.Context, set *PerturbationSet) (
 // the batch. The error return is reserved for ctx cancellation, which
 // drains in-flight workers before returning.
 func (t *TriageContext) AssessClaims(ctx context.Context, sets []*PerturbationSet) (reports []QualityReport, errs []error, err error) {
-	coreReps, errs, err := t.tc.AssessBatch(ctx, sets)
-	if err != nil {
-		return nil, nil, err
-	}
-	reports = make([]QualityReport, len(coreReps))
-	for i, r := range coreReps {
-		reports[i] = QualityReport(r)
-	}
-	return reports, errs, nil
+	return t.tc.AssessBatch(ctx, sets)
 }
 
 // SharedCacheStats reports the cross-claim EV cache's lifetime
