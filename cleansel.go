@@ -551,7 +551,8 @@ type ObjectBenefit struct {
 // ranking a fact-checker inspects before committing budget. For Fairness
 // the benefits are the exact modular weights a_i²·Var[X_i]; for
 // Uniqueness/Robustness they are the group engine's singleton deltas
-// (normal value models are discretized first).
+// (normal value models are discretized first). A database that fails
+// DB.Validate is an error, as it is for Select.
 func RankObjects(db *DB, set *PerturbationSet, measure Measure) ([]ObjectBenefit, error) {
 	return RankObjectsContext(context.Background(), db, set, measure)
 }
@@ -562,6 +563,9 @@ func RankObjects(db *DB, set *PerturbationSet, measure Measure) ([]ObjectBenefit
 func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measure Measure) ([]ObjectBenefit, error) {
 	if db == nil || set == nil {
 		return nil, errors.New("cleansel: RankObjects needs db and set")
+	}
+	if err := db.Validate(); err != nil {
+		return nil, err
 	}
 	var benefits []float64
 	switch measure {

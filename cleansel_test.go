@@ -225,6 +225,38 @@ func TestSelectRejectsNaNAndInf(t *testing.T) {
 	}
 }
 
+// TestRankAndAssessRejectInvalidDB holds ranking and assessment to the
+// validation Select does: a σ = NaN normal law is an error under every
+// measure, never a panic in discretization or a NaN benefit ranked
+// among real ones.
+func TestRankAndAssessRejectInvalidDB(t *testing.T) {
+	db := crimeDB(t)
+	db.Objects[4].Value = cleansel.Normal{Mu: 9430, Sigma: math.NaN()}
+	set := crimeSet(t, db)
+	noPanic := func(t *testing.T, f func() (any, error)) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panicked: %v", r)
+			}
+		}()
+		if got, err := f(); err == nil {
+			t.Fatalf("accepted: %+v", got)
+		}
+	}
+	for _, m := range []cleansel.Measure{cleansel.Fairness, cleansel.Uniqueness, cleansel.Robustness} {
+		t.Run("rank "+m.String(), func(t *testing.T) {
+			noPanic(t, func() (any, error) { return cleansel.RankObjects(db, set, m) })
+		})
+	}
+	t.Run("assess", func(t *testing.T) {
+		noPanic(t, func() (any, error) { return cleansel.AssessClaim(db, set) })
+	})
+	t.Run("triage context", func(t *testing.T) {
+		noPanic(t, func() (any, error) { return cleansel.NewTriageContext(db) })
+	})
+}
+
 func TestAssessClaim(t *testing.T) {
 	db := crimeDB(t)
 	set := crimeSet(t, db)

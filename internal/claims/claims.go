@@ -7,9 +7,10 @@
 package claims
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -20,62 +21,98 @@ import (
 // Window-aggregate comparisons (Example 4), window sums ("the number of
 // injuries is as low as Γ"), and general SQL aggregates over certain
 // selection conditions all take this form (§3.4).
+//
+// A Claim is immutable after construction. Its constructors cache
+// Coef's keys in increasing order with their coefficients, and Eval
+// and the Set compilers read that cache instead of the map, so a Coef
+// changed afterwards would not be seen. A literal Claim has no cache
+// and is read from its map, zero coefficients included.
 type Claim struct {
 	Name  string
 	Const float64
 	Coef  map[int]float64
 
-	vars []int // sorted keys of Coef, cached so Eval sums in a fixed order
+	vars []int     // sorted keys of Coef, so Eval sums in a fixed order
+	coef []float64 // Coef[vars[j]], so nothing reads the map
 }
 
 // NewClaim builds a claim, dropping zero coefficients.
 func NewClaim(name string, constant float64, coef map[int]float64) *Claim {
-	c := make(map[int]float64, len(coef))
-	for i, v := range coef {
+	vars, cf := sortedTerms(coef)
+	return NewClaimSorted(name, constant, vars, cf)
+}
+
+// NewClaimSorted builds a claim from strictly increasing object IDs and
+// their coefficients, dropping zero coefficients. It keeps vars and
+// coef, which the caller must not use afterwards.
+func NewClaimSorted(name string, constant float64, vars []int, coef []float64) *Claim {
+	k := 0
+	for j, v := range coef {
 		if v != 0 {
-			c[i] = v
+			vars[k], coef[k] = vars[j], v
+			k++
 		}
 	}
-	return &Claim{Name: name, Const: constant, Coef: c, vars: sortedVarIDs(c)}
+	vars, coef = vars[:k], coef[:k]
+	m := make(map[int]float64, k)
+	for j, i := range vars {
+		m[i] = coef[j]
+	}
+	return &Claim{Name: name, Const: constant, Coef: m, vars: vars, coef: coef}
+}
+
+// terms returns the claim's object IDs in increasing order and their
+// coefficients: the constructors' cache, or for a literal Claim a
+// fresh read of Coef.
+func (c *Claim) terms() ([]int, []float64) {
+	if c.vars != nil {
+		return c.vars, c.coef
+	}
+	return sortedTerms(c.Coef)
 }
 
 // Eval evaluates the claim at the full value vector x. Terms are
 // summed in increasing variable order so the result does not depend on
 // map iteration order (float addition is not associative).
 func (c *Claim) Eval(x []float64) float64 {
-	vars := c.vars
-	if vars == nil { // literal-constructed value: no cached order
-		vars = c.Vars()
-	}
+	vars, coef := c.terms()
 	s := c.Const
-	for _, i := range vars {
-		s += c.Coef[i] * x[i]
+	for j, i := range vars {
+		s += coef[j] * x[i]
 	}
 	return s
 }
 
 // Vars returns the sorted object IDs referenced by the claim.
 func (c *Claim) Vars() []int {
-	return sortedVarIDs(c.Coef)
+	vars, _ := c.terms()
+	return slices.Clone(vars)
 }
 
-// sortedVarIDs returns the keys of a coefficient map in increasing order.
-func sortedVarIDs(coef map[int]float64) []int {
+// sortedTerms returns the keys of a coefficient map in increasing order
+// and their coefficients, zeros included.
+func sortedTerms(coef map[int]float64) ([]int, []float64) {
 	vars := make([]int, 0, len(coef))
 	for i := range coef {
 		vars = append(vars, i)
 	}
-	sort.Ints(vars)
-	return vars
+	slices.Sort(vars)
+	cf := make([]float64, len(vars))
+	for j, i := range vars {
+		cf[j] = coef[i]
+	}
+	return vars, cf
 }
 
 // WindowSum returns the claim Σ_{i=start}^{start+w-1} X_i.
 func WindowSum(name string, start, w int) *Claim {
-	coef := make(map[int]float64, w)
+	vars := make([]int, 0, max(w, 0))
+	coef := make([]float64, 0, max(w, 0))
 	for i := start; i < start+w; i++ {
-		coef[i] = 1
+		vars = append(vars, i)
+		coef = append(coef, 1)
 	}
-	return &Claim{Name: name, Coef: coef, vars: sortedVarIDs(coef)}
+	return NewClaimSorted(name, 0, vars, coef)
 }
 
 // WindowComparison returns the claim
@@ -197,18 +234,20 @@ func (s *Set) Vars() []int {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-// dirCoef returns the claim's coefficients and constant with the direction
-// and reference folded in, so that Δ_k(x) = Σ coef·x + c.
+// dirCoef returns perturbation k's object IDs, and its coefficients and
+// constant with the direction and reference folded in, so that
+// Δ_k(x) = Σ coef·x + c. The IDs are the claim's own cache: callers
+// only read them.
 func (s *Set) dirCoef(k int) (vars []int, coef []float64, c float64) {
 	cl := s.Perturbs[k].Claim
-	vars = cl.Vars()
-	coef = make([]float64, len(vars))
-	for j, v := range vars {
-		coef[j] = float64(s.Dir) * cl.Coef[v]
+	vars, cf := cl.terms()
+	coef = make([]float64, len(cf))
+	for j, v := range cf {
+		coef[j] = float64(s.Dir) * v
 	}
 	c = float64(s.Dir) * (cl.Const - s.Ref)
 	return vars, coef, c
@@ -220,18 +259,48 @@ func (s *Set) dirCoef(k int) (vars []int, coef []float64, c float64) {
 //
 // into an affine query function. Bias 0 means the claim is fair; negative
 // bias means it exaggerates (§2.2).
+//
+// Each object's coefficient is the sum of its perturbations'
+// contributions s_k·dir·coef, added in perturbation order: the merge
+// below lists every (ID, k) pair ordered by ID and then by k, so the
+// bits do not depend on how the perturbations overlap.
 func (s *Set) Bias() *query.Affine {
-	coef := map[int]float64{}
+	type contrib struct {
+		id      int
+		w, coef float64 // s_k and dir·coef
+	}
+	n := 0
+	for _, p := range s.Perturbs {
+		vars, _ := p.Claim.terms()
+		n += len(vars)
+	}
+	all := make([]contrib, 0, n)
+	merged := true // all is already ordered by ID
 	constant := 0.0
 	for k := range s.Perturbs {
-		vars, cf, c := s.dirCoef(k)
 		w := s.Perturbs[k].Sensibility
+		vars, cf := s.Perturbs[k].Claim.terms()
 		for j, v := range vars {
-			coef[v] += w * cf[j]
+			merged = merged && (len(all) == 0 || all[len(all)-1].id <= v)
+			all = append(all, contrib{id: v, w: w, coef: float64(s.Dir) * cf[j]})
 		}
-		constant += w * c
+		constant += w * (float64(s.Dir) * (s.Perturbs[k].Claim.Const - s.Ref))
 	}
-	return query.NewAffine(constant, coef)
+	if !merged {
+		// Stable: an ID's contributions stay in perturbation order.
+		slices.SortStableFunc(all, func(a, b contrib) int { return cmp.Compare(a.id, b.id) })
+	}
+	vars := make([]int, 0, len(all))
+	coef := make([]float64, 0, len(all))
+	for i := 0; i < len(all); {
+		id, sum := all[i].id, 0.0
+		for ; i < len(all) && all[i].id == id; i++ {
+			sum += all[i].w * all[i].coef
+		}
+		vars = append(vars, id)
+		coef = append(coef, sum)
+	}
+	return query.NewAffineSorted(constant, vars, coef)
 }
 
 // Dup compiles the uniqueness measure

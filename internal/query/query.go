@@ -37,14 +37,28 @@ type Affine struct {
 
 // NewAffine returns an affine function; zero coefficients are dropped.
 func NewAffine(constant float64, coef map[int]float64) *Affine {
-	c := make(map[int]float64, len(coef))
-	for i, v := range coef {
+	vars, cf := sortedCoefs(coef)
+	return NewAffineSorted(constant, vars, cf)
+}
+
+// NewAffineSorted returns the affine function with coefficient coef[j]
+// on X_{vars[j]}, for strictly increasing vars; zero coefficients are
+// dropped, as NewAffine drops them. It keeps vars and coef, which the
+// caller must not use afterwards.
+func NewAffineSorted(constant float64, vars []int, coef []float64) *Affine {
+	k := 0
+	for j, v := range coef {
 		if v != 0 {
-			c[i] = v
+			vars[k], coef[k] = vars[j], v
+			k++
 		}
 	}
-	vars, cf := sortedCoefs(c)
-	return &Affine{Const: constant, Coef: c, vars: vars, coef: cf}
+	vars, coef = vars[:k], coef[:k]
+	c := make(map[int]float64, k)
+	for j, i := range vars {
+		c[i] = coef[j]
+	}
+	return &Affine{Const: constant, Coef: c, vars: vars, coef: coef}
 }
 
 // Eval evaluates the affine form. Terms are summed in increasing

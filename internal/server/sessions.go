@@ -88,9 +88,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// Canonical spec: the decoded request's canonical encoding, so equal
-	// requests persist equal bytes regardless of client formatting.
-	spec := req.AppendCanonical(nil)
 	// A stepper keeps its objects' names for the life of the session,
 	// and decoded names share the whole body, padding and all: copy
 	// them, as the dataset store does.
@@ -106,6 +103,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
+		// The spec is the decoded request's canonical encoding, so equal
+		// requests persist equal bytes regardless of client formatting;
+		// only a manager that writes snapshots asks for it.
+		spec := func() []byte { return req.AppendCanonical(nil) }
 		endStep := rec.Span("step")
 		state, err := s.sessions.Create(spec, st, rec)
 		endStep()

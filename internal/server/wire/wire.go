@@ -11,15 +11,16 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/claims"
 )
 
 // Object is one uncertain value: either a finite support with weights
@@ -227,18 +228,50 @@ func BuildDB(specs []Object) (*cleansel.DB, error) {
 
 // BuildClaim maps a claim specification onto a cleansel claim. Every
 // key must be the canonical decimal spelling (strconv.Itoa) of an object
-// ID in [0, n), so no two keys name one object. Keys are visited in
-// sorted order, so a bad claim is always reported by the same key.
+// ID in [0, n), so no two keys name one object. A claim with bad keys
+// is reported by the smallest of them in byte order, so the same claim
+// always fails with the same message.
 func BuildClaim(spec Claim, n int) (*cleansel.Claim, error) {
-	coef := make(map[int]float64, len(spec.Coef))
-	for _, key := range slices.Sorted(maps.Keys(spec.Coef)) {
-		id, err := strconv.Atoi(key)
-		if err != nil || id < 0 || id >= n || strconv.Itoa(id) != key {
-			return nil, fmt.Errorf("claim %q: bad object id %q", spec.Name, key)
-		}
-		coef[id] = spec.Coef[key]
+	keys := make([]string, 0, len(spec.Coef))
+	for key := range spec.Coef {
+		keys = append(keys, key)
 	}
-	return cleansel.NewClaim(spec.Name, spec.Const, coef), nil
+	type term struct {
+		id   int
+		coef float64
+	}
+	terms := make([]term, 0, len(keys))
+	bad, failed := "", false
+	for _, key := range keys {
+		id, ok := objectID(key, n)
+		if !ok {
+			if !failed || key < bad {
+				bad, failed = key, true
+			}
+			continue
+		}
+		terms = append(terms, term{id, spec.Coef[key]})
+	}
+	if failed {
+		return nil, fmt.Errorf("claim %q: bad object id %q", spec.Name, bad)
+	}
+	slices.SortFunc(terms, func(a, b term) int { return cmp.Compare(a.id, b.id) })
+	vars := make([]int, len(terms))
+	coef := make([]float64, len(terms))
+	for j, t := range terms {
+		vars[j], coef[j] = t.id, t.coef
+	}
+	return claims.NewClaimSorted(spec.Name, spec.Const, vars, coef), nil
+}
+
+// objectID parses key as an object ID in [0, n) spelled the way
+// strconv.Itoa spells it: decimal digits, no sign, no leading zero.
+func objectID(key string, n int) (int, bool) {
+	if key == "" || key[0] < '0' || key[0] > '9' || key[0] == '0' && len(key) > 1 {
+		return 0, false
+	}
+	id, err := strconv.Atoi(key)
+	return id, err == nil && id < n
 }
 
 // BuildSet assembles the perturbation set of a problem against db. A

@@ -207,18 +207,24 @@ func (m *Manager) stateOf(r *record, rec *obs.Recorder) State {
 	return st
 }
 
-// Create registers a new session around st, whose spec is the canonical
-// create-request encoding (what Rebuild consumes after a restart), and
-// returns its initial state. Creating beyond capacity evicts the least
-// recently used session.
-func (m *Manager) Create(spec []byte, st *Stepper, rec *obs.Recorder) (State, error) {
+// Create registers a new session around st and returns its initial
+// state. spec returns the canonical create-request encoding, what
+// Rebuild consumes after a restart: a manager that writes snapshots
+// calls it once and keeps the bytes it returns, one that does not never
+// calls it. Creating beyond capacity evicts the least recently used
+// session.
+func (m *Manager) Create(spec func() []byte, st *Stepper, rec *obs.Recorder) (State, error) {
+	var b []byte
+	if m.snap != "" {
+		b = spec()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sweep()
 	now := m.clock.Now()
 	r := &record{
 		id:      "s_" + obs.NewRequestID(),
-		spec:    append([]byte(nil), spec...),
+		spec:    b,
 		st:      st,
 		created: now, lastUsed: now,
 	}

@@ -20,6 +20,10 @@ func testRebuild(t *testing.T, budget float64) func([]byte) (*session.Stepper, e
 	}
 }
 
+// emptySpec is the canonical spec of a test session: testRebuild
+// ignores it.
+func emptySpec() []byte { return []byte("{}") }
+
 func newTestStepper(t *testing.T, budget float64) *session.Stepper {
 	t.Helper()
 	f := query.NewAffine(0, map[int]float64{0: 1, 1: 1, 2: 1})
@@ -38,7 +42,7 @@ func newTestManager(t *testing.T, cfg session.Config) *session.Manager {
 func TestManagerTTLExpiry(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1000, 0))
 	m := newTestManager(t, session.Config{Clock: clock, TTL: time.Minute})
-	st, err := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	st, err := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func TestManagerTTLExpiry(t *testing.T) {
 func TestManagerNegativeTTLNeverExpires(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1000, 0))
 	m := newTestManager(t, session.Config{Clock: clock, TTL: -1})
-	st, err := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	st, err := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +85,16 @@ func TestManagerNegativeTTLNeverExpires(t *testing.T) {
 func TestManagerLRUEviction(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1000, 0))
 	m := newTestManager(t, session.Config{Clock: clock, Capacity: 2})
-	a, _ := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	a, _ := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	clock.Advance(time.Second)
-	b, _ := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	b, _ := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	clock.Advance(time.Second)
 	// Touch a so b becomes the least recently used.
 	if _, err := m.Get(a.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(time.Second)
-	c, _ := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	c, _ := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	if _, err := m.Get(b.ID, nil); !errors.Is(err, session.ErrNotFound) {
 		t.Fatalf("LRU session not evicted: %v", err)
 	}
@@ -107,7 +111,7 @@ func TestManagerLRUEviction(t *testing.T) {
 func TestManagerStepOrdering(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1000, 0))
 	m := newTestManager(t, session.Config{Clock: clock})
-	st, err := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	st, err := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestManagerStepOrdering(t *testing.T) {
 func TestManagerDelete(t *testing.T) {
 	clock := obs.NewFakeClock(time.Unix(1000, 0))
 	m := newTestManager(t, session.Config{Clock: clock})
-	st, _ := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	st, _ := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	if err := m.Delete(st.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +160,7 @@ func TestManagerRestartRecovery(t *testing.T) {
 	m := newTestManager(t, session.Config{
 		Clock: clock, SnapshotPath: snap, Rebuild: testRebuild(t, 3),
 	})
-	st, err := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	st, err := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestManagerExpiredWhileDown(t *testing.T) {
 	m := newTestManager(t, session.Config{
 		Clock: clock, TTL: time.Minute, SnapshotPath: snap, Rebuild: testRebuild(t, 3),
 	})
-	st, _ := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	st, _ := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	m.Close()
 
 	clock.Advance(2 * time.Minute)
@@ -223,7 +227,7 @@ func TestManagerRestoreSkipsBrokenSessions(t *testing.T) {
 	m := newTestManager(t, session.Config{
 		Clock: clock, SnapshotPath: snap, Rebuild: testRebuild(t, 3),
 	})
-	st, _ := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+	st, _ := m.Create(emptySpec, newTestStepper(t, 3), nil)
 	m.Close()
 
 	// A rebuild failure (say, the dataset vanished) loses that session
@@ -237,6 +241,44 @@ func TestManagerRestoreSkipsBrokenSessions(t *testing.T) {
 	}
 	if s := m2.Stats(); s.LoadErrors != 1 || s.Restored != 0 || s.Active != 0 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestManagerAsksForSpecOnlyWhenPersisting checks that only a manager
+// that writes snapshots encodes a session's spec, once per create, and
+// that the bytes it keeps are the ones a restart rebuilds from.
+func TestManagerAsksForSpecOnlyWhenPersisting(t *testing.T) {
+	clock := obs.NewFakeClock(time.Unix(1000, 0))
+	calls := 0
+	spec := func() []byte {
+		calls++
+		return []byte(`{"spec":1}`)
+	}
+	m := newTestManager(t, session.Config{Clock: clock})
+	if _, err := m.Create(spec, newTestStepper(t, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Fatalf("in-memory manager encoded the spec %d times, want 0", calls)
+	}
+
+	snap := filepath.Join(t.TempDir(), "sessions.snap")
+	m = newTestManager(t, session.Config{Clock: clock, SnapshotPath: snap, Rebuild: testRebuild(t, 3)})
+	if _, err := m.Create(spec, newTestStepper(t, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("persisting manager encoded the spec %d times, want 1", calls)
+	}
+	m.Close()
+	var rebuilt []string
+	newTestManager(t, session.Config{Clock: clock, SnapshotPath: snap,
+		Rebuild: func(b []byte) (*session.Stepper, error) {
+			rebuilt = append(rebuilt, string(b))
+			return testRebuild(t, 3)(b)
+		}})
+	if len(rebuilt) != 1 || rebuilt[0] != `{"spec":1}` {
+		t.Fatalf("restart rebuilt from %q, want one {\"spec\":1}", rebuilt)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestManagerRestoreHonoursCapacity(t *testing.T) {
 	})
 	ids := make([]string, 4)
 	for i := range ids {
-		st, err := m.Create([]byte("{}"), newTestStepper(t, 3), nil)
+		st, err := m.Create(emptySpec, newTestStepper(t, 3), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,6 +27,10 @@
 # Recommend/Reveal to the terminal state, with goal=minvar and
 # goal=maxpr sub-benchmarks; it reports allocations (B/op and
 # allocs/op show in the raw output) and is recorded, ungated.
+# BenchmarkSessionCreate (./internal/server) times one POST /v1/sessions
+# of that shape through the HTTP handler (decode, claim compile,
+# stepper, first state) over a stored 200-object dataset; it reports
+# allocations and is recorded, ungated.
 # BenchmarkSelectMinVarServed (repo root) times one facade solve of the
 # served MinVar/uniqueness shape, and BenchmarkTermWalks (./internal/ev)
 # the group engine's term walks on the same shape: walk=start (the
@@ -83,8 +87,8 @@ if [ -n "${GOMAXPROCS:-}" ] && [ "${GOMAXPROCS}" != "$ncpu" ] && [ -z "${BENCH_A
 fi
 export GOMAXPROCS="${GOMAXPROCS:-$ncpu}"
 
-go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkSelectMinVarServed|BenchmarkWeightedSumWide|BenchmarkGreedyMaxPr|BenchmarkSessionStep|BenchmarkTermWalks' \
-  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session ./internal/ev | tee "$raw"
+go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkSelectMinVarServed|BenchmarkWeightedSumWide|BenchmarkGreedyMaxPr|BenchmarkSessionStep|BenchmarkSessionCreate|BenchmarkTermWalks' \
+  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session ./internal/server ./internal/ev | tee "$raw"
 
 awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_maxpr="$min_maxpr_speedup" '
   BEGIN { gomaxprocs = 1 }              # go test omits the -N suffix when GOMAXPROCS=1

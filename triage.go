@@ -20,10 +20,14 @@ type TriageContext struct {
 
 // NewTriageContext compiles the dataset-level assessment state. The
 // database must be independent; normal value models are discretized
-// with the package default (k=6), exactly as AssessClaim does.
+// with the package default (k=6), exactly as AssessClaim does. A
+// database that fails DB.Validate is an error, as it is for Select.
 func NewTriageContext(db *DB) (*TriageContext, error) {
 	if db == nil {
 		return nil, errors.New("cleansel: NewTriageContext needs a db")
+	}
+	if err := db.Validate(); err != nil {
+		return nil, err
 	}
 	tc, err := core.NewTriageContext(db, discretizationPoints)
 	if err != nil {
