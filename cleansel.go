@@ -601,12 +601,8 @@ func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measu
 		}
 	}
 	sort.SliceStable(out, func(a, b int) bool {
-		ra := core.Ratio(out[a].Benefit, out[a].Cost)
-		rb := core.Ratio(out[b].Benefit, out[b].Cost)
-		if ra != rb {
-			return ra > rb
-		}
-		return out[a].ID < out[b].ID
+		ra, rb := core.Ratio(out[a].Benefit, out[a].Cost), core.Ratio(out[b].Benefit, out[b].Cost)
+		return core.Ahead(ra, out[a].ID, rb, out[b].ID)
 	})
 	return out, nil
 }

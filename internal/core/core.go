@@ -1,21 +1,24 @@
 // Package core implements the paper's primary contribution: the selection
 // algorithms that decide which uncertain values to clean under a cost
-// budget (§3). All greedy selectors instantiate Algorithm 1 — pick the
-// affordable object with the best benefit-per-cost, then apply the final
-// best-single-item check that upgrades density greedy to a constant-factor
-// approximation on modular objectives.
-//
-// Selectors (paper name → type):
+// budget (§3). Every greedy selector is Algorithm 1, run by one loop
+// (greedy): pick the affordable object with the best benefit-per-cost,
+// then apply the final best-single-item check that upgrades density greedy
+// to a constant-factor approximation on modular objectives. A selector
+// only scores candidates; the last column says which gains a pick makes
+// stale, and so what the loop rescores.
 //
 //	Random                → Random
 //	GreedyNaiveCostBlind  → GreedyNaiveCostBlind
-//	GreedyNaive           → GreedyNaive
-//	GreedyMinVar          → GreedyMinVarModular / GreedyMinVarGroup / GreedyEngine
-//	GreedyMaxPr           → GreedyMaxPr
+//	GreedyNaive           → GreedyNaive          none: static benefits
+//	GreedyMinVar          → GreedyMinVarModular  none: static benefits
+//	                        GreedyMinVarGroup    State.Affected: lazy queue
+//	                        GreedyEngine         all: EV re-solved
+//	GreedyMaxPr           → GreedyMaxPr          all: P not submodular
+//	GreedyDep (§4.5)      → GreedyDep (= GreedyEngine over the MVN engine)
+//	adaptive decide-step  → NextAdaptiveStep (the loop's one-round form)
 //	Optimum (knapsack DP) → Optimum
 //	Best (Theorem 3.7)    → Best
 //	OPT (exhaustive)      → OPT
-//	GreedyDep (§4.5)      → GreedyDep (= GreedyEngine over the MVN engine)
 package core
 
 import (
@@ -59,17 +62,18 @@ func SelectWithContext(ctx context.Context, sel Selector, budget float64) (model
 	return sel.Select(budget)
 }
 
-// fitsBudget reports whether adding cost c to spent stays within budget,
-// tolerating float round-off proportional to the budget's magnitude (sums
-// accumulated in different orders may differ in the last bits, and the
-// full-budget sweep point must still take every object).
-func fitsBudget(spent, c, budget float64) bool {
+// FitsBudget is the budget filter: whether adding cost c to spent stays
+// within budget, tolerating float round-off proportional to the budget's
+// magnitude (sums accumulated in different orders may differ in the last
+// bits, and the full-budget sweep point must still take every object).
+// The session layer accepts a reveal exactly when it holds.
+func FitsBudget(spent, c, budget float64) bool {
 	return spent+c <= budget+1e-9*(1+math.Abs(budget))
 }
 
-// ratio is benefit-per-unit-cost with the zero-cost convention of
+// Ratio is benefit-per-unit-cost with the zero-cost convention of
 // Algorithm 1: free objects with positive benefit come first.
-func ratio(benefit, cost float64) float64 {
+func Ratio(benefit, cost float64) float64 {
 	if cost == 0 {
 		if benefit > 0 {
 			return math.Inf(1)
@@ -92,21 +96,7 @@ func (r *Random) Name() string { return "Random" }
 
 // Select implements Selector.
 func (r *Random) Select(budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
-		return nil, err
-	}
-	gen := rng.New(r.Seed)
-	perm := gen.Perm(r.DB.N())
-	var T model.Set
-	spent := 0.0
-	for _, o := range perm {
-		c := r.DB.Objects[o].Cost
-		if fitsBudget(spent, c, budget) {
-			T = T.Add(o)
-			spent += c
-		}
-	}
-	return T, nil
+	return fill(r.DB, rng.New(r.Seed).Perm(r.DB.N()), budget)
 }
 
 // GreedyNaiveCostBlind cleans objects in descending order of marginal
@@ -123,19 +113,23 @@ func (g *GreedyNaiveCostBlind) Name() string { return "GreedyNaiveCostBlind" }
 
 // Select implements Selector.
 func (g *GreedyNaiveCostBlind) Select(budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
+	v := func(o int) float64 { return g.DB.Objects[o].Value.Variance() }
+	order := append([]int(nil), candidateList(g.DB, g.Vars)...)
+	sort.SliceStable(order, func(a, b int) bool { return Ahead(v(order[a]), order[a], v(order[b]), order[b]) })
+	return fill(g.DB, order, budget)
+}
+
+// fill checks the budget, then takes the objects in order, each one that
+// still fits it.
+func fill(db *model.DB, order []int, budget float64) (model.Set, error) {
+	if err := ValidateBudget(budget); err != nil {
 		return nil, err
 	}
-	order := referencedOrder(g.DB, g.Vars, func(o int) float64 {
-		return g.DB.Objects[o].Value.Variance()
-	})
 	var T model.Set
 	spent := 0.0
 	for _, o := range order {
-		c := g.DB.Objects[o].Cost
-		if fitsBudget(spent, c, budget) {
-			T = T.Add(o)
-			spent += c
+		if c := db.Objects[o].Cost; FitsBudget(spent, c, budget) {
+			T, spent = T.Add(o), spent+c
 		}
 	}
 	return T, nil
@@ -153,14 +147,16 @@ func (g *GreedyNaive) Name() string { return "GreedyNaive" }
 
 // Select implements Selector.
 func (g *GreedyNaive) Select(budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
-		return nil, err
-	}
-	benefits := make([]float64, g.DB.N())
+	return g.SelectContext(context.Background(), budget)
+}
+
+// SelectContext implements ContextSelector.
+func (g *GreedyNaive) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
+	b := make(benefits, g.DB.N())
 	for _, o := range candidateList(g.DB, g.Vars) {
-		benefits[o] = g.DB.Objects[o].Value.Variance()
+		b[o] = g.DB.Objects[o].Value.Variance()
 	}
-	return staticGreedy(g.DB, benefits, budget), nil
+	return greedy(ctx, g.DB, budget, 0, b)
 }
 
 // candidateList returns vars, or all object IDs when vars is nil.
@@ -175,73 +171,24 @@ func candidateList(db *model.DB, vars []int) []int {
 	return all
 }
 
-// referencedOrder sorts the candidates by score descending (stable by id).
-func referencedOrder(db *model.DB, vars []int, score func(o int) float64) []int {
-	cand := append([]int(nil), candidateList(db, vars)...)
-	sort.SliceStable(cand, func(a, b int) bool {
-		sa, sb := score(cand[a]), score(cand[b])
-		if sa != sb {
-			return sa > sb
-		}
-		return cand[a] < cand[b]
-	})
-	return cand
+// benefits is the round of a benefit function that does not depend on
+// the chosen set (GreedyNaive's variances, GreedyMinVarModular's
+// weights): no commit makes a gain stale.
+type benefits []float64
+
+func (b benefits) score(_ context.Context, _ model.Set, total float64, cands []entry) (float64, error) {
+	for i := range cands {
+		cands[i].gain = b[cands[i].obj]
+	}
+	return total, nil
 }
 
-// staticGreedy runs Algorithm 1 for a benefit function that does not
-// depend on the chosen set: sort once by benefit/cost, fill the budget,
-// then apply the final single-item check.
-func staticGreedy(db *model.DB, benefits []float64, budget float64) model.Set {
-	n := db.N()
-	order := make([]int, 0, n)
-	for o := 0; o < n; o++ {
-		if benefits[o] > 0 {
-			order = append(order, o)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra := ratio(benefits[order[a]], db.Objects[order[a]].Cost)
-		rb := ratio(benefits[order[b]], db.Objects[order[b]].Cost)
-		if ra != rb {
-			return ra > rb
-		}
-		return order[a] < order[b]
-	})
-	var T model.Set
-	spent, gain := 0.0, 0.0
-	for _, o := range order {
-		c := db.Objects[o].Cost
-		if fitsBudget(spent, c, budget) {
-			T = T.Add(o)
-			spent += c
-			gain += benefits[o]
-		}
-	}
-	// Final check (Algorithm 1 lines 5–8): the best affordable object not
-	// in T, by ratio; replace T if its benefit alone beats the total.
-	if o := bestUnchosen(db, benefits, T, budget); o >= 0 && benefits[o] > gain {
-		return model.NewSet(o)
-	}
-	return T
+func (b benefits) commit(e entry, total float64) (float64, []int, bool) {
+	return total + e.gain, nil, false
 }
 
-// bestUnchosen returns the argmax of benefit/cost over affordable objects
-// outside T, or −1.
-func bestUnchosen(db *model.DB, benefits []float64, T model.Set, budget float64) int {
-	best, bestR := -1, math.Inf(-1)
-	for o := 0; o < db.N(); o++ {
-		if T.Has(o) || !fitsBudget(0, db.Objects[o].Cost, budget) || benefits[o] <= 0 {
-			continue
-		}
-		if r := ratio(benefits[o], db.Objects[o].Cost); r > bestR {
-			best, bestR = o, r
-		}
-	}
-	return best
-}
-
-// validateBudget rejects NaN or negative budgets.
-func validateBudget(budget float64) error {
+// ValidateBudget rejects NaN or negative budgets, for every selector.
+func ValidateBudget(budget float64) error {
 	if math.IsNaN(budget) || budget < 0 {
 		return fmt.Errorf("core: invalid budget %v", budget)
 	}

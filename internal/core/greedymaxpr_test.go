@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/claims"
@@ -181,6 +183,84 @@ func TestGreedyMaxPrMonteCarloFallbackMatchesPerCandidate(t *testing.T) {
 	}
 	if fallbacks == 0 {
 		t.Fatal("the Monte-Carlo fallback never fired")
+	}
+}
+
+// evalLog records every set GreedyMaxPr hands its evaluator, in call
+// order: "P[T]=p" for Prob, "X[T]" for Extensions. On its own it
+// exposes only Prob, like probOnly; scorerLog adds the scorer.
+type evalLog struct {
+	inner maxpr.Evaluator
+	calls []string
+}
+
+func (l *evalLog) Prob(T model.Set) float64 {
+	p := l.inner.Prob(T)
+	l.calls = append(l.calls, fmt.Sprintf("P%v=%.4f", []int(T), p))
+	return p
+}
+
+type scorerLog struct{ *evalLog }
+
+func (l scorerLog) Extensions(T model.Set) *maxpr.Extensions {
+	l.calls = append(l.calls, fmt.Sprintf("X%v", []int(T)))
+	return l.inner.(maxpr.ExtensionScorer).Extensions(T)
+}
+
+// GreedyMaxPr's calls to its evaluator are part of its answer: while
+// Hybrid samples past its state cap, every Prob draws from one shared
+// stream, so P(T) depends on the calls before it. Each round visits the
+// affordable objects outside T in ascending id, builds Extensions(T) at
+// the first of them (and not in a round that has none), and calls
+// Prob(T ∪ {o}) once for each candidate the scorer cannot cover. Five
+// objects at budget 5 take four rounds; object 3 (cost 3) drops out of
+// the fourth and a fifth round has no candidate. With a cap of 20 states
+// the third round's candidates and the fourth round's one go through
+// Prob, and its sampled values (50 draws) pin the order of the draws.
+func TestGreedyMaxPrEvaluationOrder(t *testing.T) {
+	supports := [][]float64{{0, 4, 10}, {2, 6, 10}, {1, 5, 10}, {3, 7, 10}, {0, 9, 10}}
+	costs := []float64{1, 2, 1, 3, 1}
+	objs := make([]model.Object, len(supports))
+	for i, v := range supports {
+		objs[i] = model.Object{Name: fmt.Sprint("o", i), Cost: costs[i], Current: 10,
+			Value: dist.MustDiscrete(v, []float64{0.3, 0.3, 0.4})}
+	}
+	db := model.New(objs)
+	f := query.NewAffine(0, map[int]float64{0: 1, 1: 0.5, 2: 1, 3: 0.25, 4: 0.75})
+	// Rounds 1 and 2 convolve exactly; past the cap, rounds 3 and 4 sample.
+	firstTwo := []string{
+		"P[0]=0.3000", "P[1]=0.0000", "P[2]=0.3000", "P[3]=0.0000", "P[4]=0.0000",
+		"P[0 1]=0.3900", "P[0 2]=0.6000", "P[0 3]=0.3000", "P[0 4]=0.3900",
+	}
+	exact := append(slices.Clone(firstTwo), "P[0 1 2]=0.6720", "P[0 2 3]=0.6000", "P[0 2 4]=0.6720", "P[0 1 2 4]=0.7620")
+	sampled := append(slices.Clone(firstTwo), "P[0 1 2]=0.7000", "P[0 2 3]=0.6200", "P[0 2 4]=0.6600", "P[0 1 2 4]=0.7800")
+	for _, c := range []struct {
+		states int
+		scorer bool
+		want   []string
+	}{
+		{0, false, exact},
+		{0, true, []string{"X[]", "X[0]", "X[0 2]", "X[0 2 4]"}},
+		{20, false, sampled},
+		{20, true, []string{"X[]", "X[0]", "X[0 2]", "P[0 1 2]=0.7000", "P[0 2 3]=0.6200", "P[0 2 4]=0.6600",
+			"X[0 2 4]", "P[0 1 2 4]=0.7800"}},
+	} {
+		h, err := maxpr.NewHybrid(db, f, 8, c.states, 50, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &evalLog{inner: h}
+		var e maxpr.Evaluator = l
+		if c.scorer {
+			e = scorerLog{l}
+		}
+		if T, _ := selectMaxPr(t, db, 5, e); !setsEqual(T, model.NewSet(0, 1, 2, 4)) {
+			t.Errorf("cap %d, scorer %v: chose %v, want [0 1 2 4]", c.states, c.scorer, T)
+		}
+		// selectMaxPr's own P(T) is the last call.
+		if got := l.calls[:len(l.calls)-1]; !reflect.DeepEqual(got, c.want) {
+			t.Errorf("cap %d, scorer %v: evaluated\n%q\nwant\n%q", c.states, c.scorer, got, c.want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 
@@ -36,19 +35,20 @@ func (g *GreedyMinVarModular) Name() string { return "GreedyMinVar" }
 
 // Select implements Selector.
 func (g *GreedyMinVarModular) Select(budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
-		return nil, err
-	}
-	return staticGreedy(g.db, g.weights, budget), nil
+	return g.SelectContext(context.Background(), budget)
+}
+
+// SelectContext implements ContextSelector.
+func (g *GreedyMinVarModular) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
+	return greedy(ctx, g.db, budget, 0, benefits(g.weights))
 }
 
 // GreedyMinVarGroup is GreedyMinVar for decomposed (GroupSum) query
 // functions over independent discrete values: benefits are the exact
-// objective deltas of the group engine, maintained incrementally. Because
-// cleaning an object only changes the benefits of objects sharing a claim
-// with it, the selector keeps a priority queue whose entries are refreshed
-// only on those local invalidations — the whole run costs near-linear work
-// on disjoint-window workloads (Figure 10).
+// objective deltas of the group engine, maintained incrementally. Cleaning
+// an object changes only the benefits of objects sharing a term or pair
+// with it (State.Affected), so only those are refreshed on greedy's lazy
+// queue: near-linear work on disjoint-window workloads (Figure 10).
 type GreedyMinVarGroup struct {
 	db     *model.DB
 	engine *ev.GroupEngine
@@ -84,113 +84,57 @@ func NewGreedyMinVarGroupEngine(db *model.DB, engine *ev.GroupEngine) (*GreedyMi
 // Name implements Selector.
 func (g *GreedyMinVarGroup) Name() string { return "GreedyMinVar" }
 
-// benefit-queue entry; ver guards against stale benefits after local
-// invalidation.
-type pqEntry struct {
-	ratio   float64
-	benefit float64
-	obj     int
-	ver     int
-}
-
-type pq []pqEntry
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].ratio != q[j].ratio {
-		return q[i].ratio > q[j].ratio
-	}
-	return q[i].obj < q[j].obj
-}
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqEntry)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // Select implements Selector.
 func (g *GreedyMinVarGroup) Select(budget float64) (model.Set, error) {
 	return g.SelectContext(context.Background(), budget)
 }
 
 // SelectContext implements ContextSelector: the initial benefit pass
-// runs on the parallel worker pool and the queue loop checks the
-// context between cleans, so a timed-out solve stops promptly.
+// and each refresh run on the parallel worker pool, and the loop checks
+// the context between cleans, so a timed-out solve stops promptly.
 func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
-		return nil, err
-	}
-	st, singles, err := g.engine.NewStateCtx(ctx) // singles also serve the final check
-	if err != nil {
-		return nil, err
-	}
-	n := g.db.N()
-	version := make([]int, n)
-	q := make(pq, 0, n)
-	for o := 0; o < n; o++ {
-		if singles[o] <= 0 {
-			continue
-		}
-		q = append(q, pqEntry{ratio: ratio(singles[o], g.db.Objects[o].Cost), benefit: singles[o], obj: o})
-	}
-	heap.Init(&q)
+	return greedy(ctx, g.db, budget, 0, &groupRound{engine: g.engine})
+}
 
-	var T model.Set
-	remaining := budget
-	gainSum := 0.0
-	for q.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, context.Cause(ctx)
-		}
-		top := heap.Pop(&q).(pqEntry)
-		o := top.obj
-		if st.Cleaned(o) || top.ver != version[o] {
-			continue // superseded entry
-		}
-		if !fitsBudget(0, g.db.Objects[o].Cost, remaining) {
-			continue // budget only shrinks: never affordable again
-		}
-		gain := -st.Clean(o)
-		T = T.Add(o)
-		remaining -= g.db.Objects[o].Cost
-		gainSum += gain
-		// Refresh the benefits of locally affected objects so the queue
-		// max stays exact (EV is submodular: stale entries underestimate).
-		// Only objects the remaining budget still affords: the budget only
-		// shrinks, so any other entry is skipped at pop whatever its
-		// benefit. DeltasCtx walks each affected term once for all of its
-		// live objects, then reads every delta's term values from the
-		// engine memo; the deltas come back in Affected order, so the
-		// queue is the same at every worker count.
-		stale := st.Affected(o)
-		live := stale[:0]
-		for _, a := range stale {
-			if !st.Cleaned(a) && fitsBudget(0, g.db.Objects[a].Cost, remaining) {
-				live = append(live, a)
-			}
-		}
-		deltas, err := st.DeltasCtx(ctx, live)
+// groupRound is the group engine's round. Round 1 builds the State and
+// reads the singleton benefits NewStateCtx returns with it. A refresh is
+// one DeltasCtx, which walks each affected term once for all of its live
+// objects and returns the deltas in Affected order, so the queue is the
+// same at every worker count.
+type groupRound struct {
+	engine *ev.GroupEngine
+	st     *ev.State
+	objs   []int // DeltasCtx's argument, reused
+}
+
+func (g *groupRound) score(ctx context.Context, T model.Set, total float64, cands []entry) (float64, error) {
+	if len(T) == 0 {
+		st, singles, err := g.engine.NewStateCtx(ctx)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		for i, a := range live {
-			version[a]++
-			b := -deltas[i]
-			if b < 0 {
-				b = 0
-			}
-			heap.Push(&q, pqEntry{ratio: ratio(b, g.db.Objects[a].Cost), benefit: b, obj: a, ver: version[a]})
+		g.st = st
+		for i := range cands {
+			cands[i].gain = singles[cands[i].obj]
 		}
+		return total, nil
 	}
-	// Final check against the best single object (by singleton benefit).
-	if o := bestUnchosen(g.db, singles, T, budget); o >= 0 && singles[o] > gainSum {
-		return model.NewSet(o), nil
+	g.objs = g.objs[:0]
+	for _, e := range cands {
+		g.objs = append(g.objs, e.obj)
 	}
-	return T, nil
+	deltas, err := g.st.DeltasCtx(ctx, g.objs)
+	if err != nil {
+		return 0, err
+	}
+	for i, d := range deltas {
+		cands[i].gain = -d
+	}
+	return total, nil
+}
+
+func (g *groupRound) commit(e entry, total float64) (float64, []int, bool) {
+	return total - g.st.Clean(e.obj), g.st.Affected(e.obj), false
 }
 
 // GreedyEngine is the generic adaptive GreedyMinVar over any EV engine:
@@ -236,52 +180,34 @@ func (g *GreedyEngine) Select(budget float64) (model.Set, error) {
 // between candidate evaluations (each one is a full EV solve — the
 // expensive unit of this adaptive greedy).
 func (g *GreedyEngine) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
-		return nil, err
-	}
-	n := g.db.N()
-	var T model.Set
-	remaining := budget
-	cur, err := ev.EVWithContext(ctx, g.engine, nil)
-	if err != nil {
-		return nil, err
-	}
-	gainSum := 0.0
-	// singles[o] = EV(∅) − EV({o}), filled in the first round (T = ∅),
-	// whose candidates are exactly the affordable objects the final
-	// single-item check may return.
-	singles := make([]float64, n)
-	for {
-		best, bestR, bestEV := -1, -1.0, 0.0
-		for o := 0; o < n; o++ {
-			if T.Has(o) || !fitsBudget(0, g.db.Objects[o].Cost, remaining) {
-				continue
-			}
-			after, err := ev.EVWithContext(ctx, g.engine, T.Add(o))
-			if err != nil {
-				return nil, err
-			}
-			b := cur - after
-			if b <= 0 {
-				continue // no variance reduction: not worth any budget
-			}
-			if len(T) == 0 {
-				singles[o] = b
-			}
-			if r := ratio(b, g.db.Objects[o].Cost); r > bestR {
-				best, bestR, bestEV = o, r, after
-			}
+	return greedy(ctx, g.db, budget, 0, &engineRound{engine: g.engine})
+}
+
+// engineRound scores each candidate by a full solve, EV(T) − EV(T ∪ {o}),
+// and a commit makes every gain stale. Round 1 evaluates EV(∅) first.
+type engineRound struct {
+	engine ev.Engine
+	cur    float64 // EV(T)
+}
+
+func (r *engineRound) score(ctx context.Context, T model.Set, total float64, cands []entry) (float64, error) {
+	var err error
+	if len(T) == 0 {
+		if r.cur, err = ev.EVWithContext(ctx, r.engine, nil); err != nil {
+			return 0, err
 		}
-		if best < 0 {
-			break
+	}
+	for i := range cands {
+		c := &cands[i]
+		if c.after, err = ev.EVWithContext(ctx, r.engine, T.Add(c.obj)); err != nil {
+			return 0, err
 		}
-		gainSum += cur - bestEV
-		cur = bestEV
-		remaining -= g.db.Objects[best].Cost
-		T = T.Add(best)
+		c.gain = r.cur - c.after
 	}
-	if o := bestUnchosen(g.db, singles, T, budget); o >= 0 && singles[o] > gainSum {
-		return model.NewSet(o), nil
-	}
-	return T, nil
+	return total, nil
+}
+
+func (r *engineRound) commit(e entry, total float64) (float64, []int, bool) {
+	r.cur = e.after
+	return total + e.gain, nil, true
 }

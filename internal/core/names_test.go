@@ -127,13 +127,13 @@ func TestConstructorNilGuards(t *testing.T) {
 }
 
 func TestRatioConventions(t *testing.T) {
-	if !math.IsInf(ratio(1, 0), 1) {
+	if !math.IsInf(Ratio(1, 0), 1) {
 		t.Fatal("free positive benefit should rank first")
 	}
-	if ratio(0, 0) != 0 {
+	if Ratio(0, 0) != 0 {
 		t.Fatal("free zero benefit should rank neutral")
 	}
-	if ratio(6, 3) != 2 {
+	if Ratio(6, 3) != 2 {
 		t.Fatal("plain ratio broken")
 	}
 }

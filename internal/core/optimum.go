@@ -44,7 +44,7 @@ func (o *Optimum) Name() string { return "Optimum" }
 
 // Select implements Selector.
 func (o *Optimum) Select(budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
+	if err := ValidateBudget(budget); err != nil {
 		return nil, err
 	}
 	res, err := knapsack.MaxDP(o.weights, o.db.Costs(), budget, optimumPrecision)
@@ -102,7 +102,7 @@ type selectAborted struct{ err error }
 // iterations run through the engine's cancellable EV path, so a done
 // context surfaces at the next EV evaluation.
 func (b *Best) SelectContext(ctx context.Context, budget float64) (T model.Set, retErr error) {
-	if err := validateBudget(budget); err != nil {
+	if err := ValidateBudget(budget); err != nil {
 		return nil, err
 	}
 	defer func() {
@@ -211,7 +211,7 @@ func (o *OPT) Name() string { return o.name }
 
 // Select implements Selector.
 func (o *OPT) Select(budget float64) (model.Set, error) {
-	if err := validateBudget(budget); err != nil {
+	if err := ValidateBudget(budget); err != nil {
 		return nil, err
 	}
 	n := o.db.N()

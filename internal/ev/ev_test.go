@@ -344,9 +344,6 @@ func TestStateIncrementalMatchesScratch(t *testing.T) {
 				t.Fatalf("trial %d: incremental EV %v vs scratch %v after cleaning %v",
 					trial, st.EV(), want, T)
 			}
-			if !st.Cleaned(o) {
-				t.Fatal("Cleaned not set")
-			}
 			if st.Delta(o) != 0 || st.Clean(o) != 0 {
 				t.Fatal("re-cleaning should be a no-op")
 			}

@@ -975,9 +975,6 @@ func (s *State) EV() float64 {
 	return s.total
 }
 
-// Cleaned reports whether object o is already in T.
-func (s *State) Cleaned(o int) bool { return s.cleaned[o] }
-
 // Delta returns EV(T ∪ {o}) − EV(T) without committing (≤ 0 by
 // Lemma 3.4). Cleaning an already-cleaned object has delta 0.
 func (s *State) Delta(o int) float64 {

@@ -11,10 +11,11 @@
 // Two design rules carry over from the rest of the system:
 //
 //   - One policy implementation. The decide-step is
-//     core.NextAdaptiveStep — the argmax-benefit-per-cost rule, with the
-//     selectors' budget tolerance and lowest-ID tie-break — and the
-//     one-step MaxPr benefit is maxpr.SingleProb, bit-identical to the
-//     NormalAffine closed form the upfront GreedyMaxPr uses.
+//     core.NextAdaptiveStep, the one-round form of the Algorithm-1 loop
+//     every upfront greedy runs: the same budget filter, zero-gain rule,
+//     benefit-per-cost ratio and lowest-ID tie-break, written once in
+//     core. The one-step MaxPr benefit is maxpr.SingleProb, bit-identical
+//     to the NormalAffine closed form the upfront GreedyMaxPr uses.
 //   - Incremental conditioning. The stepper computes each object's mean,
 //     variance and one-step benefit once, at construction. Reporting a
 //     revealed value substitutes a point mass for the object's law (à la
