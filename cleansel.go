@@ -378,16 +378,12 @@ func SelectContext(ctx context.Context, task Task) (Result, error) {
 	return Result{}, fmt.Errorf("cleansel: unknown goal %d", task.Goal)
 }
 
-// discretizationPoints is the default equal-probability grid used when an
-// exact discrete engine needs normal value models discretized (the §4.2
-// convention is 6 for single-series CDC data).
-const discretizationPoints = 6
-
 // discreteView returns db itself when all values are discrete, or a copy
-// with normal values replaced by their k-point discretizations.
+// with normal values replaced by their discretizations on the default
+// grid an assessment uses (core.DiscretizationPoints).
 func discreteView(db *DB) *DB {
 	if _, err := db.Discretes(); err != nil {
-		return db.Discretized(discretizationPoints)
+		return db.Discretized(core.DiscretizationPoints)
 	}
 	return db
 }

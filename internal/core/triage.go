@@ -30,15 +30,17 @@ type Report struct {
 // TriageContext amortizes claim assessment over one database: the
 // discretized view, the current-value vector, and a cross-engine EV
 // cache are built once and reused for every claim assessed through it.
-// Assessing N related claims through one context costs far less than N
-// independent AssessClaim calls, and — because every reuse is exact
-// (cached values are the outputs of the identical enumerations a cold
-// assessment would run) — each claim's Report is bit-identical to what
-// a standalone assessment produces, regardless of batch composition,
-// assessment order, or worker count.
+// It is the only code that picks an assessment's discrete view, and
+// AssessBatch is the only assessment routine: a standalone assessment is
+// a batch of one. Assessing N related claims through one context costs
+// far less than N independent assessments, and — because every reuse is
+// exact (cached values are the outputs of the identical enumerations a
+// cold assessment would run) — each claim's Report is bit-identical to
+// what a standalone assessment produces, regardless of batch
+// composition, assessment order, or worker count.
 //
-// Safe for concurrent use; Assess and AssessBatch may be called freely
-// from multiple goroutines.
+// Safe for concurrent use; AssessBatch may be called freely from
+// multiple goroutines.
 type TriageContext struct {
 	db     *model.DB
 	work   *model.DB // discrete view: db itself, or its k-point discretization
@@ -52,13 +54,22 @@ type TriageContext struct {
 	reports map[string]Report
 }
 
-// NewTriageContext compiles the dataset-level assessment state. Normal
-// value models are discretized on a points-value equal-probability grid
-// (the root API passes its package-wide default, keeping this path and
-// the standalone assessment path on the same view).
+// DiscretizationPoints is the default equal-probability grid onto which
+// an assessment discretizes normal value models (the §4.2 convention is
+// 6 for single-series CDC data).
+const DiscretizationPoints = 6
+
+// NewTriageContext compiles the dataset-level assessment state. The
+// bias variance is exact over db; the duplicity and fragility variances
+// need discrete value models, so normal ones are discretized for them on
+// a points-value equal-probability grid (points ≥ 0; 0 means
+// DiscretizationPoints).
 func NewTriageContext(db *model.DB, points int) (*TriageContext, error) {
 	if db == nil {
 		return nil, errors.New("core: triage needs a database")
+	}
+	if points == 0 {
+		points = DiscretizationPoints
 	}
 	work := db
 	if _, err := db.Discretes(); err != nil {
@@ -77,36 +88,10 @@ func NewTriageContext(db *model.DB, points int) (*TriageContext, error) {
 // counts (observability only; never feeds back into results).
 func (tc *TriageContext) SharedStats() (hits, misses uint64) { return tc.shared.Stats() }
 
-// Assess computes one claim's quality report through the shared state,
-// serving an exact repeat (same signature, any name) from the report
-// memo.
-func (tc *TriageContext) Assess(ctx context.Context, set *claims.Set) (Report, error) {
-	if set == nil {
-		return Report{}, errors.New("core: triage needs a perturbation set")
-	}
-	sig := set.Signature()
-	tc.mu.Lock()
-	rep, ok := tc.reports[sig]
-	tc.mu.Unlock()
-	if ok {
-		obs.FromContext(ctx).Add("triage_dedup_hits", 1)
-		return rep, nil
-	}
-	rep, err := tc.assessOne(ctx, set)
-	if err != nil {
-		return Report{}, err
-	}
-	tc.mu.Lock()
-	tc.reports[sig] = rep
-	tc.mu.Unlock()
-	return rep, nil
-}
-
-// assessOne is the single-claim assessment: operation-for-operation the
-// sequence the root AssessClaim has always run (bias and duplicity at
+// assessOne is the single-claim assessment: bias and duplicity at
 // current values, the modular bias variance over the original database,
-// the duplicity/fragility expected variances over the discrete view) —
-// only the engine construction goes through the shared cache.
+// and the duplicity/fragility expected variances over the discrete view,
+// their engines built over the shared cache.
 func (tc *TriageContext) assessOne(ctx context.Context, set *claims.Set) (Report, error) {
 	rep := Report{Perturbations: set.M()}
 	bias := set.Bias()
@@ -152,6 +137,7 @@ func (tc *TriageContext) AssessBatch(ctx context.Context, sets []*claims.Set) (r
 	// order so work order (and therefore every trace and result) is a
 	// pure function of the request.
 	repOf := make([]int, len(sets))
+	sigs := make([]string, len(sets))
 	firstOf := make(map[string]int, len(sets))
 	var uniq []int
 	var memoHits, dupHits int64
@@ -163,6 +149,7 @@ func (tc *TriageContext) AssessBatch(ctx context.Context, sets []*claims.Set) (r
 			continue
 		}
 		sig := s.Signature()
+		sigs[i] = sig
 		if j, ok := firstOf[sig]; ok {
 			repOf[i] = j
 			dupHits++
@@ -198,7 +185,7 @@ func (tc *TriageContext) AssessBatch(ctx context.Context, sets []*claims.Set) (r
 	tc.mu.Lock()
 	for _, i := range uniq {
 		if errs[i] == nil {
-			tc.reports[sets[i].Signature()] = reports[i]
+			tc.reports[sigs[i]] = reports[i]
 		}
 	}
 	tc.mu.Unlock()

@@ -48,14 +48,14 @@ type GroupEngine struct {
 	// points, and cache misses are computed on the parallel worker pool.
 	// Cached values are exact, so which goroutine fills an entry first
 	// never changes a result.
-	mu        sync.Mutex
+	mu        *sync.Mutex
+	ownMu     sync.Mutex // mu of an engine without a SharedEVCache
 	termCache []map[uint64]float64
 	pairCache []map[uint64]float64
 
-	// shared, when non-nil, is a second cache tier consulted after the
-	// local one, keyed by term signatures so engines compiled from
-	// different claims over the same database reuse each other's
-	// enumerations (see SharedEVCache).
+	// shared, when non-nil, owns mu and the memo tables of the signed
+	// terms and pairs, which engines over the same database share (see
+	// SharedEVCache).
 	shared *SharedEVCache
 }
 
@@ -85,6 +85,7 @@ func NewGroupEngine(db *model.DB, g *query.GroupSum) (*GroupEngine, error) {
 		varTerms: make([][]int, db.N()),
 		varPairs: make([][]int, db.N()),
 	}
+	e.mu = &e.ownMu
 	for k, t := range g.Terms {
 		if t.TermFunc == nil {
 			return nil, fmt.Errorf("ev: term %d has no function", k)
@@ -656,13 +657,15 @@ type evMiss struct {
 
 // memoValues returns one family of EV contributions for the cleaned
 // mask: the terms' variances or the pairs' covariances. Entry i depends
-// on the variables vars(i) and is shared under signature sig(i); its
-// value comes from memo, then from the shared cache's map shared, and
-// otherwise from walk, which computes the misses on the worker pool.
-func (e *GroupEngine) memoValues(ctx context.Context, cleaned []bool, memo []map[uint64]float64, shared map[string]float64,
+// on the variables vars(i); its value comes from memo, and otherwise
+// from walk, which computes the misses on the worker pool. On an engine
+// over a SharedEVCache, each lookup of a cacheable entry with a
+// signature (sig(i) != "") counts as a shared hit or miss.
+func (e *GroupEngine) memoValues(ctx context.Context, cleaned []bool, memo []map[uint64]float64,
 	vars func(i int) []int, sig func(i int) string, walk func(i int, sc *evScratch) float64) ([]float64, error) {
 	vals := make([]float64, len(memo))
 	var misses []evMiss
+	var sharedHits, sharedMisses int64
 	e.mu.Lock()
 	for i := range memo {
 		mask, ok := localMask(vars(i), cleaned)
@@ -670,11 +673,23 @@ func (e *GroupEngine) memoValues(ctx context.Context, cleaned []bool, memo []map
 			misses = append(misses, evMiss{i: i})
 			continue
 		}
-		if v, hit := memo[i][mask]; hit {
+		v, hit := memo[i][mask]
+		if e.shared != nil && sig(i) != "" {
+			if hit {
+				sharedHits++
+			} else {
+				sharedMisses++
+			}
+		}
+		if hit {
 			vals[i] = v
 			continue
 		}
 		misses = append(misses, evMiss{i: i, mask: mask, cacheable: true})
+	}
+	if e.shared != nil {
+		e.shared.hits += uint64(sharedHits)
+		e.shared.misses += uint64(sharedMisses)
 	}
 	e.mu.Unlock()
 	// Write-only trace ticks: the recorder never feeds back into the
@@ -682,26 +697,20 @@ func (e *GroupEngine) memoValues(ctx context.Context, cleaned []bool, memo []map
 	rec := obs.FromContext(ctx)
 	rec.Add("ev_cache_hits", int64(len(memo)-len(misses)))
 	rec.Add("ev_cache_misses", int64(len(misses)))
+	if e.shared != nil {
+		rec.Add("ev_shared_hits", sharedHits)
+		rec.Add("ev_shared_misses", sharedMisses)
+	}
 	if len(misses) == 0 {
 		return vals, nil
 	}
-	// Second tier: values another engine over the same database already
-	// enumerated for a signature-identical entry.
-	compute := misses
-	if e.shared != nil {
-		compute = e.shared.splitShared(shared, misses, vals, sig)
-		rec.Add("ev_shared_hits", int64(len(misses)-len(compute)))
-		rec.Add("ev_shared_misses", int64(len(compute)))
-	}
-	if len(compute) > 0 {
-		pool := newScratchPool(e.db.N())
-		if err := parallel.For(ctx, len(compute), func(worker, j int) error {
-			i := compute[j].i
-			vals[i] = walk(i, pool.get(worker))
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	pool := newScratchPool(e.db.N())
+	if err := parallel.For(ctx, len(misses), func(worker, j int) error {
+		i := misses[j].i
+		vals[i] = walk(i, pool.get(worker))
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	e.mu.Lock()
 	for _, m := range misses {
@@ -710,9 +719,6 @@ func (e *GroupEngine) memoValues(ctx context.Context, cleaned []bool, memo []map
 		}
 	}
 	e.mu.Unlock()
-	if e.shared != nil && len(compute) > 0 {
-		e.shared.publish(shared, compute, vals, sig)
-	}
 	return vals, nil
 }
 
@@ -741,11 +747,7 @@ func (e *GroupEngine) EVCtx(ctx context.Context, T model.Set) (float64, error) {
 	for _, i := range T {
 		cleaned[i] = true
 	}
-	var sharedTerms, sharedPairs map[string]float64
-	if e.shared != nil {
-		sharedTerms, sharedPairs = e.shared.terms, e.shared.pairs
-	}
-	termVals, err := e.memoValues(ctx, cleaned, e.termCache, sharedTerms,
+	termVals, err := e.memoValues(ctx, cleaned, e.termCache,
 		func(k int) []int { return e.terms[k].Vars },
 		func(k int) string { return e.terms[k].Sig },
 		func(k int, sc *evScratch) float64 {
@@ -755,7 +757,7 @@ func (e *GroupEngine) EVCtx(ctx context.Context, T model.Set) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pairVals, err := e.memoValues(ctx, cleaned, e.pairCache, sharedPairs,
+	pairVals, err := e.memoValues(ctx, cleaned, e.pairCache,
 		func(pi int) []int { return e.pairs[pi].union },
 		func(pi int) string { return e.pairs[pi].sig },
 		func(pi int, sc *evScratch) float64 { return e.pairEV(e.dists, pi, cleaned, sc) })

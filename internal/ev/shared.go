@@ -1,41 +1,40 @@
 package ev
 
 import (
-	"strconv"
 	"sync"
 
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/query"
 )
 
-// SharedEVCache memoizes per-term variances and per-pair covariances
-// across GroupEngines compiled over the SAME *model.DB, keyed by the
-// terms' canonical signatures (query.Term.Sig) plus the cleaned-mask.
-// It is the cross-claim amortization behind bulk triage: claims over
-// one dataset that share terms (duplicity indicators anchored to the
-// same reference, say) pay for each term/pair enumeration once per
-// batch instead of once per claim.
+// SharedEVCache is the memo of the GroupEngines built over it with
+// NewGroupEngineShared: one memo table per term signature
+// (query.Term.Sig) and one per ordered pair of signatures, keyed by the
+// cleaned-mask as an engine's own tables are, under one lock that is
+// every such engine's lock. It is the cross-claim amortization behind
+// bulk triage: claims over one dataset that share terms (duplicity
+// indicators anchored to the same reference, say) pay for each
+// term/pair enumeration once per batch instead of once per claim.
 //
 // Sharing is exact-reuse only, so it cannot move a bit: a cached value
 // is the output of the very same enumeration (same variables in the
-// same declared order, same parameters, same distributions) that a
-// cache-missing engine would run itself. Pair entries are keyed by the
-// ORDERED signature pair (term k first) — pairEV groups its float
-// products around the k-side value, so a (k,l)-swapped pair is the
-// same real number but not necessarily the same float64, and it must
-// recompute rather than share.
+// same declared order, same parameters, same distributions) that an
+// engine of its own would run. Pair tables are keyed by the ORDERED
+// signature pair (term k first) — pairEV groups its float products
+// around the k-side value, so a (k,l)-swapped pair is the same real
+// number but not necessarily the same float64, and it must recompute
+// rather than share. A term or pair without a signature keeps a table
+// of the engine's own.
 //
 // A SharedEVCache must never be used with engines over different
 // databases or discretizations: keys do not include the distributions,
 // that invariant is the caller's (core.TriageContext's) job.
 //
-// All methods are safe for concurrent use. Lock ordering: engines
-// never hold their own mu while taking the cache's (and vice versa),
-// so engines sharing a cache cannot deadlock.
+// All methods are safe for concurrent use.
 type SharedEVCache struct {
 	mu    sync.Mutex
-	terms map[string]float64
-	pairs map[string]float64
+	terms map[string]map[uint64]float64
+	pairs map[string]map[uint64]float64
 
 	hits, misses uint64
 }
@@ -44,8 +43,8 @@ type SharedEVCache struct {
 // NewGroupEngineShared.
 func NewSharedEVCache() *SharedEVCache {
 	return &SharedEVCache{
-		terms: make(map[string]float64),
-		pairs: make(map[string]float64),
+		terms: make(map[string]map[uint64]float64),
+		pairs: make(map[string]map[uint64]float64),
 	}
 }
 
@@ -61,56 +60,48 @@ func (c *SharedEVCache) Stats() (hits, misses uint64) {
 func (c *SharedEVCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.terms) + len(c.pairs)
-}
-
-// sharedKey appends the cleaned-mask to a signature. The unit
-// separator cannot occur inside signatures (decimal ints, hex floats,
-// '|' and ',' only), so keys are unambiguous.
-func sharedKey(sig string, mask uint64) string {
-	return sig + "\x1f" + strconv.FormatUint(mask, 16)
-}
-
-// splitShared partitions cache misses into values served from the
-// shared cache (written into vals) and the remainder to compute. sig
-// returns the signature for miss index i ("" = unshareable).
-func (c *SharedEVCache) splitShared(m map[string]float64, misses []evMiss, vals []float64, sig func(i int) string) (compute []evMiss) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, miss := range misses {
-		if s := sig(miss.i); miss.cacheable && s != "" {
-			if v, ok := m[sharedKey(s, miss.mask)]; ok {
-				vals[miss.i] = v
-				c.hits++
-				continue
-			}
-			c.misses++
-		}
-		compute = append(compute, miss)
-	}
-	return compute
-}
-
-// publish stores freshly computed shareable values.
-func (c *SharedEVCache) publish(m map[string]float64, computed []evMiss, vals []float64, sig func(i int) string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, miss := range computed {
-		if s := sig(miss.i); miss.cacheable && s != "" {
-			m[sharedKey(s, miss.mask)] = vals[miss.i]
+	n := 0
+	for _, tables := range [...]map[string]map[uint64]float64{c.terms, c.pairs} {
+		for _, t := range tables {
+			n += len(t)
 		}
 	}
+	return n
 }
 
-// NewGroupEngineShared is NewGroupEngine with a cross-engine result
-// cache attached. Engines sharing a cache MUST be built over the same
-// database value (same objects, same discretization); see the
-// SharedEVCache contract.
+// memoTable returns the memo table tables holds for sig, created on
+// first use; an unsigned entry ("") gets none. Callers hold the cache's
+// lock.
+func memoTable(tables map[string]map[uint64]float64, sig string) map[uint64]float64 {
+	if sig == "" {
+		return nil
+	}
+	t, ok := tables[sig]
+	if !ok {
+		t = make(map[uint64]float64)
+		tables[sig] = t
+	}
+	return t
+}
+
+// NewGroupEngineShared is NewGroupEngine with the cache as its memo:
+// each signed term and pair reads and writes the cache's table for its
+// signature, under the cache's lock. Engines sharing a cache MUST be
+// built over the same database value (same objects, same
+// discretization); see the SharedEVCache contract.
 func NewGroupEngineShared(db *model.DB, g *query.GroupSum, shared *SharedEVCache) (*GroupEngine, error) {
 	e, err := NewGroupEngine(db, g)
 	if err != nil {
 		return nil, err
 	}
-	e.shared = shared
+	e.mu, e.shared = &shared.mu, shared
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	for k := range e.terms {
+		e.termCache[k] = memoTable(shared.terms, e.terms[k].Sig)
+	}
+	for pi := range e.pairs {
+		e.pairCache[pi] = memoTable(shared.pairs, e.pairs[pi].sig)
+	}
 	return e, nil
 }

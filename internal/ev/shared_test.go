@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/model"
+	"github.com/factcheck/cleansel/internal/parallel"
 	"github.com/factcheck/cleansel/internal/query"
 	"github.com/factcheck/cleansel/internal/rng"
 )
@@ -101,5 +102,61 @@ func TestSharedCacheUnsignedTermsNeverShare(t *testing.T) {
 	hits, misses := shared.Stats()
 	if hits != 0 || misses != 0 {
 		t.Fatalf("unsigned terms counted shared lookups: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestSharedCacheIsTheEnginesMemo pins the one memo tier: two engines
+// over one cache, built and evaluated concurrently as a triage batch
+// fans its claims out, where one engine holds the same signed term
+// twice and the other holds the same terms in the other order. Every
+// EV is bit-identical to an unshared twin's, and every signed,
+// cacheable lookup counts once as a shared hit or miss.
+func TestSharedCacheIsTheEnginesMemo(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "4")
+	r := rng.New(19)
+	db := randomDB(r, 4)
+	a := query.IndicatorGE([]int{0, 1}, []float64{1, -1}, 0.5, 1)
+	b := query.NegMinSquared([]int{1, 2, 3}, []float64{1, 1, -2}, -0.25, 0.75)
+	groups := []*query.GroupSum{
+		{Terms: []query.Term{a, a, b}},
+		{Terms: []query.Term{b, a, a}},
+	}
+	subsets := []model.Set{nil, model.NewSet(1), model.NewSet(0, 2), nil, model.NewSet(0, 1, 2, 3)}
+
+	shared := NewSharedEVCache()
+	got := make([][]float64, len(groups))
+	lookups := make([]int, len(groups))
+	err := parallel.For(context.Background(), len(groups), func(_, i int) error {
+		e, err := NewGroupEngineShared(db, groups[i], shared)
+		if err != nil {
+			return err
+		}
+		for _, T := range subsets {
+			v, err := e.EVCtx(context.Background(), T)
+			if err != nil {
+				return err
+			}
+			got[i] = append(got[i], v)
+			lookups[i] += len(e.terms) + len(e.pairs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range groups {
+		twin := mustGroup(t, db, g)
+		if twin.NumPairs() != 3 {
+			t.Fatalf("engine %d has %d overlapping pairs, want 3", i, twin.NumPairs())
+		}
+		for j, T := range subsets {
+			if want := twin.EV(T); got[i][j] != want {
+				t.Fatalf("engine %d: shared EV(%v) = %v, unshared = %v", i, T, got[i][j], want)
+			}
+		}
+	}
+	hits, misses := shared.Stats()
+	if want := uint64(lookups[0] + lookups[1]); hits+misses != want {
+		t.Fatalf("shared lookups: %d hits + %d misses, want %d in all", hits, misses, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/obs"
 	"github.com/factcheck/cleansel/internal/server/wire"
 )
@@ -169,23 +170,41 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		endCompile := rec.Span("compile")
-		work, set, err := req.BuildAssess(db)
+		set, err := req.BuildSet(db)
 		endCompile()
 		if err != nil {
 			return nil, err
 		}
 		endSolve := rec.Span("solve")
-		rep, err := cleansel.AssessClaimContext(ctx, work, set)
-		endSolve()
+		defer endSolve()
+		reports, errs, err := assess(ctx, db, req.Discretize, []*cleansel.PerturbationSet{set})
 		if err != nil {
 			return nil, err
 		}
-		return wire.EncodeReport(rep), nil
+		if errs[0] != nil {
+			return nil, errs[0]
+		}
+		return wire.EncodeReport(reports[0]), nil
 	})
 }
 
+// assess runs every assessment the server makes, /v1/assess as a batch
+// of one: core.TriageContext picks the discrete view from the request's
+// discretize (0 = the default), so the bias variance stays exact over
+// db whatever the field says.
+func assess(ctx context.Context, db *cleansel.DB, discretize int, sets []*cleansel.PerturbationSet) ([]cleansel.QualityReport, []error, error) {
+	if err := wire.CheckDiscretize(discretize); err != nil {
+		return nil, nil, err
+	}
+	tc, err := core.NewTriageContext(db, discretize)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tc.AssessBatch(ctx, sets)
+}
+
 // handleTriage is the bulk assessment endpoint: one dataset, many
-// claims, amortized through a cleansel.TriageContext so the
+// claims, amortized through one core.TriageContext so the
 // perturbation/EV state compiles once per batch. Each claim's report
 // is bit-identical to what /v1/assess returns for it alone; a
 // malformed claim gets a per-claim error entry without failing the
@@ -208,18 +227,14 @@ func (s *Server) handleTriage(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		endCompile := rec.Span("compile")
-		work, measure, sets, buildErrs, err := req.BuildTriage(db)
+		_, measure, sets, buildErrs, err := req.BuildTriage(db)
 		endCompile()
 		if err != nil {
 			return nil, err
 		}
 		endSolve := rec.Span("solve")
 		defer endSolve()
-		tc, err := cleansel.NewTriageContext(work)
-		if err != nil {
-			return nil, err
-		}
-		reports, assessErrs, err := tc.AssessClaims(ctx, sets)
+		reports, assessErrs, err := assess(ctx, db, req.Discretize, sets)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 // Package server implements the cleanseld HTTP/JSON service: a serving
-// layer over cleansel.Select, cleansel.RankObjects, cleansel.AssessClaim,
-// and the bulk cleansel.TriageContext.
+// layer over cleansel.Select, cleansel.RankObjects, and
+// core.TriageContext's AssessBatch, which runs every assessment
+// (/v1/assess as a batch of one, /v1/triage as a batch of many).
 //
 // Endpoints:
 //

@@ -305,14 +305,31 @@ func (p *Problem) BuildSet(db *cleansel.DB) (*cleansel.PerturbationSet, error) {
 	return cleansel.NewPerturbationSet(orig, dir, ref, perturbs)
 }
 
+// MaxDiscretize is the largest point count discretize accepts. The
+// paper discretizes normal value models onto 4 and 6 points; at 1024 a
+// discretized object holds 24 KB.
+const MaxDiscretize = 1024
+
+// CheckDiscretize rejects a discretize value outside [0, MaxDiscretize]
+// (0 asks for the default), before anything is allocated for it.
+func CheckDiscretize(k int) error {
+	if k < 0 || k > MaxDiscretize {
+		return fmt.Errorf("discretize %d is outside [0, %d]", k, MaxDiscretize)
+	}
+	return nil
+}
+
 // discretized applies the problem's custom discretization (if any) for
 // measures that require discrete value models.
-func (p *Problem) discretized(db *cleansel.DB, measure cleansel.Measure) *cleansel.DB {
+func (p *Problem) discretized(db *cleansel.DB, measure cleansel.Measure) (*cleansel.DB, error) {
+	if err := CheckDiscretize(p.Discretize); err != nil {
+		return nil, err
+	}
 	needDiscrete := measure == cleansel.Uniqueness || measure == cleansel.Robustness
 	if needDiscrete && p.Discretize > 0 {
-		return db.Discretized(p.Discretize)
+		return db.Discretized(p.Discretize), nil
 	}
-	return db
+	return db, nil
 }
 
 // BuildTask maps the task onto a cleansel.Task against db, parsing the
@@ -330,7 +347,9 @@ func (t *Task) BuildTask(db *cleansel.DB) (cleansel.Task, error) {
 	if err != nil {
 		return cleansel.Task{}, err
 	}
-	db = t.discretized(db, measure)
+	if db, err = t.discretized(db, measure); err != nil {
+		return cleansel.Task{}, err
+	}
 	set, err := t.BuildSet(db)
 	if err != nil {
 		return cleansel.Task{}, err
@@ -349,7 +368,9 @@ func (r *RankRequest) BuildRank(db *cleansel.DB) (*cleansel.DB, *cleansel.Pertur
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	db = r.discretized(db, measure)
+	if db, err = r.discretized(db, measure); err != nil {
+		return nil, nil, 0, err
+	}
 	set, err := r.BuildSet(db)
 	if err != nil {
 		return nil, nil, 0, err
@@ -357,32 +378,15 @@ func (r *RankRequest) BuildRank(db *cleansel.DB) (*cleansel.DB, *cleansel.Pertur
 	return db, set, measure, nil
 }
 
-// BuildAssess resolves the assess request against db, returning the
-// working database and perturbation set for cleansel.AssessClaim.
-func (a *AssessRequest) BuildAssess(db *cleansel.DB) (*cleansel.DB, *cleansel.PerturbationSet, error) {
-	if a.Discretize > 0 {
-		db = db.Discretized(a.Discretize)
-	}
-	set, err := a.BuildSet(db)
-	if err != nil {
-		return nil, nil, err
-	}
-	return db, set, nil
-}
-
-// BuildTriage resolves the batch against db: the working database
-// (batch-level discretization applied, exactly as BuildAssess applies
-// it for a single claim), the scoring measure, and one perturbation
-// set per claim. A claim that fails to build gets a nil set and its
-// error in errs[i] — per-claim failures never fail the batch; only an
-// unparseable measure does.
+// BuildTriage resolves the batch against db: db itself (the assessment
+// picks its discrete view from the batch's discretize), the scoring
+// measure, and one perturbation set per claim. A claim that fails to
+// build gets a nil set and its error in errs[i] — per-claim failures
+// never fail the batch; only an unparseable measure does.
 func (t *TriageRequest) BuildTriage(db *cleansel.DB) (*cleansel.DB, cleansel.Measure, []*cleansel.PerturbationSet, []error, error) {
 	measure, err := cleansel.ParseMeasure(t.Measure)
 	if err != nil {
 		return nil, 0, nil, nil, err
-	}
-	if t.Discretize > 0 {
-		db = db.Discretized(t.Discretize)
 	}
 	sets := make([]*cleansel.PerturbationSet, len(t.Claims))
 	errs := make([]error, len(t.Claims))

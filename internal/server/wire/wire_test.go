@@ -228,11 +228,11 @@ func TestBuildRankAndAssess(t *testing.T) {
 	}
 
 	assess := AssessRequest{Problem: base.Problem}
-	work, set, err = assess.BuildAssess(db)
+	set, err = assess.BuildSet(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cleansel.AssessClaim(work, set)
+	rep, err := cleansel.AssessClaim(db, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,5 +268,34 @@ func TestCustomDiscretization(t *testing.T) {
 	}
 	if _, err := cleansel.Select(ct); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckDiscretize pins the discretize bound: [0, MaxDiscretize]
+// passes, and everything outside it fails before any allocation.
+func TestCheckDiscretize(t *testing.T) {
+	for _, tc := range []struct {
+		k  int
+		ok bool
+	}{
+		{0, true}, {1, true}, {MaxDiscretize, true},
+		{MaxDiscretize + 1, false}, {-1, false}, {1 << 40, false},
+	} {
+		if err := CheckDiscretize(tc.k); (err == nil) != tc.ok {
+			t.Errorf("CheckDiscretize(%d) = %v, want ok=%v", tc.k, err, tc.ok)
+		}
+	}
+	task := decodeSample(t)
+	task.Measure, task.Discretize = "uniqueness", 1<<40
+	db, err := BuildDB(task.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := task.BuildTask(db); err == nil {
+		t.Fatal("BuildTask accepted discretize 2^40")
+	}
+	rank := RankRequest{Problem: task.Problem, Measure: "robustness"}
+	if _, _, _, err := rank.BuildRank(db); err == nil {
+		t.Fatal("BuildRank accepted discretize 2^40")
 	}
 }

@@ -4,7 +4,9 @@
 # requests, and assert well-formed 200 responses. A final phase drives
 # /v1/triage over the quickstart claim stream and asserts the bulk path
 # serves the exact bytes /v1/assess serves claim by claim, with renamed
-# duplicate claims deduplicated. Used by CI and runnable locally:
+# duplicate claims deduplicated. Last, a select whose discretize is out
+# of range must be a 400 that leaves the daemon serving. Used by CI and
+# runnable locally:
 # ./scripts/smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -126,7 +128,21 @@ curl -s -o "$workdir/metrics" "$base/metrics"
 v=$(metric 'cleanseld_triage_claims_total{outcome="ok"}')
 [ "$v" = 3 ] || { echo "FAIL: triage ok-claim count $v != 3"; exit 1; }
 
+# An out-of-range discretize is a 400 before anything is allocated for
+# it (2^40 points would ask for an 8 TiB slice), and the daemon goes on
+# serving.
+status=$(curl -s -o "$workdir/bigk" -w '%{http_code}' -X POST --data '{
+  "objects": [{"name": "a", "current": 10, "cost": 1, "normal": {"mean": 10, "sigma": 2}}],
+  "claim": {"name": "a", "coef": {"0": 1}},
+  "perturbations": [{"claim": {"name": "a", "coef": {"0": 1}}, "sensibility": 1}],
+  "measure": "uniqueness", "budget": 1, "discretize": 1099511627776}' "$base/v1/select")
+[ "$status" = 400 ] || { echo "FAIL: select with discretize 2^40 -> $status"; cat "$workdir/bigk"; exit 1; }
+jq -e '.error.code == "bad_request"' "$workdir/bigk" >/dev/null \
+  || { echo "FAIL: discretize 2^40 error is not bad_request"; cat "$workdir/bigk"; exit 1; }
+status=$(curl -s -o /dev/null -w '%{http_code}' "$base/healthz")
+[ "$status" = 200 ] || { echo "FAIL: /healthz after discretize 2^40 -> $status"; exit 1; }
+
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
-echo "smoke OK: $base served healthz, datasets, select (miss+hit), trace, metrics, triage (dedup + assess parity)"
+echo "smoke OK: $base served healthz, datasets, select (miss+hit), trace, metrics, triage (dedup + assess parity), discretize bound"

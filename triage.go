@@ -19,9 +19,10 @@ type TriageContext struct {
 }
 
 // NewTriageContext compiles the dataset-level assessment state. The
-// database must be independent; normal value models are discretized
-// with the package default (k=6), exactly as AssessClaim does. A
-// database that fails DB.Validate is an error, as it is for Select.
+// database must be independent; for the duplicity and fragility
+// variances, normal value models are discretized with the package
+// default (k=6), exactly as AssessClaim does. A database that fails
+// DB.Validate is an error, as it is for Select.
 func NewTriageContext(db *DB) (*TriageContext, error) {
 	if db == nil {
 		return nil, errors.New("cleansel: NewTriageContext needs a db")
@@ -29,20 +30,21 @@ func NewTriageContext(db *DB) (*TriageContext, error) {
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
-	tc, err := core.NewTriageContext(db, discretizationPoints)
+	tc, err := core.NewTriageContext(db, core.DiscretizationPoints)
 	if err != nil {
 		return nil, err
 	}
 	return &TriageContext{tc: tc}, nil
 }
 
-// AssessClaim assesses one claim through the shared state. Safe for
-// concurrent use.
+// AssessClaim assesses one claim through the shared state: it is
+// AssessClaims on a batch of one. Safe for concurrent use.
 func (t *TriageContext) AssessClaim(ctx context.Context, set *PerturbationSet) (QualityReport, error) {
-	if set == nil {
-		return QualityReport{}, errors.New("cleansel: AssessClaim needs db and set")
+	reports, errs, err := t.tc.AssessBatch(ctx, []*PerturbationSet{set})
+	if err != nil {
+		return QualityReport{}, err
 	}
-	return t.tc.Assess(ctx, set)
+	return reports[0], errs[0]
 }
 
 // AssessClaims assesses a batch: signature-identical claims (renamed
