@@ -378,16 +378,6 @@ func SelectContext(ctx context.Context, task Task) (Result, error) {
 	return Result{}, fmt.Errorf("cleansel: unknown goal %d", task.Goal)
 }
 
-// discreteView returns db itself when all values are discrete, or a copy
-// with normal values replaced by their discretizations on the default
-// grid an assessment uses (core.DiscretizationPoints).
-func discreteView(db *DB) *DB {
-	if _, err := db.Discretes(); err != nil {
-		return db.Discretized(core.DiscretizationPoints)
-	}
-	return db
-}
-
 func selectMinVar(ctx context.Context, task Task) (Result, error) {
 	db := task.DB
 	var (
@@ -420,7 +410,10 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 			// The submodular machinery enumerates supports; run it on
 			// the discretized view (the objective stays modular, so
 			// the achieved EV is still reported exactly).
-			sel, err = core.NewBest(discreteView(db), bias.AsGroupSum())
+			var work *DB
+			if work, err = core.DiscreteView(db, 0); err == nil {
+				sel, err = core.NewBest(work, bias.AsGroupSum())
+			}
 		default:
 			if db.Cov != nil {
 				// GreedyDep: the adaptive greedy over the MVN engine
@@ -434,7 +427,10 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 		if db.Cov != nil {
 			return Result{}, errors.New("cleansel: correlated errors are only supported for the fairness measure")
 		}
-		work := discreteView(db)
+		work, werr := core.DiscreteView(db, 0)
+		if werr != nil {
+			return Result{}, werr
+		}
 		g := task.Claims.Dup()
 		if task.Measure == Robustness {
 			g = task.Claims.Frag()
@@ -501,8 +497,13 @@ func selectMaxPr(ctx context.Context, task Task) (Result, error) {
 		} else {
 			// Mixed value models: discretize the normals so the exact
 			// convolution path applies.
-			var h *maxpr.Hybrid
-			h, err = maxpr.NewHybrid(discreteView(db), bias, task.Tau, 0, 20000, rng.New(task.Seed^0x51ec7))
+			var (
+				work *DB
+				h    *maxpr.Hybrid
+			)
+			if work, err = core.DiscreteView(db, 0); err == nil {
+				h, err = maxpr.NewHybrid(work, bias, task.Tau, 0, 20000, rng.New(task.Seed^0x51ec7))
+			}
 			if err == nil {
 				// Write-only trace: exact/fallback route counts and
 				// convolution work tick the request's recorder, if any.
@@ -572,7 +573,10 @@ func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measu
 		}
 		benefits = eng.Weights()
 	case Uniqueness, Robustness:
-		work := discreteView(db)
+		work, err := core.DiscreteView(db, 0)
+		if err != nil {
+			return nil, err
+		}
 		g := set.Dup()
 		if measure == Robustness {
 			g = set.Frag()

@@ -26,7 +26,10 @@
 //	}
 //
 // Normal value models are discretized (6 points) when a discrete engine
-// is required; "discretize" overrides the point count.
+// is required. "discretize" overrides the point count for the
+// uniqueness and robustness measures only: a fairness solve that needs
+// a discrete view (goal maxpr over mixed normal and discrete objects,
+// or algorithm best) always uses 6 points.
 package main
 
 import (

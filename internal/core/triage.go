@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"github.com/factcheck/cleansel/internal/claims"
@@ -55,25 +56,52 @@ type TriageContext struct {
 }
 
 // DiscretizationPoints is the default equal-probability grid onto which
-// an assessment discretizes normal value models (the §4.2 convention is
-// 6 for single-series CDC data).
+// normal value models are discretized (the §4.2 convention is 6 for
+// single-series CDC data).
 const DiscretizationPoints = 6
 
-// NewTriageContext compiles the dataset-level assessment state. The
-// bias variance is exact over db; the duplicity and fragility variances
-// need discrete value models, so normal ones are discretized for them on
-// a points-value equal-probability grid (points ≥ 0; 0 means
-// DiscretizationPoints).
-func NewTriageContext(db *model.DB, points int) (*TriageContext, error) {
-	if db == nil {
-		return nil, errors.New("core: triage needs a database")
+// MaxDiscretize is the largest point count a discrete view accepts. The
+// paper discretizes normal value models onto 4 and 6 points; at 1024 a
+// discretized object holds 24 KB.
+const MaxDiscretize = 1024
+
+// CheckDiscretize rejects a point count outside [0, MaxDiscretize]
+// (0 asks for the default), before anything is allocated for it.
+func CheckDiscretize(k int) error {
+	if k < 0 || k > MaxDiscretize {
+		return fmt.Errorf("discretize %d is outside [0, %d]", k, MaxDiscretize)
+	}
+	return nil
+}
+
+// DiscreteView returns db itself when every value model is discrete,
+// and otherwise db.Discretized(points), each normal model replaced by
+// its points-value equal-probability grid (0 means
+// DiscretizationPoints). A point count outside [0, MaxDiscretize] is an
+// error.
+func DiscreteView(db *model.DB, points int) (*model.DB, error) {
+	if err := CheckDiscretize(points); err != nil {
+		return nil, err
+	}
+	if _, err := db.Discretes(); err == nil {
+		return db, nil
 	}
 	if points == 0 {
 		points = DiscretizationPoints
 	}
-	work := db
-	if _, err := db.Discretes(); err != nil {
-		work = db.Discretized(points)
+	return db.Discretized(points), nil
+}
+
+// NewTriageContext compiles the dataset-level assessment state. The
+// bias variance is exact over db; the duplicity and fragility variances
+// are computed over DiscreteView(db, points).
+func NewTriageContext(db *model.DB, points int) (*TriageContext, error) {
+	if db == nil {
+		return nil, errors.New("core: triage needs a database")
+	}
+	work, err := DiscreteView(db, points)
+	if err != nil {
+		return nil, err
 	}
 	return &TriageContext{
 		db:      db,
@@ -82,6 +110,14 @@ func NewTriageContext(db *model.DB, points int) (*TriageContext, error) {
 		shared:  ev.NewSharedEVCache(),
 		reports: make(map[string]Report),
 	}, nil
+}
+
+// Assessed returns the number of distinct claims (by signature) the
+// context has assessed successfully.
+func (tc *TriageContext) Assessed() int {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return len(tc.reports)
 }
 
 // SharedStats reports the cross-engine EV cache's lifetime hit/miss

@@ -575,10 +575,9 @@ func growSlice[T any](buf *[]T, n int) []T {
 // evScratch is the per-worker workspace of the enumeration paths: an
 // object-indexed assignment vector, a term argument vector, the level
 // arrays and var lists of up to four nested walks, the id-mode gather
-// buffer, a private cleaned mask for the parallel refresh, the new
-// term/pair values of the last recompute, a term walk's swept values,
-// the per-level moment workspace of the start walk, and the extension
-// walk's accumulators.
+// buffer, the new term/pair values of the last recompute, a term walk's
+// swept values, the per-level moment workspace of the start walk, and
+// the extension walk's accumulators.
 // Work items fully overwrite the slots they read, so reusing a
 // workspace across items never changes a result.
 type evScratch struct {
@@ -586,10 +585,6 @@ type evScratch struct {
 	args  []float64
 	walks [4]odometer
 	buf   []float64
-	// mask is a private copy of a State's cleaned set, valid while
-	// maskGen equals the State's generation (see State.DeltasCtx).
-	mask    []bool
-	maskGen int
 	// termNew and pairNew hold the values State.recompute computed,
 	// aligned with varTerms[o] and varPairs[o].
 	termNew, pairNew []float64
@@ -612,10 +607,8 @@ type evScratch struct {
 
 func newEvScratch(n int) *evScratch {
 	return &evScratch{
-		x:       make([]float64, n),
-		buf:     make([]float64, 0, 32),
-		mask:    make([]bool, n),
-		maskGen: -1,
+		x:   make([]float64, n),
+		buf: make([]float64, 0, 32),
 	}
 }
 
@@ -838,9 +831,6 @@ type State struct {
 	// pool holds one workspace per parallel worker; sequential
 	// operations use slot 0.
 	pool *scratchPool
-	// gen counts Clean calls: a worker's private mask copy is current
-	// while its maskGen equals gen.
-	gen int
 	// rec is the recorder NewStateCtx was given; Delta and Clean, which
 	// take no context, count their walks on it.
 	rec *obs.Recorder
@@ -983,35 +973,32 @@ func (s *State) Delta(o int) float64 {
 	if s.cleaned[o] {
 		return 0
 	}
-	return s.recompute(o, s.pool.get(0), s.cleaned, s.rec)
+	return s.recompute(o, s.rec)
 }
 
 // DeltasCtx returns Delta(o) for every o in objs, bit-identical to
 // calling Delta on each object in turn, at every worker count. It
 // first computes the extended term values the memo lacks, one
 // extension walk per term (extendTerm) fanned out over the terms, and
-// writes them through to the memo. It then fans the objects out, one
-// work item each: a delta reads its term values from the memo and
-// computes its pair covariances. Each worker evaluates against its own
-// copy of the cleaned mask and its own scratch, so the shared state is
-// only read, and the results come back in objs order.
+// writes them through to the memo. It then sums each object's delta
+// on the caller, in objs order, checking the context between objects:
+// its term values are memo hits, and its pair covariances and any term
+// too wide to cache are walked there.
 func (s *State) DeltasCtx(ctx context.Context, objs []int) ([]float64, error) {
 	if err := s.extend(ctx, objs); err != nil {
 		return nil, err
 	}
 	rec := obs.FromContext(ctx)
-	return parallel.Map(ctx, len(objs), func(worker, i int) (float64, error) {
-		o := objs[i]
-		if s.cleaned[o] {
-			return 0, nil
+	deltas := make([]float64, len(objs))
+	for i, o := range objs {
+		if err := ctx.Err(); err != nil {
+			return nil, context.Cause(ctx)
 		}
-		sc := s.pool.get(worker)
-		if sc.maskGen != s.gen {
-			copy(sc.mask, s.cleaned)
-			sc.maskGen = s.gen
+		if !s.cleaned[o] {
+			deltas[i] = s.recompute(o, rec)
 		}
-		return s.recompute(o, sc, sc.mask, rec), nil
-	})
+	}
+	return deltas, nil
 }
 
 // extend puts EV_k(T ∪ {o}) in the memo for every term k of every
@@ -1092,10 +1079,9 @@ func (s *State) Clean(o int) float64 {
 		return 0
 	}
 	e := s.e
+	delta := s.recompute(o, s.rec)
 	sc := s.pool.get(0)
-	delta := s.recompute(o, sc, s.cleaned, s.rec)
 	s.cleaned[o] = true
-	s.gen++
 	e.mu.Lock()
 	for j, k := range e.varTerms[o] {
 		s.termEV[k] = sc.termNew[j]
@@ -1110,31 +1096,32 @@ func (s *State) Clean(o int) float64 {
 	return delta
 }
 
-// recompute evaluates the terms and pairs of o with o added to mask,
-// leaves the new values in sc.termNew and sc.pairNew (aligned with
-// varTerms[o] and varPairs[o]), and returns their total change. A term
-// value the memo holds is read, not walked; each walk ticks rec. mask
-// is restored before it returns.
-func (s *State) recompute(o int, sc *evScratch, mask []bool, rec *obs.Recorder) float64 {
+// recompute evaluates the terms and pairs of o with o added to the
+// cleaned set, leaves the new values in slot 0's termNew and pairNew
+// (aligned with varTerms[o] and varPairs[o]), and returns their total
+// change. A term value the memo holds is read, not walked; each walk
+// ticks rec. s.cleaned is restored before it returns.
+func (s *State) recompute(o int, rec *obs.Recorder) float64 {
 	e := s.e
-	mask[o] = true
+	sc := s.pool.get(0)
+	s.cleaned[o] = true
 	sc.termNew, sc.pairNew = sc.termNew[:0], sc.pairNew[:0]
 	var acc numeric.KahanAcc
 	for _, k := range e.varTerms[o] {
-		nv, hit := e.memoTerm(k, mask)
+		nv, hit := e.memoTerm(k, s.cleaned)
 		if !hit {
-			nv = e.termEV(e.dists, k, mask, sc)
+			nv = e.termEV(e.dists, k, s.cleaned, sc)
 			rec.Add("ev_term_walks", 1)
 		}
 		sc.termNew = append(sc.termNew, nv)
 		acc.Add(nv - s.termEV[k])
 	}
 	for _, pi := range e.varPairs[o] {
-		nv := e.pairEV(e.dists, pi, mask, sc)
+		nv := e.pairEV(e.dists, pi, s.cleaned, sc)
 		sc.pairNew = append(sc.pairNew, nv)
 		acc.Add(2 * (nv - s.pairEV[pi]))
 	}
-	mask[o] = false
+	s.cleaned[o] = false
 	return acc.Value()
 }
 

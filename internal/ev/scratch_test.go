@@ -24,7 +24,7 @@ func TestScratchPoolSpillWorker(t *testing.T) {
 		if sc == nil {
 			t.Fatalf("worker %d: nil scratch", worker)
 		}
-		if len(sc.x) != 5 || len(sc.mask) != 5 {
+		if len(sc.x) != 5 {
 			t.Fatalf("worker %d: workspace not sized to n=5", worker)
 		}
 	}
@@ -48,7 +48,8 @@ func TestScratchPoolSpillWorker(t *testing.T) {
 // directions): results must stay bit-identical to an engine whose whole
 // life ran under one worker, and nothing may panic even though every
 // pool-width assumption from construction time is stale at run time.
-// DeltasCtx fans out on the State's scratch pool, sized at build time.
+// DeltasCtx's extension walks fan out on the State's scratch pool,
+// sized at build time.
 func TestGroupEngineBuiltUnderOtherWorkerCount(t *testing.T) {
 	type snapshot struct {
 		total  float64

@@ -103,7 +103,7 @@ func runCounters(ctx context.Context, scale Scale, seed uint64) ([]*Figure, erro
 	if err != nil {
 		return nil, err
 	}
-	figF, err := counterFigure("counters-firearms",
+	figF, err := counterFigure(ctx, "counters-firearms",
 		"Probability that revealed data exposes a counterargument (CDC-firearms)",
 		scF, counterAlgosNormal, step, samples, seed)
 	if err != nil {
@@ -118,7 +118,7 @@ func runCounters(ctx context.Context, scale Scale, seed uint64) ([]*Figure, erro
 	if err != nil {
 		return nil, err
 	}
-	figU, err := counterFigure("counters-urx",
+	figU, err := counterFigure(ctx, "counters-urx",
 		"Probability that revealed data exposes a counterargument (URx, n=40)",
 		scU, counterAlgosDiscrete, step, samples, seed)
 	if err != nil {
@@ -174,8 +174,9 @@ func counterAlgosDiscrete(sc counterScenario, seed uint64) ([]core.Selector, err
 }
 
 // counterFigure sweeps the budget for each competitor and records both
-// the probability curve and the 98% crossing.
-func counterFigure(id, title string, sc counterScenario,
+// the probability curve and the 98% crossing. The sweep is sequential:
+// every point draws its Monte-Carlo samples from one stream.
+func counterFigure(ctx context.Context, id, title string, sc counterScenario,
 	algos func(counterScenario, uint64) ([]core.Selector, error),
 	step float64, samples int, seed uint64) (*Figure, error) {
 
@@ -196,7 +197,7 @@ func counterFigure(id, title string, sc counterScenario,
 		var cleanedAtCross int
 		mcr := rng.New(seed ^ 0x5eed)
 		for frac := 0.0; frac <= 1.0+1e-9; frac += step {
-			T, err := sel.Select(sc.w.DB.Budget(frac))
+			T, err := core.SelectWithContext(ctx, sel, sc.w.DB.Budget(frac))
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,8 @@ package expt
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,6 +27,22 @@ func TestRegistryComplete(t *testing.T) {
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("nope", Small, 1); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// TestRunHonoursCancelledContext: every runner stops at its first
+// solve under a cancelled context and returns its error with no
+// figures.
+func TestRunHonoursCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			figs, err := RunContext(ctx, id, Small, 1)
+			if !errors.Is(err, context.Canceled) || figs != nil {
+				t.Fatalf("got %d figures and error %v, want none and context.Canceled", len(figs), err)
+			}
+		})
 	}
 }
 

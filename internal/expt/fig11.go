@@ -90,7 +90,7 @@ func runFig11(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) 
 			name string
 			sel  core.Selector
 		}{{"GreedyMinVar", gmv}, {"OPT", opt}, {"GreedyDep", dep}} {
-			T, err := c.sel.Select(budget)
+			T, err := core.SelectWithContext(ctx, c.sel, budget)
 			if err != nil {
 				return nil, err
 			}

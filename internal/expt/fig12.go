@@ -76,7 +76,7 @@ func runFig12(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) 
 	}
 	optSets := make([]model.Set, len(fracs))
 	for i, frac := range fracs {
-		T, err := opt.Select(w.DB.Budget(frac))
+		T, err := core.SelectWithContext(ctx, opt, w.DB.Budget(frac))
 		if err != nil {
 			return nil, err
 		}

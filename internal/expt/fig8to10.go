@@ -73,7 +73,7 @@ func inActionFigures(ctx context.Context, idMean, idStd, title string, w Workloa
 		// own scratch, and the selectors are safe for concurrent Select).
 		err := parallel.For(ctx, len(fracs), func(_, i int) error {
 			frac := fracs[i]
-			T, err := sel.Select(w.DB.Budget(frac))
+			T, err := core.SelectWithContext(ctx, sel, w.DB.Budget(frac))
 			if err != nil {
 				return err
 			}

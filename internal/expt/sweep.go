@@ -20,7 +20,7 @@ func sweepSelector(ctx context.Context, db *model.DB, sel core.Selector, fracs [
 	s := Series{Name: sel.Name(), Points: make([]Point, len(fracs))}
 	err := parallel.For(ctx, len(fracs), func(_, i int) error {
 		frac := fracs[i]
-		T, err := sel.Select(db.Budget(frac))
+		T, err := core.SelectWithContext(ctx, sel, db.Budget(frac))
 		if err != nil {
 			return fmt.Errorf("%s at budget %.2f: %w", sel.Name(), frac, err)
 		}
@@ -47,7 +47,7 @@ func sweepRandomAvg(ctx context.Context, db *model.DB, fracs []float64, reps int
 		var sum float64
 		for rep := 0; rep < reps; rep++ {
 			sel := &core.Random{DB: db, Seed: seed + uint64(rep)*7919}
-			T, err := sel.Select(db.Budget(frac))
+			T, err := core.SelectWithContext(ctx, sel, db.Budget(frac))
 			if err != nil {
 				return err
 			}

@@ -46,7 +46,7 @@ func runThm39(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) 
 			db, f := randomCenteredInstance(r, n, gamma)
 			budget := (0.25 + 0.5*r.Float64()) * db.TotalCost()
 			tau := 0.5 + r.Float64()
-			okS, okM, err := alignmentCheck(db, f, tau, budget)
+			okS, okM, err := alignmentCheck(ctx, db, f, tau, budget)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +92,7 @@ func randomCenteredInstance(r *rng.RNG, n int, gamma float64) (*model.DB, *query
 
 // alignmentCheck reports whether the exhaustive MinVar and MaxPr optima
 // agree under the Schur semantics and under the marginal semantics.
-func alignmentCheck(db *model.DB, f *query.Affine, tau, budget float64) (schur, marginal bool, err error) {
+func alignmentCheck(ctx context.Context, db *model.DB, f *query.Affine, tau, budget float64) (schur, marginal bool, err error) {
 	eng, err := ev.NewMVN(db, f)
 	if err != nil {
 		return false, false, err
@@ -105,11 +105,11 @@ func alignmentCheck(db *model.DB, f *query.Affine, tau, budget float64) (schur, 
 	if err != nil {
 		return false, false, err
 	}
-	schur, err = optimaAgree(db, eng.EV, evalS.Prob, budget)
+	schur, err = optimaAgree(ctx, db, eng.EV, evalS.Prob, budget)
 	if err != nil {
 		return false, false, err
 	}
-	marginal, err = optimaAgree(db, eng.MarginalEV, evalM.Prob, budget)
+	marginal, err = optimaAgree(ctx, db, eng.MarginalEV, evalM.Prob, budget)
 	if err != nil {
 		return false, false, err
 	}
@@ -118,7 +118,7 @@ func alignmentCheck(db *model.DB, f *query.Affine, tau, budget float64) (schur, 
 
 // optimaAgree exhaustively solves both problems and compares the achieved
 // objectives of the two optima.
-func optimaAgree(db *model.DB, evFn func(model.Set) float64, prFn func(model.Set) float64, budget float64) (bool, error) {
+func optimaAgree(ctx context.Context, db *model.DB, evFn func(model.Set) float64, prFn func(model.Set) float64, budget float64) (bool, error) {
 	optMin, err := core.NewOPT("OPTMinVar", db, evFn, false)
 	if err != nil {
 		return false, err
@@ -127,11 +127,11 @@ func optimaAgree(db *model.DB, evFn func(model.Set) float64, prFn func(model.Set
 	if err != nil {
 		return false, err
 	}
-	Tmin, err := optMin.Select(budget)
+	Tmin, err := core.SelectWithContext(ctx, optMin, budget)
 	if err != nil {
 		return false, err
 	}
-	Tmax, err := optMax.Select(budget)
+	Tmax, err := core.SelectWithContext(ctx, optMax, budget)
 	if err != nil {
 		return false, err
 	}

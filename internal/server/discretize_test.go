@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/server/wire"
 )
 
@@ -24,12 +25,12 @@ const gapClaim = `"claim": {"name": "gap", "coef": {"1": 1, "0": -1}},
 
 // TestDiscretizeOutOfRangeIsBadRequest pins the discretize bound on
 // every endpoint that reads the field: a point count outside
-// [0, wire.MaxDiscretize] is a 400 before anything is discretized
+// [0, core.MaxDiscretize] is a 400 before anything is discretized
 // (2^40 points would ask for an 8 TiB slice per normal object), and the
 // server goes on answering.
 func TestDiscretizeOutOfRangeIsBadRequest(t *testing.T) {
 	h := newTestServer(Config{})
-	for _, k := range []int{wire.MaxDiscretize + 1, -1, 1 << 40} {
+	for _, k := range []int{core.MaxDiscretize + 1, -1, 1 << 40} {
 		d := fmt.Sprintf(`, "discretize": %d`, k)
 		problem := normalObjects + `, ` + gapClaim + d
 		for _, c := range []struct{ path, body string }{

@@ -177,7 +177,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		}
 		endSolve := rec.Span("solve")
 		defer endSolve()
-		reports, errs, err := assess(ctx, db, req.Discretize, []*cleansel.PerturbationSet{set})
+		reports, errs, _, err := assess(ctx, db, req.Discretize, []*cleansel.PerturbationSet{set})
 		if err != nil {
 			return nil, err
 		}
@@ -189,18 +189,17 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 }
 
 // assess runs every assessment the server makes, /v1/assess as a batch
-// of one: core.TriageContext picks the discrete view from the request's
-// discretize (0 = the default), so the bias variance stays exact over
-// db whatever the field says.
-func assess(ctx context.Context, db *cleansel.DB, discretize int, sets []*cleansel.PerturbationSet) ([]cleansel.QualityReport, []error, error) {
-	if err := wire.CheckDiscretize(discretize); err != nil {
-		return nil, nil, err
-	}
+// of one: core.TriageContext checks the request's discretize and picks
+// the discrete view from it (0 = the default), so the bias variance
+// stays exact over db whatever the field says. It also returns the
+// number of distinct claims assessed successfully.
+func assess(ctx context.Context, db *cleansel.DB, discretize int, sets []*cleansel.PerturbationSet) ([]cleansel.QualityReport, []error, int, error) {
 	tc, err := core.NewTriageContext(db, discretize)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return tc.AssessBatch(ctx, sets)
+	reports, errs, err := tc.AssessBatch(ctx, sets)
+	return reports, errs, tc.Assessed(), err
 }
 
 // handleTriage is the bulk assessment endpoint: one dataset, many
@@ -234,13 +233,14 @@ func (s *Server) handleTriage(w http.ResponseWriter, r *http.Request) {
 		}
 		endSolve := rec.Span("solve")
 		defer endSolve()
-		reports, assessErrs, err := assess(ctx, db, req.Discretize, sets)
+		// The context is fresh per request, so the distinct claims it
+		// assessed are the batch's unique successes.
+		reports, assessErrs, unique, err := assess(ctx, db, req.Discretize, sets)
 		if err != nil {
 			return nil, err
 		}
 		names := make([]string, len(req.Claims))
 		errs := make([]error, len(req.Claims))
-		uniq := make(map[string]struct{}, len(req.Claims))
 		ok := 0
 		for i := range req.Claims {
 			names[i] = req.Claims[i].Claim.Name
@@ -250,13 +250,12 @@ func (s *Server) handleTriage(w http.ResponseWriter, r *http.Request) {
 			case assessErrs[i] != nil:
 				errs[i] = assessErrs[i]
 			default:
-				uniq[sets[i].Signature()] = struct{}{}
 				ok++
 			}
 		}
 		s.met.triageClaims.With("ok").Add(float64(ok))
 		s.met.triageClaims.With("error").Add(float64(len(req.Claims) - ok))
-		return wire.EncodeTriage(measure, names, reports, errs, len(uniq)), nil
+		return wire.EncodeTriage(measure, names, reports, errs, unique), nil
 	})
 }
 

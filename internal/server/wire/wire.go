@@ -21,6 +21,7 @@ import (
 
 	cleansel "github.com/factcheck/cleansel"
 	"github.com/factcheck/cleansel/internal/claims"
+	"github.com/factcheck/cleansel/internal/core"
 )
 
 // Object is one uncertain value: either a finite support with weights
@@ -305,31 +306,17 @@ func (p *Problem) BuildSet(db *cleansel.DB) (*cleansel.PerturbationSet, error) {
 	return cleansel.NewPerturbationSet(orig, dir, ref, perturbs)
 }
 
-// MaxDiscretize is the largest point count discretize accepts. The
-// paper discretizes normal value models onto 4 and 6 points; at 1024 a
-// discretized object holds 24 KB.
-const MaxDiscretize = 1024
-
-// CheckDiscretize rejects a discretize value outside [0, MaxDiscretize]
-// (0 asks for the default), before anything is allocated for it.
-func CheckDiscretize(k int) error {
-	if k < 0 || k > MaxDiscretize {
-		return fmt.Errorf("discretize %d is outside [0, %d]", k, MaxDiscretize)
-	}
-	return nil
-}
-
 // discretized applies the problem's custom discretization (if any) for
-// measures that require discrete value models.
+// measures that require discrete value models. The bound is checked
+// first, whatever the measure.
 func (p *Problem) discretized(db *cleansel.DB, measure cleansel.Measure) (*cleansel.DB, error) {
-	if err := CheckDiscretize(p.Discretize); err != nil {
+	if err := core.CheckDiscretize(p.Discretize); err != nil {
 		return nil, err
 	}
-	needDiscrete := measure == cleansel.Uniqueness || measure == cleansel.Robustness
-	if needDiscrete && p.Discretize > 0 {
-		return db.Discretized(p.Discretize), nil
+	if p.Discretize == 0 || (measure != cleansel.Uniqueness && measure != cleansel.Robustness) {
+		return db, nil
 	}
-	return db, nil
+	return core.DiscreteView(db, p.Discretize)
 }
 
 // BuildTask maps the task onto a cleansel.Task against db, parsing the

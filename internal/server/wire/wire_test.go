@@ -271,20 +271,10 @@ func TestCustomDiscretization(t *testing.T) {
 	}
 }
 
-// TestCheckDiscretize pins the discretize bound: [0, MaxDiscretize]
-// passes, and everything outside it fails before any allocation.
-func TestCheckDiscretize(t *testing.T) {
-	for _, tc := range []struct {
-		k  int
-		ok bool
-	}{
-		{0, true}, {1, true}, {MaxDiscretize, true},
-		{MaxDiscretize + 1, false}, {-1, false}, {1 << 40, false},
-	} {
-		if err := CheckDiscretize(tc.k); (err == nil) != tc.ok {
-			t.Errorf("CheckDiscretize(%d) = %v, want ok=%v", tc.k, err, tc.ok)
-		}
-	}
+// TestBuildRejectsDiscretizeOutOfRange: select and rank check the
+// discretize bound (core.CheckDiscretize) before anything is
+// discretized.
+func TestBuildRejectsDiscretizeOutOfRange(t *testing.T) {
 	task := decodeSample(t)
 	task.Measure, task.Discretize = "uniqueness", 1<<40
 	db, err := BuildDB(task.Objects)

@@ -8,6 +8,7 @@ import (
 	"github.com/factcheck/cleansel/internal/datasets"
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/obs"
+	"github.com/factcheck/cleansel/internal/parallel"
 	"github.com/factcheck/cleansel/internal/rng"
 )
 
@@ -123,9 +124,30 @@ func TestSelectMinVarWorkCounts(t *testing.T) {
 				seed, got["ev_term_walks"], len(dup.Terms), refreshing, touched, want, walks[seed])
 		}
 		// One fan-out starts the State; each refreshing round fans out
-		// its extension walks, then its deltas.
-		if want := int64(1 + 2*refreshing); got["parallel_fanouts"] != want || want != 15 {
-			t.Errorf("seed %d: %d parallel fan-outs for %d refreshing rounds, want %d (pinned 15)", seed, got["parallel_fanouts"], refreshing, want)
+		// its extension walks and sums its deltas on the caller.
+		if want := int64(1 + refreshing); got["parallel_fanouts"] != want || want != 8 {
+			t.Errorf("seed %d: %d parallel fan-outs for %d refreshing rounds, want %d (pinned 8)", seed, got["parallel_fanouts"], refreshing, want)
+		}
+	}
+}
+
+// TestSelectMinVarServedAllocs bounds the allocations of one facade
+// solve of the served MinVar shape on one worker. A refresh sums its
+// deltas on the caller, so it allocates no per-worker copy of the
+// cleaned mask and no result slots for a second fan-out: seeds 1–4 take
+// 817–834 allocations, where a refresh that fanned its deltas out took
+// 897–914.
+func TestSelectMinVarServedAllocs(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "1")
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		task := servedMinVarTask(t, seed)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := cleansel.Select(task); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 860 {
+			t.Errorf("seed %d: %.0f allocs per solve, want ≤ 860", seed, allocs)
 		}
 	}
 }

@@ -8,7 +8,8 @@
 # scale-aware grid; no workers dimension; recorded, ungated) — with
 # BENCHTIME iterations per rep (default 5x) and COUNT repetitions
 # (default 3), and writes BENCH_parallel.json at the repo root: per
-# benchmark the min and median ns/op across reps, plus a median-based
+# benchmark the min and median ns/op and the median B/op and allocs/op
+# across reps (the run passes -benchmem), plus a median-based
 # speedup per (family, workers) point relative to that family's
 # workers=1 baseline — the whole scaling curve, not just the endpoints.
 # Families without a workers dimension are recorded but excluded from
@@ -25,18 +26,17 @@
 # BenchmarkSessionStep (./internal/session) times one whole adaptive
 # episode of the served session shape, create through every
 # Recommend/Reveal to the terminal state, with goal=minvar and
-# goal=maxpr sub-benchmarks; it reports allocations (B/op and
-# allocs/op show in the raw output) and is recorded, ungated.
+# goal=maxpr sub-benchmarks; it is recorded, ungated.
 # BenchmarkSessionCreate (./internal/server) times one POST /v1/sessions
 # of that shape through the HTTP handler (decode, claim compile,
-# stepper, first state) over a stored 200-object dataset; it reports
-# allocations and is recorded, ungated.
+# stepper, first state) over a stored 200-object dataset; it is
+# recorded, ungated.
 # BenchmarkSelectMinVarServed (repo root) times one facade solve of the
 # served MinVar/uniqueness shape, and BenchmarkTermWalks (./internal/ev)
 # the group engine's term walks on the same shape: walk=start (the
 # start walk of all 19 terms), walk=extend (one extension walk) and
-# walk=termEV (one termEV at one cleaned var). Both report allocations
-# and are recorded, ungated.
+# walk=termEV (one termEV at one cleaned var). Both are recorded,
+# ungated.
 # A single 1x pass is noise; min/median over repetitions is what makes
 # cross-run comparisons meaningful.
 #
@@ -88,13 +88,16 @@ fi
 export GOMAXPROCS="${GOMAXPROCS:-$ncpu}"
 
 go test -run '^$' -bench 'BenchmarkGroupEngineParallel|BenchmarkSelectParallel|BenchmarkSelectMinVarServed|BenchmarkWeightedSumWide|BenchmarkGreedyMaxPr|BenchmarkSessionStep|BenchmarkSessionCreate|BenchmarkTermWalks' \
-  -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session ./internal/server ./internal/ev | tee "$raw"
+  -benchmem -benchtime "$benchtime" -count "$count" . ./internal/dist ./internal/core ./internal/session ./internal/server ./internal/ev | tee "$raw"
 
 awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v min_maxpr="$min_maxpr_speedup" '
   BEGIN { gomaxprocs = 1 }              # go test omits the -N suffix when GOMAXPROCS=1
   /^Benchmark/ && /ns\/op/ {
     name = $1
-    ns = $3 + 0
+    # Each metric is a value followed by its unit; read them by unit.
+    split("", metric)
+    for (f = 3; f < NF; f++)
+      metric[$(f + 1)] = $f + 0
     if (match(name, /-[0-9]+$/))        # trailing -N is GOMAXPROCS
       gomaxprocs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)
@@ -104,15 +107,18 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
     sub(/^workers=/, "", workers)
     if (workers !~ /^[0-9]+$/) workers = "null"   # no workers dimension
     reps[name]++
-    samples[name "|" reps[name]] = ns
+    samples["ns/op|" name "|" reps[name]] = metric["ns/op"]
+    samples["B/op|" name "|" reps[name]] = metric["B/op"]
+    samples["allocs/op|" name "|" reps[name]] = metric["allocs/op"]
     fam_of[name] = family
     workers_of[name] = workers
     if (!(name in seen)) { order[++nkeys] = name; seen[name] = 1 }
   }
-  # med/minv compute the median/min ns/op across the reps of one line.
-  function med(key,   m, i, j, v, arr) {
+  # med computes the median of one unit across the reps of one line,
+  # minv the min ns/op.
+  function med(key, unit,   m, i, j, v, arr) {
     m = reps[key]
-    for (i = 1; i <= m; i++) arr[i] = samples[key "|" i]
+    for (i = 1; i <= m; i++) arr[i] = samples[unit "|" key "|" i]
     for (i = 2; i <= m; i++) {
       v = arr[i]
       for (j = i - 1; j >= 1 && arr[j] > v; j--) arr[j + 1] = arr[j]
@@ -123,21 +129,21 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
   }
   function minv(key,   m, i, mv) {
     m = reps[key]
-    mv = samples[key "|" 1]
-    for (i = 2; i <= m; i++) if (samples[key "|" i] < mv) mv = samples[key "|" i]
+    mv = samples["ns/op|" key "|" 1]
+    for (i = 2; i <= m; i++) if (samples["ns/op|" key "|" i] < mv) mv = samples["ns/op|" key "|" i]
     return mv
   }
   END {
     printf "{\n  \"benchtime\": \"%s\",\n  \"count\": %d,\n  \"gomaxprocs\": %s,\n  \"results\": [", benchtime, count, gomaxprocs
     for (i = 1; i <= nkeys; i++) {
       key = order[i]
-      printf "%s\n    {\"name\":\"%s\",\"workers\":%s,\"reps\":%d,\"ns_per_op_min\":%.0f,\"ns_per_op_median\":%.0f}", \
-        (i > 1 ? "," : ""), key, workers_of[key], reps[key], minv(key), med(key)
+      printf "%s\n    {\"name\":\"%s\",\"workers\":%s,\"reps\":%d,\"ns_per_op_min\":%.0f,\"ns_per_op_median\":%.0f,\"bytes_per_op_median\":%.0f,\"allocs_per_op_median\":%.0f}", \
+        (i > 1 ? "," : ""), key, workers_of[key], reps[key], minv(key), med(key, "ns/op"), med(key, "B/op"), med(key, "allocs/op")
     }
     for (i = 1; i <= nkeys; i++) {
       key = order[i]
       if (workers_of[key] == "null") continue     # not a workers sweep
-      if (workers_of[key] == 1) base[fam_of[key]] = med(key)
+      if (workers_of[key] == 1) base[fam_of[key]] = med(key, "ns/op")
     }
     # One speedup per (family, workers) curve point, relative to that
     # family`s workers=1 baseline; only the workers=GOMAXPROCS point is
@@ -149,7 +155,7 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
       w = workers_of[key]
       if (w == "null" || w == 1) continue
       f = fam_of[key]
-      m = med(key)
+      m = med(key, "ns/op")
       if (!(f in base) || m <= 0) continue
       sp = base[f] / m
       printf "%s\n    \"%s/workers=%s\": %.3f", (first ? "" : ","), f, w, sp
@@ -162,9 +168,9 @@ awk -v benchtime="$benchtime" -v count="$count" -v min_speedup="$min_speedup" -v
     inc = "BenchmarkGreedyMaxPr/path=incremental"
     per = "BenchmarkGreedyMaxPr/path=per-candidate"
     if (reps[inc] > 0 && reps[per] > 0) {
-      di = med(inc)
+      di = med(inc, "ns/op")
       if (di > 0) {
-        sp = med(per) / di
+        sp = med(per, "ns/op") / di
         printf "%s\n    \"BenchmarkGreedyMaxPr/vs=per-candidate\": %.3f", (first ? "" : ","), sp
         first = 0
         if (min_maxpr + 0 > 0 && sp < min_maxpr + 0)
