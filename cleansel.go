@@ -321,11 +321,11 @@ type Task struct {
 	Measure Measure
 	// Goal picks MinVar or MaxPr.
 	Goal Goal
-	// Algorithm picks the solver (default AlgoGreedy). MaximizeSurprise
-	// supports AlgoGreedy only. Over correlated errors (WithDecayCovariance)
-	// MinimizeUncertainty supports AlgoGreedy (GreedyDep), AlgoNaive and
-	// AlgoRandom; AlgoOptimum and AlgoBest assume independent errors and
-	// fail.
+	// Algorithm picks the solver (default AlgoGreedy); any value but the
+	// five above is an error. MaximizeSurprise supports AlgoGreedy only.
+	// Over correlated errors (WithDecayCovariance) MinimizeUncertainty
+	// supports AlgoGreedy (GreedyDep), AlgoNaive and AlgoRandom;
+	// AlgoOptimum and AlgoBest assume independent errors and fail.
 	Algorithm Algorithm
 	// Budget is the absolute cleaning budget.
 	Budget float64
@@ -400,10 +400,18 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 			return Result{}, err
 		}
 		switch task.Algorithm {
+		case AlgoGreedy:
+			if db.Cov != nil {
+				// GreedyDep: the adaptive greedy over the MVN engine
+				// that also reports Before and After.
+				sel, err = core.NewGreedyEngine("GreedyDep", db, engine)
+			} else {
+				sel, err = core.NewGreedyMinVarModular(db, bias)
+			}
 		case AlgoOptimum:
 			sel, err = core.NewOptimumModular(db, bias)
 		case AlgoNaive:
-			sel = &core.GreedyNaive{DB: db, Vars: bias.Vars()}
+			sel = core.NewGreedyNaive(db, bias.Vars())
 		case AlgoRandom:
 			sel = &core.Random{DB: db, Seed: task.Seed}
 		case AlgoBest:
@@ -412,16 +420,13 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 			// the achieved EV is still reported exactly).
 			var work *DB
 			if work, err = core.DiscreteView(db, 0); err == nil {
-				sel, err = core.NewBest(work, bias.AsGroupSum())
+				var ge *ev.GroupEngine
+				if ge, err = ev.NewGroupEngine(work, bias.AsGroupSum()); err == nil {
+					sel, err = core.NewBest(work, ge)
+				}
 			}
 		default:
-			if db.Cov != nil {
-				// GreedyDep: the adaptive greedy over the MVN engine
-				// that also reports Before and After.
-				sel, err = core.NewGreedyEngine("GreedyDep", db, engine)
-			} else {
-				sel, err = core.NewGreedyMinVarModular(db, bias)
-			}
+			return Result{}, fmt.Errorf("cleansel: unknown algorithm %d", task.Algorithm)
 		}
 	case Uniqueness, Robustness:
 		if db.Cov != nil {
@@ -440,19 +445,21 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 			return Result{}, gerr
 		}
 		engine = ge
+		// The greedy and Best write their values through to ge's memo,
+		// so the Before/After below read them instead of re-solving.
 		switch task.Algorithm {
+		case AlgoGreedy:
+			sel, err = core.NewGreedyMinVarGroupEngine(work, ge)
 		case AlgoBest:
-			sel, err = core.NewBest(work, g)
+			sel, err = core.NewBest(work, ge)
 		case AlgoNaive:
-			sel = &core.GreedyNaive{DB: work, Vars: g.Vars()}
+			sel = core.NewGreedyNaive(work, g.Vars())
 		case AlgoRandom:
 			sel = &core.Random{DB: work, Seed: task.Seed}
 		case AlgoOptimum:
 			return Result{}, errors.New("cleansel: Optimum requires a modular objective; use Fairness or AlgoBest")
 		default:
-			// The greedy writes its values through to ge's memo, so
-			// the Before/After below read them instead of re-solving.
-			sel, err = core.NewGreedyMinVarGroupEngine(work, ge)
+			return Result{}, fmt.Errorf("cleansel: unknown algorithm %d", task.Algorithm)
 		}
 	default:
 		return Result{}, fmt.Errorf("cleansel: unknown measure %v", task.Measure)

@@ -165,6 +165,19 @@ func TestSelectMaxPrRejectsNonGreedyAlgorithms(t *testing.T) {
 	}
 }
 
+// TestSelectMinVarRejectsUnknownAlgorithm pins that MinVar honours
+// Task.Algorithm under every measure: an algorithm with no solver is an
+// error, not a greedy run.
+func TestSelectMinVarRejectsUnknownAlgorithm(t *testing.T) {
+	for _, m := range []cleansel.Measure{cleansel.Fairness, cleansel.Uniqueness, cleansel.Robustness} {
+		task := servedMinVarTask(t, 1)
+		task.Measure, task.Algorithm = m, cleansel.Algorithm(99)
+		if res, err := cleansel.Select(task); err == nil {
+			t.Errorf("%v: algorithm %v accepted (chose %v)", m, task.Algorithm, res.Set)
+		}
+	}
+}
+
 func TestSelectValidation(t *testing.T) {
 	if _, err := cleansel.Select(cleansel.Task{}); err == nil {
 		t.Fatal("empty task accepted")
@@ -394,7 +407,7 @@ func TestWithDecayCovariance(t *testing.T) {
 		}
 		var sel core.Selector = &core.Random{DB: db, Seed: task.Seed}
 		if algo == cleansel.AlgoNaive {
-			sel = &core.GreedyNaive{DB: db, Vars: set.Bias().Vars()}
+			sel = core.NewGreedyNaive(db, set.Bias().Vars())
 		}
 		want, err := sel.Select(task.Budget)
 		if err != nil {

@@ -1,20 +1,21 @@
 // Package core implements the paper's primary contribution: the selection
 // algorithms that decide which uncertain values to clean under a cost
-// budget (§3). Every greedy selector is Algorithm 1, run by one loop
-// (greedy): pick the affordable object with the best benefit-per-cost,
-// then apply the final best-single-item check that upgrades density greedy
-// to a constant-factor approximation on modular objectives. A selector
-// only scores candidates; the last column says which gains a pick makes
-// stale, and so what the loop rescores.
+// budget (§3). Every greedy selector is Algorithm 1, one type (Greedy)
+// running one loop (greedy): pick the affordable object with the best
+// benefit-per-cost, then apply the final best-single-item check that
+// upgrades density greedy to a constant-factor approximation on modular
+// objectives. A constructor supplies only the round that scores
+// candidates; the last column says which gains a pick makes stale, and
+// so what the loop rescores.
 //
 //	Random                → Random
 //	GreedyNaiveCostBlind  → GreedyNaiveCostBlind
-//	GreedyNaive           → GreedyNaive          none: static benefits
-//	GreedyMinVar          → GreedyMinVarModular  none: static benefits
-//	                        GreedyMinVarGroup    State.Affected: lazy queue
-//	                        GreedyEngine         all: EV re-solved
-//	GreedyMaxPr           → GreedyMaxPr          all: P not submodular
-//	GreedyDep (§4.5)      → GreedyDep (= GreedyEngine over the MVN engine)
+//	GreedyNaive           → NewGreedyNaive          none: static benefits
+//	GreedyMinVar          → NewGreedyMinVarModular  none: static benefits
+//	                        NewGreedyMinVarGroup    State.Affected: lazy queue
+//	                        NewGreedyEngine         all: EV re-solved
+//	GreedyMaxPr           → NewGreedyMaxPr          all: P not submodular
+//	GreedyDep (§4.5)      → NewGreedyDep (NewGreedyEngine over the MVN engine)
 //	adaptive decide-step  → NextAdaptiveStep (the loop's one-round form)
 //	Optimum (knapsack DP) → Optimum
 //	Best (Theorem 3.7)    → Best
@@ -135,28 +136,15 @@ func fill(db *model.DB, order []int, budget float64) (model.Set, error) {
 	return T, nil
 }
 
-// GreedyNaive is Algorithm 1 with the naive benefit β(o) = Var[X_o]
-// (§3.1): cost-aware but objective-blind.
-type GreedyNaive struct {
-	DB   *model.DB
-	Vars []int // referenced objects; nil means all
-}
-
-// Name implements Selector.
-func (g *GreedyNaive) Name() string { return "GreedyNaive" }
-
-// Select implements Selector.
-func (g *GreedyNaive) Select(budget float64) (model.Set, error) {
-	return g.SelectContext(context.Background(), budget)
-}
-
-// SelectContext implements ContextSelector.
-func (g *GreedyNaive) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
-	b := make(benefits, g.DB.N())
-	for _, o := range candidateList(g.DB, g.Vars) {
-		b[o] = g.DB.Objects[o].Value.Variance()
+// NewGreedyNaive builds Algorithm 1 with the naive benefit
+// β(o) = Var[X_o] (§3.1): cost-aware but objective-blind. Objects outside
+// vars (when non-nil; nil means all) are never cleaned.
+func NewGreedyNaive(db *model.DB, vars []int) *Greedy {
+	b := make(benefits, db.N())
+	for _, o := range candidateList(db, vars) {
+		b[o] = db.Objects[o].Value.Variance()
 	}
-	return greedy(ctx, g.DB, budget, 0, b)
+	return &Greedy{name: "GreedyNaive", db: db, newRound: shared(b)}
 }
 
 // candidateList returns vars, or all object IDs when vars is nil.
@@ -172,7 +160,7 @@ func candidateList(db *model.DB, vars []int) []int {
 }
 
 // benefits is the round of a benefit function that does not depend on
-// the chosen set (GreedyNaive's variances, GreedyMinVarModular's
+// the chosen set (NewGreedyNaive's variances, NewGreedyMinVarModular's
 // weights): no commit makes a gain stale.
 type benefits []float64
 
@@ -195,5 +183,8 @@ func ValidateBudget(budget float64) error {
 	return nil
 }
 
-// errNilDB is shared by constructors.
-var errNilDB = errors.New("core: nil database")
+// errNilDB and errNilEngine are shared by constructors.
+var (
+	errNilDB     = errors.New("core: nil database")
+	errNilEngine = errors.New("core: nil engine")
+)

@@ -40,7 +40,7 @@ func TestExample6GreedyChoices(t *testing.T) {
 		return v[0]+v[1] < 11.0/12.0
 	})
 
-	naive := &GreedyNaive{DB: db, Vars: []int{0, 1}}
+	naive := NewGreedyNaive(db, []int{0, 1})
 	T := selectT(t, naive, 1)
 	if len(T) != 1 || !T.Has(0) {
 		t.Fatalf("GreedyNaive chose %v, want {x1}", T)
@@ -133,7 +133,7 @@ func TestGreedyNaiveRespectsVars(t *testing.T) {
 		{Name: "in", Cost: 1, Value: dist.UniformOver([]float64{0, 1})},
 		{Name: "out", Cost: 1, Value: dist.UniformOver([]float64{0, 100})},
 	})
-	gn := &GreedyNaive{DB: db, Vars: []int{0}}
+	gn := NewGreedyNaive(db, []int{0})
 	T := selectT(t, gn, 2)
 	if T.Has(1) {
 		t.Fatalf("GreedyNaive cleaned an unreferenced object: %v", T)
@@ -429,7 +429,7 @@ func TestBestNearOPT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, err := NewBest(db, g)
+		best, err := NewBest(db, engine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +480,7 @@ func TestGreedyMaxPrStops(t *testing.T) {
 
 func TestValidateBudget(t *testing.T) {
 	db := exampleDB()
-	gn := &GreedyNaive{DB: db}
+	gn := NewGreedyNaive(db, nil)
 	if _, err := NewGreedyMinVarModular(db, query.NewAffine(0, map[int]float64{0: 1})); err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,49 @@ import (
 	"github.com/factcheck/cleansel/internal/model"
 )
 
-// round is one selector's side of Algorithm 1. score sets the gain of
+// round is a Greedy's side of Algorithm 1. score sets the gain of
 // adding each candidate to T (and the objective after, where the round
 // has it), in cands order, in round 1 (T = ∅: a round builds its state
 // there) and after every pick, even with no candidate. commit adds e.obj
 // to the round's state and reports the gains it made stale: all, the
 // listed objects', or (nil, false) none. Both pass on total, the gain
-// from ∅ to T, as the round keeps it (GreedyMaxPr's is P(T) itself).
+// from ∅ to T, as the round keeps it (maxprRound's is P(T) itself).
 type round interface {
 	score(ctx context.Context, T model.Set, total float64, cands []entry) (float64, error)
 	commit(e entry, total float64) (newTotal float64, stale []int, all bool)
 }
+
+// Greedy is Algorithm 1: the one selector type of every greedy
+// constructor, which sets its name, its database, its zero-gain floor
+// (gainFloor for MaxPr, 0 otherwise) and newRound. Every solve runs
+// greedy over the round newRound gives it, a fresh one wherever a round
+// keeps state, so concurrent solves of one selector (a budget sweep)
+// share nothing a solve writes.
+type Greedy struct {
+	name     string
+	db       *model.DB
+	floor    float64
+	newRound func() round
+}
+
+// Name implements Selector.
+func (g *Greedy) Name() string { return g.name }
+
+// Select implements Selector.
+func (g *Greedy) Select(budget float64) (model.Set, error) {
+	return g.SelectContext(context.Background(), budget)
+}
+
+// SelectContext implements ContextSelector: greedy checks the context
+// before every pick, and a round while it scores, so a timed-out solve
+// stops promptly.
+func (g *Greedy) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
+	return greedy(ctx, g.db, budget, g.floor, g.newRound())
+}
+
+// shared is the newRound of a round that keeps no state between picks
+// (benefits, maxprRound): every solve gets r itself.
+func shared(r round) func() round { return func() round { return r } }
 
 // entry is one scored candidate; ver versions its gain on a lazy queue.
 type entry struct {
@@ -42,7 +74,7 @@ func clears(gain, floor, level float64) bool {
 	return gain > 0 && (floor == 0 || gain > floor*level)
 }
 
-// greedy is Algorithm 1, the one loop of every greedy selector. It owns
+// greedy is Algorithm 1's loop, run by Greedy.SelectContext. It owns
 // the budget filter (FitsBudget), the zero-gain rule (clears), the ratio,
 // the order (Ahead) and the final single-item check. Round 1 scores every
 // object the budget affords, in ascending id, into a priority queue and

@@ -2,24 +2,17 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/query"
 )
 
-// GreedyMinVarModular is GreedyMinVar for affine query functions with
-// uncorrelated errors: the benefit of cleaning o is exactly
+// NewGreedyMinVarModular builds GreedyMinVar for affine query functions
+// with uncorrelated errors: the benefit of cleaning o is exactly
 // w_o = a_o²·Var[X_o] (Lemma 3.1), so the benefits are static and the
 // algorithm is the 2-approximate knapsack greedy.
-type GreedyMinVarModular struct {
-	db      *model.DB
-	weights []float64
-}
-
-// NewGreedyMinVarModular builds the selector.
-func NewGreedyMinVarModular(db *model.DB, f *query.Affine) (*GreedyMinVarModular, error) {
+func NewGreedyMinVarModular(db *model.DB, f *query.Affine) (*Greedy, error) {
 	if db == nil {
 		return nil, errNilDB
 	}
@@ -27,35 +20,17 @@ func NewGreedyMinVarModular(db *model.DB, f *query.Affine) (*GreedyMinVarModular
 	if err != nil {
 		return nil, err
 	}
-	return &GreedyMinVarModular{db: db, weights: eng.Weights()}, nil
+	return &Greedy{name: "GreedyMinVar", db: db, newRound: shared(benefits(eng.Weights()))}, nil
 }
 
-// Name implements Selector.
-func (g *GreedyMinVarModular) Name() string { return "GreedyMinVar" }
-
-// Select implements Selector.
-func (g *GreedyMinVarModular) Select(budget float64) (model.Set, error) {
-	return g.SelectContext(context.Background(), budget)
-}
-
-// SelectContext implements ContextSelector.
-func (g *GreedyMinVarModular) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
-	return greedy(ctx, g.db, budget, 0, benefits(g.weights))
-}
-
-// GreedyMinVarGroup is GreedyMinVar for decomposed (GroupSum) query
-// functions over independent discrete values: benefits are the exact
-// objective deltas of the group engine, maintained incrementally. Cleaning
-// an object changes only the benefits of objects sharing a term or pair
-// with it (State.Affected), so only those are refreshed on greedy's lazy
-// queue: near-linear work on disjoint-window workloads (Figure 10).
-type GreedyMinVarGroup struct {
-	db     *model.DB
-	engine *ev.GroupEngine
-}
-
-// NewGreedyMinVarGroup builds the selector.
-func NewGreedyMinVarGroup(db *model.DB, g *query.GroupSum) (*GreedyMinVarGroup, error) {
+// NewGreedyMinVarGroup builds GreedyMinVar for decomposed (GroupSum)
+// query functions over independent discrete values: benefits are the
+// exact objective deltas of the group engine, maintained incrementally.
+// Cleaning an object changes only the benefits of objects sharing a term
+// or pair with it (State.Affected), so only those are refreshed on
+// greedy's lazy queue: near-linear work on disjoint-window workloads
+// (Figure 10).
+func NewGreedyMinVarGroup(db *model.DB, g *query.GroupSum) (*Greedy, error) {
 	if db == nil {
 		return nil, errNilDB
 	}
@@ -67,40 +42,26 @@ func NewGreedyMinVarGroup(db *model.DB, g *query.GroupSum) (*GreedyMinVarGroup, 
 }
 
 // NewGreedyMinVarGroupEngine builds the selector over an existing group
-// engine, which must have been built over db. The selector's State
-// writes every value it computes through to the engine's memo, so
-// evaluating EV on the same engine afterwards (a caller's Before/After)
-// reads those values instead of enumerating them again.
-func NewGreedyMinVarGroupEngine(db *model.DB, engine *ev.GroupEngine) (*GreedyMinVarGroup, error) {
+// engine, which must have been built over db. Each solve's State writes
+// every value it computes through to the engine's memo, so evaluating EV
+// on the same engine afterwards (a caller's Before/After) reads those
+// values instead of enumerating them again.
+func NewGreedyMinVarGroupEngine(db *model.DB, engine *ev.GroupEngine) (*Greedy, error) {
 	if db == nil {
 		return nil, errNilDB
 	}
 	if engine == nil {
-		return nil, errors.New("core: nil engine")
+		return nil, errNilEngine
 	}
-	return &GreedyMinVarGroup{db: db, engine: engine}, nil
+	return &Greedy{name: "GreedyMinVar", db: db, newRound: func() round { return &groupRound{engine: engine} }}, nil
 }
 
-// Name implements Selector.
-func (g *GreedyMinVarGroup) Name() string { return "GreedyMinVar" }
-
-// Select implements Selector.
-func (g *GreedyMinVarGroup) Select(budget float64) (model.Set, error) {
-	return g.SelectContext(context.Background(), budget)
-}
-
-// SelectContext implements ContextSelector: the initial benefit pass
-// and each refresh run on the parallel worker pool, and the loop checks
-// the context between cleans, so a timed-out solve stops promptly.
-func (g *GreedyMinVarGroup) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
-	return greedy(ctx, g.db, budget, 0, &groupRound{engine: g.engine})
-}
-
-// groupRound is the group engine's round. Round 1 builds the State and
-// reads the singleton benefits NewStateCtx returns with it. A refresh is
-// one DeltasCtx, which walks each affected term once for all of its live
-// objects and returns the deltas in Affected order, so the queue is the
-// same at every worker count.
+// groupRound is the group engine's round, one per solve. Round 1 builds
+// the State and reads the singleton benefits NewStateCtx returns with
+// it, on the parallel worker pool. A refresh is one DeltasCtx, which
+// walks each affected term once for all of its live objects and returns
+// the deltas in Affected order, so the queue is the same at every worker
+// count.
 type groupRound struct {
 	engine *ev.GroupEngine
 	st     *ev.State
@@ -137,30 +98,23 @@ func (g *groupRound) commit(e entry, total float64) (float64, []int, bool) {
 	return total - g.st.Clean(e.obj), g.st.Affected(e.obj), false
 }
 
-// GreedyEngine is the generic adaptive GreedyMinVar over any EV engine:
-// each round re-evaluates the benefit EV(T) − EV(T ∪ {o}) for every
-// affordable candidate (the O(n²·γ) form discussed in §3.1). It also
-// serves as GreedyDep when given the Schur-complement MVN engine.
-type GreedyEngine struct {
-	name   string
-	db     *model.DB
-	engine ev.Engine
-}
-
-// NewGreedyEngine wraps an EV engine in the adaptive greedy.
-func NewGreedyEngine(name string, db *model.DB, engine ev.Engine) (*GreedyEngine, error) {
+// NewGreedyEngine builds the generic adaptive GreedyMinVar over any EV
+// engine: each round re-evaluates the benefit EV(T) − EV(T ∪ {o}) for
+// every affordable candidate (the O(n²·γ) form discussed in §3.1). It
+// also serves as GreedyDep when given the Schur-complement MVN engine.
+func NewGreedyEngine(name string, db *model.DB, engine ev.Engine) (*Greedy, error) {
 	if db == nil {
 		return nil, errNilDB
 	}
 	if engine == nil {
-		return nil, errors.New("core: nil engine")
+		return nil, errNilEngine
 	}
-	return &GreedyEngine{name: name, db: db, engine: engine}, nil
+	return &Greedy{name: name, db: db, newRound: func() round { return &engineRound{engine: engine} }}, nil
 }
 
 // NewGreedyDep builds the dependency-aware greedy of §4.5: benefits are
 // exact conditional-variance reductions under the full covariance model.
-func NewGreedyDep(db *model.DB, f *query.Affine) (*GreedyEngine, error) {
+func NewGreedyDep(db *model.DB, f *query.Affine) (*Greedy, error) {
 	engine, err := ev.NewMVN(db, f)
 	if err != nil {
 		return nil, err
@@ -168,23 +122,10 @@ func NewGreedyDep(db *model.DB, f *query.Affine) (*GreedyEngine, error) {
 	return NewGreedyEngine("GreedyDep", db, engine)
 }
 
-// Name implements Selector.
-func (g *GreedyEngine) Name() string { return g.name }
-
-// Select implements Selector.
-func (g *GreedyEngine) Select(budget float64) (model.Set, error) {
-	return g.SelectContext(context.Background(), budget)
-}
-
-// SelectContext implements ContextSelector, checking the context
-// between candidate evaluations (each one is a full EV solve — the
-// expensive unit of this adaptive greedy).
-func (g *GreedyEngine) SelectContext(ctx context.Context, budget float64) (model.Set, error) {
-	return greedy(ctx, g.db, budget, 0, &engineRound{engine: g.engine})
-}
-
 // engineRound scores each candidate by a full solve, EV(T) − EV(T ∪ {o}),
-// and a commit makes every gain stale. Round 1 evaluates EV(∅) first.
+// checking the context between solves (each is the expensive unit of
+// this greedy), and a commit makes every gain stale. Round 1 evaluates
+// EV(∅) first; cur is the solve's own EV(T).
 type engineRound struct {
 	engine ev.Engine
 	cur    float64 // EV(T)

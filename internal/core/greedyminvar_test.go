@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/dist"
@@ -165,5 +166,57 @@ func TestGreedyEngineSinglesFromFirstRound(t *testing.T) {
 	}
 	if engine.calls != 16 {
 		t.Fatalf("%d EV calls, want 16", engine.calls)
+	}
+}
+
+// Every solve of a Greedy runs a round of its own, so one stateful
+// selector solved at every budget point at once, as a figure's budget
+// sweep solves it, chooses at each point the set a sequential solve
+// chooses. Each side gets a fresh engine, so the concurrent solves also
+// fill one cold memo together.
+func TestGreedyConcurrentSolvesMatchSequential(t *testing.T) {
+	r := rng.New(1618)
+	db := randomCoreDB(r, 10)
+	g := slidingGroupQuery(r, 10, 3)
+	budgets := make([]float64, 8)
+	for i := range budgets {
+		budgets[i] = float64(i+1) / float64(len(budgets)) * db.TotalCost()
+	}
+	selectors := func() []Selector {
+		lazy, err := NewGreedyMinVarGroup(db, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, err := ev.NewGroupEngine(db, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager, err := NewGreedyEngine("GreedyMinVar", db, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []Selector{lazy, eager}
+	}
+	seq, conc := selectors(), selectors()
+	for k, sel := range conc {
+		got := make([]model.Set, len(budgets))
+		errs := make([]error, len(budgets))
+		var wg sync.WaitGroup
+		for i, b := range budgets {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = sel.Select(b)
+			}()
+		}
+		wg.Wait()
+		for i, b := range budgets {
+			if errs[i] != nil {
+				t.Fatalf("selector %d at budget %v: %v", k, b, errs[i])
+			}
+			if want := selectT(t, seq[k], b); !reflect.DeepEqual(got[i], want) {
+				t.Errorf("selector %d at budget %v: concurrent solve chose %v, sequential %v", k, b, got[i], want)
+			}
+		}
 	}
 }

@@ -31,11 +31,19 @@ func selectorRoster(t *testing.T) map[string]Selector {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gmvEng, err := NewGreedyMinVarGroupEngine(db, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ge, err := NewGreedyEngine("GreedyMinVar", db, engine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := NewBest(db, g)
+	dep, err := NewGreedyDep(db, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := NewBest(db, engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +66,12 @@ func selectorRoster(t *testing.T) map[string]Selector {
 	return map[string]Selector{
 		"Random":               &Random{DB: db},
 		"GreedyNaiveCostBlind": &GreedyNaiveCostBlind{DB: db},
-		"GreedyNaive":          &GreedyNaive{DB: db},
+		"GreedyNaive":          NewGreedyNaive(db, nil),
 		"GreedyMinVar":         gmvMod,
 		"GreedyMinVar#2":       gmvGrp,
-		"GreedyMinVar#3":       ge,
+		"GreedyMinVar#3":       gmvEng,
+		"GreedyMinVar#4":       ge,
+		"GreedyDep":            dep,
 		"Best":                 best,
 		"Optimum":              opt,
 		"GreedyMaxPr":          gmp,
@@ -121,8 +131,12 @@ func TestConstructorNilGuards(t *testing.T) {
 	if _, err := NewOptimumModular(nil, f); err == nil {
 		t.Fatal("nil db accepted")
 	}
-	if _, err := NewBest(nil, f.AsGroupSum()); err == nil {
+	ge, _ := ev.NewGroupEngine(db, f.AsGroupSum())
+	if _, err := NewBest(nil, ge); err == nil {
 		t.Fatal("nil db accepted")
+	}
+	if _, err := NewBest(db, nil); err == nil {
+		t.Fatal("nil engine accepted")
 	}
 }
 

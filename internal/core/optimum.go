@@ -71,14 +71,16 @@ const (
 	bestMaxIters  = 12
 )
 
-// NewBest builds the selector for a decomposed query function.
-func NewBest(db *model.DB, g *query.GroupSum) (*Best, error) {
+// NewBest builds the selector over the group engine of a decomposed
+// query function, which must have been built over db. Its EV
+// evaluations write through to the engine's memo, so evaluating EV on
+// the same engine afterwards (a caller's Before/After) reads them.
+func NewBest(db *model.DB, engine *ev.GroupEngine) (*Best, error) {
 	if db == nil {
 		return nil, errNilDB
 	}
-	engine, err := ev.NewGroupEngine(db, g)
-	if err != nil {
-		return nil, err
+	if engine == nil {
+		return nil, errNilEngine
 	}
 	return &Best{db: db, engine: engine}, nil
 }

@@ -146,7 +146,7 @@ func counterAlgosNormal(sc counterScenario, seed uint64) ([]core.Selector, error
 	}
 	return []core.Selector{
 		gmp,
-		&core.GreedyNaive{DB: sc.w.DB, Vars: bias.Vars()},
+		core.NewGreedyNaive(sc.w.DB, bias.Vars()),
 	}, nil
 }
 
@@ -169,7 +169,7 @@ func counterAlgosDiscrete(sc counterScenario, seed uint64) ([]core.Selector, err
 	}
 	return []core.Selector{
 		gmp,
-		&core.GreedyNaive{DB: sc.w.DB, Vars: bias.Vars()},
+		core.NewGreedyNaive(sc.w.DB, bias.Vars()),
 	}, nil
 }
 

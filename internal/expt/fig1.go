@@ -71,7 +71,7 @@ func fairnessFigure(ctx context.Context, id, title string, w Workload, fracs []f
 	vars := bias.Vars()
 	selectors := []core.Selector{
 		&core.GreedyNaiveCostBlind{DB: w.DB, Vars: vars},
-		&core.GreedyNaive{DB: w.DB, Vars: vars},
+		core.NewGreedyNaive(w.DB, vars),
 	}
 	gmv, err := core.NewGreedyMinVarModular(w.DB, bias)
 	if err != nil {

@@ -129,7 +129,7 @@ func fig11Selectors(w Workload, bias *query.Affine) ([]core.Selector, error) {
 	}
 	return []core.Selector{
 		&core.GreedyNaiveCostBlind{DB: blind, Vars: vars},
-		&core.GreedyNaive{DB: blind, Vars: vars},
+		core.NewGreedyNaive(blind, vars),
 		gmv,
 		opt,
 		exh,

@@ -44,12 +44,12 @@ func nonModularFigure(ctx context.Context, id, title string, w Workload, g *quer
 			fmt.Sprintf("m=%d perturbations; initial variance %.6g", w.Set.M(), engine.Variance()),
 		},
 	}
-	naive := &core.GreedyNaive{DB: w.DB, Vars: g.Vars()}
+	naive := core.NewGreedyNaive(w.DB, g.Vars())
 	gmv, err := core.NewGreedyMinVarGroup(w.DB, g)
 	if err != nil {
 		return nil, err
 	}
-	best, err := core.NewBest(w.DB, g)
+	best, err := core.NewBest(w.DB, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func runFig6(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			naive := &core.GreedyNaive{DB: w.DB, Vars: g.Vars()}
+			naive := core.NewGreedyNaive(w.DB, g.Vars())
 			gmv, err := core.NewGreedyMinVarGroup(w.DB, g)
 			if err != nil {
 				return nil, err

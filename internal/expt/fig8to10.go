@@ -56,12 +56,12 @@ func inActionFigures(ctx context.Context, idMean, idStd, title string, w Workloa
 		Notes: []string{fmt.Sprintf("true duplicity of this scenario: %d", trueDup)},
 	}
 
-	naive := &core.GreedyNaive{DB: w.DB, Vars: g.Vars()}
+	naive := core.NewGreedyNaive(w.DB, g.Vars())
 	gmv, err := core.NewGreedyMinVarGroup(w.DB, g)
 	if err != nil {
 		return nil, err
 	}
-	best, err := core.NewBest(w.DB, g)
+	best, err := core.NewBest(w.DB, engine)
 	if err != nil {
 		return nil, err
 	}

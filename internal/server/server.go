@@ -430,10 +430,14 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // compute runs f on the caller's goroutine under the server's
 // per-request timeout and in-flight cap, passing f the bounded context.
 // The solvers cooperate with cancellation (cleansel.SelectContext and
-// friends), so when the deadline fires — or the caller walks away — f
-// returns within one benefit evaluation instead of running to
-// completion; the semaphore slot is held until f returns, so the
-// MaxInflight bound on burning cores is real.
+// friends): they check the context between units of work, so when the
+// deadline fires — or the caller walks away — f returns once the unit
+// in hand ends instead of running to completion. A unit is not
+// interrupted, and one can be long: a group-engine term walk enumerates
+// every joint outcome of its term's values, so a select, rank, assess
+// or triage over a wide term can run far past the deadline. The
+// semaphore slot is held until f returns, so the MaxInflight bound on
+// burning cores is real, and such a walk keeps its slot until it ends.
 func (s *Server) compute(ctx context.Context, f func(context.Context) (any, error)) (any, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
 	defer cancel()

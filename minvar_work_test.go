@@ -2,9 +2,11 @@ package cleansel_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	cleansel "github.com/factcheck/cleansel"
+	"github.com/factcheck/cleansel/internal/core"
 	"github.com/factcheck/cleansel/internal/datasets"
 	"github.com/factcheck/cleansel/internal/ev"
 	"github.com/factcheck/cleansel/internal/obs"
@@ -183,6 +185,49 @@ func TestRankObjectsWorkCounts(t *testing.T) {
 		if !stages["ev_state_init"] || !stages["singleton_benefits"] {
 			t.Errorf("seed %d: stages %v, want ev_state_init and singleton_benefits", seed, trace.Stages)
 		}
+	}
+}
+
+// TestSelectMinVarBestWalksNoMoreThanBare pins that the facade's
+// AlgoBest solve runs over the engine that reports Before and After, so
+// both are memo hits: the facade walks no more terms than the same Best
+// solve run bare.
+func TestSelectMinVarBestWalksNoMoreThanBare(t *testing.T) {
+	task := servedMinVarTask(t, 1)
+	task.Algorithm = cleansel.AlgoBest
+	walks := func(solve func(context.Context) (cleansel.Set, error)) (cleansel.Set, int64) {
+		rec := obs.NewRecorder(nil)
+		T, err := solve(obs.WithRecorder(context.Background(), rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range rec.Snapshot().Counters {
+			if c.Name == "ev_term_walks" {
+				return T, c.Value
+			}
+		}
+		return T, 0
+	}
+	facadeSet, facade := walks(func(ctx context.Context) (cleansel.Set, error) {
+		res, err := cleansel.SelectContext(ctx, task)
+		return res.Set, err
+	})
+	engine, err := ev.NewGroupEngine(task.DB, task.Claims.Dup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := core.NewBest(task.DB, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bareSet, bare := walks(func(ctx context.Context) (cleansel.Set, error) {
+		return core.SelectWithContext(ctx, best, task.Budget)
+	})
+	if !slices.Equal(facadeSet, bareSet) {
+		t.Fatalf("facade chose %v, bare Best %v", facadeSet, bareSet)
+	}
+	if facade > bare || bare == 0 {
+		t.Errorf("facade AlgoBest walked %d terms, the bare Best solve %d", facade, bare)
 	}
 }
 
