@@ -16,6 +16,7 @@ import (
 	"github.com/factcheck/cleansel/internal/maxpr"
 	"github.com/factcheck/cleansel/internal/model"
 	"github.com/factcheck/cleansel/internal/obs"
+	"github.com/factcheck/cleansel/internal/query"
 	"github.com/factcheck/cleansel/internal/rel"
 	"github.com/factcheck/cleansel/internal/rng"
 )
@@ -334,6 +335,11 @@ type Task struct {
 	// Seed drives randomized components (AlgoRandom, Monte-Carlo
 	// fallbacks).
 	Seed uint64
+	// Discretize is the number of points in the discrete view that a
+	// solve takes of normal value models wherever it needs one
+	// (uniqueness, robustness, AlgoBest, MaxPr over mixed models); 0
+	// means 6. A value outside [0, 1024] is an error.
+	Discretize int
 }
 
 // Result reports a selection.
@@ -363,10 +369,7 @@ func Select(task Task) (Result, error) {
 // GOMAXPROCS (override with CLEANSEL_WORKERS); results are
 // bit-identical for every worker count.
 func SelectContext(ctx context.Context, task Task) (Result, error) {
-	if task.DB == nil || task.Claims == nil {
-		return Result{}, errors.New("cleansel: task needs DB and Claims")
-	}
-	if err := task.DB.Validate(); err != nil {
+	if err := checkTask(task); err != nil {
 		return Result{}, err
 	}
 	switch task.Goal {
@@ -376,6 +379,37 @@ func SelectContext(ctx context.Context, task Task) (Result, error) {
 		return selectMaxPr(ctx, task)
 	}
 	return Result{}, fmt.Errorf("cleansel: unknown goal %d", task.Goal)
+}
+
+// checkTask rejects a task without DB or Claims, a database that fails
+// DB.Validate, and a Discretize out of range, whatever the measure.
+func checkTask(task Task) error {
+	if task.DB == nil || task.Claims == nil {
+		return errors.New("cleansel: task needs DB and Claims")
+	}
+	if err := task.DB.Validate(); err != nil {
+		return err
+	}
+	return core.CheckDiscretize(task.Discretize)
+}
+
+// compileGroup compiles the task's uniqueness or robustness measure:
+// the view core.DiscreteView(task.DB, task.Discretize), the measure's
+// group sum, and a group engine over both. Select and rank share it.
+func compileGroup(task Task) (*DB, *query.GroupSum, *ev.GroupEngine, error) {
+	if task.DB.Cov != nil {
+		return nil, nil, nil, errors.New("cleansel: correlated errors are only supported for the fairness measure")
+	}
+	work, err := core.DiscreteView(task.DB, task.Discretize)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	g := task.Claims.Dup()
+	if task.Measure == Robustness {
+		g = task.Claims.Frag()
+	}
+	ge, err := ev.NewGroupEngine(work, g)
+	return work, g, ge, err
 }
 
 func selectMinVar(ctx context.Context, task Task) (Result, error) {
@@ -419,7 +453,7 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 			// the discretized view (the objective stays modular, so
 			// the achieved EV is still reported exactly).
 			var work *DB
-			if work, err = core.DiscreteView(db, 0); err == nil {
+			if work, err = core.DiscreteView(task.DB, task.Discretize); err == nil {
 				var ge *ev.GroupEngine
 				if ge, err = ev.NewGroupEngine(work, bias.AsGroupSum()); err == nil {
 					sel, err = core.NewBest(work, ge)
@@ -429,18 +463,7 @@ func selectMinVar(ctx context.Context, task Task) (Result, error) {
 			return Result{}, fmt.Errorf("cleansel: unknown algorithm %d", task.Algorithm)
 		}
 	case Uniqueness, Robustness:
-		if db.Cov != nil {
-			return Result{}, errors.New("cleansel: correlated errors are only supported for the fairness measure")
-		}
-		work, werr := core.DiscreteView(db, 0)
-		if werr != nil {
-			return Result{}, werr
-		}
-		g := task.Claims.Dup()
-		if task.Measure == Robustness {
-			g = task.Claims.Frag()
-		}
-		ge, gerr := ev.NewGroupEngine(work, g)
+		work, g, ge, gerr := compileGroup(task)
 		if gerr != nil {
 			return Result{}, gerr
 		}
@@ -508,7 +531,7 @@ func selectMaxPr(ctx context.Context, task Task) (Result, error) {
 				work *DB
 				h    *maxpr.Hybrid
 			)
-			if work, err = core.DiscreteView(db, 0); err == nil {
+			if work, err = core.DiscreteView(task.DB, task.Discretize); err == nil {
 				h, err = maxpr.NewHybrid(work, bias, task.Tau, 0, 20000, rng.New(task.Seed^0x51ec7))
 			}
 			if err == nil {
@@ -555,40 +578,37 @@ type ObjectBenefit struct {
 // ranking a fact-checker inspects before committing budget. For Fairness
 // the benefits are the exact modular weights a_i²·Var[X_i]; for
 // Uniqueness/Robustness they are the group engine's singleton deltas
-// (normal value models are discretized first). A database that fails
-// DB.Validate is an error, as it is for Select.
+// over normal value models discretized onto 6 points (RankContext takes
+// the count from Task.Discretize). A database that fails DB.Validate is
+// an error, as it is for Select.
 func RankObjects(db *DB, set *PerturbationSet, measure Measure) ([]ObjectBenefit, error) {
 	return RankObjectsContext(context.Background(), db, set, measure)
 }
 
-// RankObjectsContext is RankObjects under ctx: the group engine's
+// RankObjectsContext is RankObjects under ctx.
+func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measure Measure) ([]ObjectBenefit, error) {
+	return RankContext(ctx, Task{DB: db, Claims: set, Measure: measure})
+}
+
+// RankContext is RankObjects of task.DB, task.Claims and task.Measure
+// over a task.Discretize-point view, under ctx: the group engine's
 // benefit pass runs on the parallel worker pool and stops with the
 // context's error once ctx is done.
-func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measure Measure) ([]ObjectBenefit, error) {
-	if db == nil || set == nil {
-		return nil, errors.New("cleansel: RankObjects needs db and set")
-	}
-	if err := db.Validate(); err != nil {
+func RankContext(ctx context.Context, task Task) ([]ObjectBenefit, error) {
+	if err := checkTask(task); err != nil {
 		return nil, err
 	}
+	db := task.DB
 	var benefits []float64
-	switch measure {
+	switch task.Measure {
 	case Fairness:
-		eng, err := ev.NewModular(db, set.Bias())
+		eng, err := ev.NewModular(db, task.Claims.Bias())
 		if err != nil {
 			return nil, err
 		}
 		benefits = eng.Weights()
 	case Uniqueness, Robustness:
-		work, err := core.DiscreteView(db, 0)
-		if err != nil {
-			return nil, err
-		}
-		g := set.Dup()
-		if measure == Robustness {
-			g = set.Frag()
-		}
-		eng, err := ev.NewGroupEngine(work, g)
+		_, _, eng, err := compileGroup(task)
 		if err != nil {
 			return nil, err
 		}
@@ -596,7 +616,7 @@ func RankObjectsContext(ctx context.Context, db *DB, set *PerturbationSet, measu
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("cleansel: unknown measure %v", measure)
+		return nil, fmt.Errorf("cleansel: unknown measure %v", task.Measure)
 	}
 	out := make([]ObjectBenefit, db.N())
 	for i := range out {

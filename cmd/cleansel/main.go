@@ -25,11 +25,9 @@
 //	  "tau": 10
 //	}
 //
-// Normal value models are discretized (6 points) when a discrete engine
-// is required. "discretize" overrides the point count for the
-// uniqueness and robustness measures only: a fairness solve that needs
-// a discrete view (goal maxpr over mixed normal and discrete objects,
-// or algorithm best) always uses 6 points.
+// Normal value models are discretized wherever a solve needs a discrete
+// view (uniqueness, robustness, algorithm best, goal maxpr over mixed
+// normal and discrete objects), onto "discretize" points (default 6).
 package main
 
 import (

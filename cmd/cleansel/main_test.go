@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,5 +160,48 @@ func TestRunFlagAndInputHygiene(t *testing.T) {
 				t.Fatal("no diagnostic on stderr")
 			}
 		})
+	}
+}
+
+// mixedMaxPrSpec is a MaxPr spec over mixed value models (a and c
+// normal, b discrete), with %s left for an optional discretize field.
+const mixedMaxPrSpec = `{
+  "objects": [
+    {"name": "a", "current": 10, "cost": 1, "normal": {"mean": 10, "sigma": 2}},
+    {"name": "b", "current": 12, "cost": 1, "values": [10, 12, 14], "probs": [0.25, 0.5, 0.25]},
+    {"name": "c", "current": 9, "cost": 1, "normal": {"mean": 9, "sigma": 3}}
+  ],
+  "claim": {"name": "gap", "coef": {"1": 1, "0": -1}},
+  "perturbations": [
+    {"claim": {"name": "a", "coef": {"0": 1}}, "sensibility": 1},
+    {"claim": {"name": "p", "coef": {"2": -1, "1": 1}}, "sensibility": 1}
+  ],
+  "goal": "maxpr", "budget": 2, "tau": 0.5%s
+}`
+
+// TestRunDiscretizeSetsMaxPrView: discretize sets the points onto which
+// a MaxPr solve over mixed models discretizes the normals; 0 and 6 are
+// the default view.
+func TestRunDiscretizeSetsMaxPrView(t *testing.T) {
+	for _, c := range []struct {
+		field  string
+		chosen []string
+		after  float64
+	}{
+		{`, "discretize": 2`, []string{"a"}, 0.5},
+		{`, "discretize": 0`, []string{"a", "c"}, 0.38888888888888884},
+		{`, "discretize": 6`, []string{"a", "c"}, 0.38888888888888884},
+	} {
+		var out, errs bytes.Buffer
+		if code := run(nil, strings.NewReader(fmt.Sprintf(mixedMaxPrSpec, c.field)), &out, &errs); code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", c.field, code, errs.String())
+		}
+		var res wire.Result
+		if err := json.Unmarshal(out.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Chosen, c.chosen) || res.After != c.after {
+			t.Errorf("%s: chosen %v, After %v; want %v, %v", c.field, res.Chosen, res.After, c.chosen, c.after)
+		}
 	}
 }

@@ -29,12 +29,12 @@
 //	fmt.Println(res.Chosen, res.Before, res.After)
 //
 // Select, RankObjects, and AssessClaim have context-aware variants
-// (SelectContext, RankObjectsContext, AssessClaimContext) that cancel
-// cooperatively when the context is done — the form a serving layer
-// should call. Solvers fan their per-object enumeration out over a
-// bounded worker pool sized by GOMAXPROCS (override with the
-// CLEANSEL_WORKERS environment variable); results are bit-identical
-// for every worker count.
+// (SelectContext, RankObjectsContext or RankContext, AssessClaimContext)
+// that cancel cooperatively when the context is done — the form a
+// serving layer should call. Solvers fan their per-object enumeration
+// out over a bounded worker pool sized by GOMAXPROCS (override with
+// the CLEANSEL_WORKERS environment variable); results are
+// bit-identical for every worker count.
 //
 // The embedded evaluation datasets (Adoptions, CDC-firearms, CDC-causes)
 // and the paper's synthetic generators (URx, LNx, SMx) are exposed for

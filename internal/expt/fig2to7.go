@@ -45,7 +45,7 @@ func nonModularFigure(ctx context.Context, id, title string, w Workload, g *quer
 		},
 	}
 	naive := core.NewGreedyNaive(w.DB, g.Vars())
-	gmv, err := core.NewGreedyMinVarGroup(w.DB, g)
+	gmv, err := core.NewGreedyMinVarGroupEngine(w.DB, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func runFig6(ctx context.Context, scale Scale, seed uint64) ([]*Figure, error) {
 				return nil, err
 			}
 			naive := core.NewGreedyNaive(w.DB, g.Vars())
-			gmv, err := core.NewGreedyMinVarGroup(w.DB, g)
+			gmv, err := core.NewGreedyMinVarGroupEngine(w.DB, engine)
 			if err != nil {
 				return nil, err
 			}

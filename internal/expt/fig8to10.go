@@ -57,7 +57,7 @@ func inActionFigures(ctx context.Context, idMean, idStd, title string, w Workloa
 	}
 
 	naive := core.NewGreedyNaive(w.DB, g.Vars())
-	gmv, err := core.NewGreedyMinVarGroup(w.DB, g)
+	gmv, err := core.NewGreedyMinVarGroupEngine(w.DB, engine)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 
 	"github.com/factcheck/cleansel/internal/core"
@@ -98,6 +99,45 @@ func TestAssessDiscretizeKeepsExactBias(t *testing.T) {
 		}
 		if !bytes.Equal(resp.Claims[0].Report, assessBody) {
 			t.Fatalf("triage%s: report %s, assess report %s", c.field, resp.Claims[0].Report, assessBody)
+		}
+	}
+}
+
+// TestSelectDiscretizeSetsMaxPrView: discretize sets the view a fairness
+// select takes of normal objects, here MaxPr over mixed value models
+// (a and c normal, b discrete): 2 points answer [a], and absent, 0 or
+// 6 points answer [a c].
+func TestSelectDiscretizeSetsMaxPrView(t *testing.T) {
+	h := newTestServer(Config{})
+	const problem = `"objects": [
+  {"name": "a", "current": 10, "cost": 1, "normal": {"mean": 10, "sigma": 2}},
+  {"name": "b", "current": 12, "cost": 1, "values": [10, 12, 14], "probs": [0.25, 0.5, 0.25]},
+  {"name": "c", "current": 9, "cost": 1, "normal": {"mean": 9, "sigma": 3}}],
+  "claim": {"name": "gap", "coef": {"1": 1, "0": -1}},
+  "perturbations": [
+    {"claim": {"name": "a", "coef": {"0": 1}}, "sensibility": 1},
+    {"claim": {"name": "p", "coef": {"2": -1, "1": 1}}, "sensibility": 1}],
+  "goal": "maxpr", "budget": 2, "tau": 0.5`
+	for _, c := range []struct {
+		field  string
+		chosen []string
+		after  float64
+	}{
+		{`, "discretize": 2`, []string{"a"}, 0.5},
+		{"", []string{"a", "c"}, 0.38888888888888884},
+		{`, "discretize": 0`, []string{"a", "c"}, 0.38888888888888884},
+		{`, "discretize": 6`, []string{"a", "c"}, 0.38888888888888884},
+	} {
+		rec := do(t, h, http.MethodPost, "/v1/select", `{`+problem+c.field+`}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("select%s: status %d: %s", c.field, rec.Code, rec.Body.String())
+		}
+		var res wire.Result
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Chosen, c.chosen) || res.After != c.after {
+			t.Errorf("select%s: chosen %v, After %v; want %v, %v", c.field, res.Chosen, res.After, c.chosen, c.after)
 		}
 	}
 }

@@ -141,13 +141,13 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		endCompile := rec.Span("compile")
-		work, set, measure, err := req.BuildRank(db)
+		task, err := req.BuildRank(db)
 		endCompile()
 		if err != nil {
 			return nil, err
 		}
 		endSolve := rec.Span("solve")
-		ranked, err := cleansel.RankObjectsContext(ctx, work, set, measure)
+		ranked, err := cleansel.RankContext(ctx, task)
 		endSolve()
 		if err != nil {
 			return nil, err

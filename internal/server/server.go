@@ -1,5 +1,5 @@
 // Package server implements the cleanseld HTTP/JSON service: a serving
-// layer over cleansel.Select, cleansel.RankObjects, and
+// layer over cleansel.Select, cleansel.RankContext, and
 // core.TriageContext's AssessBatch, which runs every assessment
 // (/v1/assess as a batch of one, /v1/triage as a batch of many).
 //

@@ -1,7 +1,7 @@
 // Package wire defines the JSON wire format shared by the cleansel CLI
 // and the cleanseld HTTP service, and maps it onto the cleansel public
 // API: objects with discrete or normal value models, linear claims with
-// perturbation sets, and the task parameters of Select/RankObjects/
+// perturbation sets, and the task parameters of Select/RankContext/
 // AssessClaim. Decoding is strict — unknown fields, repeated keys and
 // trailing bytes are rejected (decode.go) — so that malformed requests
 // fail loudly instead of producing partial answers. Every request type
@@ -21,7 +21,6 @@ import (
 
 	cleansel "github.com/factcheck/cleansel"
 	"github.com/factcheck/cleansel/internal/claims"
-	"github.com/factcheck/cleansel/internal/core"
 )
 
 // Object is one uncertain value: either a finite support with weights
@@ -306,21 +305,8 @@ func (p *Problem) BuildSet(db *cleansel.DB) (*cleansel.PerturbationSet, error) {
 	return cleansel.NewPerturbationSet(orig, dir, ref, perturbs)
 }
 
-// discretized applies the problem's custom discretization (if any) for
-// measures that require discrete value models. The bound is checked
-// first, whatever the measure.
-func (p *Problem) discretized(db *cleansel.DB, measure cleansel.Measure) (*cleansel.DB, error) {
-	if err := core.CheckDiscretize(p.Discretize); err != nil {
-		return nil, err
-	}
-	if p.Discretize == 0 || (measure != cleansel.Uniqueness && measure != cleansel.Robustness) {
-		return db, nil
-	}
-	return core.DiscreteView(db, p.Discretize)
-}
-
 // BuildTask maps the task onto a cleansel.Task against db, parsing the
-// measure/goal/algorithm names and applying any custom discretization.
+// measure/goal/algorithm names; Discretize is carried as given.
 func (t *Task) BuildTask(db *cleansel.DB) (cleansel.Task, error) {
 	measure, err := cleansel.ParseMeasure(t.Measure)
 	if err != nil {
@@ -334,9 +320,6 @@ func (t *Task) BuildTask(db *cleansel.DB) (cleansel.Task, error) {
 	if err != nil {
 		return cleansel.Task{}, err
 	}
-	if db, err = t.discretized(db, measure); err != nil {
-		return cleansel.Task{}, err
-	}
 	set, err := t.BuildSet(db)
 	if err != nil {
 		return cleansel.Task{}, err
@@ -344,25 +327,22 @@ func (t *Task) BuildTask(db *cleansel.DB) (cleansel.Task, error) {
 	return cleansel.Task{
 		DB: db, Claims: set,
 		Measure: measure, Goal: goal, Algorithm: algo,
-		Budget: t.Budget, Tau: t.Tau, Seed: t.Seed,
+		Budget: t.Budget, Tau: t.Tau, Seed: t.Seed, Discretize: t.Discretize,
 	}, nil
 }
 
-// BuildRank resolves the rank request against db, returning the working
-// database, perturbation set, and measure for cleansel.RankObjects.
-func (r *RankRequest) BuildRank(db *cleansel.DB) (*cleansel.DB, *cleansel.PerturbationSet, cleansel.Measure, error) {
+// BuildRank maps the rank request onto the cleansel.Task that
+// cleansel.RankContext reads: db, claims, measure and Discretize.
+func (r *RankRequest) BuildRank(db *cleansel.DB) (cleansel.Task, error) {
 	measure, err := cleansel.ParseMeasure(r.Measure)
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	if db, err = r.discretized(db, measure); err != nil {
-		return nil, nil, 0, err
+		return cleansel.Task{}, err
 	}
 	set, err := r.BuildSet(db)
 	if err != nil {
-		return nil, nil, 0, err
+		return cleansel.Task{}, err
 	}
-	return db, set, measure, nil
+	return cleansel.Task{DB: db, Claims: set, Measure: measure, Discretize: r.Discretize}, nil
 }
 
 // BuildTriage resolves the batch against db: db itself (the assessment

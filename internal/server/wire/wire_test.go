@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -208,14 +209,14 @@ func TestBuildRankAndAssess(t *testing.T) {
 		t.Fatal(err)
 	}
 	rank := RankRequest{Problem: base.Problem, Measure: "uniqueness"}
-	work, set, measure, err := rank.BuildRank(db)
+	rt, err := rank.BuildRank(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if measure != cleansel.Uniqueness {
-		t.Fatalf("measure = %v", measure)
+	if rt.Measure != cleansel.Uniqueness || rt.DB != db {
+		t.Fatalf("measure = %v, db rebuilt: %v", rt.Measure, rt.DB != db)
 	}
-	ranked, err := cleansel.RankObjects(work, set, measure)
+	ranked, err := cleansel.RankContext(context.Background(), rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +224,12 @@ func TestBuildRankAndAssess(t *testing.T) {
 	if len(benefits) != db.N() {
 		t.Fatalf("%d benefits for %d objects", len(benefits), db.N())
 	}
-	if _, _, _, err := (&RankRequest{Problem: base.Problem, Measure: "vibes"}).BuildRank(db); err == nil {
+	if _, err := (&RankRequest{Problem: base.Problem, Measure: "vibes"}).BuildRank(db); err == nil {
 		t.Fatal("unknown rank measure accepted")
 	}
 
 	assess := AssessRequest{Problem: base.Problem}
-	set, err = assess.BuildSet(db)
+	set, err := assess.BuildSet(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,18 +263,18 @@ func TestCustomDiscretization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The normal object must have been replaced by a 4-point law.
-	if _, err := ct.DB.Discretes(); err != nil {
-		t.Fatalf("db not discretized: %v", err)
+	// The point count is carried to the facade, which picks the view.
+	if ct.Discretize != 4 || ct.DB != db {
+		t.Fatalf("Discretize = %d, db rebuilt: %v", ct.Discretize, ct.DB != db)
 	}
 	if _, err := cleansel.Select(ct); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBuildRejectsDiscretizeOutOfRange: select and rank check the
-// discretize bound (core.CheckDiscretize) before anything is
-// discretized.
+// TestBuildRejectsDiscretizeOutOfRange: BuildTask and BuildRank carry
+// discretize as given, and select and rank reject it
+// (core.CheckDiscretize) before anything is discretized.
 func TestBuildRejectsDiscretizeOutOfRange(t *testing.T) {
 	task := decodeSample(t)
 	task.Measure, task.Discretize = "uniqueness", 1<<40
@@ -281,11 +282,19 @@ func TestBuildRejectsDiscretizeOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := task.BuildTask(db); err == nil {
-		t.Fatal("BuildTask accepted discretize 2^40")
+	ct, err := task.BuildTask(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cleansel.Select(ct); err == nil {
+		t.Fatal("Select accepted discretize 2^40")
 	}
 	rank := RankRequest{Problem: task.Problem, Measure: "robustness"}
-	if _, _, _, err := rank.BuildRank(db); err == nil {
-		t.Fatal("BuildRank accepted discretize 2^40")
+	rt, err := rank.BuildRank(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cleansel.RankContext(context.Background(), rt); err == nil {
+		t.Fatal("RankContext accepted discretize 2^40")
 	}
 }

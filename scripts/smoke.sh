@@ -5,8 +5,9 @@
 # /v1/triage over the quickstart claim stream and asserts the bulk path
 # serves the exact bytes /v1/assess serves claim by claim, with renamed
 # duplicate claims deduplicated. Last, a select whose discretize is out
-# of range must be a 400 that leaves the daemon serving. Used by CI and
-# runnable locally:
+# of range must be a 400 that leaves the daemon serving, and a MaxPr
+# select over mixed value models must take its discrete view at the
+# requested point count. Used by CI and runnable locally:
 # ./scripts/smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -142,7 +143,22 @@ jq -e '.error.code == "bad_request"' "$workdir/bigk" >/dev/null \
 status=$(curl -s -o /dev/null -w '%{http_code}' "$base/healthz")
 [ "$status" = 200 ] || { echo "FAIL: /healthz after discretize 2^40 -> $status"; exit 1; }
 
+# discretize reaches every discrete view a select takes: MaxPr over
+# mixed value models answers [a] at 2 points, where 6 points answer
+# [a c].
+status=$(curl -s -o "$workdir/twok" -w '%{http_code}' -X POST --data '{
+  "objects": [{"name": "a", "current": 10, "cost": 1, "normal": {"mean": 10, "sigma": 2}},
+    {"name": "b", "current": 12, "cost": 1, "values": [10, 12, 14], "probs": [0.25, 0.5, 0.25]},
+    {"name": "c", "current": 9, "cost": 1, "normal": {"mean": 9, "sigma": 3}}],
+  "claim": {"name": "gap", "coef": {"1": 1, "0": -1}},
+  "perturbations": [{"claim": {"name": "a", "coef": {"0": 1}}, "sensibility": 1},
+    {"claim": {"name": "p", "coef": {"2": -1, "1": 1}}, "sensibility": 1}],
+  "goal": "maxpr", "budget": 2, "tau": 0.5, "discretize": 2}' "$base/v1/select")
+[ "$status" = 200 ] || { echo "FAIL: select with discretize 2 -> $status"; cat "$workdir/twok"; exit 1; }
+jq -e '.chosen == ["a"]' "$workdir/twok" >/dev/null \
+  || { echo "FAIL: discretize 2 did not set the MaxPr view"; cat "$workdir/twok"; exit 1; }
+
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
-echo "smoke OK: $base served healthz, datasets, select (miss+hit), trace, metrics, triage (dedup + assess parity), discretize bound"
+echo "smoke OK: $base served healthz, datasets, select (miss+hit), trace, metrics, triage (dedup + assess parity), discretize bound and view"
